@@ -1,14 +1,19 @@
 /// Google-benchmark microbenchmarks of the library's primitives: software
-/// conv forward, functional dataflow inference (fixed vs flexible), the
+/// conv forward, one QAT training step and the three GEMM kernels behind it,
+/// functional dataflow inference (fixed vs flexible), the
 /// dataflow-aware pruner, threshold folding, and the hot paths the sharded
 /// parallel engine leans on — EventQueue scheduling at standing depth,
 /// latency-histogram record/merge, and the mailbox exchange.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "adaflow/edge/server.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
+#include "adaflow/nn/gemm.hpp"
+#include "adaflow/nn/loss.hpp"
 #include "adaflow/pruning/prune.hpp"
 #include "adaflow/shard/mailbox.hpp"
 #include "adaflow/sim/event_queue.hpp"
@@ -49,6 +54,64 @@ void BM_SoftwareForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftwareForward);
+
+// One QAT step of the library generator's model: forward + backward of a
+// CNVW1A2 (scale 8) batch of 32. Library generation is this step repeated.
+void BM_TrainStep(benchmark::State& state) {
+  nn::Model m = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+  Rng rng(5);
+  const nn::Tensor images = nn::Tensor::uniform(nn::Shape{32, 3, 32, 32}, -1, 1, rng);
+  std::vector<int> labels(32);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i % 10);
+  }
+  for (auto _ : state) {
+    m.zero_grad();
+    const nn::Tensor logits = m.forward(images, true);
+    m.backward(nn::softmax_cross_entropy(logits, labels).grad);
+    benchmark::DoNotOptimize(m.params().front()->grad.data());
+  }
+}
+BENCHMARK(BM_TrainStep)->Unit(benchmark::kMicrosecond);
+
+// The GEMM kernels at conv1's geometry in that step: 8 output channels,
+// K = 8 * 3 * 3 = 72, N = 28 * 28 = 784 output pixels. NN is the forward
+// conv, NT the weight gradient, TN the input gradient.
+enum class GemmKind { kNN, kNT, kTN };
+
+template <GemmKind kKind>
+void BM_Gemm(benchmark::State& state) {
+  constexpr std::int64_t kOut = 8;
+  constexpr std::int64_t kK = 72;
+  constexpr std::int64_t kPixels = 784;
+  Rng rng(9);
+  // Binary weights with a third of them pruned to exactly zero.
+  std::vector<float> w(static_cast<std::size_t>(kOut * kK));
+  for (float& v : w) {
+    const double u = rng.uniform(0.0, 1.0);
+    v = u < 0.33 ? 0.0f : (u < 0.66 ? -0.25f : 0.25f);
+  }
+  const nn::Tensor col = nn::Tensor::uniform(nn::Shape{kK, kPixels}, -1, 1, rng);
+  const nn::Tensor dy = nn::Tensor::uniform(nn::Shape{kOut, kPixels}, -1, 1, rng);
+  // The kernels accumulate into C, so it is not reset between iterations.
+  nn::Tensor out(kKind == GemmKind::kNN   ? nn::Shape{kOut, kPixels}
+                 : kKind == GemmKind::kNT ? nn::Shape{kOut, kK}
+                                          : nn::Shape{kK, kPixels});
+  for (auto _ : state) {
+    if constexpr (kKind == GemmKind::kNN) {
+      nn::gemm_nn(kOut, kPixels, kK, w.data(), col.data(), out.data());
+    } else if constexpr (kKind == GemmKind::kNT) {
+      nn::gemm_nt(kOut, kK, kPixels, dy.data(), col.data(), out.data());
+    } else {
+      nn::gemm_tn(kK, kPixels, kOut, w.data(), dy.data(), out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Gemm<GemmKind::kNN>)->Name("BM_GemmNN")->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Gemm<GemmKind::kNT>)->Name("BM_GemmNT")->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Gemm<GemmKind::kTN>)->Name("BM_GemmTN")->Unit(benchmark::kMicrosecond);
 
 void BM_DataflowInferFixed(benchmark::State& state) {
   hls::DataflowAccelerator accel(hls::AcceleratorVariant::kFixed, compiled(), folding());

@@ -19,7 +19,6 @@
 /// run_simulation() drives exactly one device from a workload trace, while
 /// the fleet layer (src/fleet) drives N of them behind a dispatcher.
 
-#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <string>
@@ -74,6 +73,12 @@ struct RepeatedRunResult {
   double pooled_average_power_w = 0.0;
 };
 
+/// The fold behind run_repeated: per-run results (index = run) into their
+/// per-run means, spreads and pooled ratios. Every RunMetrics field is
+/// carried: counters and stats are summed then divided by the run count,
+/// except `mean.e2e_latency`, which is the pooled histogram of all runs.
+RepeatedRunResult summarize_runs(std::vector<RunMetrics> runs);
+
 /// Trace-factory core of run_repeated: \p trace_factory maps the per-run
 /// seed to the WorkloadTrace of that run, which is what generated traces
 /// (diurnal, flash-crowd) and CSV replays need — there is no WorkloadConfig
@@ -84,15 +89,11 @@ RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& fac
                                const ServerConfig& config, int runs,
                                std::uint64_t seed_base = 1000) {
   require(runs > 0, "run_repeated needs runs > 0");
-  RepeatedRunResult out;
-  std::vector<sim::TimeSeries> workload_s, loss_s, qoe_s, power_s;
-  std::vector<sim::TimeSeries> fc_actual_s, fc_pred_s;
-  RunMetrics total;
   // Traces and policies are built serially (factories may share state — RNGs,
   // captured configs); the runs themselves are independent simulations with
-  // fixed per-run seeds, so they fan out over the worker pool. Aggregation
-  // below walks results in run order, so the outcome is bit-identical to the
-  // serial loop regardless of worker count.
+  // fixed per-run seeds, so they fan out over the worker pool.
+  // summarize_runs walks the results in run order, so the outcome is
+  // bit-identical to the serial loop regardless of worker count.
   std::vector<WorkloadTrace> traces;
   std::vector<decltype(factory())> policies;
   traces.reserve(static_cast<std::size_t>(runs));
@@ -109,74 +110,7 @@ RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& fac
     results[idx] =
         run_simulation(traces[idx], *policies[idx], config, seed ^ 0x5bd1e995ULL);
   });
-  for (int r = 0; r < runs; ++r) {
-    RunMetrics& m = results[static_cast<std::size_t>(r)];
-    total.arrived += m.arrived;
-    total.processed += m.processed;
-    total.lost += m.lost;
-    total.qoe_accuracy_sum += m.qoe_accuracy_sum;
-    total.energy_j += m.energy_j;
-    total.duration_s += m.duration_s;
-    total.switch_stall_s += m.switch_stall_s;
-    total.violation_s += m.violation_s;
-    total.model_switches += m.model_switches;
-    total.reconfigurations += m.reconfigurations;
-    total.faults.accumulate(m.faults);
-    total.forecast.accumulate(m.forecast);
-    total.detection.accumulate(m.detection);
-    if (r == 0) {
-      total.switches = m.switches;  // representative first run (paper Fig. 6)
-    }
-    out.switches_per_run.push_back(m.model_switches);
-    out.reconfigurations_per_run.push_back(m.reconfigurations);
-    out.frame_loss.add(m.frame_loss());
-    out.qoe.add(m.qoe());
-    out.power.add(m.average_power_w());
-    workload_s.push_back(std::move(m.workload_series));
-    loss_s.push_back(std::move(m.loss_series));
-    qoe_s.push_back(std::move(m.qoe_series));
-    power_s.push_back(std::move(m.power_series));
-    fc_actual_s.push_back(std::move(m.forecast_actual_series));
-    fc_pred_s.push_back(std::move(m.forecast_pred_series));
-  }
-  // Pooled ratios first, from the exact totals: rounding the counts below
-  // changes frame_loss()/qoe() by up to 1/arrived per run, which matters for
-  // tiny traces.
-  out.pooled_frame_loss =
-      total.arrived > 0 ? static_cast<double>(total.lost) / static_cast<double>(total.arrived)
-                        : 0.0;
-  out.pooled_qoe =
-      total.arrived > 0 ? total.qoe_accuracy_sum / static_cast<double>(total.arrived) : 0.0;
-  out.pooled_average_power_w = total.duration_s > 0.0 ? total.energy_j / total.duration_s : 0.0;
-  // Scalars become per-run means so they read on the same scale as one run;
-  // dividing numerators and denominators alike keeps the ratio accessors
-  // (frame_loss, qoe, average_power_w) consistent with the pooled ratios up
-  // to count rounding.
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  total.arrived = mean_count(total.arrived);
-  total.processed = mean_count(total.processed);
-  total.lost = mean_count(total.lost);
-  total.qoe_accuracy_sum /= runs;
-  total.energy_j /= runs;
-  total.duration_s /= runs;
-  total.switch_stall_s /= runs;
-  total.violation_s /= runs;
-  total.model_switches = static_cast<int>(mean_count(total.model_switches));
-  total.reconfigurations = static_cast<int>(mean_count(total.reconfigurations));
-  total.faults.divide(runs);
-  total.forecast.divide(runs);
-  total.detection.divide(runs);
-  total.workload_series = sim::average_series(workload_s);
-  total.loss_series = sim::average_series(loss_s);
-  total.qoe_series = sim::average_series(qoe_s);
-  total.power_series = sim::average_series(power_s);
-  total.forecast_actual_series = sim::average_series(fc_actual_s);
-  total.forecast_pred_series = sim::average_series(fc_pred_s);
-  out.mean = std::move(total);
-  return out;
+  return summarize_runs(std::move(results));
 }
 
 /// Averages scalar metrics and series over repeated runs of \p workload

@@ -7,6 +7,16 @@
 
 namespace adaflow::hls {
 
+namespace {
+/// Graph-lowered detection models carry concat, upsample and global-pool
+/// stages; the functional simulator only streams a conv/pool/fc chain.
+[[noreturn]] void reject_unsupported(const StageDesc& stage) {
+  throw FoldingError("stage " + stage.name +
+                     " is a concat/upsample/global-pool stage, which the functional dataflow "
+                     "accelerator does not support");
+}
+}  // namespace
+
 std::int64_t InferenceStats::total_pipeline_iterations() const {
   std::int64_t total = 0;
   for (const auto& s : mvtu_stages) {
@@ -41,12 +51,21 @@ DataflowAccelerator::DataflowAccelerator(AcceleratorVariant variant,
 
   std::size_t mvtu_ordinal = 0;
   for (const CompiledStage& stage : synthesis_.stages) {
-    if (stage.desc.kind == StageKind::kPool) {
-      pools_.emplace_back(variant_, stage.desc.ch_in, stage.desc.kernel);
-    } else {
-      const LayerFolding& f = folding_.layers[mvtu_ordinal++];
-      mvtus_.emplace_back(variant_, stage.desc.ch_in, stage.desc.ch_out, stage.desc.kernel,
-                          f.pe, f.simd);
+    switch (stage.desc.kind) {
+      case StageKind::kConv:
+      case StageKind::kFc: {
+        const LayerFolding& f = folding_.layers[mvtu_ordinal++];
+        mvtus_.emplace_back(variant_, stage.desc.ch_in, stage.desc.ch_out, stage.desc.kernel,
+                            f.pe, f.simd);
+        break;
+      }
+      case StageKind::kPool:
+        pools_.emplace_back(variant_, stage.desc.ch_in, stage.desc.kernel);
+        break;
+      case StageKind::kConcat:
+      case StageKind::kUpsample:
+      case StageKind::kGlobalPool:
+        reject_unsupported(stage.desc);
     }
   }
   load_model(synthesis_);
@@ -115,6 +134,12 @@ std::vector<float> DataflowAccelerator::infer_logits(const nn::Tensor& image) {
         ++m;
         break;
       }
+      case StageKind::kConcat:
+      case StageKind::kUpsample:
+      case StageKind::kGlobalPool:
+        // Unreachable: the constructor rejects these kinds, and load_model
+        // admits only models whose stage kinds match the synthesized ones.
+        reject_unsupported(stage.desc);
     }
   }
 

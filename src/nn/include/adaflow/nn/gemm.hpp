@@ -2,66 +2,34 @@
 
 /// \file gemm.hpp
 /// Small row-major GEMM kernels shared by Conv2d (im2col) and Linear.
-/// Loop order (m, k, n) keeps the inner loop streaming over contiguous B/C
-/// rows, which is the main thing that matters at these sizes.
+///
+/// Numeric contract: every output is bit-identical to the naive triple loop.
+/// The kernels tile outputs in registers and vectorise across independent
+/// outputs, but never reorder a reduction:
+/// - each output accumulates its products in ascending k order;
+/// - gemm_nn / gemm_tn add into C directly and skip exactly the products
+///   whose A element is zero (quantized weights often are), so a skipped
+///   product never turns a -0 in C into +0;
+/// - gemm_nt sums each dot product from +0 and adds it to C once.
+/// adaflow_nn builds with -ffp-contract=off, so no multiply-add is fused.
+/// The reason is the library cache: it is keyed on the model topology, not
+/// on this code, and any drift in the trained weights would serve stale
+/// tables silently.
 
 #include <cstdint>
 
 namespace adaflow::nn {
 
 /// C[M,N] += A[M,K] * B[K,N]
-inline void gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                    const float* a, const float* b, float* c) {
-  for (std::int64_t m = 0; m < m_count; ++m) {
-    float* c_row = c + m * n_count;
-    const float* a_row = a + m * k_count;
-    for (std::int64_t k = 0; k < k_count; ++k) {
-      const float a_val = a_row[k];
-      if (a_val == 0.0f) {
-        continue;  // quantized weights are often exactly zero
-      }
-      const float* b_row = b + k * n_count;
-      for (std::int64_t n = 0; n < n_count; ++n) {
-        c_row[n] += a_val * b_row[n];
-      }
-    }
-  }
-}
+void gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c);
 
 /// C[M,N] += A[M,K] * B[N,K]^T
-inline void gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                    const float* a, const float* b, float* c) {
-  for (std::int64_t m = 0; m < m_count; ++m) {
-    const float* a_row = a + m * k_count;
-    float* c_row = c + m * n_count;
-    for (std::int64_t n = 0; n < n_count; ++n) {
-      const float* b_row = b + n * k_count;
-      float acc = 0.0f;
-      for (std::int64_t k = 0; k < k_count; ++k) {
-        acc += a_row[k] * b_row[k];
-      }
-      c_row[n] += acc;
-    }
-  }
-}
+void gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c);
 
 /// C[M,N] += A[K,M]^T * B[K,N]
-inline void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                    const float* a, const float* b, float* c) {
-  for (std::int64_t k = 0; k < k_count; ++k) {
-    const float* a_row = a + k * m_count;
-    const float* b_row = b + k * n_count;
-    for (std::int64_t m = 0; m < m_count; ++m) {
-      const float a_val = a_row[m];
-      if (a_val == 0.0f) {
-        continue;
-      }
-      float* c_row = c + m * n_count;
-      for (std::int64_t n = 0; n < n_count; ++n) {
-        c_row[n] += a_val * b_row[n];
-      }
-    }
-  }
-}
+void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c);
 
 }  // namespace adaflow::nn

@@ -9,6 +9,7 @@
 /// (CNVW1A2) and 2-bit narrow-range (CNVW2A2). Activations use unsigned
 /// uniform quantization (2-bit for both models).
 
+#include <cfloat>
 #include <cstdint>
 
 #include "adaflow/nn/tensor.hpp"
@@ -48,14 +49,39 @@ float quantize_weight_level(float value, float scale, int bits);
 /// Maximum integer activation level for a bit-width (2 bits -> 3).
 constexpr std::int64_t act_level_max(int bits) { return (std::int64_t{1} << bits) - 1; }
 
+// The rounding below relies on float arithmetic in float precision.
+static_assert(FLT_EVAL_METHOD == 0, "activation rounding needs float-precision evaluation");
+
+/// clamp(round(x / scale), 0, max_level) as a float, rounding half to even
+/// like std::nearbyint in the default rounding mode. Branch-free so that
+/// QuantAct's loops vectorise: adding and subtracting 1.5 * 2^23 rounds any
+/// |q| < 2^22 to an integer, ties to even. A larger |q| may round
+/// differently, but it clamps to 0 or max_level either way.
+inline float act_level(float x, float scale, float max_level) {
+  constexpr float kRoundingShift = 12582912.0f;  // 1.5 * 2^23
+  const float r = (x / scale + kRoundingShift) - kRoundingShift;
+  const float lo = r > 0.0f ? r : 0.0f;
+  return lo < max_level ? lo : max_level;
+}
+
 /// Forward value of the activation quantizer: clamp(round(x / s), 0, max) * s.
-float quantize_act(float x, float scale, int bits);
+inline float quantize_act(float x, float scale, int bits) {
+  return act_level(x, scale, static_cast<float>(act_level_max(bits))) * scale;
+}
 
 /// Integer level the activation quantizer assigns to \p x.
-std::int64_t quantize_act_level(float x, float scale, int bits);
+inline std::int64_t quantize_act_level(float x, float scale, int bits) {
+  return static_cast<std::int64_t>(act_level(x, scale, static_cast<float>(act_level_max(bits))));
+}
 
 /// STE gradient mask for the activation quantizer: 1 inside the representable
 /// range (pre-activation between 0 and (max + 0.5) * scale), else 0.
-float act_ste_mask(float x, float scale, int bits);
+inline float act_ste_mask(float x, float scale, int bits) {
+  const float hi = (static_cast<float>(act_level_max(bits)) + 0.5f) * scale;
+  // Two selects rather than `&&`: no branch, so QuantAct's backward loop
+  // vectorises.
+  const float above = x > -0.5f * scale ? 1.0f : 0.0f;
+  return x < hi ? above : 0.0f;
+}
 
 }  // namespace adaflow::nn

@@ -1,5 +1,6 @@
 #include "adaflow/nn/conv2d.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "adaflow/common/parallel.hpp"
@@ -137,6 +138,20 @@ void im2col(const float* input, std::int64_t channels, std::int64_t height, std:
   const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
   const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
   std::int64_t row = 0;
+  if (pad == 0 && stride == 1) {
+    // Every window lies inside the image (the CNV geometry): whole rows copy.
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t kh = 0; kh < kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
+          for (std::int64_t oh = 0; oh < out_h; ++oh) {
+            const float* src = input + (c * height + oh + kh) * width + kw;
+            std::copy(src, src + out_w, col + (row * out_h + oh) * out_w);
+          }
+        }
+      }
+    }
+    return;
+  }
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t kh = 0; kh < kernel; ++kh) {
       for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
@@ -159,6 +174,23 @@ void col2im(const float* col, std::int64_t channels, std::int64_t height, std::i
   const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
   const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
   std::int64_t row = 0;
+  if (pad == 0 && stride == 1) {
+    // Same accumulation order as the general path, without the bounds tests.
+    for (std::int64_t c = 0; c < channels; ++c) {
+      for (std::int64_t kh = 0; kh < kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
+          for (std::int64_t oh = 0; oh < out_h; ++oh) {
+            const float* src = col + (row * out_h + oh) * out_w;
+            float* dst = input + (c * height + oh + kh) * width + kw;
+            for (std::int64_t ow = 0; ow < out_w; ++ow) {
+              dst[ow] += src[ow];
+            }
+          }
+        }
+      }
+    }
+    return;
+  }
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t kh = 0; kh < kernel; ++kh) {
       for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {

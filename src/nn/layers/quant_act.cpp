@@ -9,13 +9,17 @@ QuantAct::QuantAct(std::string name, QuantSpec quant) : Layer(std::move(name)), 
 
 Tensor QuantAct::forward(const Tensor& input, bool training) {
   Tensor output(input.shape());
+  const float* in = input.data();
+  float* out = output.data();
   if (quant_.quantized_acts()) {
+    const float scale = quant_.act_scale;
+    const int bits = quant_.act_bits;
     for (std::int64_t i = 0; i < input.size(); ++i) {
-      output[i] = quantize_act(input[i], quant_.act_scale, quant_.act_bits);
+      out[i] = quantize_act(in[i], scale, bits);
     }
   } else {
     for (std::int64_t i = 0; i < input.size(); ++i) {
-      output[i] = input[i] > 0.0f ? input[i] : 0.0f;
+      out[i] = in[i] > 0.0f ? in[i] : 0.0f;
     }
   }
   if (training) {
@@ -27,14 +31,19 @@ Tensor QuantAct::forward(const Tensor& input, bool training) {
 Tensor QuantAct::backward(const Tensor& grad_output) {
   require(!cached_input_.empty(), "quant_act backward without forward");
   Tensor grad_input(grad_output.shape());
+  const float* x = cached_input_.data();
+  const float* dy = grad_output.data();
+  float* dx = grad_input.data();
   if (quant_.quantized_acts()) {
+    const float scale = quant_.act_scale;
+    const int bits = quant_.act_bits;
     for (std::int64_t i = 0; i < grad_output.size(); ++i) {
-      grad_input[i] =
-          grad_output[i] * act_ste_mask(cached_input_[i], quant_.act_scale, quant_.act_bits);
+      dx[i] = dy[i] * act_ste_mask(x[i], scale, bits);
     }
   } else {
     for (std::int64_t i = 0; i < grad_output.size(); ++i) {
-      grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+      const float g = dy[i];
+      dx[i] = x[i] > 0.0f ? g : 0.0f;
     }
   }
   return grad_input;

@@ -38,23 +38,4 @@ float quantize_weight_level(float value, float scale, int bits) {
   return 0.0f;
 }
 
-float quantize_act(float x, float scale, int bits) {
-  return static_cast<float>(quantize_act_level(x, scale, bits)) * scale;
-}
-
-std::int64_t quantize_act_level(float x, float scale, int bits) {
-  const std::int64_t max_level = act_level_max(bits);
-  const float r = std::nearbyint(x / scale);
-  if (r <= 0.0f) {
-    return 0;
-  }
-  const auto level = static_cast<std::int64_t>(r);
-  return level > max_level ? max_level : level;
-}
-
-float act_ste_mask(float x, float scale, int bits) {
-  const float hi = (static_cast<float>(act_level_max(bits)) + 0.5f) * scale;
-  return (x > -0.5f * scale && x < hi) ? 1.0f : 0.0f;
-}
-
 }  // namespace adaflow::nn

@@ -10,6 +10,7 @@
 #include "adaflow/common/error.hpp"
 #include "adaflow/fpga/device.hpp"
 #include "adaflow/graph/lower.hpp"
+#include "adaflow/hls/accelerator.hpp"
 #include "adaflow/hls/folding.hpp"
 
 namespace adaflow::detect {
@@ -117,6 +118,32 @@ TEST(DetectionLibrary, CarriesTheUnprunedGraphHashAndAValidFolding) {
   // The shared folding hits the configured operating point on the unpruned
   // detector.
   EXPECT_GE(lib.versions.front().fps_fixed, DetectionLibraryConfig{}.target_base_fps);
+}
+
+TEST(DetectionLibrary, FunctionalAcceleratorRejectsBranchyStagesCleanly) {
+  // The functional dataflow simulator streams a conv/pool/fc chain only. A
+  // lowered detector, with a folding that validates, must be refused by name
+  // at construction instead of being misread as a chain of MVTUs.
+  const YoloTopology topology = yolo_tiny();
+  const core::AcceleratorLibrary lib = detection_library(fpga::zcu104(), topology);
+  const hls::CompiledModel base = graph::lower_geometry(yolo_graph(topology));
+  std::string first_unsupported;
+  for (const hls::CompiledStage& stage : base.stages) {
+    if (!hls::is_mvtu_kind(stage.desc.kind) && stage.desc.kind != hls::StageKind::kPool) {
+      first_unsupported = stage.desc.name;
+      break;
+    }
+  }
+  ASSERT_FALSE(first_unsupported.empty());
+  for (hls::AcceleratorVariant variant :
+       {hls::AcceleratorVariant::kFixed, hls::AcceleratorVariant::kFlexible}) {
+    try {
+      hls::DataflowAccelerator accel(variant, base, lib.folding_flexible);
+      ADD_FAILURE() << "accelerator accepted a model with a concat/upsample stage";
+    } catch (const FoldingError& e) {
+      EXPECT_NE(std::string(e.what()).find(first_unsupported), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/core/library.hpp"
 #include "adaflow/core/runtime_manager.hpp"
+#include "adaflow/edge/server.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/integrity/runner.hpp"
@@ -153,6 +156,39 @@ TEST(ConfigUpsets, ReplayIsBitIdenticalForTheSameSeed) {
   EXPECT_EQ(a.integrity.repairs, b.integrity.repairs);
   EXPECT_DOUBLE_EQ(a.integrity.corrupt_time_s, b.integrity.corrupt_time_s);
   EXPECT_DOUBLE_EQ(a.integrity.detection_latency_sum_s, b.integrity.detection_latency_sum_s);
+}
+
+// Regression: the repeated-run fold used to drop the integrity counters and
+// the end-to-end latency histogram that RunMetrics::merge carries.
+TEST(ConfigUpsets, RepeatedRunMeanCarriesIntegrityAndLatency) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  IntegrityRunConfig config;
+  config.canary.canary_interval_s = 0.25;
+  config.policy.scrub_period_s = 4.0;
+  const faults::FaultSchedule storm = faults::config_upset_storm(1.0, 18.0, 0.8);
+
+  std::vector<edge::RunMetrics> runs;
+  std::int64_t canaries = 0;
+  std::int64_t upsets = 0;
+  double corrupt_s = 0.0;
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    edge::RunMetrics m =
+        run_integrity(steady_trace(400.0, 20.0, seed),
+                      std::make_unique<core::StaticFinnPolicy>(lib), lib, config, storm, seed);
+    // run_integrity serves no ingest pipeline; give each run a latency sample.
+    m.e2e_latency.record(0.01 * static_cast<double>(seed));
+    canaries += m.integrity.canaries_sent;
+    upsets += m.integrity.upsets_injected;
+    corrupt_s += m.integrity.corrupt_time_s;
+    runs.push_back(std::move(m));
+  }
+  const edge::RepeatedRunResult r = edge::summarize_runs(std::move(runs));
+  EXPECT_GT(r.mean.integrity.canaries_sent, 0);
+  EXPECT_GT(r.mean.integrity.upsets_injected, 0);
+  EXPECT_EQ(r.mean.integrity.canaries_sent, std::llround(static_cast<double>(canaries) / 3.0));
+  EXPECT_EQ(r.mean.integrity.upsets_injected, std::llround(static_cast<double>(upsets) / 3.0));
+  EXPECT_DOUBLE_EQ(r.mean.integrity.corrupt_time_s, corrupt_s / 3.0);
+  EXPECT_EQ(r.mean.e2e_latency.count(), 3);
 }
 
 }  // namespace

@@ -2,10 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "testing/fixtures.hpp"
 
 namespace adaflow::nn {
 namespace {
+
+// FNV-1a over the raw bytes of every float, so -0.0f and +0.0f differ.
+void fnv1a_floats(std::uint64_t& h, const float* data, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &data[i], sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+}
+
+// Hash of every parameter and BatchNorm running statistic, in graph order.
+std::uint64_t model_state_hash(Model& model) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (Param* p : model.params()) {
+    fnv1a_floats(h, p->value.data(), static_cast<std::size_t>(p->value.size()));
+  }
+  for (std::size_t i : model.indices_of(LayerKind::kBatchNorm)) {
+    const auto& bn = model.layer_as<BatchNorm>(i);
+    fnv1a_floats(h, bn.running_mean().data(), bn.running_mean().size());
+    fnv1a_floats(h, bn.running_var().data(), bn.running_var().size());
+  }
+  return h;
+}
 
 TEST(Trainer, AugmentPreservesShape) {
   Rng rng(1);
@@ -92,6 +121,21 @@ TEST(Trainer, DeterministicForSameSeed) {
   const auto sa = Trainer(tc).fit(a, dataset.train);
   const auto sb = Trainer(tc).fit(b, dataset.train);
   EXPECT_DOUBLE_EQ(sa[0].train_loss, sb[0].train_loss);
+}
+
+// Golden pin of the training numerics: one epoch of the tiny CNV on the tiny
+// dataset must reproduce these exact bits. The library cache is keyed on the
+// topology, not on the code, so any drift in the nn kernels (loop order, FMA
+// contraction, rounding) has to show up here first.
+TEST(Trainer, OneEpochStateIsBitIdenticalToGolden) {
+  const auto& dataset = testing::tiny_cifar();
+  TrainConfig tc;
+  tc.epochs = 1;
+  tc.lr = 0.02f;
+  tc.seed = 11;
+  Model model = build_cnv(testing::tiny_topology(), 11);
+  Trainer(tc).fit(model, dataset.train);
+  EXPECT_EQ(model_state_hash(model), 0x79c7d790282bf575ull);
 }
 
 }  // namespace
