@@ -2,14 +2,18 @@
 /// conv forward, one QAT training step and the three GEMM kernels behind it,
 /// functional dataflow inference (fixed vs flexible), the
 /// dataflow-aware pruner, threshold folding, and the hot paths the sharded
-/// parallel engine leans on — EventQueue scheduling at standing depth,
-/// latency-histogram record/merge, and the mailbox exchange.
+/// parallel engine leans on — EventQueue scheduling at standing depth, the
+/// fleet dispatcher under a saturated ingress, latency-histogram
+/// record/merge, and the mailbox exchange.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "adaflow/core/library.hpp"
 #include "adaflow/edge/server.hpp"
+#include "adaflow/fleet/engine.hpp"
+#include "adaflow/fleet/routing.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/gemm.hpp"
@@ -212,7 +216,35 @@ void BM_EventQueueScheduleAtDepth(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(fired);
 }
-BENCHMARK(BM_EventQueueScheduleAtDepth)->Arg(64)->Arg(1024);
+// 50 is the standing depth perfbench's traced fleet_adapt run records per
+// shard queue.
+BENCHMARK(BM_EventQueueScheduleAtDepth)->Arg(50)->Arg(64)->Arg(1024);
+
+// One frame offered to a 16-device least-loaded fleet at twice its service
+// rate, plus the simulated time until the next arrival. The ingress stays
+// full, so each completion's drain_ingress dispatches one waiting frame and
+// ends in a failed dispatch: the dispatcher's per-frame path under load.
+void BM_FleetEngineOfferFrame(benchmark::State& state) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  fleet::FleetConfig config;
+  config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, 16);
+  fleet::LeastLoadedRouter router;
+  sim::EventQueue q;
+  fleet::FleetEngine engine(q, lib, config, router, 1, 1e9);
+  engine.start();
+  double capacity_fps = 0.0;
+  for (std::size_t i = 0; i < engine.device_count(); ++i) {
+    capacity_fps += engine.device(i).mode().fps;
+  }
+  const double gap_s = 1.0 / (2.0 * capacity_fps);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.offer_frame());
+    q.run_until(q.now() + gap_s);
+  }
+  state.SetItemsProcessed(state.iterations());
+  benchmark::DoNotOptimize(engine.metrics().dispatched);
+}
+BENCHMARK(BM_FleetEngineOfferFrame);
 
 void BM_LatencyHistogramRecord(benchmark::State& state) {
   sim::LatencyHistogram h;

@@ -45,4 +45,14 @@ class NotFoundError : public Error {
 /// Throws ConfigError with \p message when \p condition is false.
 void require(bool condition, const std::string& message);
 
+/// Literal-message overload: the std::string is only built on failure, so a
+/// check on a per-event path costs one branch. A message that needs
+/// concatenation belongs inside `if (!condition) throw ConfigError(...)` on
+/// such a path, for the same reason.
+inline void require(bool condition, const char* message) {
+  if (!condition) {
+    throw ConfigError(message);
+  }
+}
+
 }  // namespace adaflow

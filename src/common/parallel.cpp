@@ -44,7 +44,10 @@ class Pool {
       return;
     }
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      // A worker that woke late for the previous job may still be inside
+      // drain(), reading job_ and total_: publish only once it has left.
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [this] { return active_ == 0; });
       job_ = &fn;
       total_ = count;
       next_.store(0);
@@ -53,9 +56,10 @@ class Pool {
     }
     cv_.notify_all();
     drain();  // the caller participates
-    // Wait for stragglers still inside fn().
+    // Wait for stragglers still inside fn(), and for every worker to leave
+    // drain(), so none reads this job's fields once the next is published.
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_.load() == 0; });
+    done_cv_.wait(lock, [this] { return remaining_.load() == 0 && active_ == 0; });
     job_ = nullptr;
   }
 
@@ -115,8 +119,13 @@ class Pool {
           return;
         }
         seen = generation_;
+        ++active_;
       }
       drain();
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--active_ == 0) {
+        done_cv_.notify_all();
+      }
     }
   }
 
@@ -130,6 +139,7 @@ class Pool {
   std::atomic<std::int64_t> next_{0};
   std::atomic<std::int64_t> remaining_{0};
   std::uint64_t generation_ = 0;
+  int active_ = 0;  ///< workers inside drain(); guarded by mutex_
   bool shutdown_ = false;
 };
 

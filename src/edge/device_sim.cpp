@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/faults/fault_injector.hpp"
@@ -16,15 +17,20 @@ std::string describe_mode(const ServingMode& mode) {
 
 /// Rejects modes a broken library entry would produce, naming the offender so
 /// a bad row fails fast with context instead of deep inside the event loop.
-void validate_mode(const ServingMode& mode, const std::string& when) {
-  require(std::isfinite(mode.fps) && mode.fps > 0.0,
-          when + ": library version " + describe_mode(mode) +
-              " has non-positive FPS (bad library entry)");
-  require(std::isfinite(mode.accuracy) && mode.accuracy >= 0.0,
-          when + ": library version " + describe_mode(mode) + " has invalid accuracy");
-  require(std::isfinite(mode.power_busy_w) && std::isfinite(mode.power_idle_w) &&
-              mode.power_busy_w >= 0.0 && mode.power_idle_w >= 0.0,
-          when + ": library version " + describe_mode(mode) + " has invalid power figures");
+/// Runs on every switch, so the message is only built on failure.
+void validate_mode(const ServingMode& mode, const char* when) {
+  const char* problem = nullptr;
+  if (!(std::isfinite(mode.fps) && mode.fps > 0.0)) {
+    problem = " has non-positive FPS (bad library entry)";
+  } else if (!(std::isfinite(mode.accuracy) && mode.accuracy >= 0.0)) {
+    problem = " has invalid accuracy";
+  } else if (!(std::isfinite(mode.power_busy_w) && std::isfinite(mode.power_idle_w) &&
+               mode.power_busy_w >= 0.0 && mode.power_idle_w >= 0.0)) {
+    problem = " has invalid power figures";
+  }
+  if (problem != nullptr) {
+    throw ConfigError(std::string(when) + ": library version " + describe_mode(mode) + problem);
+  }
 }
 
 }  // namespace
@@ -652,8 +658,9 @@ void DeviceSim::command_switch(const SwitchAction& action) {
   // A coordinator command while a ladder is active would corrupt the episode
   // bookkeeping; callers gate on switching() (the coordinator waits for the
   // previous reconfiguration to settle before issuing the next).
-  require(!switching_ && !switch_episode_,
-          "command_switch on device '" + name_ + "' while a switch is in flight");
+  if (switching_ || switch_episode_) {
+    throw ConfigError("command_switch on device '" + name_ + "' while a switch is in flight");
+  }
   accept_switch(action);
 }
 

@@ -63,6 +63,7 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   }
   accepting_.assign(n, 1);
   probe_wanted_.assign(n, 0);
+  statuses_.resize(n);
   queued_since_.resize(n);
   if (config_.integrity.enabled) {
     integrity_detectors_.reserve(n);
@@ -125,12 +126,21 @@ bool FleetEngine::excluded(std::size_t i) const { return monitor_.out_of_rotatio
 /// \p exclude additionally bars one device (hedging must not hand a frame
 /// back to the queue it was just pulled from).
 bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
-  std::vector<DeviceStatus> statuses(devices_.size());
+  // Eligibility first: a call that finds every device full (how each
+  // drain_ingress ends under load) returns before reading any other field.
   bool any_eligible = false;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const bool eligible = accepting_[i] != 0 && !excluded(i) && i != exclude &&
+                          devices_[i]->free_slots() > 0;
+    statuses_[i].eligible = eligible;
+    any_eligible = any_eligible || eligible;
+  }
+  if (!any_eligible) {
+    return false;
+  }
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
     const edge::DeviceSim& dev = *devices_[i];
-    DeviceStatus& s = statuses[i];
-    s.eligible = accepting_[i] != 0 && !excluded(i) && i != exclude && dev.free_slots() > 0;
+    DeviceStatus& s = statuses_[i];
     s.queued = dev.queued();
     s.capacity = dev.queue_capacity();
     s.busy = dev.processing();
@@ -138,30 +148,40 @@ bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
     s.fps = dev.mode().fps;
     s.accuracy = dev.mode().accuracy;
     s.backlog_s = dev.backlog_seconds();
-    any_eligible = any_eligible || s.eligible;
   }
-  if (!any_eligible) {
-    return false;
-  }
-  const std::size_t idx = router_.route_tagged(queue_.now(), tag, statuses);
+  const std::size_t idx = router_.route_tagged(queue_.now(), tag, statuses_);
   if (idx == RoutingPolicy::kDecline) {
     return false;  // class-based router keeps this frame at ingress
   }
-  require(idx < devices_.size() && statuses[idx].eligible,
-          "router '" + router_.name() + "' returned an ineligible device");
+  if (idx >= devices_.size() || !statuses_[idx].eligible) {
+    throw ConfigError("router '" + router_.name() + "' returned an ineligible device");
+  }
   // Timestamp first: offer_frame may start service synchronously and fire
-  // the headroom callback, which pops this very entry.
+  // the headroom callback, which pops this very entry. That callback can
+  // also re-enter try_dispatch and overwrite statuses_, so nothing below
+  // reads it.
   queued_since_[idx].push_back(QueuedFrame{queue_.now(), tag});
-  const bool taken = devices_[idx]->offer_frame(/*count_loss=*/false, tag);
-  require(taken, "eligible device '" + devices_[idx]->name() + "' rejected a frame");
+  if (!devices_[idx]->offer_frame(/*count_loss=*/false, tag)) {
+    throw ConfigError("eligible device '" + devices_[idx]->name() + "' rejected a frame");
+  }
   ++metrics_.dispatched;
   return true;
+}
+
+void FleetEngine::set_probe_wanted(std::size_t i, bool wanted) {
+  if ((probe_wanted_[i] != 0) != wanted) {
+    probe_wanted_[i] = wanted ? 1 : 0;
+    probes_wanted_ += wanted ? 1 : -1;
+  }
 }
 
 /// Feeds one frame to a probing device as its half-open trial. Probes
 /// outrank normal routing so a recovering device is never starved by
 /// healthier peers. Returns true when the frame was consumed as a probe.
 bool FleetEngine::try_probe_dispatch(std::int64_t tag) {
+  if (probes_wanted_ == 0) {
+    return false;
+  }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (probe_wanted_[i] == 0 || devices_[i]->free_slots() <= 0) {
       continue;
@@ -173,7 +193,7 @@ bool FleetEngine::try_probe_dispatch(std::int64_t tag) {
       continue;
     }
     ++metrics_.dispatched;
-    probe_wanted_[i] = 0;
+    set_probe_wanted(i, false);
     monitor_.on_probe_dispatched(i, queue_.now(), devices_[i]->metrics().processed);
     return true;
   }
@@ -383,7 +403,7 @@ void FleetEngine::health_tick() {
       last_converged_fps_ = -1.0;
     }
     if (action.want_probe) {
-      probe_wanted_[i] = 1;
+      set_probe_wanted(i, true);
     }
     if (action.probe_failed) {
       std::vector<std::int64_t> tags;
@@ -398,7 +418,7 @@ void FleetEngine::health_tick() {
     }
     if (action.rejoin) {
       ++metrics_.rejoins;
-      probe_wanted_[i] = 0;
+      set_probe_wanted(i, false);
       // Capacity returned: re-balance, and drain any ingress backlog into
       // the recovered device.
       last_converged_fps_ = -1.0;

@@ -171,6 +171,8 @@ class FleetEngine {
   bool excluded(std::size_t i) const;
   bool try_dispatch(std::int64_t tag, std::size_t exclude = kNoExclude);
   bool try_probe_dispatch(std::int64_t tag);
+  /// Sets probe_wanted_[i] and keeps probes_wanted_ in step with it.
+  void set_probe_wanted(std::size_t i, bool wanted);
   void drain_ingress();
   void on_device_headroom(std::size_t i);
   /// Central frame-outcome funnel: dedupes duplicate-hedge copies, then
@@ -217,8 +219,12 @@ class FleetEngine {
   std::vector<char> accepting_;
 
   HealthMonitor monitor_;
-  /// Devices waiting for the dispatcher to route them a half-open probe.
+  /// Devices waiting for the dispatcher to route them a half-open probe,
+  /// and how many of them there are (0 skips the per-frame probe scan).
   std::vector<char> probe_wanted_;
+  std::int64_t probes_wanted_ = 0;
+  /// The router's input, reused by every try_dispatch (one per device).
+  std::vector<DeviceStatus> statuses_;
 
   /// Integrity layer (sized to the fleet only when config.integrity.enabled):
   /// one drift detector per device fed from that device's canary stream, and

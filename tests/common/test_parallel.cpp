@@ -38,6 +38,20 @@ TEST(Parallel, RepeatedInvocationsAreStable) {
   }
 }
 
+TEST(Parallel, BackToBackShortJobsRunEachIndexOnce) {
+  // The sharded engine's pattern: a few iterations per job, jobs published
+  // back to back. A worker still leaving one job must not read the next
+  // job's bounds or claim its indices (ThreadSanitizer checks the former).
+  constexpr std::int64_t kCount = 4;
+  for (int round = 0; round < 5000; ++round) {
+    std::vector<std::atomic<int>> hits(kCount);
+    parallel_for(kCount, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
+    for (const auto& h : hits) {
+      ASSERT_EQ(h.load(), 1) << "round " << round;
+    }
+  }
+}
+
 TEST(Parallel, WorkerCountIsPositive) { EXPECT_GE(parallel_worker_count(), 1); }
 
 }  // namespace

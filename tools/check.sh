@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 release build (-Werror) + full test suite, fast
-# label groups for iterating on src/fleet, the resilience layer, src/forecast,
+# label groups for iterating on src/sim, src/fleet, the resilience layer, src/forecast,
 # src/dse, src/ingest, src/tenant, src/shard, src/graph and src/detect, the
 # fast suites again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
@@ -17,6 +17,9 @@ echo "== tier 1: release build (-Werror) + full test suite =="
 cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+
+echo "== sim group (ctest -L sim: event-queue oracle + statistics tests) =="
+ctest --test-dir "$root/build" -L sim --output-on-failure -j "$jobs"
 
 echo "== fleet group (ctest -L fleet: cluster tests + bench_fleet smoke) =="
 ctest --test-dir "$root/build" -L fleet --output-on-failure -j "$jobs"
@@ -52,12 +55,12 @@ echo "== tier 2: ASan+UBSan unit tests =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-asan" -j "$jobs" --target adaflow_unit_tests \
-  --target adaflow_fleet_tests --target adaflow_chaos_tests \
+  --target adaflow_sim_tests --target adaflow_fleet_tests --target adaflow_chaos_tests \
   --target adaflow_forecast_tests --target adaflow_dse_tests \
   --target adaflow_ingest_tests --target adaflow_tenant_tests \
   --target adaflow_shard_tests --target adaflow_integrity_tests \
   --target adaflow_graph_tests --target adaflow_detect_tests --target adaflow_cli
-ctest --test-dir "$root/build-asan" -L 'unit|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-asan" -L 'unit|sim|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect' --output-on-failure -j "$jobs"
 
 # The concurrency surface lives in common/parallel (worker pool), the shard
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
