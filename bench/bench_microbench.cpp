@@ -1,5 +1,7 @@
 /// Google-benchmark microbenchmarks of the library's primitives: software
-/// conv forward, one QAT training step and the three GEMM kernels behind it,
+/// conv forward, one QAT training step, each conv layer's share of it and
+/// the three GEMM kernels behind it (the context line `gemm_kernels` names
+/// the ISA variant the process selected),
 /// functional dataflow inference (fixed vs flexible), the
 /// dataflow-aware pruner, threshold folding, and the hot paths the sharded
 /// parallel engine leans on — EventQueue scheduling at standing depth, the
@@ -8,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "adaflow/core/library.hpp"
@@ -116,6 +119,38 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm<GemmKind::kNN>)->Name("BM_GemmNN")->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Gemm<GemmKind::kNT>)->Name("BM_GemmNT")->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Gemm<GemmKind::kTN>)->Name("BM_GemmTN")->Unit(benchmark::kMicrosecond);
+
+// One conv layer of BM_TrainStep's model on its own: forward + backward at
+// that layer's geometry, batch 32. conv0 skips its input gradient, as in
+// Model::backward. conv4 and conv5 have 9 and 1 output pixels per sample.
+void BM_ConvLayerStep(benchmark::State& state, int conv) {
+  const nn::Model m = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+  const std::size_t index = m.indices_of(nn::LayerKind::kConv2d).at(static_cast<std::size_t>(conv));
+  const auto& source = m.layer_as<nn::Conv2d>(index);
+  nn::Conv2d layer("conv", source.config(), source.quant(), source.weight());
+  Rng rng(5);
+  const nn::Tensor input = nn::Tensor::uniform(m.shapes_for_batch(32)[index], -1, 1, rng);
+  const nn::Tensor grad = nn::Tensor::uniform(layer.output_shape(input.shape()), -1, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(input, true).data());
+    if (conv == 0) {
+      layer.backward_params(grad);
+    } else {
+      benchmark::DoNotOptimize(layer.backward(grad).data());
+    }
+    benchmark::DoNotOptimize(layer.params().front()->grad.data());
+  }
+}
+
+const bool kConvLayerStepsRegistered = [] {
+  benchmark::AddCustomContext("gemm_kernels", nn::gemm_kernels().isa);
+  for (int conv = 0; conv < 6; ++conv) {
+    benchmark::RegisterBenchmark(("BM_ConvLayerStep/conv" + std::to_string(conv)).c_str(),
+                                 BM_ConvLayerStep, conv)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  return true;
+}();
 
 void BM_DataflowInferFixed(benchmark::State& state) {
   hls::DataflowAccelerator accel(hls::AcceleratorVariant::kFixed, compiled(), folding());

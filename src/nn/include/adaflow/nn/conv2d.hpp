@@ -2,7 +2,7 @@
 
 /// \file conv2d.hpp
 /// 2-D convolution with optional quantization-aware weights. Implemented as
-/// im2col + GEMM; batch samples are processed in parallel.
+/// im2col + GEMM over column panels of whole samples, processed in parallel.
 
 #include "adaflow/nn/layer.hpp"
 #include "adaflow/nn/quant.hpp"
@@ -30,6 +30,8 @@ class Conv2d final : public Layer {
   LayerKind kind() const override { return LayerKind::kConv2d; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Skips the input gradient's GEMM and col2im.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_}; }
   Shape output_shape(const Shape& input) const override;
 
@@ -50,7 +52,21 @@ class Conv2d final : public Layer {
 
   std::int64_t output_dim(std::int64_t input_dim) const;
 
+  /// The forward and input-gradient GEMMs run over column panels of whole
+  /// samples. A sample with few output pixels (the late convs) would give
+  /// a GEMM too narrow for the vector tiles, so a panel takes the smallest
+  /// power-of-two number of samples (at most the batch) that reaches
+  /// kPanelColumns columns.
+  static constexpr std::int64_t kPanelColumns = 256;
+  struct Panels {
+    std::int64_t samples = 1;  ///< per panel; the last one may hold fewer
+    std::int64_t count = 0;
+  };
+  static Panels panels(std::int64_t batch, std::int64_t pixels);
+
  private:
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+
   Conv2dConfig config_;
   QuantSpec quant_;
   Param weight_;
@@ -62,11 +78,16 @@ class Conv2d final : public Layer {
 
 /// Copies one sample's [C,H,W] block into an im2col matrix with
 /// [C*k*k] rows and [out_h*out_w] columns. Exposed for the HLS SWU tests.
+/// Rows of \p col lie \p col_ld floats apart; 0 means out_h*out_w, a
+/// contiguous matrix. A larger stride places the sample in a multi-sample
+/// panel.
 void im2col(const float* input, std::int64_t channels, std::int64_t height, std::int64_t width,
-            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* col);
+            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* col,
+            std::int64_t col_ld = 0);
 
 /// Adjoint of im2col: scatters the column matrix back, accumulating overlaps.
 void col2im(const float* col, std::int64_t channels, std::int64_t height, std::int64_t width,
-            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* input);
+            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* input,
+            std::int64_t col_ld = 0);
 
 }  // namespace adaflow::nn

@@ -12,9 +12,16 @@
 ///   product never turns a -0 in C into +0;
 /// - gemm_nt sums each dot product from +0 and adds it to C once.
 /// adaflow_nn builds with -ffp-contract=off, so no multiply-add is fused.
-/// The reason is the library cache: it is keyed on the model topology, not
-/// on this code, and any drift in the trained weights would serve stale
-/// tables silently.
+///
+/// The kernels come from one source built once per ISA variant: the
+/// baseline (SSE2 on x86-64, 4 lanes) and, on x86, AVX2 (8 lanes, without
+/// FMA). Each process runs the widest variant its CPU supports. A lane
+/// performs the same multiply and add as the scalar loop, so the variants
+/// differ in speed only, never in bits.
+///
+/// The reason for the contract is the library cache: it is keyed on the
+/// model topology, not on this code, and any drift in the trained weights
+/// would serve stale tables silently.
 
 #include <cstdint>
 
@@ -31,5 +38,35 @@ void gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, c
 /// C[M,N] += A[K,M]^T * B[K,N]
 void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
              const float* b, float* c);
+
+/// One ISA variant of the kernels.
+struct GemmKernels {
+  /// "sse2", "avx2", or "generic" off x86.
+  const char* isa;
+  /// gemm_nn and gemm_tn.
+  void (*nn)(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c);
+  void (*tn)(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c);
+  /// gemm_nt on A^T packed as at[k * ld + m], with ld a multiple of nt_rows
+  /// and zeros in rows m >= m_count. gemm_nt below does the packing.
+  void (*nt_packed)(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
+                    const float* at, std::int64_t ld, const float* b, float* c);
+  std::int64_t nt_rows;
+};
+
+enum class GemmIsa { kBaseline, kAvx2 };
+
+/// The variant built for \p isa, or nullptr when this build or this CPU
+/// lacks it. The baseline is always there.
+const GemmKernels* gemm_kernels_for(GemmIsa isa);
+
+/// The variant gemm_nn / gemm_nt / gemm_tn run: the widest one this CPU
+/// supports, chosen once per process.
+const GemmKernels& gemm_kernels();
+
+/// gemm_nt through the given variant.
+void gemm_nt(const GemmKernels& kernels, std::int64_t m_count, std::int64_t n_count,
+             std::int64_t k_count, const float* a, const float* b, float* c);
 
 }  // namespace adaflow::nn

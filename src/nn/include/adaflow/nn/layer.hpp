@@ -55,6 +55,11 @@ class Layer {
   /// Must follow a forward(…, training=true) on the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without the input gradient, for a layer whose input is the
+  /// model's data. Layers for which that gradient costs real work override
+  /// this to skip it; the parameter gradients are the same bits either way.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
 

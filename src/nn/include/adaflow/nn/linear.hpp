@@ -20,6 +20,8 @@ class Linear final : public Layer {
   LayerKind kind() const override { return LayerKind::kLinear; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Skips the input gradient's GEMM.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_}; }
   Shape output_shape(const Shape& input) const override;
 

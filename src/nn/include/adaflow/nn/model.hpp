@@ -68,7 +68,8 @@ class Model {
   /// Runs the full stack. \p input is [N, C, H, W].
   Tensor forward(const Tensor& input, bool training);
 
-  /// Backpropagates the loss gradient through every layer.
+  /// Backpropagates the loss gradient through every layer, accumulating the
+  /// parameter gradients. The gradient w.r.t. the model input is not formed.
   void backward(const Tensor& grad_output);
 
   /// All trainable parameters in graph order.

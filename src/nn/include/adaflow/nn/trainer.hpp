@@ -35,12 +35,16 @@ struct EpochStats {
 
 class Trainer {
  public:
-  explicit Trainer(TrainConfig config) : config_(config) {}
+  /// Throws ConfigError for a non-positive batch_size or a negative
+  /// augment_pad.
+  explicit Trainer(TrainConfig config);
 
-  /// Trains \p model in place; returns per-epoch stats.
+  /// Trains \p model in place; returns per-epoch stats (zeros when \p train
+  /// is empty).
   std::vector<EpochStats> fit(Model& model, const LabeledData& train);
 
-  /// Top-1 accuracy of \p model on \p data (inference mode), in [0, 1].
+  /// Top-1 accuracy of \p model on \p data (inference mode), in [0, 1];
+  /// 0 for empty data. Throws ConfigError for a non-positive batch_size.
   static double evaluate(Model& model, const LabeledData& data,
                          std::int64_t batch_size = 64);
 
@@ -48,7 +52,8 @@ class Trainer {
   TrainConfig config_;
 };
 
-/// Pad-crop-flip augmentation of a batch (out-of-place).
+/// Pad-crop-flip augmentation of a batch (out-of-place). Throws ConfigError
+/// for a negative \p pad.
 Tensor augment_batch(const Tensor& images, std::int64_t pad, Rng& rng);
 
 }  // namespace adaflow::nn

@@ -59,26 +59,49 @@ QuantizedWeights Conv2d::export_quantized() const {
   return quantize_weights(weight_.value, quant_.weight_bits);
 }
 
+Conv2d::Panels Conv2d::panels(std::int64_t batch, std::int64_t pixels) {
+  std::int64_t samples = 1;
+  while (samples < batch && samples * pixels < kPanelColumns) {
+    samples *= 2;
+  }
+  samples = std::max<std::int64_t>(1, std::min(samples, batch));
+  return Panels{samples, (batch + samples - 1) / samples};
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool training) {
   const Shape out_shape = output_shape(input.shape());
   const std::int64_t batch = input.dim(0);
   const std::int64_t in_h = input.dim(2);
   const std::int64_t in_w = input.dim(3);
-  const std::int64_t out_h = out_shape[2];
-  const std::int64_t out_w = out_shape[3];
+  const std::int64_t out_ch = config_.out_channels;
   const std::int64_t k_count = config_.in_channels * config_.kernel * config_.kernel;
-  const std::int64_t n_count = out_h * out_w;
+  const std::int64_t pixels = out_shape[2] * out_shape[3];
+  const Panels p = panels(batch, pixels);
 
   Tensor w = effective_weight();
   Tensor output(out_shape);
 
-  parallel_for(batch, [&](std::int64_t n) {
-    std::vector<float> col(static_cast<std::size_t>(k_count * n_count));
-    const float* in_ptr = input.data() + n * config_.in_channels * in_h * in_w;
-    im2col(in_ptr, config_.in_channels, in_h, in_w, config_.kernel, config_.stride, config_.pad,
-           col.data());
-    float* out_ptr = output.data() + n * config_.out_channels * n_count;
-    gemm_nn(config_.out_channels, n_count, k_count, w.data(), col.data(), out_ptr);
+  // Each output starts from +0 and adds its products in ascending k, the
+  // same sum a per-sample GEMM forms, whichever panel holds its column.
+  parallel_for(p.count, [&](std::int64_t panel) {
+    const std::int64_t first = panel * p.samples;
+    const std::int64_t samples = std::min(p.samples, batch - first);
+    const std::int64_t cols = samples * pixels;
+    std::vector<float> col(static_cast<std::size_t>(k_count * cols));
+    for (std::int64_t s = 0; s < samples; ++s) {
+      const float* in_ptr = input.data() + (first + s) * config_.in_channels * in_h * in_w;
+      im2col(in_ptr, config_.in_channels, in_h, in_w, config_.kernel, config_.stride, config_.pad,
+             col.data() + s * pixels, cols);
+    }
+    std::vector<float> out(static_cast<std::size_t>(out_ch * cols), 0.0f);
+    gemm_nn(out_ch, cols, k_count, w.data(), col.data(), out.data());
+    for (std::int64_t s = 0; s < samples; ++s) {
+      float* out_ptr = output.data() + (first + s) * out_ch * pixels;
+      for (std::int64_t c = 0; c < out_ch; ++c) {
+        const float* src = out.data() + c * cols + s * pixels;
+        std::copy(src, src + pixels, out_ptr + c * pixels);
+      }
+    }
   });
 
   if (training) {
@@ -88,42 +111,61 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward(const Tensor& grad_output) { return backward_pass(grad_output, true); }
+
+void Conv2d::backward_params(const Tensor& grad_output) { backward_pass(grad_output, false); }
+
+Tensor Conv2d::backward_pass(const Tensor& grad_output, bool input_grad) {
   require(!cached_input_.empty(), "conv backward without forward");
   const Tensor& input = cached_input_;
   const std::int64_t batch = input.dim(0);
   const std::int64_t in_h = input.dim(2);
   const std::int64_t in_w = input.dim(3);
-  const std::int64_t out_h = grad_output.dim(2);
-  const std::int64_t out_w = grad_output.dim(3);
+  const std::int64_t out_ch = config_.out_channels;
   const std::int64_t k_count = config_.in_channels * config_.kernel * config_.kernel;
-  const std::int64_t n_count = out_h * out_w;
+  const std::int64_t pixels = grad_output.dim(2) * grad_output.dim(3);
 
-  Tensor grad_input(input.shape());
-  // Per-sample weight-gradient partials, reduced serially afterwards.
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
+  // Per-sample weight-gradient partials, reduced serially afterwards in
+  // ascending sample order, so the sum does not depend on the panels or the
+  // worker count.
   std::vector<Tensor> dw_partial(static_cast<std::size_t>(batch));
 
+  // dW_n = dY_n [out, HW] * col_n^T [HW, K], one sample at a time.
   parallel_for(batch, [&](std::int64_t n) {
-    std::vector<float> col(static_cast<std::size_t>(k_count * n_count));
+    std::vector<float> col(static_cast<std::size_t>(k_count * pixels));
     const float* in_ptr = input.data() + n * config_.in_channels * in_h * in_w;
     im2col(in_ptr, config_.in_channels, in_h, in_w, config_.kernel, config_.stride, config_.pad,
            col.data());
-
-    const float* dy = grad_output.data() + n * config_.out_channels * n_count;
-
-    // dW_n = dY_n [out, HW] * col^T [HW, K]
     Tensor dw(weight_.value.shape());
-    gemm_nt(config_.out_channels, k_count, n_count, dy, col.data(), dw.data());
+    gemm_nt(out_ch, k_count, pixels, grad_output.data() + n * out_ch * pixels, col.data(),
+            dw.data());
     dw_partial[static_cast<std::size_t>(n)] = std::move(dw);
-
-    // dCol = W^T [K, out] * dY_n [out, HW]
-    std::vector<float> dcol(static_cast<std::size_t>(k_count * n_count), 0.0f);
-    gemm_tn(k_count, n_count, config_.out_channels, cached_effective_weight_.data(), dy,
-            dcol.data());
-    float* dx = grad_input.data() + n * config_.in_channels * in_h * in_w;
-    col2im(dcol.data(), config_.in_channels, in_h, in_w, config_.kernel, config_.stride,
-           config_.pad, dx);
   });
+
+  // dCol = W^T [K, out] * dY [out, panel columns], then col2im per sample.
+  if (input_grad) {
+    const Panels p = panels(batch, pixels);
+    parallel_for(p.count, [&](std::int64_t panel) {
+      const std::int64_t first = panel * p.samples;
+      const std::int64_t samples = std::min(p.samples, batch - first);
+      const std::int64_t cols = samples * pixels;
+      std::vector<float> dy(static_cast<std::size_t>(out_ch * cols));
+      for (std::int64_t s = 0; s < samples; ++s) {
+        const float* src = grad_output.data() + (first + s) * out_ch * pixels;
+        for (std::int64_t c = 0; c < out_ch; ++c) {
+          std::copy(src + c * pixels, src + (c + 1) * pixels, dy.data() + c * cols + s * pixels);
+        }
+      }
+      std::vector<float> dcol(static_cast<std::size_t>(k_count * cols), 0.0f);
+      gemm_tn(k_count, cols, out_ch, cached_effective_weight_.data(), dy.data(), dcol.data());
+      for (std::int64_t s = 0; s < samples; ++s) {
+        float* dx = grad_input.data() + (first + s) * config_.in_channels * in_h * in_w;
+        col2im(dcol.data() + s * pixels, config_.in_channels, in_h, in_w, config_.kernel,
+               config_.stride, config_.pad, dx, cols);
+      }
+    });
+  }
 
   for (const Tensor& dw : dw_partial) {
     for (std::int64_t i = 0; i < weight_.grad.size(); ++i) {
@@ -134,9 +176,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 }
 
 void im2col(const float* input, std::int64_t channels, std::int64_t height, std::int64_t width,
-            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* col) {
+            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* col,
+            std::int64_t col_ld) {
   const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
   const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  const std::int64_t ld = col_ld > 0 ? col_ld : out_h * out_w;
   std::int64_t row = 0;
   if (pad == 0 && stride == 1) {
     // Every window lies inside the image (the CNV geometry): whole rows copy.
@@ -145,7 +189,7 @@ void im2col(const float* input, std::int64_t channels, std::int64_t height, std:
         for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
           for (std::int64_t oh = 0; oh < out_h; ++oh) {
             const float* src = input + (c * height + oh + kh) * width + kw;
-            std::copy(src, src + out_w, col + (row * out_h + oh) * out_w);
+            std::copy(src, src + out_w, col + row * ld + oh * out_w);
           }
         }
       }
@@ -155,7 +199,7 @@ void im2col(const float* input, std::int64_t channels, std::int64_t height, std:
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t kh = 0; kh < kernel; ++kh) {
       for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
-        float* dst = col + row * out_h * out_w;
+        float* dst = col + row * ld;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           const std::int64_t ih = oh * stride + kh - pad;
           for (std::int64_t ow = 0; ow < out_w; ++ow) {
@@ -170,9 +214,11 @@ void im2col(const float* input, std::int64_t channels, std::int64_t height, std:
 }
 
 void col2im(const float* col, std::int64_t channels, std::int64_t height, std::int64_t width,
-            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* input) {
+            std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* input,
+            std::int64_t col_ld) {
   const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
   const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  const std::int64_t ld = col_ld > 0 ? col_ld : out_h * out_w;
   std::int64_t row = 0;
   if (pad == 0 && stride == 1) {
     // Same accumulation order as the general path, without the bounds tests.
@@ -180,7 +226,7 @@ void col2im(const float* col, std::int64_t channels, std::int64_t height, std::i
       for (std::int64_t kh = 0; kh < kernel; ++kh) {
         for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
           for (std::int64_t oh = 0; oh < out_h; ++oh) {
-            const float* src = col + (row * out_h + oh) * out_w;
+            const float* src = col + row * ld + oh * out_w;
             float* dst = input + (c * height + oh + kh) * width + kw;
             for (std::int64_t ow = 0; ow < out_w; ++ow) {
               dst[ow] += src[ow];
@@ -194,7 +240,7 @@ void col2im(const float* col, std::int64_t channels, std::int64_t height, std::i
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t kh = 0; kh < kernel; ++kh) {
       for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
-        const float* src = col + row * out_h * out_w;
+        const float* src = col + row * ld;
         for (std::int64_t oh = 0; oh < out_h; ++oh) {
           const std::int64_t ih = oh * stride + kh - pad;
           if (ih < 0 || ih >= height) {

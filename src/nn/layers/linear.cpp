@@ -75,13 +75,16 @@ Tensor Linear::forward(const Tensor& input, bool training) {
   return output;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+void Linear::backward_params(const Tensor& grad_output) {
   require(!cached_input_.empty(), "linear backward without forward");
-  const std::int64_t batch = cached_input_.dim(0);
-
   // dW [out, in] += dY^T [out, N] * X [N, in]
-  gemm_tn(out_features_, in_features_, batch, grad_output.data(), cached_input_.data(),
-          weight_.grad.data());
+  gemm_tn(out_features_, in_features_, cached_input_.dim(0), grad_output.data(),
+          cached_input_.data(), weight_.grad.data());
+}
+
+Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  const std::int64_t batch = cached_input_.dim(0);
 
   // dX [N, in] = dY [N, out] * W [out, in]
   Tensor grad_flat(Shape{batch, in_features_});

@@ -58,10 +58,15 @@ Tensor Model::forward(const Tensor& input, bool training) {
 }
 
 void Model::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  if (layers_.empty()) {
+    return;
   }
+  Tensor g = grad_output;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
+  }
+  // The first layer reads the input data, whose gradient nothing uses.
+  layers_.front()->backward_params(g);
 }
 
 std::vector<Param*> Model::params() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "adaflow/nn/loss.hpp"
 
@@ -34,7 +35,25 @@ LabeledData LabeledData::subset(const std::vector<std::int64_t>& indices) const 
   return out;
 }
 
+namespace {
+
+void require_positive_batch(std::int64_t batch_size, const char* what) {
+  if (batch_size <= 0) {
+    throw ConfigError(std::string(what) + " must be positive, got " +
+                      std::to_string(batch_size));
+  }
+}
+
+void require_non_negative_pad(std::int64_t pad, const char* what) {
+  if (pad < 0) {
+    throw ConfigError(std::string(what) + " must be >= 0, got " + std::to_string(pad));
+  }
+}
+
+}  // namespace
+
 Tensor augment_batch(const Tensor& images, std::int64_t pad, Rng& rng) {
+  require_non_negative_pad(pad, "augment pad");
   const std::int64_t batch = images.dim(0);
   const std::int64_t c = images.dim(1);
   const std::int64_t h = images.dim(2);
@@ -63,6 +82,11 @@ Tensor augment_batch(const Tensor& images, std::int64_t pad, Rng& rng) {
     }
   }
   return out;
+}
+
+Trainer::Trainer(TrainConfig config) : config_(std::move(config)) {
+  require_positive_batch(config_.batch_size, "TrainConfig.batch_size");
+  require_non_negative_pad(config_.augment_pad, "TrainConfig.augment_pad");
 }
 
 std::vector<EpochStats> Trainer::fit(Model& model, const LabeledData& train) {
@@ -102,13 +126,16 @@ std::vector<EpochStats> Trainer::fit(Model& model, const LabeledData& train) {
       correct += loss.correct;
       seen += batch_n;
     }
-    stats.push_back(EpochStats{loss_sum / static_cast<double>(seen),
-                               static_cast<double>(correct) / static_cast<double>(seen)});
+    stats.push_back(seen == 0 ? EpochStats{}
+                              : EpochStats{loss_sum / static_cast<double>(seen),
+                                           static_cast<double>(correct) /
+                                               static_cast<double>(seen)});
   }
   return stats;
 }
 
 double Trainer::evaluate(Model& model, const LabeledData& data, std::int64_t batch_size) {
+  require_positive_batch(batch_size, "evaluate batch_size");
   const std::int64_t count = data.count();
   if (count == 0) {
     return 0.0;

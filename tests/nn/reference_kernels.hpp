@@ -1,0 +1,147 @@
+#pragma once
+
+// Reference implementations for the nn bitwise oracles: the original naive
+// loops (one output at a time, one accumulator chain) and the value
+// generators that stress the kernel contract. Files that include this must
+// build with -ffp-contract=off, like adaflow_nn (tests/CMakeLists.txt).
+
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "adaflow/common/rng.hpp"
+
+namespace adaflow::nn::reference {
+
+// ---- reference kernels (the pre-tiling implementations) -------------------
+
+inline void ref_gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
+                        const float* a, const float* b, float* c) {
+  for (std::int64_t m = 0; m < m_count; ++m) {
+    float* c_row = c + m * n_count;
+    const float* a_row = a + m * k_count;
+    for (std::int64_t k = 0; k < k_count; ++k) {
+      const float a_val = a_row[k];
+      if (a_val == 0.0f) {
+        continue;
+      }
+      const float* b_row = b + k * n_count;
+      for (std::int64_t n = 0; n < n_count; ++n) {
+        c_row[n] += a_val * b_row[n];
+      }
+    }
+  }
+}
+
+inline void ref_gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
+                        const float* a, const float* b, float* c) {
+  for (std::int64_t m = 0; m < m_count; ++m) {
+    const float* a_row = a + m * k_count;
+    float* c_row = c + m * n_count;
+    for (std::int64_t n = 0; n < n_count; ++n) {
+      const float* b_row = b + n * k_count;
+      float acc = 0.0f;
+      for (std::int64_t k = 0; k < k_count; ++k) {
+        acc += a_row[k] * b_row[k];
+      }
+      c_row[n] += acc;
+    }
+  }
+}
+
+inline void ref_gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
+                        const float* a, const float* b, float* c) {
+  for (std::int64_t k = 0; k < k_count; ++k) {
+    const float* a_row = a + k * m_count;
+    const float* b_row = b + k * n_count;
+    for (std::int64_t m = 0; m < m_count; ++m) {
+      const float a_val = a_row[m];
+      if (a_val == 0.0f) {
+        continue;
+      }
+      float* c_row = c + m * n_count;
+      for (std::int64_t n = 0; n < n_count; ++n) {
+        c_row[n] += a_val * b_row[n];
+      }
+    }
+  }
+}
+
+inline void ref_im2col(const float* input, std::int64_t channels, std::int64_t height,
+                       std::int64_t width, std::int64_t kernel, std::int64_t stride,
+                       std::int64_t pad, float* col) {
+  const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
+  const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t kh = 0; kh < kernel; ++kh) {
+      for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
+        float* dst = col + row * out_h * out_w;
+        for (std::int64_t oh = 0; oh < out_h; ++oh) {
+          const std::int64_t ih = oh * stride + kh - pad;
+          for (std::int64_t ow = 0; ow < out_w; ++ow) {
+            const std::int64_t iw = ow * stride + kw - pad;
+            const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
+            dst[oh * out_w + ow] = inside ? input[(c * height + ih) * width + iw] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+inline void ref_col2im(const float* col, std::int64_t channels, std::int64_t height,
+                       std::int64_t width, std::int64_t kernel, std::int64_t stride,
+                       std::int64_t pad, float* input) {
+  const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
+  const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t kh = 0; kh < kernel; ++kh) {
+      for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
+        const float* src = col + row * out_h * out_w;
+        for (std::int64_t oh = 0; oh < out_h; ++oh) {
+          const std::int64_t ih = oh * stride + kh - pad;
+          if (ih < 0 || ih >= height) {
+            continue;
+          }
+          for (std::int64_t ow = 0; ow < out_w; ++ow) {
+            const std::int64_t iw = ow * stride + kw - pad;
+            if (iw < 0 || iw >= width) {
+              continue;
+            }
+            input[(c * height + ih) * width + iw] += src[oh * out_w + ow];
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- generators -----------------------------------------------------------
+
+// Values that stress the contract: a mix of exact +0, -0, small and large
+// magnitudes (so additions round), and repeated values.
+inline std::vector<float> random_values(std::int64_t count, Rng& rng, double zero_frac) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (float& x : v) {
+    const double u = rng.uniform();
+    if (u < zero_frac / 2) {
+      x = 0.0f;
+    } else if (u < zero_frac) {
+      x = -0.0f;
+    } else if (u < zero_frac + 0.05) {
+      x = rng.bernoulli(0.5) ? 0.25f : -0.25f;
+    } else {
+      x = static_cast<float>(rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 3.0)));
+    }
+  }
+  return v;
+}
+
+inline bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+}  // namespace adaflow::nn::reference

@@ -1,8 +1,9 @@
-// Bit-exact oracle tests for the nn kernels. The reference functions below
-// are the original naive loops (one output at a time, one accumulator chain).
-// The optimised kernels may tile and vectorise but must reproduce every
-// float bit for bit, signed zeros included: the library cache is keyed on
-// the model topology, so numeric drift would silently serve stale tables.
+// Bit-exact oracle tests for the nn kernels, against the naive loops in
+// reference_kernels.hpp (one output at a time, one accumulator chain). The
+// optimised kernels may tile and vectorise but must reproduce every float
+// bit for bit, signed zeros included, in every ISA variant: the library
+// cache is keyed on the model topology, so numeric drift would silently
+// serve stale tables.
 
 #include <gtest/gtest.h>
 
@@ -15,113 +16,12 @@
 #include "adaflow/nn/conv2d.hpp"
 #include "adaflow/nn/gemm.hpp"
 #include "adaflow/nn/quant.hpp"
+#include "nn/reference_kernels.hpp"
 
 namespace adaflow::nn {
 namespace {
 
-// ---- reference kernels (the pre-tiling implementations) -------------------
-
-void ref_gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                 const float* a, const float* b, float* c) {
-  for (std::int64_t m = 0; m < m_count; ++m) {
-    float* c_row = c + m * n_count;
-    const float* a_row = a + m * k_count;
-    for (std::int64_t k = 0; k < k_count; ++k) {
-      const float a_val = a_row[k];
-      if (a_val == 0.0f) {
-        continue;
-      }
-      const float* b_row = b + k * n_count;
-      for (std::int64_t n = 0; n < n_count; ++n) {
-        c_row[n] += a_val * b_row[n];
-      }
-    }
-  }
-}
-
-void ref_gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                 const float* a, const float* b, float* c) {
-  for (std::int64_t m = 0; m < m_count; ++m) {
-    const float* a_row = a + m * k_count;
-    float* c_row = c + m * n_count;
-    for (std::int64_t n = 0; n < n_count; ++n) {
-      const float* b_row = b + n * k_count;
-      float acc = 0.0f;
-      for (std::int64_t k = 0; k < k_count; ++k) {
-        acc += a_row[k] * b_row[k];
-      }
-      c_row[n] += acc;
-    }
-  }
-}
-
-void ref_gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                 const float* a, const float* b, float* c) {
-  for (std::int64_t k = 0; k < k_count; ++k) {
-    const float* a_row = a + k * m_count;
-    const float* b_row = b + k * n_count;
-    for (std::int64_t m = 0; m < m_count; ++m) {
-      const float a_val = a_row[m];
-      if (a_val == 0.0f) {
-        continue;
-      }
-      float* c_row = c + m * n_count;
-      for (std::int64_t n = 0; n < n_count; ++n) {
-        c_row[n] += a_val * b_row[n];
-      }
-    }
-  }
-}
-
-void ref_im2col(const float* input, std::int64_t channels, std::int64_t height,
-                std::int64_t width, std::int64_t kernel, std::int64_t stride, std::int64_t pad,
-                float* col) {
-  const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
-  const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t kh = 0; kh < kernel; ++kh) {
-      for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
-        float* dst = col + row * out_h * out_w;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride + kh - pad;
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride + kw - pad;
-            const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
-            dst[oh * out_w + ow] = inside ? input[(c * height + ih) * width + iw] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void ref_col2im(const float* col, std::int64_t channels, std::int64_t height, std::int64_t width,
-                std::int64_t kernel, std::int64_t stride, std::int64_t pad, float* input) {
-  const std::int64_t out_h = (height + 2 * pad - kernel) / stride + 1;
-  const std::int64_t out_w = (width + 2 * pad - kernel) / stride + 1;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t kh = 0; kh < kernel; ++kh) {
-      for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
-        const float* src = col + row * out_h * out_w;
-        for (std::int64_t oh = 0; oh < out_h; ++oh) {
-          const std::int64_t ih = oh * stride + kh - pad;
-          if (ih < 0 || ih >= height) {
-            continue;
-          }
-          for (std::int64_t ow = 0; ow < out_w; ++ow) {
-            const std::int64_t iw = ow * stride + kw - pad;
-            if (iw < 0 || iw >= width) {
-              continue;
-            }
-            input[(c * height + ih) * width + iw] += src[oh * out_w + ow];
-          }
-        }
-      }
-    }
-  }
-}
+using namespace reference;
 
 std::int64_t ref_quantize_act_level(float x, float scale, int bits) {
   const std::int64_t max_level = act_level_max(bits);
@@ -137,43 +37,25 @@ float ref_quantize_act(float x, float scale, int bits) {
   return static_cast<float>(ref_quantize_act_level(x, scale, bits)) * scale;
 }
 
-// ---- generators -----------------------------------------------------------
-
-// Values that stress the contract: a mix of exact +0, -0, small and large
-// magnitudes (so additions round), and repeated values.
-std::vector<float> random_values(std::int64_t count, Rng& rng, double zero_frac) {
-  std::vector<float> v(static_cast<std::size_t>(count));
-  for (float& x : v) {
-    const double u = rng.uniform();
-    if (u < zero_frac / 2) {
-      x = 0.0f;
-    } else if (u < zero_frac) {
-      x = -0.0f;
-    } else if (u < zero_frac + 0.05) {
-      x = rng.bernoulli(0.5) ? 0.25f : -0.25f;
-    } else {
-      x = static_cast<float>(rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-3.0, 3.0)));
-    }
-  }
-  return v;
-}
-
-bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 struct GemmShape {
   std::int64_t m;
   std::int64_t n;
   std::int64_t k;
 };
 
-// Tile remainders in every dimension, N smaller than a tile, K = 1, and the
-// CNV conv1 geometry the kernels are tuned for.
+// Tile remainders in every dimension, N smaller than a tile, K = 1, the CNV
+// conv1 geometry, N at the edges of 4- and 8-lane tiles, and the
+// multi-sample panels of conv4 (N = 32 * 9) and conv5 (N = 32 * 1).
 std::vector<GemmShape> gemm_shapes(Rng& rng) {
   std::vector<GemmShape> shapes = {{1, 1, 1},   {1, 3, 1},    {8, 784, 72}, {8, 72, 784},
                                    {72, 784, 8}, {7, 33, 5},  {9, 31, 1},   {3, 2, 17},
-                                   {16, 5, 300}, {13, 65, 11}, {32, 10, 64}, {2, 100, 3}};
+                                   {16, 5, 300}, {13, 65, 11}, {32, 10, 64}, {2, 100, 3},
+                                   {32, 288, 144}, {32, 32, 288}, {144, 288, 32}, {288, 32, 32},
+                                   {32, 144, 9}, {32, 288, 1}};
+  for (std::int64_t n : {7, 8, 9, 15, 17, 31, 33, 63, 65, 288}) {
+    shapes.push_back({5, n, 19});
+    shapes.push_back({17, n, 4});
+  }
   for (int i = 0; i < 24; ++i) {
     shapes.push_back({rng.uniform_int(1, 40), rng.uniform_int(1, 140), rng.uniform_int(1, 90)});
   }
@@ -182,7 +64,9 @@ std::vector<GemmShape> gemm_shapes(Rng& rng) {
 
 enum class Kind { kNN, kNT, kTN };
 
-void check_gemm(Kind kind, double zero_frac, std::uint64_t seed) {
+/// Checks one kernel against its reference over gemm_shapes(). With
+/// \p kernels null it runs the public entry points (the selected variant).
+void check_gemm(const GemmKernels* kernels, Kind kind, double zero_frac, std::uint64_t seed) {
   Rng rng(seed);
   for (const GemmShape& s : gemm_shapes(rng)) {
     // A is [M,K] (NN, NT) or [K,M] (TN); B is [K,N] (NN, TN) or [N,K] (NT).
@@ -196,35 +80,69 @@ void check_gemm(Kind kind, double zero_frac, std::uint64_t seed) {
     switch (kind) {
       case Kind::kNN:
         ref_gemm_nn(s.m, s.n, s.k, a.data(), b.data(), want.data());
-        gemm_nn(s.m, s.n, s.k, a.data(), b.data(), got.data());
+        (kernels != nullptr ? kernels->nn : gemm_nn)(s.m, s.n, s.k, a.data(), b.data(),
+                                                     got.data());
         break;
       case Kind::kNT:
         ref_gemm_nt(s.m, s.n, s.k, a.data(), b.data(), want.data());
-        gemm_nt(s.m, s.n, s.k, a.data(), b.data(), got.data());
+        gemm_nt(kernels != nullptr ? *kernels : gemm_kernels(), s.m, s.n, s.k, a.data(),
+                b.data(), got.data());
         break;
       case Kind::kTN:
         ref_gemm_tn(s.m, s.n, s.k, a.data(), b.data(), want.data());
-        gemm_tn(s.m, s.n, s.k, a.data(), b.data(), got.data());
+        (kernels != nullptr ? kernels->tn : gemm_tn)(s.m, s.n, s.k, a.data(), b.data(),
+                                                     got.data());
         break;
     }
-    EXPECT_TRUE(bitwise_equal(want, got)) << "M=" << s.m << " N=" << s.n << " K=" << s.k
-                                          << " zero_frac=" << zero_frac;
+    EXPECT_TRUE(bitwise_equal(want, got))
+        << (kernels != nullptr ? kernels->isa : "selected") << " M=" << s.m << " N=" << s.n
+        << " K=" << s.k << " zero_frac=" << zero_frac;
   }
 }
 
+void check_all_kinds(const GemmKernels* kernels) {
+  check_gemm(kernels, Kind::kNN, 0.0, 1);
+  check_gemm(kernels, Kind::kNN, 0.4, 2);
+  check_gemm(kernels, Kind::kNT, 0.0, 3);
+  check_gemm(kernels, Kind::kNT, 0.4, 4);
+  check_gemm(kernels, Kind::kTN, 0.0, 5);
+  check_gemm(kernels, Kind::kTN, 0.4, 6);
+}
+
 TEST(GemmOracle, NNMatchesReferenceBitwise) {
-  check_gemm(Kind::kNN, 0.0, 1);
-  check_gemm(Kind::kNN, 0.4, 2);
+  check_gemm(nullptr, Kind::kNN, 0.0, 1);
+  check_gemm(nullptr, Kind::kNN, 0.4, 2);
 }
 
 TEST(GemmOracle, NTMatchesReferenceBitwise) {
-  check_gemm(Kind::kNT, 0.0, 3);
-  check_gemm(Kind::kNT, 0.4, 4);
+  check_gemm(nullptr, Kind::kNT, 0.0, 3);
+  check_gemm(nullptr, Kind::kNT, 0.4, 4);
 }
 
 TEST(GemmOracle, TNMatchesReferenceBitwise) {
-  check_gemm(Kind::kTN, 0.0, 5);
-  check_gemm(Kind::kTN, 0.4, 6);
+  check_gemm(nullptr, Kind::kTN, 0.0, 5);
+  check_gemm(nullptr, Kind::kTN, 0.4, 6);
+}
+
+TEST(GemmOracle, BaselineVariantMatchesReferenceBitwise) {
+  const GemmKernels* kernels = gemm_kernels_for(GemmIsa::kBaseline);
+  ASSERT_NE(kernels, nullptr);
+  check_all_kinds(kernels);
+}
+
+TEST(GemmOracle, Avx2VariantMatchesReferenceBitwise) {
+  const GemmKernels* kernels = gemm_kernels_for(GemmIsa::kAvx2);
+  if (kernels == nullptr) {
+    GTEST_SKIP() << "no AVX2 variant on this build or CPU";
+  }
+  check_all_kinds(kernels);
+}
+
+TEST(GemmOracle, SelectsTheWidestSupportedVariant) {
+  const GemmKernels* avx2 = gemm_kernels_for(GemmIsa::kAvx2);
+  const GemmKernels* want = avx2 != nullptr ? avx2 : gemm_kernels_for(GemmIsa::kBaseline);
+  EXPECT_EQ(&gemm_kernels(), want);
+  EXPECT_STRNE(gemm_kernels().isa, "");
 }
 
 TEST(GemmOracle, SkippedZeroWeightKeepsNegativeZero) {

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include "testing/fixtures.hpp"
 
@@ -121,6 +123,58 @@ TEST(Trainer, DeterministicForSameSeed) {
   const auto sa = Trainer(tc).fit(a, dataset.train);
   const auto sb = Trainer(tc).fit(b, dataset.train);
   EXPECT_DOUBLE_EQ(sa[0].train_loss, sb[0].train_loss);
+}
+
+// Runs fn, expecting a ConfigError whose message contains every fragment.
+void expect_config_error(const std::function<void()>& fn,
+                         std::initializer_list<const char*> parts) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ConfigError";
+  } catch (const ConfigError& e) {
+    for (const char* part : parts) {
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Trainer, RejectsNonPositiveBatchSize) {
+  for (const std::int64_t bad : {0, -3}) {
+    TrainConfig tc;
+    tc.batch_size = bad;
+    const std::string got = "got " + std::to_string(bad);
+    expect_config_error([&] { Trainer trainer(tc); }, {"batch_size", got.c_str()});
+  }
+}
+
+TEST(Trainer, EvaluateRejectsNonPositiveBatchSize) {
+  Model model = build_cnv(testing::tiny_topology(), 22);
+  const auto& dataset = testing::tiny_cifar();
+  expect_config_error([&] { Trainer::evaluate(model, dataset.test, 0); },
+                      {"batch_size", "got 0"});
+  expect_config_error([&] { Trainer::evaluate(model, dataset.test, -1); },
+                      {"batch_size", "got -1"});
+}
+
+TEST(Trainer, RejectsNegativeAugmentPad) {
+  TrainConfig tc;
+  tc.augment_pad = -2;
+  expect_config_error([&] { Trainer trainer(tc); }, {"augment_pad", "got -2"});
+  Rng rng(1);
+  const Tensor images(Shape{1, 1, 4, 4});
+  expect_config_error([&] { augment_batch(images, -1, rng); }, {"pad", "got -1"});
+}
+
+TEST(Trainer, FitOnEmptyDataReturnsZeroStats) {
+  TrainConfig tc;
+  tc.epochs = 2;
+  Model model = build_cnv(testing::tiny_topology(), 22);
+  const std::vector<EpochStats> stats = Trainer(tc).fit(model, LabeledData{});
+  ASSERT_EQ(stats.size(), 2u);
+  for (const EpochStats& s : stats) {
+    EXPECT_EQ(s.train_loss, 0.0);
+    EXPECT_EQ(s.train_accuracy, 0.0);
+  }
 }
 
 // Golden pin of the training numerics: one epoch of the tiny CNV on the tiny

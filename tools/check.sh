@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 release build (-Werror) + full test suite, fast
-# label groups for iterating on src/sim, src/fleet, the resilience layer, src/forecast,
-# src/dse, src/ingest, src/tenant, src/shard, src/graph and src/detect, the
-# fast suites again under
+# label groups for iterating on src/nn, src/sim, src/fleet, the resilience
+# layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph
+# and src/detect, the fast suites again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
 # concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), and a
 # bench smoke tier gated against the committed baselines in bench/baselines/.
@@ -17,6 +17,9 @@ echo "== tier 1: release build (-Werror) + full test suite =="
 cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+
+echo "== nn group (ctest -L nn: GEMM oracle per ISA variant, panelled conv oracle, Trainer + golden pin) =="
+ctest --test-dir "$root/build" -L nn --output-on-failure -j "$jobs"
 
 echo "== sim group (ctest -L sim: event-queue oracle + statistics tests) =="
 ctest --test-dir "$root/build" -L sim --output-on-failure -j "$jobs"
@@ -55,24 +58,28 @@ echo "== tier 2: ASan+UBSan unit tests =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-asan" -j "$jobs" --target adaflow_unit_tests \
-  --target adaflow_sim_tests --target adaflow_fleet_tests --target adaflow_chaos_tests \
-  --target adaflow_forecast_tests --target adaflow_dse_tests \
+  --target adaflow_nn_tests --target adaflow_sim_tests --target adaflow_fleet_tests \
+  --target adaflow_chaos_tests --target adaflow_forecast_tests --target adaflow_dse_tests \
   --target adaflow_ingest_tests --target adaflow_tenant_tests \
   --target adaflow_shard_tests --target adaflow_integrity_tests \
   --target adaflow_graph_tests --target adaflow_detect_tests --target adaflow_cli
-ctest --test-dir "$root/build-asan" -L 'unit|sim|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect' --output-on-failure -j "$jobs"
 
 # The concurrency surface lives in common/parallel (worker pool), the shard
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
 # so TSan covers exactly those groups; the nn-training-heavy unit suite is
-# narrowed to its Parallel.* tests to keep the tier's runtime sane.
+# narrowed to its Parallel.* tests to keep the tier's runtime sane, and the nn
+# group to the Conv2d oracle, which runs the panelled conv at 1, 2 and 4
+# workers.
 echo "== tier 3: ThreadSanitizer shard/fleet/common tests =="
 cmake -B "$root/build-tsan" -S "$root" -DADAFLOW_TSAN=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-tsan" -j "$jobs" --target adaflow_unit_tests \
-  --target adaflow_fleet_tests --target adaflow_shard_tests --target adaflow_cli
+  --target adaflow_nn_tests --target adaflow_fleet_tests --target adaflow_shard_tests \
+  --target adaflow_cli
 ctest --test-dir "$root/build-tsan" -L 'shard|fleet' --output-on-failure -j "$jobs"
 ctest --test-dir "$root/build-tsan" -L unit -R '^Parallel\.' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-tsan" -L nn -R '^Conv2dOracle\.' --output-on-failure -j "$jobs"
 
 # Every simulation bench is deterministic in its quality metrics (loss, QoE,
 # conservation counters), so a --smoke run compared against the committed
