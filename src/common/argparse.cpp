@@ -24,63 +24,39 @@ void ArgParser::add_option(const std::string& name, const std::string& help,
   options_[name] = std::move(o);
 }
 
-void ArgParser::add_positional(const std::string& name, const std::string& help, bool required) {
-  positionals_.push_back(Positional{name, help, required, "", false});
-}
-
-void ArgParser::parse(int argc, const char* const* argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    args.emplace_back(argv[i]);
-  }
-  parse(args);
-}
-
 void ArgParser::parse(const std::vector<std::string>& args) {
-  std::size_t positional_index = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg.rfind("--", 0) == 0) {
-      std::string name = arg.substr(2);
-      std::string inline_value;
-      bool has_inline = false;
-      const std::size_t eq = name.find('=');
-      if (eq != std::string::npos) {
-        inline_value = name.substr(eq + 1);
-        name = name.substr(0, eq);
-        has_inline = true;
-      }
-      auto it = options_.find(name);
-      if (it == options_.end()) {
-        throw ConfigError("unknown option --" + name + "\n" + help());
-      }
-      Option& o = it->second;
-      o.set = true;
-      if (o.is_flag) {
-        if (has_inline) {
-          throw ConfigError("flag --" + name + " takes no value");
-        }
-        o.value = "1";
-      } else if (has_inline) {
-        o.value = inline_value;
-      } else {
-        if (i + 1 >= args.size()) {
-          throw ConfigError("option --" + name + " needs a value");
-        }
-        o.value = args[++i];
-      }
-    } else {
-      if (positional_index >= positionals_.size()) {
-        throw ConfigError("unexpected argument '" + arg + "'\n" + help());
-      }
-      positionals_[positional_index].value = arg;
-      positionals_[positional_index].set = true;
-      ++positional_index;
+    if (arg.rfind("--", 0) != 0) {
+      throw ConfigError("unexpected argument '" + arg + "'\n" + help());
     }
-  }
-  for (const Positional& p : positionals_) {
-    if (p.required && !p.set) {
-      throw ConfigError("missing required argument <" + p.name + ">\n" + help());
+    std::string name = arg.substr(2);
+    std::string inline_value;
+    bool has_inline = false;
+    const std::size_t eq = name.find('=');
+    if (eq != std::string::npos) {
+      inline_value = name.substr(eq + 1);
+      name = name.substr(0, eq);
+      has_inline = true;
+    }
+    auto it = options_.find(name);
+    if (it == options_.end()) {
+      throw ConfigError("unknown option --" + name + "\n" + help());
+    }
+    Option& o = it->second;
+    o.set = true;
+    if (o.is_flag) {
+      if (has_inline) {
+        throw ConfigError("flag --" + name + " takes no value");
+      }
+      o.value = "1";
+    } else if (has_inline) {
+      o.value = inline_value;
+    } else {
+      if (i + 1 >= args.size()) {
+        throw ConfigError("option --" + name + " needs a value");
+      }
+      o.value = args[++i];
     }
   }
 }
@@ -133,26 +109,10 @@ std::int64_t ArgParser::option_int(const std::string& name) const {
   return static_cast<std::int64_t>(i);
 }
 
-const std::string& ArgParser::positional(const std::string& name) const {
-  for (const Positional& p : positionals_) {
-    if (p.name == name) {
-      return p.value;
-    }
-  }
-  throw ConfigError("positional <" + name + "> was never declared");
-}
-
 bool ArgParser::has(const std::string& name) const { return find(name).set; }
 
 std::string ArgParser::help() const {
-  std::string out = "usage: " + program_;
-  for (const Positional& p : positionals_) {
-    out += p.required ? " <" + p.name + ">" : " [" + p.name + "]";
-  }
-  out += " [options]\n  " + description_ + "\n";
-  for (const Positional& p : positionals_) {
-    out += "  <" + p.name + ">  " + p.help + "\n";
-  }
+  std::string out = "usage: " + program_ + " [options]\n  " + description_ + "\n";
   for (const auto& [name, o] : options_) {
     out += "  --" + name + (o.is_flag ? "" : " VALUE") + "  " + o.help;
     if (!o.is_flag && !o.value.empty()) {

@@ -2,7 +2,7 @@
 
 /// \file argparse.hpp
 /// Minimal command-line parser for the tools/ binaries: long options with
-/// values (--rate 0.5 or --rate=0.5), boolean flags, and positionals.
+/// values (--rate 0.5 or --rate=0.5) and boolean flags.
 
 #include <cstdint>
 #include <map>
@@ -22,13 +22,10 @@ class ArgParser {
   void add_option(const std::string& name, const std::string& help,
                   const std::string& default_value = "");
 
-  /// Positional argument, in declaration order.
-  void add_positional(const std::string& name, const std::string& help, bool required = true);
-
-  /// Parses argv (excluding the program name). Throws ConfigError on unknown
-  /// options, missing values, or missing required positionals.
+  /// Parses the arguments after the program (and subcommand) name. Throws
+  /// ConfigError on unknown options, missing values, or any argument that
+  /// is not an option.
   void parse(const std::vector<std::string>& args);
-  void parse(int argc, const char* const* argv);
 
   bool flag(const std::string& name) const;
   const std::string& option(const std::string& name) const;
@@ -39,7 +36,6 @@ class ArgParser {
   /// uniform, testable validation of timeout/budget-style options.
   double option_positive_double(const std::string& name) const;
   double option_nonnegative_double(const std::string& name) const;
-  const std::string& positional(const std::string& name) const;
   bool has(const std::string& name) const;  ///< option explicitly set?
 
   /// Usage text.
@@ -52,20 +48,12 @@ class ArgParser {
     bool is_flag = false;
     bool set = false;
   };
-  struct Positional {
-    std::string name;
-    std::string help;
-    bool required = true;
-    std::string value;
-    bool set = false;
-  };
 
   const Option& find(const std::string& name) const;
 
   std::string program_;
   std::string description_;
   std::map<std::string, Option> options_;
-  std::vector<Positional> positionals_;
 };
 
 /// Splits "a,b,c" into parts.

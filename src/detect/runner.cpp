@@ -1,7 +1,7 @@
 #include "adaflow/detect/runner.hpp"
 
 #include "adaflow/common/error.hpp"
-#include "adaflow/sim/event_queue.hpp"
+#include "adaflow/edge/server.hpp"
 
 namespace adaflow::detect {
 
@@ -32,77 +32,20 @@ void DetectionWorkload::attach(edge::DeviceSim& device, std::uint64_t salt) {
   });
 }
 
-namespace {
-
-/// server.cpp's SingleServerDriver with the detection service model attached
-/// (the workload trace is derived from the scene, so arrival rate and
-/// per-frame cost move together).
-struct DetectionDriver {
-  edge::WorkloadTrace trace;
-  const edge::ServerConfig& config;
-  Rng rng;
-  sim::EventQueue queue;
-  edge::DeviceSim device;
-
-  DetectionDriver(const SceneTrace& scene, edge::ServingPolicy& policy,
-                  const edge::ServerConfig& c, const DetectionRunConfig& run,
-                  std::uint64_t seed)
-      : trace(workload_from_scene(scene, run.base_fps, run.fps_per_object)), config(c),
-        rng(seed), device(queue, policy, c, nullptr, "detector") {}
-
-  void on_arrival() {
-    device.offer_frame(/*count_loss=*/true);
-    schedule_next_arrival();
-  }
-
-  void schedule_next_arrival() {
-    const double rate = trace.rate_at(queue.now());
-    if (rate <= 0.0) {
-      queue.schedule_in(0.05, [this] { schedule_next_arrival(); });
-      return;
-    }
-    const double when = queue.now() + rng.exponential(rate);
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [this] { on_arrival(); });
-    }
-  }
-
-  void on_poll() {
-    device.poll();
-    const double next = queue.now() + config.poll_interval_s;
-    if (next <= trace.duration()) {
-      queue.schedule_at(next, [this] { on_poll(); });
-    }
-  }
-
-  void on_sample() {
-    device.sample_window();
-    const double next = queue.now() + config.sample_interval_s;
-    if (next <= trace.duration() + 1e-9) {
-      queue.schedule_at(next, [this] { on_sample(); });
-    }
-  }
-};
-
-}  // namespace
-
 edge::RunMetrics run_detection(const SceneTrace& scene, edge::ServingPolicy& policy,
                                const edge::ServerConfig& server,
                                const DetectionRunConfig& config, std::uint64_t seed) {
-  DetectionDriver driver(scene, policy, server, config, seed);
+  // The workload trace is derived from the scene, so arrival rate and
+  // per-frame cost move together.
+  const edge::WorkloadTrace trace =
+      workload_from_scene(scene, config.base_fps, config.fps_per_object);
+  edge::SingleDeviceDriver driver(trace, policy, server, seed);
   // An independent stream for the frame outcomes: the arrival process must
   // not shift when the detector model draws a different number of variates.
   DetectionWorkload workload(scene, config.detector, seed ^ 0xd37ec7a9b1f05c3dULL);
-  workload.attach(driver.device);
-  driver.device.start();
-
-  driver.schedule_next_arrival();
-  driver.queue.schedule_at(server.poll_interval_s, [&driver] { driver.on_poll(); });
-  driver.queue.schedule_at(server.sample_interval_s, [&driver] { driver.on_sample(); });
-
-  driver.queue.run_until(driver.trace.duration());
-  driver.device.finalize(driver.trace.duration());
-  return std::move(driver.device.metrics());
+  workload.attach(driver.device());
+  driver.start();
+  return driver.finish();
 }
 
 StaticFlexiblePolicy::StaticFlexiblePolicy(const core::AcceleratorLibrary& library,

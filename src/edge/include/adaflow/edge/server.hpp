@@ -16,8 +16,10 @@
 /// bench_faults compares against.
 ///
 /// The per-device simulation core lives in device_sim.hpp (edge::DeviceSim);
-/// run_simulation() drives exactly one device from a workload trace, while
-/// the fleet layer (src/fleet) drives N of them behind a dispatcher.
+/// SingleDeviceDriver drives exactly one device from a workload trace — for
+/// run_simulation() here and the integrity and detection runners — while the
+/// fleet layer (src/fleet) drives N of them behind a dispatcher. Every driver
+/// draws its arrivals from the one PoissonArrivals process (workload.hpp).
 
 #include <concepts>
 #include <cstdint>
@@ -26,9 +28,11 @@
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/common/parallel.hpp"
+#include "adaflow/edge/device_sim.hpp"
 #include "adaflow/edge/policy.hpp"
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/edge/workload.hpp"
+#include "adaflow/sim/event_queue.hpp"
 #include "adaflow/sim/stats.hpp"
 
 namespace adaflow::faults {
@@ -36,6 +40,44 @@ class FaultInjector;
 }
 
 namespace adaflow::edge {
+
+/// One DeviceSim served from a workload trace: Poisson arrivals at the
+/// trace's rate (inflated by the injector's queue bursts), the monitor-poll
+/// and window-sample cadences, and finalize at the trace's end. Scenario
+/// runners add their own parts on device() and queue() between construction
+/// and start() (a service model) or between start() and finish() (a canary
+/// prober), so their events follow the driver's in the queue.
+class SingleDeviceDriver {
+ public:
+  /// Throws ConfigError on an invalid \p config. \p trace, \p policy,
+  /// \p config and \p injector (may be null: fault-free run) must outlive
+  /// the driver.
+  SingleDeviceDriver(const WorkloadTrace& trace, ServingPolicy& policy,
+                     const ServerConfig& config, std::uint64_t seed,
+                     faults::FaultInjector* injector = nullptr);
+  SingleDeviceDriver(const SingleDeviceDriver&) = delete;
+  SingleDeviceDriver& operator=(const SingleDeviceDriver&) = delete;
+
+  sim::EventQueue& queue() { return queue_; }
+  DeviceSim& device() { return device_; }
+
+  /// Starts the device, then schedules the first arrival, the first poll and
+  /// the first sample, in that order.
+  void start();
+  /// Runs the queue to the trace's end and returns the finalized metrics.
+  RunMetrics finish();
+
+ private:
+  void schedule_next_arrival();
+  void on_poll();
+  void on_sample();
+
+  const WorkloadTrace& trace_;
+  const ServerConfig& config_;
+  sim::EventQueue queue_;
+  DeviceSim device_;
+  PoissonArrivals arrivals_;
+};
 
 /// Runs one full simulation of \p trace under \p policy. \p injector may be
 /// null (fault-free run); when set, the same (schedule, seed) pair replays

@@ -46,6 +46,11 @@ struct ServerConfig {
   double estimate_window_s = 0.4;    ///< incoming-FPS estimation window
   double sample_interval_s = 0.5;    ///< time-series sampling cadence
   FaultToleranceConfig fault_tolerance;
+
+  /// Throws ConfigError naming the field (prefixed by \p who) unless
+  /// queue_capacity > 0 and both cadences are finite and > 0 — a zero poll
+  /// interval would reschedule the monitor at the same instant forever.
+  void validate(const std::string& who = "ServerConfig") const;
 };
 
 /// One applied mode switch (for Figure 6's annotation track).

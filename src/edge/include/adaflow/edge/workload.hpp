@@ -8,6 +8,8 @@
 /// first 15 s, then S2.
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +75,38 @@ class WorkloadTrace {
   std::vector<double> times_;  ///< segment start times (ascending, begins 0)
   std::vector<double> rates_;  ///< rate of each segment
   double duration_ = 0.0;
+};
+
+/// The Edge traffic model (paper Section V): Poisson arrivals at a trace's
+/// piecewise-constant aggregate rate — the one arrival process every runner
+/// draws from (single device, fleet, shards, tenants). Each gap is drawn at
+/// the rate in force at the previous arrival (times \p rate_factor there,
+/// when set — the fault layer's queue bursts); a zero-rate stretch is
+/// stepped through kZeroRateStepS at a time without a draw. The sequence is
+/// a pure function of (trace, seed, horizon, rate_factor), so draining it
+/// offline and chaining it on an event queue yield the same times.
+class PoissonArrivals {
+ public:
+  /// Multiplier on the trace rate at a time; called once per draw or step.
+  using RateFactor = std::function<double(double)>;
+
+  /// How far a zero-rate stretch is stepped before the rate is re-read.
+  static constexpr double kZeroRateStepS = 0.05;
+
+  /// \p trace must outlive this object.
+  PoissonArrivals(const WorkloadTrace& trace, std::uint64_t seed, double horizon_s,
+                  RateFactor rate_factor = {});
+
+  /// The next arrival time (ascending, <= horizon), or nullopt once the
+  /// process has passed the horizon — and on every call after that.
+  std::optional<double> next();
+
+ private:
+  const WorkloadTrace* trace_;
+  Rng rng_;
+  double horizon_s_;
+  RateFactor rate_factor_;
+  double t_ = 0.0;  ///< the last arrival or zero-rate step
 };
 
 /// Smooth pseudo-diurnal load: a sinusoid between \p low_fps and \p high_fps

@@ -1,86 +1,86 @@
 #include "adaflow/edge/server.hpp"
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
 
-#include "adaflow/common/rng.hpp"
-#include "adaflow/edge/device_sim.hpp"
 #include "adaflow/faults/fault_injector.hpp"
-#include "adaflow/sim/event_queue.hpp"
 
 namespace adaflow::edge {
 
-namespace {
-
-/// Drives one DeviceSim from a workload trace: Poisson arrivals at the
-/// trace's (possibly fault-inflated) rate, plus the monitor-poll and
-/// window-sample cadences. All per-device behaviour lives in DeviceSim.
-struct SingleServerDriver {
-  const WorkloadTrace& trace;
-  const ServerConfig& config;
-  faults::FaultInjector* injector;  ///< may be null (fault-free run)
-  Rng rng;
-  sim::EventQueue queue;
-  DeviceSim device;
-
-  SingleServerDriver(const WorkloadTrace& t, ServingPolicy& policy, const ServerConfig& c,
-                     faults::FaultInjector* inj, std::uint64_t seed)
-      : trace(t), config(c), injector(inj), rng(seed),
-        device(queue, policy, c, inj, "server") {}
-
-  void on_arrival() {
-    device.offer_frame(/*count_loss=*/true);
-    schedule_next_arrival();
+void ServerConfig::validate(const std::string& who) const {
+  if (queue_capacity <= 0) {
+    throw ConfigError(who + ".queue_capacity must be positive, got " +
+                      std::to_string(queue_capacity));
   }
+  auto cadence = [&who](double v, const char* field) {
+    if (!(std::isfinite(v) && v > 0.0)) {
+      throw ConfigError(who + "." + field + " must be finite and positive, got " +
+                        std::to_string(v));
+    }
+  };
+  cadence(poll_interval_s, "poll_interval_s");
+  cadence(sample_interval_s, "sample_interval_s");
+}
 
-  void schedule_next_arrival() {
-    double rate = trace.rate_at(queue.now());
-    if (injector != nullptr) {
-      rate *= injector->arrival_rate_factor(queue.now());
-    }
-    if (rate <= 0.0) {
-      // Re-check after the next rate boundary.
-      queue.schedule_in(0.05, [this] { schedule_next_arrival(); });
-      return;
-    }
-    const double dt = rng.exponential(rate);
-    const double when = queue.now() + dt;
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [this] { on_arrival(); });
-    }
+SingleDeviceDriver::SingleDeviceDriver(const WorkloadTrace& trace, ServingPolicy& policy,
+                                       const ServerConfig& config, std::uint64_t seed,
+                                       faults::FaultInjector* injector)
+    : trace_(trace), config_(config),
+      device_(queue_, policy, config, injector, "server"),
+      arrivals_(trace, seed, trace.duration(),
+                injector == nullptr ? PoissonArrivals::RateFactor{}
+                                    : [injector](double t) {
+                                        return injector->arrival_rate_factor(t);
+                                      }) {
+  config.validate();
+}
+
+void SingleDeviceDriver::start() {
+  device_.start();
+  schedule_next_arrival();
+  queue_.schedule_at(config_.poll_interval_s, [this] { on_poll(); });
+  queue_.schedule_at(config_.sample_interval_s, [this] { on_sample(); });
+}
+
+RunMetrics SingleDeviceDriver::finish() {
+  queue_.run_until(trace_.duration());
+  device_.finalize(trace_.duration());
+  return std::move(device_.metrics());
+}
+
+void SingleDeviceDriver::schedule_next_arrival() {
+  if (const std::optional<double> when = arrivals_.next()) {
+    queue_.schedule_at(*when, [this] {
+      device_.offer_frame(/*count_loss=*/true);
+      schedule_next_arrival();
+    });
   }
+}
 
-  void on_poll() {
-    device.poll();
-    const double next = queue.now() + config.poll_interval_s;
-    if (next <= trace.duration()) {
-      queue.schedule_at(next, [this] { on_poll(); });
-    }
+void SingleDeviceDriver::on_poll() {
+  device_.poll();
+  const double next = queue_.now() + config_.poll_interval_s;
+  if (next <= trace_.duration()) {
+    queue_.schedule_at(next, [this] { on_poll(); });
   }
+}
 
-  void on_sample() {
-    device.sample_window();
-    const double next = queue.now() + config.sample_interval_s;
-    if (next <= trace.duration() + 1e-9) {
-      queue.schedule_at(next, [this] { on_sample(); });
-    }
+void SingleDeviceDriver::on_sample() {
+  device_.sample_window();
+  const double next = queue_.now() + config_.sample_interval_s;
+  if (next <= trace_.duration() + 1e-9) {
+    queue_.schedule_at(next, [this] { on_sample(); });
   }
-};
-
-}  // namespace
+}
 
 RunMetrics run_simulation(const WorkloadTrace& trace, ServingPolicy& policy,
                           const ServerConfig& config, std::uint64_t seed,
                           faults::FaultInjector* injector) {
-  SingleServerDriver driver(trace, policy, config, injector, seed);
-  driver.device.start();
-
-  driver.schedule_next_arrival();
-  driver.queue.schedule_at(config.poll_interval_s, [&driver] { driver.on_poll(); });
-  driver.queue.schedule_at(config.sample_interval_s, [&driver] { driver.on_sample(); });
-
-  driver.queue.run_until(trace.duration());
-  driver.device.finalize(trace.duration());
-  return std::move(driver.device.metrics());
+  SingleDeviceDriver driver(trace, policy, config, seed, injector);
+  driver.start();
+  return driver.finish();
 }
 
 RepeatedRunResult summarize_runs(std::vector<RunMetrics> runs) {

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "adaflow/common/error.hpp"
 
@@ -182,6 +183,28 @@ double WorkloadTrace::rate_at(double t) const {
   auto it = std::upper_bound(times_.begin(), times_.end(), t);
   const std::size_t idx = it == times_.begin() ? 0 : static_cast<std::size_t>(it - times_.begin() - 1);
   return rates_[idx];
+}
+
+PoissonArrivals::PoissonArrivals(const WorkloadTrace& trace, std::uint64_t seed,
+                                 double horizon_s, RateFactor rate_factor)
+    : trace_(&trace), rng_(seed), horizon_s_(horizon_s), rate_factor_(std::move(rate_factor)) {}
+
+std::optional<double> PoissonArrivals::next() {
+  while (t_ <= horizon_s_) {
+    double rate = trace_->rate_at(t_);
+    if (rate_factor_) {
+      rate *= rate_factor_(t_);
+    }
+    if (rate <= 0.0) {
+      t_ += kZeroRateStepS;
+      continue;
+    }
+    t_ += rng_.exponential(rate);
+    if (t_ <= horizon_s_) {
+      return t_;
+    }
+  }
+  return std::nullopt;
 }
 
 namespace {

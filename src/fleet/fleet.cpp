@@ -1,10 +1,10 @@
 #include "adaflow/fleet/fleet.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <optional>
+#include <utility>
 
 #include "adaflow/common/error.hpp"
-#include "adaflow/common/rng.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/sim/event_queue.hpp"
 
@@ -23,15 +23,7 @@ void FleetConfig::validate() const {
     if (!d.make_policy) {
       throw ConfigError(who + " has no make_policy factory");
     }
-    if (d.server.queue_capacity <= 0) {
-      throw ConfigError(who + ": server.queue_capacity must be positive");
-    }
-    if (!(d.server.poll_interval_s > 0.0)) {
-      throw ConfigError(who + ": server.poll_interval_s must be positive");
-    }
-    if (!(d.server.sample_interval_s > 0.0)) {
-      throw ConfigError(who + ": server.sample_interval_s must be positive");
-    }
+    d.server.validate(who + ": server");
     if (d.library != nullptr && d.library->versions.empty()) {
       throw ConfigError(who + ": library has no versions");
     }
@@ -117,37 +109,48 @@ PinnedPolicy::PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t 
 
 edge::ServingMode PinnedPolicy::initial_mode() { return fixed_mode_for(library_, version_); }
 
-/// The classic closed-world entry point, now a thin wrapper: one FleetEngine
-/// driven by a Poisson arrival process over \p trace. The engine draws no
+namespace {
+
+/// Chains the fleet-wide arrival process on the engine's queue: each arrival
+/// offers one frame, then schedules its successor.
+class FleetArrivals {
+ public:
+  FleetArrivals(sim::EventQueue& queue, FleetEngine& engine, edge::PoissonArrivals source)
+      : queue_(queue), engine_(engine), source_(std::move(source)) {}
+  FleetArrivals(const FleetArrivals&) = delete;
+  FleetArrivals& operator=(const FleetArrivals&) = delete;
+
+  void schedule_next() {
+    if (const std::optional<double> when = source_.next()) {
+      queue_.schedule_at(*when, [this] {
+        engine_.offer_frame();
+        schedule_next();
+      });
+    }
+  }
+
+ private:
+  sim::EventQueue& queue_;
+  FleetEngine& engine_;
+  edge::PoissonArrivals source_;
+};
+
+}  // namespace
+
+/// The classic closed-world entry point, a thin wrapper: one FleetEngine fed
+/// by the fleet-wide PoissonArrivals over \p trace. The engine draws no
 /// randomness of its own (injector seeds derive from device_seed), so the
-/// arrival stream here consumes the seed's Rng exactly as it always did and
-/// existing seeded runs replay bit-identically.
+/// seed's Rng feeds only the arrival process and seeded runs replay
+/// bit-identically — also through the sharded engine at S == 1.
 FleetMetrics run_fleet(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& library,
                        const FleetConfig& config, RoutingPolicy& router, std::uint64_t seed) {
   config.validate();
   require(!library.versions.empty(), "fleet library has no versions");
   sim::EventQueue queue;
   FleetEngine engine(queue, library, config, router, seed, trace.duration());
-  Rng rng(seed);
+  FleetArrivals arrivals(queue, engine, edge::PoissonArrivals(trace, seed, trace.duration()));
   engine.start();
-
-  std::function<void()> schedule_next_arrival = [&] {
-    const double rate = trace.rate_at(queue.now());
-    if (rate <= 0.0) {
-      // Re-check after the next rate boundary.
-      queue.schedule_in(0.05, [&] { schedule_next_arrival(); });
-      return;
-    }
-    const double when = queue.now() + rng.exponential(rate);
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [&] {
-        engine.offer_frame();
-        schedule_next_arrival();
-      });
-    }
-  };
-  schedule_next_arrival();
-
+  arrivals.schedule_next();
   queue.run_until(trace.duration());
   return engine.finalize(trace.duration());
 }

@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "adaflow/common/error.hpp"
-#include "adaflow/common/rng.hpp"
 #include "adaflow/core/library.hpp"
-#include "adaflow/edge/device_sim.hpp"
-#include "adaflow/sim/event_queue.hpp"
+#include "adaflow/edge/server.hpp"
 
 namespace adaflow::integrity {
 
@@ -16,82 +14,6 @@ void IntegrityRunConfig::validate() const {
   policy.validate();
 }
 
-namespace {
-
-/// The SingleServerDriver of server.cpp with the integrity layer wired in:
-/// same arrival/poll/sample cadences, plus the canary cadence and the
-/// trip -> verdict -> repair-request loop.
-struct IntegrityDriver {
-  const edge::WorkloadTrace& trace;
-  const IntegrityRunConfig& config;
-  faults::FaultInjector injector;
-  IntegrityManager manager;
-  Rng rng;
-  sim::EventQueue queue;
-  edge::DeviceSim device;
-  CanaryProber prober;
-
-  IntegrityDriver(const edge::WorkloadTrace& t, std::unique_ptr<edge::ServingPolicy> inner,
-                  const core::AcceleratorLibrary& library, const IntegrityRunConfig& c,
-                  const faults::FaultSchedule& schedule, std::uint64_t seed)
-      : trace(t), config(c),
-        // Decorrelate the injector's thinning draws from the arrival stream
-        // the same way the fleet layer decorrelates per-device seeds.
-        injector(schedule, seed ^ 0x9e3779b97f4a7c15ULL),
-        manager(std::move(inner), library, c.policy), rng(seed),
-        device(queue, manager, c.server, &injector, "server"),
-        prober(queue, device, c.canary, [this](double now_s) { on_trip(now_s); }) {
-    manager.set_reload_hook([this](double, bool scrub) {
-      if (scrub) {
-        device.note_scrub();
-      }
-    });
-  }
-
-  void on_trip(double now_s) {
-    // Score the verdict against ground truth (detection vs false alarm),
-    // then ask the policy layer for a repair reload at its next poll.
-    device.note_integrity_detection();
-    manager.request_repair(now_s);
-  }
-
-  void on_arrival() {
-    device.offer_frame(/*count_loss=*/true);
-    schedule_next_arrival();
-  }
-
-  void schedule_next_arrival() {
-    double rate = trace.rate_at(queue.now());
-    rate *= injector.arrival_rate_factor(queue.now());
-    if (rate <= 0.0) {
-      queue.schedule_in(0.05, [this] { schedule_next_arrival(); });
-      return;
-    }
-    const double when = queue.now() + rng.exponential(rate);
-    if (when <= trace.duration()) {
-      queue.schedule_at(when, [this] { on_arrival(); });
-    }
-  }
-
-  void on_poll() {
-    device.poll();
-    const double next = queue.now() + config.server.poll_interval_s;
-    if (next <= trace.duration()) {
-      queue.schedule_at(next, [this] { on_poll(); });
-    }
-  }
-
-  void on_sample() {
-    device.sample_window();
-    const double next = queue.now() + config.server.sample_interval_s;
-    if (next <= trace.duration() + 1e-9) {
-      queue.schedule_at(next, [this] { on_sample(); });
-    }
-  }
-};
-
-}  // namespace
-
 edge::RunMetrics run_integrity(const edge::WorkloadTrace& trace,
                                std::unique_ptr<edge::ServingPolicy> inner,
                                const core::AcceleratorLibrary& library,
@@ -99,17 +21,26 @@ edge::RunMetrics run_integrity(const edge::WorkloadTrace& trace,
                                const faults::FaultSchedule& schedule, std::uint64_t seed) {
   require(inner != nullptr, "run_integrity needs a serving policy");
   config.validate();
-  IntegrityDriver driver(trace, std::move(inner), library, config, schedule, seed);
-  driver.device.start();
-
-  driver.schedule_next_arrival();
-  driver.queue.schedule_at(config.server.poll_interval_s, [&driver] { driver.on_poll(); });
-  driver.queue.schedule_at(config.server.sample_interval_s, [&driver] { driver.on_sample(); });
-  driver.prober.start(trace.duration());
-
-  driver.queue.run_until(trace.duration());
-  driver.device.finalize(trace.duration());
-  return std::move(driver.device.metrics());
+  // Decorrelate the injector's thinning draws from the arrival stream the
+  // same way the fleet layer decorrelates per-device seeds.
+  faults::FaultInjector injector(schedule, seed ^ 0x9e3779b97f4a7c15ULL);
+  IntegrityManager manager(std::move(inner), library, config.policy);
+  edge::SingleDeviceDriver driver(trace, manager, config.server, seed, &injector);
+  edge::DeviceSim& device = driver.device();
+  CanaryProber prober(driver.queue(), device, config.canary, [&](double now_s) {
+    // Score the verdict against ground truth (detection vs false alarm),
+    // then ask the policy layer for a repair reload at its next poll.
+    device.note_integrity_detection();
+    manager.request_repair(now_s);
+  });
+  manager.set_reload_hook([&device](double, bool scrub) {
+    if (scrub) {
+      device.note_scrub();
+    }
+  });
+  driver.start();
+  prober.start(trace.duration());
+  return driver.finish();
 }
 
 }  // namespace adaflow::integrity

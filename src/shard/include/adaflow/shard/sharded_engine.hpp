@@ -19,8 +19,9 @@
 /// share nothing.
 ///
 /// With S == 1 the engine degrades to exactly run_fleet(): shard 0's seed is
-/// the fleet seed unchanged, the arrival stream consumes the Rng identically,
-/// and there is no other shard to hand off to (sheds are final) — pinned by
+/// the fleet seed unchanged, the arrivals are the same edge::PoissonArrivals
+/// stream run_fleet chains (drained up front here), and there is no other
+/// shard to hand off to (sheds are final) — pinned by
 /// tests/shard/test_sharded_engine.cpp.
 
 #include <cstdint>

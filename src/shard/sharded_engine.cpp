@@ -5,11 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/common/parallel.hpp"
-#include "adaflow/common/rng.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/shard/mailbox.hpp"
@@ -80,31 +80,6 @@ struct Shard {
   std::int64_t handoff_lost = 0;  ///< forwarded frames shed at max_hops
 };
 
-/// Replays run_fleet()'s arrival generation offline: the same Rng, consumed
-/// in the same order, including the 0.05 s rate-recheck steps through
-/// zero-rate segments — so shard 0 of an S == 1 run sees bit-identical
-/// arrival times to the classic entry point.
-std::vector<double> precompute_arrivals(const edge::WorkloadTrace& trace, std::uint64_t seed) {
-  std::vector<double> arrivals;
-  Rng rng(seed);
-  const double duration = trace.duration();
-  double t = 0.0;
-  while (t <= duration) {
-    const double rate = trace.rate_at(t);
-    if (rate <= 0.0) {
-      t += 0.05;  // run_fleet's schedule_in(0.05) recheck, no Rng draw
-      continue;
-    }
-    const double when = t + rng.exponential(rate);
-    if (when > duration) {
-      break;
-    }
-    arrivals.push_back(when);
-    t = when;
-  }
-  return arrivals;
-}
-
 class Runner {
  public:
   Runner(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& library,
@@ -133,12 +108,14 @@ class Runner {
       shards_.push_back(std::move(sh));
     }
 
-    // The arrival stream is one global Poisson process (run_fleet's, exactly);
-    // frame k goes to shard k % S, so every shard sees a thinned copy of the
-    // same traffic and S == 1 degenerates to the classic stream.
-    const std::vector<double> all = precompute_arrivals(trace, seed);
-    for (std::size_t k = 0; k < all.size(); ++k) {
-      shards_[k % static_cast<std::size_t>(S)]->arrivals.push_back(all[k]);
+    // The arrival stream is the fleet-wide PoissonArrivals run_fleet chains
+    // online, drained here up front; frame k goes to shard k % S, so every
+    // shard sees a thinned copy of the same traffic and S == 1 degenerates
+    // to the classic stream.
+    edge::PoissonArrivals arrivals(trace, seed, trace.duration());
+    std::size_t k = 0;
+    while (const std::optional<double> when = arrivals.next()) {
+      shards_[k++ % static_cast<std::size_t>(S)]->arrivals.push_back(*when);
     }
 
     for (int s = 0; s < S; ++s) {

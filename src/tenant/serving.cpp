@@ -6,7 +6,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "adaflow/common/rng.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/sim/event_queue.hpp"
 #include "adaflow/tenant/scheduler.hpp"
@@ -109,7 +108,7 @@ struct TenantSim {
   struct TenantState {
     TokenBucket bucket;
     std::optional<forecast::ForecastTracker> tracker;
-    Rng rng;
+    edge::PoissonArrivals arrivals;
     std::int64_t seq = 0;
     fleet::TenantUsage usage;
     // Current sample window.
@@ -174,8 +173,11 @@ struct TenantSim {
     forecast::ForecastTrackerConfig fc = cfg.forecast;
     fc.window_s = cfg.coordinator_interval_s;
     for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
-      TenantState state{TokenBucket(cfg.tenants[t].admission), std::nullopt,
-                        Rng(tenant_seed(seed, t)), 0, {}, 0, 0, 0, 0.0, {}, 0.0, 0, 0};
+      TenantState state{TokenBucket(cfg.tenants[t].admission),
+                        std::nullopt,
+                        edge::PoissonArrivals(cfg.tenants[t].trace, tenant_seed(seed, t),
+                                              cfg.duration_s),
+                        0, {}, 0, 0, 0, 0.0, {}, 0.0, 0, 0};
       state.usage.name = cfg.tenants[t].name;
       if (cfg.predictive) {
         state.tracker.emplace(fc);
@@ -240,18 +242,8 @@ struct TenantSim {
   }
 
   void schedule_next_arrival(std::size_t t) {
-    const edge::WorkloadTrace& trace = config.tenants[t].trace;
-    const double rate = trace.rate_at(queue.now());
-    if (rate <= 0.0) {
-      // Re-check after the next rate boundary.
-      if (queue.now() + 0.05 <= config.duration_s) {
-        queue.schedule_in(0.05, [this, t] { schedule_next_arrival(t); });
-      }
-      return;
-    }
-    const double when = queue.now() + tenants[t].rng.exponential(rate);
-    if (when <= config.duration_s) {
-      queue.schedule_at(when, [this, t] {
+    if (const std::optional<double> when = tenants[t].arrivals.next()) {
+      queue.schedule_at(*when, [this, t] {
         arrive(t);
         schedule_next_arrival(t);
       });

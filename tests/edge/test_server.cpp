@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -249,6 +251,49 @@ TEST(Server, ZeroFpsSwitchTargetRejected) {
   OneSwitchPolicy policy(mode(700.0), action, 2.0);
   WorkloadTrace trace(constant_workload(10.0), 11);
   EXPECT_THROW(run_simulation(trace, policy, ServerConfig{}, 13), ConfigError);
+}
+
+/// Runs \p config through run_simulation and requires a ConfigError that
+/// names \p field.
+void expect_rejected(const ServerConfig& config, const std::string& field) {
+  WorkloadTrace trace(constant_workload(1.0), 1);
+  StaticPolicy policy(mode(500.0));
+  try {
+    run_simulation(trace, policy, config, 1);
+    FAIL() << "expected ConfigError naming " << field;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("ServerConfig." + field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServerConfigValidate, EachBadValueThrowsNamingTheField) {
+  EXPECT_NO_THROW(ServerConfig{}.validate());
+  for (const std::int64_t capacity : {std::int64_t{0}, std::int64_t{-4}}) {
+    ServerConfig c;
+    c.queue_capacity = capacity;
+    expect_rejected(c, "queue_capacity");
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -0.1, nan, inf}) {
+    ServerConfig poll;
+    poll.poll_interval_s = bad;
+    expect_rejected(poll, "poll_interval_s");
+    ServerConfig sample;
+    sample.sample_interval_s = bad;
+    expect_rejected(sample, "sample_interval_s");
+  }
+}
+
+TEST(ServerConfigValidate, ZeroPollIntervalThrowsInsteadOfHanging) {
+  // Before validation, a 0 s poll rescheduled the monitor at now() forever
+  // and run_simulation never returned.
+  ServerConfig c;
+  c.poll_interval_s = 0.0;
+  WorkloadTrace trace(constant_workload(2.0), 1);
+  StaticPolicy policy(mode(500.0));
+  EXPECT_THROW(run_simulation(trace, policy, c, 1), ConfigError);
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
 #include "adaflow/edge/workload.hpp"
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/common/rng.hpp"
+#include "adaflow/sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace adaflow::edge {
 namespace {
@@ -262,6 +270,147 @@ TEST(WorkloadTrace, FlashCrowdShape) {
                ConfigError);  // peak below base
   EXPECT_THROW(flash_crowd_trace(250.0, 1250.0, 8.0, 3.0, 8.0, 30.0, 0.5, 1.5, 3),
                ConfigError);  // jitter >= 1
+}
+
+// --- PoissonArrivals contract ------------------------------------------------
+
+/// The oracle: the online arrival loop the runners chained on their event
+/// queues before the shared arrival source existed, run against a bare
+/// EventQueue. A zero rate re-checks 0.05 s later as a queued event; an
+/// arrival schedules its successor when it fires.
+std::vector<double> reference_arrivals(const WorkloadTrace& trace, std::uint64_t seed,
+                                       double horizon_s,
+                                       const PoissonArrivals::RateFactor& factor) {
+  sim::EventQueue queue;
+  Rng rng(seed);
+  std::vector<double> times;
+  std::function<void()> schedule_next = [&] {
+    double rate = trace.rate_at(queue.now());
+    if (factor) {
+      rate *= factor(queue.now());
+    }
+    if (rate <= 0.0) {
+      queue.schedule_in(0.05, [&] { schedule_next(); });
+      return;
+    }
+    const double when = queue.now() + rng.exponential(rate);
+    if (when <= horizon_s) {
+      queue.schedule_at(when, [&] {
+        times.push_back(queue.now());
+        schedule_next();
+      });
+    }
+  };
+  schedule_next();
+  queue.run_until(horizon_s);
+  return times;
+}
+
+std::vector<double> drain(PoissonArrivals& arrivals) {
+  std::vector<double> times;
+  while (const std::optional<double> t = arrivals.next()) {
+    times.push_back(*t);
+  }
+  return times;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) {
+    out.push_back(std::bit_cast<std::uint64_t>(x));
+  }
+  return out;
+}
+
+/// Zero-rate stretches at the start, in the middle and at the end.
+WorkloadTrace gapped_trace() {
+  return WorkloadTrace({0.0, 0.7, 2.0, 2.6, 4.1}, {0.0, 400.0, 0.0, 900.0, 0.0}, 5.0);
+}
+
+TEST(PoissonArrivals, MatchesTheOnlineLoopBitForBitThroughZeroRateStretches) {
+  const WorkloadTrace trace = gapped_trace();
+  for (const std::uint64_t seed : {1u, 2u, 99u}) {
+    PoissonArrivals arrivals(trace, seed, trace.duration());
+    const std::vector<double> got = drain(arrivals);
+    ASSERT_GT(got.size(), 500u);
+    EXPECT_EQ(bits(got), bits(reference_arrivals(trace, seed, trace.duration(), {})));
+    // Nothing lands in the leading gap, and nothing after the last draw.
+    EXPECT_GE(got.front(), 0.7);
+    EXPECT_LE(got.back(), trace.duration());
+    EXPECT_FALSE(arrivals.next().has_value());
+  }
+  const WorkloadTrace scenario(scenario2(), 4);
+  PoissonArrivals arrivals(scenario, 8, scenario.duration());
+  EXPECT_EQ(bits(drain(arrivals)), bits(reference_arrivals(scenario, 8, scenario.duration(), {})));
+}
+
+TEST(PoissonArrivals, HorizonShorterThanTheTraceCutsTheStream) {
+  const WorkloadTrace trace = gapped_trace();
+  PoissonArrivals arrivals(trace, 5, 3.0);
+  const std::vector<double> got = drain(arrivals);
+  ASSERT_FALSE(got.empty());
+  EXPECT_LE(got.back(), 3.0);
+  EXPECT_EQ(bits(got), bits(reference_arrivals(trace, 5, 3.0, {})));
+  // The cut stream is a prefix of the full one: the horizon moves no draw.
+  PoissonArrivals full(trace, 5, trace.duration());
+  const std::vector<double> all = drain(full);
+  ASSERT_GT(all.size(), got.size());
+  EXPECT_EQ(bits(got), bits(std::vector<double>(all.begin(), all.begin() + got.size())));
+}
+
+TEST(PoissonArrivals, HorizonEndIsInclusive) {
+  const WorkloadTrace trace = gapped_trace();
+  PoissonArrivals full(trace, 6, trace.duration());
+  const std::vector<double> all = drain(full);
+  ASSERT_GT(all.size(), 10u);
+  // A horizon exactly on an arrival keeps that arrival as the last one.
+  const double horizon = all[all.size() / 2];
+  PoissonArrivals cut(trace, 6, horizon);
+  const std::vector<double> got = drain(cut);
+  ASSERT_EQ(got.size(), all.size() / 2 + 1);
+  EXPECT_EQ(got.back(), horizon);
+  EXPECT_EQ(bits(got), bits(reference_arrivals(trace, 6, horizon, {})));
+  // A zero-rate step that lands exactly on the horizon still reads the rate
+  // there, as the online loop's re-check event at t_end fires
+  // (0.05 + 0.05 == 0.1 exactly in binary floating point).
+  const WorkloadTrace silent({0.0}, {0.0}, 1.0);
+  std::vector<double> calls;
+  PoissonArrivals quiet(silent, 1, 0.1, [&calls](double t) {
+    calls.push_back(t);
+    return 1.0;
+  });
+  EXPECT_FALSE(quiet.next().has_value());
+  EXPECT_EQ(calls, (std::vector<double>{0.0, 0.05, 0.1}));
+}
+
+TEST(PoissonArrivals, RateFactorChangingMidStreamMatchesTheOnlineLoop) {
+  const WorkloadTrace trace({0.0, 1.2, 3.0}, {300.0, 0.0, 500.0}, 5.0);
+  // A burst, then a factor of 0 that silences a non-zero segment, then 1.
+  // Each side records the times it asked for the factor: the source must
+  // consult it exactly where the online loop did.
+  auto make_factor = [](std::vector<double>& calls) {
+    return [&calls](double t) {
+      calls.push_back(t);
+      if (t >= 0.5 && t < 1.0) {
+        return 3.0;
+      }
+      return t >= 3.4 && t < 3.9 ? 0.0 : 1.0;
+    };
+  };
+  std::vector<double> got_calls;
+  std::vector<double> ref_calls;
+  PoissonArrivals arrivals(trace, 12, trace.duration(), make_factor(got_calls));
+  const std::vector<double> got = drain(arrivals);
+  const std::vector<double> want =
+      reference_arrivals(trace, 12, trace.duration(), make_factor(ref_calls));
+  EXPECT_EQ(bits(got), bits(want));
+  EXPECT_EQ(bits(got_calls), bits(ref_calls));
+  // The burst shows: [0.5, 1.0) carries about 3x the arrivals of [0, 0.5).
+  const auto count_in = [&got](double a, double b) {
+    return std::count_if(got.begin(), got.end(), [a, b](double t) { return t >= a && t < b; });
+  };
+  EXPECT_GT(count_in(0.5, 1.0), 2 * count_in(0.0, 0.5));
+  EXPECT_EQ(count_in(3.45, 3.9), 0);
 }
 
 }  // namespace

@@ -268,6 +268,18 @@ TEST(Fleet, InvalidConfigsAreRejectedWithTheDeviceNamed) {
   bad_interval.sample_interval_s = 0.0;
   EXPECT_THROW(run_fleet(trace, lib, bad_interval, *router, 1), ConfigError);
 
+  FleetConfig bad_poll;
+  bad_poll.devices = {pinned_device("slow", lib, 0)};
+  bad_poll.devices[0].server.poll_interval_s = 0.0;
+  try {
+    run_fleet(trace, lib, bad_poll, *router, 1);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("fleet device 0 ('slow'): server.poll_interval_s"),
+              std::string::npos)
+        << e.what();
+  }
+
   FleetConfig bad_ingress;
   bad_ingress.devices = {pinned_device("ok", lib, 0)};
   bad_ingress.ingress_capacity = -1;

@@ -2,7 +2,7 @@
 # Full local gate: tier-1 release build (-Werror) + full test suite, fast
 # label groups for iterating on src/nn, src/sim, src/fleet, the resilience
 # layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph
-# and src/detect, the fast suites again under
+# and src/detect, every golden replay pin as one group, the fast suites again under
 # AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
 # concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), and a
 # bench smoke tier gated against the committed baselines in bench/baselines/.
@@ -53,6 +53,9 @@ ctest --test-dir "$root/build" -L graph --output-on-failure -j "$jobs"
 
 echo "== detect group (ctest -L detect: detection tests + CLI validation + bench_detect smoke) =="
 ctest --test-dir "$root/build" -L detect --output-on-failure -j "$jobs"
+
+echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device and tenant replay pins) =="
+ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
 
 echo "== tier 2: ASan+UBSan unit tests =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
