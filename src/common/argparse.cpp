@@ -1,27 +1,41 @@
 #include "adaflow/common/argparse.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/common/strings.hpp"
 
 namespace adaflow {
+
+std::string Range::describe() const {
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return std::string(buf);
+  };
+  if (lo != -kInf && hi != kInf) {
+    return std::string("in ") + (lo_inclusive ? "[" : "(") + num(lo) + ", " + num(hi) +
+           (hi_inclusive ? "]" : ")");
+  }
+  return (lo_inclusive ? ">= " : "> ") + num(lo);  // the factories bound hi only with lo
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
-void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  Option o;
+void ArgParser::declare(const std::string& name, Kind kind, const std::string& help,
+                        const std::string& def, Range range, std::vector<std::string> choices) {
+  Option& o = options_[name] = Option{};
+  o.kind = kind;
   o.help = help;
-  o.is_flag = true;
-  options_[name] = std::move(o);
-}
-
-void ArgParser::add_option(const std::string& name, const std::string& help,
-                           const std::string& default_value) {
-  Option o;
-  o.help = help;
-  o.value = default_value;
-  options_[name] = std::move(o);
+  o.value = def;
+  o.optional = def.empty() && (kind == Kind::kInt || kind == Kind::kReal || kind == Kind::kReals);
+  o.range = range;
+  o.choices = std::move(choices);
 }
 
 void ArgParser::parse(const std::vector<std::string>& args) {
@@ -30,33 +44,65 @@ void ArgParser::parse(const std::vector<std::string>& args) {
     if (arg.rfind("--", 0) != 0) {
       throw ConfigError("unexpected argument '" + arg + "'\n" + help());
     }
-    std::string name = arg.substr(2);
-    std::string inline_value;
-    bool has_inline = false;
-    const std::size_t eq = name.find('=');
-    if (eq != std::string::npos) {
-      inline_value = name.substr(eq + 1);
-      name = name.substr(0, eq);
-      has_inline = true;
-    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
     auto it = options_.find(name);
     if (it == options_.end()) {
       throw ConfigError("unknown option --" + name + "\n" + help());
     }
     Option& o = it->second;
     o.set = true;
-    if (o.is_flag) {
-      if (has_inline) {
+    if (o.kind == Kind::kFlag) {
+      if (eq != std::string::npos) {
         throw ConfigError("flag --" + name + " takes no value");
       }
       o.value = "1";
-    } else if (has_inline) {
-      o.value = inline_value;
-    } else {
-      if (i + 1 >= args.size()) {
-        throw ConfigError("option --" + name + " needs a value");
-      }
+    } else if (eq != std::string::npos) {
+      o.value = arg.substr(eq + 1);
+    } else if (i + 1 < args.size()) {
       o.value = args[++i];
+    } else {
+      throw ConfigError("option --" + name + " needs a value");
+    }
+  }
+  for (auto& [name, o] : options_) {
+    check(name, o);
+  }
+  parsed_ = true;
+}
+
+void ArgParser::check(const std::string& name, Option& o) {
+  const auto fail = [&](const std::string& what, const std::string& got) {
+    throw ConfigError("--" + name + " must be " + what + ", got '" + got + "'");
+  };
+  if (o.kind == Kind::kChoice &&
+      std::find(o.choices.begin(), o.choices.end(), o.value) == o.choices.end()) {
+    fail("one of " + join(o.choices, " | "), o.value);
+  }
+  if (o.kind == Kind::kInt && !(o.optional && o.value.empty())) {
+    char* end = nullptr;
+    errno = 0;
+    o.integer = std::strtoll(o.value.c_str(), &end, 10);
+    if (end == o.value.c_str() || *end != '\0' || errno == ERANGE) {
+      fail("a 64-bit integer", o.value);
+    }
+    // Exact for every bound below 2^53, and the rounding is monotonic.
+    if (!o.range.contains(static_cast<double>(o.integer))) {
+      fail(o.range.describe(), o.value);
+    }
+  }
+  if ((o.kind == Kind::kReal || o.kind == Kind::kReals) && !(o.optional && o.value.empty())) {
+    o.numbers.clear();
+    for (const std::string& v : o.kind == Kind::kReals ? split(o.value, ',')
+                                                       : std::vector<std::string>{o.value}) {
+      char* end = nullptr;
+      o.numbers.push_back(std::strtod(v.c_str(), &end));
+      if (end == v.c_str() || *end != '\0' || !std::isfinite(o.numbers.back())) {
+        fail("a finite number", v);
+      }
+      if (!o.range.contains(o.numbers.back())) {
+        fail(o.range.describe(), v);
+      }
     }
   }
 }
@@ -69,53 +115,27 @@ const ArgParser::Option& ArgParser::find(const std::string& name) const {
   return it->second;
 }
 
-bool ArgParser::flag(const std::string& name) const { return find(name).set; }
-
-const std::string& ArgParser::option(const std::string& name) const { return find(name).value; }
-
-double ArgParser::option_double(const std::string& name) const {
-  const std::string& v = option(name);
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') {
-    throw ConfigError("option --" + name + " expects a number, got '" + v + "'");
+const ArgParser::Option& ArgParser::find(const std::string& name, Kind kind) const {
+  const Option& o = find(name);
+  if (!parsed_ || o.kind != kind || (o.optional && o.value.empty())) {
+    throw ConfigError("option --" + name + (!parsed_           ? " read before parse()"
+                                            : o.kind != kind ? " has another type"
+                                                             : " not given"));
   }
-  return d;
+  return o;
 }
 
-double ArgParser::option_positive_double(const std::string& name) const {
-  const double d = option_double(name);
-  if (!(d > 0.0)) {
-    throw ConfigError("option --" + name + " must be positive, got '" + option(name) + "'");
-  }
-  return d;
+void ArgParser::narrowing_error(const std::string& name, std::int64_t lo, std::int64_t hi) const {
+  throw ConfigError("--" + name + " must be in [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "], got '" + option(name) + "'");
 }
-
-double ArgParser::option_nonnegative_double(const std::string& name) const {
-  const double d = option_double(name);
-  if (d < 0.0) {
-    throw ConfigError("option --" + name + " must be >= 0, got '" + option(name) + "'");
-  }
-  return d;
-}
-
-std::int64_t ArgParser::option_int(const std::string& name) const {
-  const std::string& v = option(name);
-  char* end = nullptr;
-  const long long i = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
-    throw ConfigError("option --" + name + " expects an integer, got '" + v + "'");
-  }
-  return static_cast<std::int64_t>(i);
-}
-
-bool ArgParser::has(const std::string& name) const { return find(name).set; }
 
 std::string ArgParser::help() const {
   std::string out = "usage: " + program_ + " [options]\n  " + description_ + "\n";
   for (const auto& [name, o] : options_) {
-    out += "  --" + name + (o.is_flag ? "" : " VALUE") + "  " + o.help;
-    if (!o.is_flag && !o.value.empty()) {
+    const bool is_flag = o.kind == Kind::kFlag;
+    out += "  --" + name + (is_flag ? "" : " VALUE") + "  " + o.help;
+    if (!is_flag && !o.value.empty()) {
       out += " (default: " + o.value + ")";
     }
     out += "\n";

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 release build (-Werror) + full test suite, fast
 # label groups for iterating on src/nn, src/sim, src/fleet, the resilience
-# layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph
-# and src/detect, every golden replay pin as one group, the fast suites again under
-# AddressSanitizer + UndefinedBehaviorSanitizer (ADAFLOW_SANITIZE=ON), the
-# concurrency-bearing suites under ThreadSanitizer (ADAFLOW_TSAN=ON), and a
-# bench smoke tier gated against the committed baselines in bench/baselines/.
+# layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph,
+# src/detect and the CLI, every golden replay pin as one group, the fast
+# suites again under AddressSanitizer + UndefinedBehaviorSanitizer
+# (ADAFLOW_SANITIZE=ON), the concurrency-bearing suites under
+# ThreadSanitizer (ADAFLOW_TSAN=ON), and a bench smoke tier gated against
+# the committed baselines in bench/baselines/.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -54,6 +55,9 @@ ctest --test-dir "$root/build" -L graph --output-on-failure -j "$jobs"
 echo "== detect group (ctest -L detect: detection tests + CLI validation + bench_detect smoke) =="
 ctest --test-dir "$root/build" -L detect --output-on-failure -j "$jobs"
 
+echo "== cli group (ctest -L cli: every subcommand's smoke run + flag error paths) =="
+ctest --test-dir "$root/build" -L cli --output-on-failure -j "$jobs"
+
 echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device and tenant replay pins) =="
 ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
 
@@ -66,7 +70,7 @@ cmake --build "$root/build-asan" -j "$jobs" --target adaflow_unit_tests \
   --target adaflow_ingest_tests --target adaflow_tenant_tests \
   --target adaflow_shard_tests --target adaflow_integrity_tests \
   --target adaflow_graph_tests --target adaflow_detect_tests --target adaflow_cli
-ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ingest|tenant|shard|integrity|graph|detect|cli' --output-on-failure -j "$jobs"
 
 # The concurrency surface lives in common/parallel (worker pool), the shard
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
