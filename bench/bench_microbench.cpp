@@ -1,6 +1,6 @@
 /// Google-benchmark microbenchmarks of the library's primitives: software
-/// conv forward, one QAT training step, each conv layer's share of it and
-/// the three GEMM kernels behind it (the context line `gemm_kernels` names
+/// conv forward, one QAT training step, each conv layer's and the first
+/// BatchNorm's share of it, the three GEMM kernels behind it (the context line `gemm_kernels` names
 /// the ISA variant the process selected),
 /// functional dataflow inference (fixed vs flexible), the
 /// dataflow-aware pruner, threshold folding, and the hot paths the sharded
@@ -151,6 +151,21 @@ const bool kConvLayerStepsRegistered = [] {
   }
   return true;
 }();
+
+// BatchNorm bn0 of BM_TrainStep's model on its own: forward + backward on
+// conv0's output, 32 x 8 x 30 x 30. The layer takes its input by value, so
+// each forward here starts from a copy of the same batch.
+void BM_BatchNormStep(benchmark::State& state) {
+  nn::BatchNorm layer("bn0", 8);
+  Rng rng(5);
+  const nn::Tensor input = nn::Tensor::uniform(nn::Shape{32, 8, 30, 30}, -1, 1, rng);
+  const nn::Tensor grad = nn::Tensor::uniform(input.shape(), -1, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(input, true).data());
+    benchmark::DoNotOptimize(layer.backward(grad).data());
+  }
+}
+BENCHMARK(BM_BatchNormStep)->Unit(benchmark::kMicrosecond);
 
 void BM_DataflowInferFixed(benchmark::State& state) {
   hls::DataflowAccelerator accel(hls::AcceleratorVariant::kFixed, compiled(), folding());

@@ -1,9 +1,9 @@
-// The one source of the GEMM kernels, built once per ISA variant: compiled
-// as itself it is the baseline variant (SSE2 on x86-64), and
-// gemm_kernels_avx2.cpp builds it again with -mavx2. The variants differ
-// only in the width of Vec. Each lane performs the same IEEE single-precision
-// multiply and add the scalar loop would, in the same order, so every
-// variant computes the same bits (the contract in gemm.hpp).
+// The one source of the GEMM kernels and of BatchNorm's channel reductions,
+// built once per ISA variant: compiled as itself it is the baseline variant
+// (SSE2 on x86-64), and gemm_kernels_avx2.cpp builds it again with -mavx2.
+// The variants differ only in the width of Vec (and DVec). Each lane
+// performs the same IEEE multiply and add the scalar loop would, in the same
+// order, so every variant computes the same bits (the contract in gemm.hpp).
 //
 // Nothing here may use a template or inline function with external linkage
 // (no std containers or algorithms). The linker keeps one copy of each such
@@ -124,23 +124,36 @@ void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, c
   gemm_axpy(m_count, n_count, k_count, a, 1, m_count, b, c);
 }
 
-/// sums[j * kRows + r] = +0 + sum over k ascending of at[k * ld + r] *
-/// b[j * k_count + k], for kCols columns j and kRows = kRowVecs * kLanes rows r.
+/// sums[j * kRows + r] = +0 + sum over k ascending of at[k * ld + r] * B(j, k),
+/// for kCols columns j and kRows = kRowVecs * kLanes rows r, where B(j, k) is
+/// element k = (h, w) of the view row at rows[j]. The a row advances by ld
+/// per k, so k ascends as h, then w, ascend.
 template <int kRowVecs, int kCols>
-inline void dot_tile(std::int64_t k_count, const float* at, std::int64_t ld, const float* b,
+inline void dot_tile(const float* at, std::int64_t ld, const NtRows& b, const float* const* rows,
                      float* sums) {
   constexpr std::int64_t kRows = kRowVecs * kLanes;
   Vec acc[kCols][kRowVecs] = {};
-  for (std::int64_t k = 0; k < k_count; ++k) {
-    Vec a_vec[kRowVecs];
-    for (int v = 0; v < kRowVecs; ++v) {
-      a_vec[v] = load(at + k * ld + v * kLanes);
+  const float* row[kCols];
+  for (int j = 0; j < kCols; ++j) {
+    row[j] = rows[j];
+  }
+  const float* a_k = at;
+  for (std::int64_t h = 0; h < b.height; ++h) {
+    for (std::int64_t w = 0; w < b.width; ++w, a_k += ld) {
+      const std::int64_t x = w * b.step;
+      Vec a_vec[kRowVecs];
+      for (int v = 0; v < kRowVecs; ++v) {
+        a_vec[v] = load(a_k + v * kLanes);
+      }
+      for (int j = 0; j < kCols; ++j) {
+        const float b_val = row[j][x];
+        for (int v = 0; v < kRowVecs; ++v) {
+          acc[j][v] += a_vec[v] * b_val;
+        }
+      }
     }
     for (int j = 0; j < kCols; ++j) {
-      const float b_val = b[j * k_count + k];
-      for (int v = 0; v < kRowVecs; ++v) {
-        acc[j][v] += a_vec[v] * b_val;
-      }
+      row[j] += b.pitch;
     }
   }
   for (int j = 0; j < kCols; ++j) {
@@ -154,50 +167,234 @@ inline void dot_tile(std::int64_t k_count, const float* at, std::int64_t ld, con
 /// columns: 8 independent chains, then a tile of half the columns and single
 /// columns for the rest.
 template <int kRowVecs>
-void nt_tiles(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* at,
-              std::int64_t ld, const float* b, float* c) {
+void nt_tiles(std::int64_t m_count, std::int64_t n_count, const float* at, std::int64_t ld,
+              const NtRows& b, float* c) {
   constexpr int kCols = 8 / kRowVecs;
   constexpr std::int64_t kRows = kRowVecs * kLanes;
   float sums[kCols * kRows];
+  const float* rows[kCols];
   for (std::int64_t m0 = 0; m0 < m_count; m0 += kRows) {
-    const std::int64_t rows = m_count - m0 < kRows ? m_count - m0 : kRows;
-    const auto add_sums = [&](std::int64_t n0, int cols) {
-      for (int j = 0; j < cols; ++j) {
-        for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t row_count = m_count - m0 < kRows ? m_count - m0 : kRows;
+    const auto tile = [&]<int kTileCols>(std::int64_t n0) {
+      for (int j = 0; j < kTileCols; ++j) {
+        rows[j] = b.base + b.off[n0 + j];
+      }
+      dot_tile<kRowVecs, kTileCols>(at + m0, ld, b, rows, sums);
+      for (int j = 0; j < kTileCols; ++j) {
+        for (std::int64_t r = 0; r < row_count; ++r) {
           c[(m0 + r) * n_count + n0 + j] += sums[j * kRows + r];
         }
       }
     };
     std::int64_t n = 0;
     for (; n + kCols <= n_count; n += kCols) {
-      dot_tile<kRowVecs, kCols>(k_count, at + m0, ld, b + n * k_count, sums);
-      add_sums(n, kCols);
+      tile.template operator()<kCols>(n);
     }
     if (n + kCols / 2 <= n_count) {
-      dot_tile<kRowVecs, kCols / 2>(k_count, at + m0, ld, b + n * k_count, sums);
-      add_sums(n, kCols / 2);
+      tile.template operator()<kCols / 2>(n);
       n += kCols / 2;
     }
     for (; n < n_count; ++n) {
-      dot_tile<kRowVecs, 1>(k_count, at + m0, ld, b + n * k_count, sums);
-      add_sums(n, 1);
+      tile.template operator()<1>(n);
     }
   }
 }
 
-void gemm_nt_packed(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
-                    const float* at, std::int64_t ld, const float* b, float* c) {
+void gemm_nt(std::int64_t m_count, std::int64_t n_count, const float* at, std::int64_t ld,
+             const NtRows& b, float* c) {
   // Few rows (a narrow conv's weight gradient): one row vector, more columns.
   if (m_count <= kLanes) {
-    nt_tiles<1>(m_count, n_count, k_count, at, ld, b, c);
+    nt_tiles<1>(m_count, n_count, at, ld, b, c);
   } else {
-    nt_tiles<2>(m_count, n_count, k_count, at, ld, b, c);
+    nt_tiles<2>(m_count, n_count, at, ld, b, c);
+  }
+}
+
+// ---- BatchNorm's per-channel double chains ---------------------------------
+//
+// Each lane of a DVec is one channel's chain. The kernels load a few
+// consecutive values of each of kDoubleLanes channels, convert them to
+// double and transpose the little matrix in registers, so that one DVec then
+// holds the channels' values at one (n, i); the lanes add those in (n, i)
+// order exactly as the one-channel loop does.
+
+// Half as many doubles as a Vec holds floats: a register of double lanes.
+constexpr std::int64_t kDoubleLanes = kLanes / 2;
+typedef double DVec __attribute__((vector_size(kDoubleLanes * sizeof(double))));
+typedef float HalfVec __attribute__((vector_size(kDoubleLanes * sizeof(float))));
+
+/// p[0, kDoubleLanes) as doubles.
+inline DVec load_doubles(const float* p) {
+  HalfVec h;
+  std::memcpy(&h, p, sizeof h);
+  return __builtin_convertvector(h, DVec);
+}
+
+/// The values of kDoubleLanes channels at one (n, i): p[l * stride] as doubles.
+inline DVec gather(const float* p, std::int64_t stride) {
+  DVec v;
+  for (int l = 0; l < kDoubleLanes; ++l) {
+    v[l] = static_cast<double>(p[l * stride]);
+  }
+  return v;
+}
+
+/// Transposes the square matrix of the rows m[0, kDoubleLanes).
+template <typename V>
+inline void transpose(V* m) {
+  if constexpr (sizeof(V) == 2 * sizeof(double)) {
+    const V a = m[0];
+    const V b = m[1];
+    m[0] = __builtin_shufflevector(a, b, 0, 2);
+    m[1] = __builtin_shufflevector(a, b, 1, 3);
+  } else {
+    static_assert(sizeof(V) == 4 * sizeof(double));
+    const V t0 = __builtin_shufflevector(m[0], m[1], 0, 4, 2, 6);
+    const V t1 = __builtin_shufflevector(m[0], m[1], 1, 5, 3, 7);
+    const V t2 = __builtin_shufflevector(m[2], m[3], 0, 4, 2, 6);
+    const V t3 = __builtin_shufflevector(m[2], m[3], 1, 5, 3, 7);
+    m[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    m[1] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    m[2] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    m[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+  }
+}
+
+/// m[l][r] = channel r's value at i + l, as doubles, for the kDoubleLanes
+/// channels whose rows start inner floats apart at p.
+inline void load_transposed(const float* p, std::int64_t inner, DVec* m) {
+  for (int r = 0; r < kDoubleLanes; ++r) {
+    m[r] = load_doubles(p + r * inner);
+  }
+  transpose(m);
+}
+
+inline void store_doubles(double* p, DVec v) { std::memcpy(p, &v, sizeof v); }
+
+/// channel_moments for the kVecs * kDoubleLanes channels from c.
+template <int kVecs>
+void moments_block(std::int64_t outer, std::int64_t channels, std::int64_t inner, std::int64_t c,
+                   const float* x, double* sum, double* sq_sum) {
+  DVec s[kVecs] = {};
+  DVec q[kVecs] = {};
+  const std::int64_t whole = inner - inner % kDoubleLanes;
+  for (std::int64_t n = 0; n < outer; ++n) {
+    const float* plane = x + (n * channels + c) * inner;
+    std::int64_t i = 0;
+    for (; i < whole; i += kDoubleLanes) {
+      for (int v = 0; v < kVecs; ++v) {
+        DVec m[kDoubleLanes];
+        load_transposed(plane + v * kDoubleLanes * inner + i, inner, m);
+        for (int l = 0; l < kDoubleLanes; ++l) {
+          s[v] += m[l];
+          q[v] += m[l] * m[l];
+        }
+      }
+    }
+    for (; i < inner; ++i) {
+      for (int v = 0; v < kVecs; ++v) {
+        const DVec d = gather(plane + v * kDoubleLanes * inner + i, inner);
+        s[v] += d;
+        q[v] += d * d;
+      }
+    }
+  }
+  for (int v = 0; v < kVecs; ++v) {
+    store_doubles(sum + c + v * kDoubleLanes, s[v]);
+    store_doubles(sq_sum + c + v * kDoubleLanes, q[v]);
+  }
+}
+
+void channel_moments(std::int64_t outer, std::int64_t channels, std::int64_t inner,
+                     const float* x, double* sum, double* sq_sum) {
+  std::int64_t c = 0;
+  for (; c + 2 * kDoubleLanes <= channels; c += 2 * kDoubleLanes) {
+    moments_block<2>(outer, channels, inner, c, x, sum, sq_sum);
+  }
+  for (; c + kDoubleLanes <= channels; c += kDoubleLanes) {
+    moments_block<1>(outer, channels, inner, c, x, sum, sq_sum);
+  }
+  for (; c < channels; ++c) {
+    double s = 0.0;
+    double q = 0.0;
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const float* in = x + (n * channels + c) * inner;
+      for (std::int64_t i = 0; i < inner; ++i) {
+        s += in[i];
+        q += static_cast<double>(in[i]) * in[i];
+      }
+    }
+    sum[c] = s;
+    sq_sum[c] = q;
+  }
+}
+
+/// channel_grads for the kVecs * kDoubleLanes channels from c.
+template <int kVecs>
+void grads_block(std::int64_t outer, std::int64_t channels, std::int64_t inner, std::int64_t c,
+                 const float* dy, const float* x_hat, double* dgamma, double* dbeta) {
+  DVec g[kVecs] = {};
+  DVec b[kVecs] = {};
+  const std::int64_t whole = inner - inner % kDoubleLanes;
+  for (std::int64_t n = 0; n < outer; ++n) {
+    const std::int64_t plane = (n * channels + c) * inner;
+    std::int64_t i = 0;
+    for (; i < whole; i += kDoubleLanes) {
+      for (int v = 0; v < kVecs; ++v) {
+        const std::int64_t at = plane + v * kDoubleLanes * inner + i;
+        DVec d[kDoubleLanes];
+        DVec xh[kDoubleLanes];
+        load_transposed(dy + at, inner, d);
+        load_transposed(x_hat + at, inner, xh);
+        for (int l = 0; l < kDoubleLanes; ++l) {
+          g[v] += d[l] * xh[l];
+          b[v] += d[l];
+        }
+      }
+    }
+    for (; i < inner; ++i) {
+      for (int v = 0; v < kVecs; ++v) {
+        const std::int64_t at = plane + v * kDoubleLanes * inner + i;
+        const DVec d = gather(dy + at, inner);
+        g[v] += d * gather(x_hat + at, inner);
+        b[v] += d;
+      }
+    }
+  }
+  for (int v = 0; v < kVecs; ++v) {
+    store_doubles(dgamma + c + v * kDoubleLanes, g[v]);
+    store_doubles(dbeta + c + v * kDoubleLanes, b[v]);
+  }
+}
+
+void channel_grads(std::int64_t outer, std::int64_t channels, std::int64_t inner,
+                   const float* dy, const float* x_hat, double* dgamma, double* dbeta) {
+  std::int64_t c = 0;
+  for (; c + 2 * kDoubleLanes <= channels; c += 2 * kDoubleLanes) {
+    grads_block<2>(outer, channels, inner, c, dy, x_hat, dgamma, dbeta);
+  }
+  for (; c + kDoubleLanes <= channels; c += kDoubleLanes) {
+    grads_block<1>(outer, channels, inner, c, dy, x_hat, dgamma, dbeta);
+  }
+  for (; c < channels; ++c) {
+    double g = 0.0;
+    double bsum = 0.0;
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const float* d = dy + (n * channels + c) * inner;
+      const float* xh = x_hat + (n * channels + c) * inner;
+      for (std::int64_t i = 0; i < inner; ++i) {
+        g += static_cast<double>(d[i]) * xh[i];
+        bsum += d[i];
+      }
+    }
+    dgamma[c] = g;
+    dbeta[c] = bsum;
   }
 }
 
 }  // namespace
 
-extern constinit const GemmKernels kKernels{kIsa, &gemm_nn, &gemm_tn, &gemm_nt_packed,
-                                            2 * kLanes};
+extern constinit const GemmKernels kKernels{
+    kIsa, &gemm_nn, &gemm_tn, &gemm_nt, 2 * kLanes, &channel_moments, &channel_grads};
 
 }  // namespace adaflow::nn::ADAFLOW_GEMM_VARIANT

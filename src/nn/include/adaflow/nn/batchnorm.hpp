@@ -21,7 +21,7 @@ class BatchNorm final : public Layer {
   BatchNorm(std::string name, std::int64_t channels, float momentum = 0.1f, float eps = 1e-5f);
 
   LayerKind kind() const override { return LayerKind::kBatchNorm; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   Shape output_shape(const Shape& input) const override;

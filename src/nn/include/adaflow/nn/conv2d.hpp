@@ -28,7 +28,7 @@ class Conv2d final : public Layer {
   Conv2d(std::string name, Conv2dConfig config, QuantSpec quant, Tensor weight);
 
   LayerKind kind() const override { return LayerKind::kConv2d; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   /// Skips the input gradient's GEMM and col2im.
   void backward_params(const Tensor& grad_output) override;

@@ -49,10 +49,15 @@ class Layer {
 
   /// Computes the layer output. When \p training is true the layer caches
   /// activations for backward and uses batch statistics where relevant.
-  virtual Tensor forward(const Tensor& input, bool training) = 0;
+  /// The layer owns \p input: it may keep it as its cache or write the
+  /// output into its storage, so a caller that is done with its tensor
+  /// moves it in.
+  virtual Tensor forward(Tensor input, bool training) = 0;
 
   /// Propagates \p grad_output to the input, accumulating parameter grads.
-  /// Must follow a forward(…, training=true) on the same batch.
+  /// Must follow a forward(…, training=true) on the same batch; throws
+  /// ShapeError when \p grad_output's shape is not that forward's output
+  /// shape.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// backward() without the input gradient, for a layer whose input is the
@@ -71,5 +76,9 @@ class Layer {
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/// Throws ShapeError, naming \p layer and both shapes, unless \p grad_output
+/// has the shape \p forward_output of the layer's last training forward.
+void check_grad_output(const Layer& layer, const Shape& forward_output, const Tensor& grad_output);
 
 }  // namespace adaflow::nn

@@ -18,7 +18,7 @@ class Linear final : public Layer {
          Tensor weight);
 
   LayerKind kind() const override { return LayerKind::kLinear; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   /// Skips the input gradient's GEMM.
   void backward_params(const Tensor& grad_output) override;

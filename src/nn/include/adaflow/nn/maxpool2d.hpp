@@ -12,7 +12,7 @@ class MaxPool2d final : public Layer {
   MaxPool2d(std::string name, std::int64_t kernel);
 
   LayerKind kind() const override { return LayerKind::kMaxPool2d; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input) const override;
 

@@ -65,8 +65,9 @@ class Model {
   /// Shape (with batch dim N) after each layer for a batch of size \p batch.
   std::vector<Shape> shapes_for_batch(std::int64_t batch) const;
 
-  /// Runs the full stack. \p input is [N, C, H, W].
-  Tensor forward(const Tensor& input, bool training);
+  /// Runs the full stack. \p input is [N, C, H, W]; each activation is
+  /// moved from layer to layer, so a caller done with its batch moves it in.
+  Tensor forward(Tensor input, bool training);
 
   /// Backpropagates the loss gradient through every layer, accumulating the
   /// parameter gradients. The gradient w.r.t. the model input is not formed.

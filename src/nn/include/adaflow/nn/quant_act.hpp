@@ -15,7 +15,7 @@ class QuantAct final : public Layer {
   QuantAct(std::string name, QuantSpec quant);
 
   LayerKind kind() const override { return LayerKind::kQuantAct; }
-  Tensor forward(const Tensor& input, bool training) override;
+  Tensor forward(Tensor input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   Shape output_shape(const Shape& input) const override { return input; }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "adaflow/nn/gemm.hpp"
+
 namespace adaflow::nn {
 
 namespace {
@@ -73,93 +75,91 @@ void BatchNorm::set_affine(Tensor gamma, Tensor beta) {
   beta_.grad = Tensor(Shape{channels_});
 }
 
-Tensor BatchNorm::forward(const Tensor& input, bool training) {
+Tensor BatchNorm::forward(Tensor input, bool training) {
   const Geometry g = geometry(input.shape(), channels_, name());
-  Tensor output(input.shape());
+  // Every pass below is element-wise, so the output overwrites the input.
+  float* data = input.data();
 
   if (!training) {
     const AffineChannel affine = inference_affine();
     for (std::int64_t n = 0; n < g.outer; ++n) {
       for (std::int64_t c = 0; c < g.channels; ++c) {
         const auto ci = static_cast<std::size_t>(c);
-        const float* in = input.data() + (n * g.channels + c) * g.inner;
-        float* out = output.data() + (n * g.channels + c) * g.inner;
+        float* x = data + (n * g.channels + c) * g.inner;
         for (std::int64_t i = 0; i < g.inner; ++i) {
-          out[i] = affine.scale[ci] * in[i] + affine.shift[ci];
+          x[i] = affine.scale[ci] * x[i] + affine.shift[ci];
         }
       }
     }
-    return output;
+    return input;
   }
 
   const double count = static_cast<double>(g.outer * g.inner);
-  cached_normalized_ = Tensor(input.shape());
+  if (cached_normalized_.shape() != input.shape()) {
+    cached_normalized_ = Tensor::uninitialized(input.shape());
+  } else {
+    poison_uninitialized(cached_normalized_.data(), cached_normalized_.size());
+  }
   cached_batch_std_.assign(static_cast<std::size_t>(channels_), 1.0f);
   cached_per_channel_ = g.outer * g.inner;
 
+  std::vector<double> sum(static_cast<std::size_t>(channels_));
+  std::vector<double> sq_sum(static_cast<std::size_t>(channels_));
+  channel_moments(g.outer, g.channels, g.inner, data, sum.data(), sq_sum.data());
+
   for (std::int64_t c = 0; c < g.channels; ++c) {
-    double sum = 0.0;
-    double sq_sum = 0.0;
-    for (std::int64_t n = 0; n < g.outer; ++n) {
-      const float* in = input.data() + (n * g.channels + c) * g.inner;
-      for (std::int64_t i = 0; i < g.inner; ++i) {
-        sum += in[i];
-        sq_sum += static_cast<double>(in[i]) * in[i];
-      }
-    }
-    const double mean = sum / count;
-    const double var = sq_sum / count - mean * mean;
-    const float std_dev = static_cast<float>(std::sqrt(var + eps_));
     const auto ci = static_cast<std::size_t>(c);
+    const double mean = sum[ci] / count;
+    const double var = sq_sum[ci] / count - mean * mean;
+    const float std_dev = static_cast<float>(std::sqrt(var + eps_));
     cached_batch_std_[ci] = std_dev;
 
     running_mean_[ci] = (1.0f - momentum_) * running_mean_[ci] + momentum_ * static_cast<float>(mean);
     running_var_[ci] = (1.0f - momentum_) * running_var_[ci] + momentum_ * static_cast<float>(var);
 
+    const float mean_f = static_cast<float>(mean);
+    const float gamma = gamma_.value[c];
+    const float beta = beta_.value[c];
     for (std::int64_t n = 0; n < g.outer; ++n) {
-      const float* in = input.data() + (n * g.channels + c) * g.inner;
+      float* x = data + (n * g.channels + c) * g.inner;
       float* norm = cached_normalized_.data() + (n * g.channels + c) * g.inner;
-      float* out = output.data() + (n * g.channels + c) * g.inner;
       for (std::int64_t i = 0; i < g.inner; ++i) {
-        const float x_hat = (in[i] - static_cast<float>(mean)) / std_dev;
+        const float x_hat = (x[i] - mean_f) / std_dev;
         norm[i] = x_hat;
-        out[i] = gamma_.value[c] * x_hat + beta_.value[c];
+        x[i] = gamma * x_hat + beta;
       }
     }
   }
-  return output;
+  return input;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
   require(!cached_normalized_.empty(), "batchnorm backward without forward");
+  check_grad_output(*this, cached_normalized_.shape(), grad_output);
   const Geometry g = geometry(grad_output.shape(), channels_, name());
-  Tensor grad_input(grad_output.shape());
+  Tensor grad_input = Tensor::uninitialized(grad_output.shape());
   const double count = static_cast<double>(cached_per_channel_);
+
+  std::vector<double> dgamma(static_cast<std::size_t>(channels_));
+  std::vector<double> dbeta(static_cast<std::size_t>(channels_));
+  channel_grads(g.outer, g.channels, g.inner, grad_output.data(), cached_normalized_.data(),
+                dgamma.data(), dbeta.data());
 
   for (std::int64_t c = 0; c < g.channels; ++c) {
     const auto ci = static_cast<std::size_t>(c);
-    double dgamma = 0.0;
-    double dbeta = 0.0;
-    for (std::int64_t n = 0; n < g.outer; ++n) {
-      const float* dy = grad_output.data() + (n * g.channels + c) * g.inner;
-      const float* x_hat = cached_normalized_.data() + (n * g.channels + c) * g.inner;
-      for (std::int64_t i = 0; i < g.inner; ++i) {
-        dgamma += static_cast<double>(dy[i]) * x_hat[i];
-        dbeta += dy[i];
-      }
-    }
-    gamma_.grad[c] += static_cast<float>(dgamma);
-    beta_.grad[c] += static_cast<float>(dbeta);
+    gamma_.grad[c] += static_cast<float>(dgamma[ci]);
+    beta_.grad[c] += static_cast<float>(dbeta[ci]);
 
     const float inv_std = 1.0f / cached_batch_std_[ci];
     const float k = gamma_.value[c] * inv_std;
+    const float mean_dy = static_cast<float>(dbeta[ci] / count);
+    const float mean_dy_x_hat = static_cast<float>(dgamma[ci] / count);
     for (std::int64_t n = 0; n < g.outer; ++n) {
       const float* dy = grad_output.data() + (n * g.channels + c) * g.inner;
       const float* x_hat = cached_normalized_.data() + (n * g.channels + c) * g.inner;
       float* dx = grad_input.data() + (n * g.channels + c) * g.inner;
       for (std::int64_t i = 0; i < g.inner; ++i) {
-        dx[i] = k * (dy[i] - static_cast<float>(dbeta / count) -
-                     x_hat[i] * static_cast<float>(dgamma / count));
+        dx[i] = k * (dy[i] - mean_dy - x_hat[i] * mean_dy_x_hat);
       }
     }
   }

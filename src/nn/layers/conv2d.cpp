@@ -12,6 +12,35 @@ namespace {
 Shape weight_shape(const Conv2dConfig& c) {
   return Shape{c.out_channels, c.in_channels * c.kernel * c.kernel};
 }
+
+// Per-thread scratch buffers of the conv passes. Each grows to the largest
+// layer that thread has run and is then reused, so a training step
+// allocates none of them.
+thread_local std::vector<float> t_col;
+thread_local std::vector<float> t_out;
+thread_local std::vector<float> t_dy;
+thread_local std::vector<float> t_dcol;
+thread_local std::vector<float> t_padded;
+thread_local std::vector<float> t_dw_partials;
+
+/// \p count floats of \p buffer, not initialised (poisoned in sanitizer
+/// builds): the caller writes every one before reading it.
+float* workspace(std::vector<float>& buffer, std::int64_t count) {
+  if (buffer.size() < static_cast<std::size_t>(count)) {
+    buffer.resize(static_cast<std::size_t>(count));
+  }
+  poison_uninitialized(buffer.data(), count);
+  return buffer.data();
+}
+
+/// dst[0, count) = src[0, count). A plain loop: the rows copied here are
+/// short (28 floats for CNV's conv1), where a memmove call per row costs
+/// more than the copy.
+inline void copy_floats(const float* src, std::int64_t count, float* dst) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[i] = src[i];
+  }
+}
 }  // namespace
 
 Conv2d::Conv2d(std::string name, Conv2dConfig config, QuantSpec quant, Rng& rng)
@@ -68,7 +97,7 @@ Conv2d::Panels Conv2d::panels(std::int64_t batch, std::int64_t pixels) {
   return Panels{samples, (batch + samples - 1) / samples};
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool training) {
+Tensor Conv2d::forward(Tensor input, bool training) {
   const Shape out_shape = output_shape(input.shape());
   const std::int64_t batch = input.dim(0);
   const std::int64_t in_h = input.dim(2);
@@ -79,7 +108,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const Panels p = panels(batch, pixels);
 
   Tensor w = effective_weight();
-  Tensor output(out_shape);
+  Tensor output = Tensor::uninitialized(out_shape);
 
   // Each output starts from +0 and adds its products in ascending k, the
   // same sum a per-sample GEMM forms, whichever panel holds its column.
@@ -87,25 +116,30 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     const std::int64_t first = panel * p.samples;
     const std::int64_t samples = std::min(p.samples, batch - first);
     const std::int64_t cols = samples * pixels;
-    std::vector<float> col(static_cast<std::size_t>(k_count * cols));
+    float* col = workspace(t_col, k_count * cols);
     for (std::int64_t s = 0; s < samples; ++s) {
       const float* in_ptr = input.data() + (first + s) * config_.in_channels * in_h * in_w;
       im2col(in_ptr, config_.in_channels, in_h, in_w, config_.kernel, config_.stride, config_.pad,
-             col.data() + s * pixels, cols);
+             col + s * pixels, cols);
     }
-    std::vector<float> out(static_cast<std::size_t>(out_ch * cols), 0.0f);
-    gemm_nn(out_ch, cols, k_count, w.data(), col.data(), out.data());
-    for (std::int64_t s = 0; s < samples; ++s) {
-      float* out_ptr = output.data() + (first + s) * out_ch * pixels;
-      for (std::int64_t c = 0; c < out_ch; ++c) {
-        const float* src = out.data() + c * cols + s * pixels;
-        std::copy(src, src + pixels, out_ptr + c * pixels);
+    // A one-sample panel has the layout of that sample's output block, so
+    // the GEMM accumulates there directly.
+    float* out = samples == 1 ? output.data() + first * out_ch * pixels
+                              : workspace(t_out, out_ch * cols);
+    std::fill(out, out + out_ch * cols, 0.0f);
+    gemm_nn(out_ch, cols, k_count, w.data(), col, out);
+    if (samples > 1) {
+      for (std::int64_t s = 0; s < samples; ++s) {
+        float* out_ptr = output.data() + (first + s) * out_ch * pixels;
+        for (std::int64_t c = 0; c < out_ch; ++c) {
+          copy_floats(out + c * cols + s * pixels, pixels, out_ptr + c * pixels);
+        }
       }
     }
   });
 
   if (training) {
-    cached_input_ = input;
+    cached_input_ = std::move(input);
     cached_effective_weight_ = std::move(w);
   }
   return output;
@@ -118,58 +152,94 @@ void Conv2d::backward_params(const Tensor& grad_output) { backward_pass(grad_out
 Tensor Conv2d::backward_pass(const Tensor& grad_output, bool input_grad) {
   require(!cached_input_.empty(), "conv backward without forward");
   const Tensor& input = cached_input_;
+  check_grad_output(*this, output_shape(input.shape()), grad_output);
   const std::int64_t batch = input.dim(0);
+  const std::int64_t channels = config_.in_channels;
   const std::int64_t in_h = input.dim(2);
   const std::int64_t in_w = input.dim(3);
+  const std::int64_t kernel = config_.kernel;
+  const std::int64_t stride = config_.stride;
+  const std::int64_t pad = config_.pad;
   const std::int64_t out_ch = config_.out_channels;
-  const std::int64_t k_count = config_.in_channels * config_.kernel * config_.kernel;
-  const std::int64_t pixels = grad_output.dim(2) * grad_output.dim(3);
+  const std::int64_t k_count = channels * kernel * kernel;
+  const std::int64_t out_h = grad_output.dim(2);
+  const std::int64_t out_w = grad_output.dim(3);
+  const std::int64_t pixels = out_h * out_w;
 
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
-  // Per-sample weight-gradient partials, reduced serially afterwards in
-  // ascending sample order, so the sum does not depend on the panels or the
-  // worker count.
-  std::vector<Tensor> dw_partial(static_cast<std::size_t>(batch));
-
-  // dW_n = dY_n [out, HW] * col_n^T [HW, K], one sample at a time.
+  // dW_n = dY_n [out, HW] * col_n^T [HW, K], one sample at a time, with
+  // col_n read in place: its row (c, kh, kw) is the (zero-bordered) image
+  // seen through the window offset (kh, kw), element (oh, ow) at
+  // (c * img_h + kh + oh * stride) * img_w + kw + ow * stride.
+  const std::int64_t img_h = in_h + 2 * pad;
+  const std::int64_t img_w = in_w + 2 * pad;
+  std::vector<std::int64_t> offsets;
+  offsets.reserve(static_cast<std::size_t>(k_count));
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t kh = 0; kh < kernel; ++kh) {
+      for (std::int64_t kw = 0; kw < kernel; ++kw) {
+        offsets.push_back((c * img_h + kh) * img_w + kw);
+      }
+    }
+  }
+  // Per-sample partials from +0, reduced serially afterwards in ascending
+  // sample order, so the sum does not depend on the worker count. The
+  // buffer belongs to the calling thread; the workers fill disjoint slices.
+  const std::int64_t w_size = weight_.grad.size();
+  float* partials = workspace(t_dw_partials, batch * w_size);
   parallel_for(batch, [&](std::int64_t n) {
-    std::vector<float> col(static_cast<std::size_t>(k_count * pixels));
-    const float* in_ptr = input.data() + n * config_.in_channels * in_h * in_w;
-    im2col(in_ptr, config_.in_channels, in_h, in_w, config_.kernel, config_.stride, config_.pad,
-           col.data());
-    Tensor dw(weight_.value.shape());
-    gemm_nt(out_ch, k_count, pixels, grad_output.data() + n * out_ch * pixels, col.data(),
-            dw.data());
-    dw_partial[static_cast<std::size_t>(n)] = std::move(dw);
+    const float* image = input.data() + n * channels * in_h * in_w;
+    if (pad > 0) {
+      float* padded = workspace(t_padded, channels * img_h * img_w);
+      std::fill(padded, padded + channels * img_h * img_w, 0.0f);
+      for (std::int64_t c = 0; c < channels; ++c) {
+        for (std::int64_t h = 0; h < in_h; ++h) {
+          copy_floats(image + (c * in_h + h) * in_w, in_w,
+                      padded + (c * img_h + h + pad) * img_w + pad);
+        }
+      }
+      image = padded;
+    }
+    float* dw = partials + n * w_size;
+    std::fill(dw, dw + w_size, 0.0f);
+    gemm_nt(out_ch, k_count, grad_output.data() + n * out_ch * pixels,
+            NtRows{image, offsets.data(), out_h, out_w, stride * img_w, stride}, dw);
   });
 
   // dCol = W^T [K, out] * dY [out, panel columns], then col2im per sample.
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();  // zeroed: col2im adds
   if (input_grad) {
     const Panels p = panels(batch, pixels);
     parallel_for(p.count, [&](std::int64_t panel) {
       const std::int64_t first = panel * p.samples;
       const std::int64_t samples = std::min(p.samples, batch - first);
       const std::int64_t cols = samples * pixels;
-      std::vector<float> dy(static_cast<std::size_t>(out_ch * cols));
-      for (std::int64_t s = 0; s < samples; ++s) {
-        const float* src = grad_output.data() + (first + s) * out_ch * pixels;
-        for (std::int64_t c = 0; c < out_ch; ++c) {
-          std::copy(src + c * pixels, src + (c + 1) * pixels, dy.data() + c * cols + s * pixels);
+      // A one-sample panel of dY is that sample's block of grad_output.
+      const float* dy = grad_output.data() + first * out_ch * pixels;
+      if (samples > 1) {
+        float* panel_dy = workspace(t_dy, out_ch * cols);
+        for (std::int64_t s = 0; s < samples; ++s) {
+          const float* src = grad_output.data() + (first + s) * out_ch * pixels;
+          for (std::int64_t c = 0; c < out_ch; ++c) {
+            copy_floats(src + c * pixels, pixels, panel_dy + c * cols + s * pixels);
+          }
         }
+        dy = panel_dy;
       }
-      std::vector<float> dcol(static_cast<std::size_t>(k_count * cols), 0.0f);
-      gemm_tn(k_count, cols, out_ch, cached_effective_weight_.data(), dy.data(), dcol.data());
+      float* dcol = workspace(t_dcol, k_count * cols);
+      std::fill(dcol, dcol + k_count * cols, 0.0f);
+      gemm_tn(k_count, cols, out_ch, cached_effective_weight_.data(), dy, dcol);
       for (std::int64_t s = 0; s < samples; ++s) {
-        float* dx = grad_input.data() + (first + s) * config_.in_channels * in_h * in_w;
-        col2im(dcol.data() + s * pixels, config_.in_channels, in_h, in_w, config_.kernel,
-               config_.stride, config_.pad, dx, cols);
+        float* dx = grad_input.data() + (first + s) * channels * in_h * in_w;
+        col2im(dcol + s * pixels, channels, in_h, in_w, kernel, stride, pad, dx, cols);
       }
     });
   }
 
-  for (const Tensor& dw : dw_partial) {
-    for (std::int64_t i = 0; i < weight_.grad.size(); ++i) {
-      weight_.grad[i] += dw[i];  // STE: gradient w.r.t. quantized weight flows to shadow
+  float* grad = weight_.grad.data();
+  for (std::int64_t n = 0; n < batch; ++n) {
+    const float* dw = partials + n * w_size;
+    for (std::int64_t i = 0; i < w_size; ++i) {
+      grad[i] += dw[i];  // STE: gradient w.r.t. quantized weight flows to shadow
     }
   }
   return grad_input;
@@ -188,8 +258,8 @@ void im2col(const float* input, std::int64_t channels, std::int64_t height, std:
       for (std::int64_t kh = 0; kh < kernel; ++kh) {
         for (std::int64_t kw = 0; kw < kernel; ++kw, ++row) {
           for (std::int64_t oh = 0; oh < out_h; ++oh) {
-            const float* src = input + (c * height + oh + kh) * width + kw;
-            std::copy(src, src + out_w, col + row * ld + oh * out_w);
+            copy_floats(input + (c * height + oh + kh) * width + kw, out_w,
+                        col + row * ld + oh * out_w);
           }
         }
       }

@@ -57,18 +57,19 @@ QuantizedWeights Linear::export_quantized() const {
   return quantize_weights(weight_.value, quant_.weight_bits);
 }
 
-Tensor Linear::forward(const Tensor& input, bool training) {
+Tensor Linear::forward(Tensor input, bool training) {
   const Shape out_shape = output_shape(input.shape());
   const std::int64_t batch = input.dim(0);
-  Tensor flat = input.rank() == 2 ? input : input.reshaped(Shape{batch, in_features_});
+  Shape input_shape = input.shape();
+  Tensor flat = std::move(input).reshaped(Shape{batch, in_features_});
 
   Tensor w = effective_weight();
-  Tensor output(out_shape);
+  Tensor output(out_shape);  // zeroed: gemm_nt accumulates into it
   // out [N, out] = flat [N, in] * W^T [in, out]
   gemm_nt(batch, out_features_, in_features_, flat.data(), w.data(), output.data());
 
   if (training) {
-    cached_input_shape_ = input.shape();
+    cached_input_shape_ = std::move(input_shape);
     cached_input_ = std::move(flat);
     cached_effective_weight_ = std::move(w);
   }
@@ -77,6 +78,7 @@ Tensor Linear::forward(const Tensor& input, bool training) {
 
 void Linear::backward_params(const Tensor& grad_output) {
   require(!cached_input_.empty(), "linear backward without forward");
+  check_grad_output(*this, Shape{cached_input_.dim(0), out_features_}, grad_output);
   // dW [out, in] += dY^T [out, N] * X [N, in]
   gemm_tn(out_features_, in_features_, cached_input_.dim(0), grad_output.data(),
           cached_input_.data(), weight_.grad.data());
@@ -87,10 +89,10 @@ Tensor Linear::backward(const Tensor& grad_output) {
   const std::int64_t batch = cached_input_.dim(0);
 
   // dX [N, in] = dY [N, out] * W [out, in]
-  Tensor grad_flat(Shape{batch, in_features_});
+  Tensor grad_flat(Shape{batch, in_features_});  // zeroed: gemm_nn accumulates into it
   gemm_nn(batch, in_features_, out_features_, grad_output.data(), cached_effective_weight_.data(),
           grad_flat.data());
-  return grad_flat.reshaped(cached_input_shape_);
+  return std::move(grad_flat).reshaped(cached_input_shape_);
 }
 
 }  // namespace adaflow::nn

@@ -17,11 +17,12 @@ Shape MaxPool2d::output_shape(const Shape& input) const {
   return Shape{input[0], input[1], input[2] / kernel_, input[3] / kernel_};
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool training) {
+Tensor MaxPool2d::forward(Tensor input, bool training) {
   const Shape out_shape = output_shape(input.shape());
-  Tensor output(out_shape);
+  Tensor output = Tensor::uninitialized(out_shape);
   if (training) {
-    argmax_.assign(static_cast<std::size_t>(output.size()), 0);
+    // Every entry is written below.
+    argmax_.resize(static_cast<std::size_t>(output.size()));
     cached_input_shape_ = input.shape();
   }
   const std::int64_t batch = input.dim(0);
@@ -61,7 +62,8 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   require(!argmax_.empty(), "maxpool backward without forward");
-  Tensor grad_input(cached_input_shape_);
+  check_grad_output(*this, output_shape(cached_input_shape_), grad_output);
+  Tensor grad_input(cached_input_shape_);  // zeroed: the gradient scatters into it
   for (std::int64_t i = 0; i < grad_output.size(); ++i) {
     grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
   }

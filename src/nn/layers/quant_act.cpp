@@ -7,10 +7,11 @@ QuantAct::QuantAct(std::string name, QuantSpec quant) : Layer(std::move(name)), 
   require(quant_.act_scale > 0.0f, "activation scale must be positive");
 }
 
-Tensor QuantAct::forward(const Tensor& input, bool training) {
-  Tensor output(input.shape());
+Tensor QuantAct::forward(Tensor input, bool training) {
+  // Element-wise, so out may be in: eval mode writes over its input.
+  Tensor output = training ? Tensor::uninitialized(input.shape()) : Tensor();
   const float* in = input.data();
-  float* out = output.data();
+  float* out = training ? output.data() : input.data();
   if (quant_.quantized_acts()) {
     const float scale = quant_.act_scale;
     const int bits = quant_.act_bits;
@@ -22,15 +23,17 @@ Tensor QuantAct::forward(const Tensor& input, bool training) {
       out[i] = in[i] > 0.0f ? in[i] : 0.0f;
     }
   }
-  if (training) {
-    cached_input_ = input;
+  if (!training) {
+    return input;
   }
+  cached_input_ = std::move(input);
   return output;
 }
 
 Tensor QuantAct::backward(const Tensor& grad_output) {
   require(!cached_input_.empty(), "quant_act backward without forward");
-  Tensor grad_input(grad_output.shape());
+  check_grad_output(*this, cached_input_.shape(), grad_output);
+  Tensor grad_input = Tensor::uninitialized(grad_output.shape());
   const float* x = cached_input_.data();
   const float* dy = grad_output.data();
   float* dx = grad_input.data();

@@ -18,6 +18,14 @@ const char* layer_kind_name(LayerKind kind) {
   return "?";
 }
 
+void check_grad_output(const Layer& layer, const Shape& forward_output, const Tensor& grad_output) {
+  if (grad_output.shape() != forward_output) {
+    throw ShapeError(std::string(layer_kind_name(layer.kind())) + " " + layer.name() +
+                     " backward: grad_output " + grad_output.shape_string() +
+                     " does not match the forward output " + shape_string(forward_output));
+  }
+}
+
 Model::Model(std::string name, Shape input_shape)
     : name_(std::move(name)), input_shape_(std::move(input_shape)) {
   require(input_shape_.size() == 3, "model input shape must be {C, H, W}");
@@ -49,12 +57,11 @@ std::vector<Shape> Model::shapes_for_batch(std::int64_t batch) const {
   return shapes;
 }
 
-Tensor Model::forward(const Tensor& input, bool training) {
-  Tensor x = input;
+Tensor Model::forward(Tensor input, bool training) {
   for (auto& layer : layers_) {
-    x = layer->forward(x, training);
+    input = layer->forward(std::move(input), training);
   }
-  return x;
+  return input;
 }
 
 void Model::backward(const Tensor& grad_output) {

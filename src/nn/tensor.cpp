@@ -13,6 +13,14 @@ Tensor::Tensor(Shape shape, float value) : shape_(std::move(shape)) {
   data_.assign(static_cast<std::size_t>(element_count(shape_)), value);
 }
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.data_.resize(static_cast<std::size_t>(element_count(shape)));
+  t.shape_ = std::move(shape);
+  poison_uninitialized(t.data(), t.size());
+  return t;
+}
+
 Tensor Tensor::he_normal(Shape shape, std::int64_t fan_in, Rng& rng) {
   require(fan_in > 0, "he_normal fan_in must be positive");
   Tensor t(std::move(shape));
@@ -37,13 +45,18 @@ void Tensor::fill(float value) {
   }
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   if (element_count(new_shape) != size()) {
     throw ShapeError("reshape from " + shape_string() + " changes element count");
   }
   Tensor t;
   t.shape_ = std::move(new_shape);
-  t.data_ = data_;
+  t.data_ = std::move(data_);
+  shape_.clear();
   return t;
 }
 
@@ -58,11 +71,11 @@ std::int64_t Tensor::element_count(const Shape& shape) {
   return n;
 }
 
-std::string Tensor::shape_string() const {
+std::string shape_string(const Shape& shape) {
   std::ostringstream os;
   os << "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    os << (i ? ", " : "") << shape_[i];
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    os << (i ? ", " : "") << shape[i];
   }
   os << "]";
   return os.str();

@@ -12,7 +12,7 @@ Tensor LabeledData::sample(std::int64_t i) const {
   const std::int64_t c = images.dim(1);
   const std::int64_t h = images.dim(2);
   const std::int64_t w = images.dim(3);
-  Tensor out(Shape{1, c, h, w});
+  Tensor out = Tensor::uninitialized(Shape{1, c, h, w});
   const float* src = images.data() + i * c * h * w;
   std::copy(src, src + c * h * w, out.data());
   return out;
@@ -23,7 +23,7 @@ LabeledData LabeledData::subset(const std::vector<std::int64_t>& indices) const 
   const std::int64_t h = images.dim(2);
   const std::int64_t w = images.dim(3);
   LabeledData out;
-  out.images = Tensor(Shape{static_cast<std::int64_t>(indices.size()), c, h, w});
+  out.images = Tensor::uninitialized(Shape{static_cast<std::int64_t>(indices.size()), c, h, w});
   out.labels.reserve(indices.size());
   const std::int64_t stride = c * h * w;
   for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -58,7 +58,7 @@ Tensor augment_batch(const Tensor& images, std::int64_t pad, Rng& rng) {
   const std::int64_t c = images.dim(1);
   const std::int64_t h = images.dim(2);
   const std::int64_t w = images.dim(3);
-  Tensor out(images.shape());
+  Tensor out = Tensor::uninitialized(images.shape());  // every pixel is written
 
   for (std::int64_t n = 0; n < batch; ++n) {
     // Random crop offset within [-pad, pad] after zero padding.
@@ -112,11 +112,11 @@ std::vector<EpochStats> Trainer::fit(Model& model, const LabeledData& train) {
       const std::int64_t end = std::min(count, start + config_.batch_size);
       std::vector<std::int64_t> batch_idx(order.begin() + start, order.begin() + end);
       LabeledData batch = train.subset(batch_idx);
-      Tensor images =
-          config_.augment ? augment_batch(batch.images, config_.augment_pad, rng) : batch.images;
+      Tensor images = config_.augment ? augment_batch(batch.images, config_.augment_pad, rng)
+                                      : std::move(batch.images);
 
       model.zero_grad();
-      Tensor logits = model.forward(images, /*training=*/true);
+      Tensor logits = model.forward(std::move(images), /*training=*/true);
       LossResult loss = softmax_cross_entropy(logits, batch.labels);
       model.backward(loss.grad);
       optimizer.step(model.params());
@@ -146,7 +146,7 @@ double Trainer::evaluate(Model& model, const LabeledData& data, std::int64_t bat
     std::vector<std::int64_t> idx(static_cast<std::size_t>(end - start));
     std::iota(idx.begin(), idx.end(), start);
     LabeledData batch = data.subset(idx);
-    Tensor logits = model.forward(batch.images, /*training=*/false);
+    Tensor logits = model.forward(std::move(batch.images), /*training=*/false);
     const std::vector<int> pred = argmax_rows(logits);
     for (std::size_t i = 0; i < pred.size(); ++i) {
       if (pred[i] == batch.labels[i]) {

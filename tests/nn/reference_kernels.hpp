@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "adaflow/common/rng.hpp"
@@ -117,6 +118,112 @@ inline void ref_col2im(const float* col, std::int64_t channels, std::int64_t hei
       }
     }
   }
+}
+
+// ---- BatchNorm (the pre-lane implementation: one channel at a time) -------
+
+/// Per-channel double sums over x[(n * channels + c) * inner + i].
+inline void ref_channel_moments(std::int64_t outer, std::int64_t channels, std::int64_t inner,
+                                const float* x, double* sum, double* sq_sum) {
+  for (std::int64_t c = 0; c < channels; ++c) {
+    double s = 0.0;
+    double q = 0.0;
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const float* in = x + (n * channels + c) * inner;
+      for (std::int64_t i = 0; i < inner; ++i) {
+        s += in[i];
+        q += static_cast<double>(in[i]) * in[i];
+      }
+    }
+    sum[c] = s;
+    sq_sum[c] = q;
+  }
+}
+
+inline void ref_channel_grads(std::int64_t outer, std::int64_t channels, std::int64_t inner,
+                              const float* dy, const float* x_hat, double* dgamma,
+                              double* dbeta) {
+  for (std::int64_t c = 0; c < channels; ++c) {
+    double g = 0.0;
+    double b = 0.0;
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const float* d = dy + (n * channels + c) * inner;
+      const float* xh = x_hat + (n * channels + c) * inner;
+      for (std::int64_t i = 0; i < inner; ++i) {
+        g += static_cast<double>(d[i]) * xh[i];
+        b += d[i];
+      }
+    }
+    dgamma[c] = g;
+    dbeta[c] = b;
+  }
+}
+
+/// What one training forward + backward of BatchNorm produces.
+struct BatchNormStep {
+  std::vector<float> output;
+  std::vector<float> grad_input;
+  std::vector<float> grad_gamma;
+  std::vector<float> grad_beta;
+  std::vector<float> running_mean;
+  std::vector<float> running_var;
+};
+
+/// BatchNorm's training forward and backward with the serial chains above,
+/// from gamma / beta and running statistics as given, with the parameter
+/// gradients starting at +0.
+inline BatchNormStep ref_batchnorm_step(std::int64_t outer, std::int64_t channels,
+                                        std::int64_t inner, const float* x, const float* dy,
+                                        const std::vector<float>& gamma,
+                                        const std::vector<float>& beta,
+                                        std::vector<float> running_mean,
+                                        std::vector<float> running_var, float momentum,
+                                        float eps) {
+  const std::size_t size = static_cast<std::size_t>(outer * channels * inner);
+  const auto chans = static_cast<std::size_t>(channels);
+  const double count = static_cast<double>(outer * inner);
+  BatchNormStep r;
+  r.output.resize(size);
+  r.grad_input.resize(size);
+  r.grad_gamma.assign(chans, 0.0f);
+  r.grad_beta.assign(chans, 0.0f);
+  std::vector<float> normalized(size);
+  std::vector<float> std_dev(chans);
+  std::vector<double> a(chans);
+  std::vector<double> b(chans);
+
+  ref_channel_moments(outer, channels, inner, x, a.data(), b.data());
+  for (std::size_t c = 0; c < chans; ++c) {
+    const double mean = a[c] / count;
+    const double var = b[c] / count - mean * mean;
+    std_dev[c] = static_cast<float>(std::sqrt(var + eps));
+    running_mean[c] = (1.0f - momentum) * running_mean[c] + momentum * static_cast<float>(mean);
+    running_var[c] = (1.0f - momentum) * running_var[c] + momentum * static_cast<float>(var);
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const std::size_t at = (static_cast<std::size_t>(n) * chans + c) * inner;
+      for (std::size_t i = at; i < at + static_cast<std::size_t>(inner); ++i) {
+        normalized[i] = (x[i] - static_cast<float>(mean)) / std_dev[c];
+        r.output[i] = gamma[c] * normalized[i] + beta[c];
+      }
+    }
+  }
+
+  ref_channel_grads(outer, channels, inner, dy, normalized.data(), a.data(), b.data());
+  for (std::size_t c = 0; c < chans; ++c) {
+    r.grad_gamma[c] += static_cast<float>(a[c]);
+    r.grad_beta[c] += static_cast<float>(b[c]);
+    const float k = gamma[c] * (1.0f / std_dev[c]);
+    for (std::int64_t n = 0; n < outer; ++n) {
+      const std::size_t at = (static_cast<std::size_t>(n) * chans + c) * inner;
+      for (std::size_t i = at; i < at + static_cast<std::size_t>(inner); ++i) {
+        r.grad_input[i] = k * (dy[i] - static_cast<float>(b[c] / count) -
+                               normalized[i] * static_cast<float>(a[c] / count));
+      }
+    }
+  }
+  r.running_mean = std::move(running_mean);
+  r.running_var = std::move(running_var);
+  return r;
 }
 
 // ---- generators -----------------------------------------------------------

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "nn/grad_shape.hpp"
+
 namespace adaflow::nn {
 namespace {
 
@@ -123,6 +125,15 @@ TEST(BatchNorm, SetStatisticsValidatesSize) {
   BatchNorm bn("bn", 2);
   EXPECT_THROW(bn.set_statistics({1.0f}, {1.0f}), ConfigError);
   EXPECT_THROW(bn.set_affine(Tensor(Shape{1}), Tensor(Shape{2})), ConfigError);
+}
+
+TEST(BatchNorm, BackwardRejectsGradientOfAnotherShape) {
+  BatchNorm bn("bn", 4);
+  bn.forward(Tensor(Shape{2, 4}), true);
+  expect_grad_shape_error(bn, Shape{2, 4}, Shape{8, 4});
+  BatchNorm conv_bn("conv_bn", 3);
+  conv_bn.forward(Tensor(Shape{2, 3, 2, 2}), true);
+  expect_grad_shape_error(conv_bn, Shape{2, 3, 2, 2}, Shape{2, 3, 3, 3});
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include "adaflow/nn/loss.hpp"
 
+#include "nn/grad_shape.hpp"
+
 namespace adaflow::nn {
 namespace {
 
@@ -169,6 +171,14 @@ TEST(Conv2d, BackwardWithoutForwardThrows) {
 TEST(Conv2d, ExternalWeightShapeChecked) {
   Conv2dConfig cfg{.in_channels = 2, .out_channels = 2, .kernel = 3};
   EXPECT_THROW(Conv2d("c", cfg, QuantSpec{}, Tensor(Shape{2, 17})), ShapeError);
+}
+
+TEST(Conv2d, BackwardRejectsGradientOfAnotherShape) {
+  Conv2d conv = make_conv({.in_channels = 2, .out_channels = 3, .kernel = 3}, 2, 4);
+  conv.forward(Tensor(Shape{2, 2, 5, 5}), true);
+  expect_grad_shape_error(conv, Shape{2, 3, 3, 3}, Shape{8, 3, 3, 3});
+  expect_grad_shape_error(conv, Shape{2, 3, 3, 3}, Shape{2, 3, 5, 5});
+  EXPECT_THROW(conv.backward_params(Tensor(Shape{8, 3, 3, 3})), ShapeError);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Bit-exact oracle for Conv2d: the layer runs its forward and input-gradient
-// GEMMs over multi-sample column panels and in parallel, and the result must
-// equal a per-sample naive reference bit for bit, at every worker count.
+// GEMMs over multi-sample column panels and in parallel, and its weight
+// gradient reads the input image in place (no im2col); the result must equal
+// a per-sample naive im2col + GEMM reference bit for bit, at every worker
+// count, for strided, padded and non-square geometries too.
 // Also pins Model::backward's first-layer skip to the full backward.
 
 #include <gtest/gtest.h>
@@ -100,27 +102,50 @@ TEST(Conv2dOracle, PanelsSpanSamplesForSmallOutputs) {
   EXPECT_EQ(Conv2d::panels(0, 9).count, 0);  // an empty batch has no panels
 }
 
+struct OracleGeometry {
+  Conv2dConfig config;
+  std::int64_t height;
+  std::int64_t width;
+};
+
+// The CNV geometry (3x3 VALID) at 1, 9 and 100 output pixels; stride 2 with
+// pad 1 on a non-square input; output rows 28 and 13 wide (not a lane
+// multiple); a 1x1 output from a strided conv; and 1x1 kernels.
+const std::vector<OracleGeometry> kOracleGeometries = {
+    {{.in_channels = 3, .out_channels = 6, .kernel = 3}, 3, 3},
+    {{.in_channels = 3, .out_channels = 6, .kernel = 3}, 5, 5},
+    {{.in_channels = 3, .out_channels = 6, .kernel = 3}, 12, 12},
+    {{.in_channels = 2, .out_channels = 4, .kernel = 3, .stride = 2, .pad = 1}, 9, 7},
+    {{.in_channels = 2, .out_channels = 5, .kernel = 3}, 5, 30},
+    {{.in_channels = 3, .out_channels = 4, .kernel = 3, .stride = 1, .pad = 1}, 4, 13},
+    {{.in_channels = 3, .out_channels = 4, .kernel = 3, .stride = 2}, 4, 4},
+    {{.in_channels = 4, .out_channels = 3, .kernel = 1}, 3, 5},
+    {{.in_channels = 2, .out_channels = 3, .kernel = 1, .stride = 2, .pad = 1}, 5, 6},
+};
+
 TEST(Conv2dOracle, PanelledConvMatchesPerSampleReferenceBitwise) {
-  // Input sizes giving 1, 9 and 100 output pixels for a 3x3 VALID conv.
-  const std::int64_t sizes[] = {3, 5, 12};
   std::uint64_t seed = 1;
   for (const int workers : {1, 2, 4}) {
     set_worker_count(workers);
     for (const std::int64_t batch : {1, 5, 33}) {
-      for (const std::int64_t size : sizes) {
+      for (const OracleGeometry& g : kOracleGeometries) {
         Rng rng(seed++);
         QuantSpec quant;
         quant.weight_bits = 2;  // ternary levels: some weights are exactly 0
-        Conv2d conv("conv", {.in_channels = 3, .out_channels = 6, .kernel = 3}, quant, rng);
-        const Tensor input = random_tensor(Shape{batch, 3, size, size}, rng, 0.2);
-        const Tensor grad_output =
-            random_tensor(conv.output_shape(input.shape()), rng, 0.3);
+        Conv2d conv("conv", g.config, quant, rng);
+        const Tensor input =
+            random_tensor(Shape{batch, g.config.in_channels, g.height, g.width}, rng, 0.2);
+        const Shape out_shape = conv.output_shape(input.shape());
+        const Tensor grad_output = random_tensor(out_shape, rng, 0.3);
 
         const ConvResult want = run_reference(conv, input, grad_output);
         const ConvResult got = run_layer(conv, input, grad_output);
-        const std::string where = "workers=" + std::to_string(workers) +
-                                  " batch=" + std::to_string(batch) +
-                                  " pixels=" + std::to_string((size - 2) * (size - 2));
+        const std::string where =
+            "workers=" + std::to_string(workers) + " batch=" + std::to_string(batch) +
+            " in=" + std::to_string(g.height) + "x" + std::to_string(g.width) +
+            " k=" + std::to_string(g.config.kernel) + " s=" + std::to_string(g.config.stride) +
+            " p=" + std::to_string(g.config.pad) + " out=" + std::to_string(out_shape[2]) + "x" +
+            std::to_string(out_shape[3]);
         EXPECT_TRUE(bitwise_equal(want.output, got.output)) << "forward, " << where;
         EXPECT_TRUE(bitwise_equal(want.grad_input, got.grad_input)) << "input grad, " << where;
         EXPECT_TRUE(bitwise_equal(want.grad_weight, got.grad_weight))

@@ -1,5 +1,7 @@
 // Bit-exact oracle tests for the nn kernels, against the naive loops in
 // reference_kernels.hpp (one output at a time, one accumulator chain). The
+// NT kernel reads B as row views; it is checked on contiguous rows (the
+// gemm_nt entry point) and on the strided views of a conv weight gradient. The
 // optimised kernels may tile and vectorise but must reproduce every float
 // bit for bit, signed zeros included, in every ISA variant: the library
 // cache is keyed on the model topology, so numeric drift would silently
@@ -100,6 +102,57 @@ void check_gemm(const GemmKernels* kernels, Kind kind, double zero_frac, std::ui
   }
 }
 
+/// B of a conv weight gradient, read in place: row (c, kh, kw) of the view
+/// over a [C, H, W] image, element (oh, ow) at (c * H + kh + oh * stride) * W
+/// + kw + ow * stride.
+struct ViewGeometry {
+  std::int64_t channels;
+  std::int64_t height;
+  std::int64_t width;
+  std::int64_t kernel;
+  std::int64_t stride;
+};
+
+/// gemm_nt on views against ref_gemm_nt on the same rows copied out by
+/// ref_im2col: the CNV conv1 geometry (28-wide rows), strides 2 and 3,
+/// non-square images, a 1x1 view and 1x1 kernels.
+void check_nt_views(const GemmKernels& kernels, std::uint64_t seed) {
+  const std::vector<ViewGeometry> geometries = {
+      {8, 30, 30, 3, 1}, {3, 9, 7, 3, 2}, {2, 5, 13, 1, 1}, {4, 3, 3, 3, 1},
+      {2, 11, 6, 5, 3},  {5, 4, 9, 2, 2}, {1, 6, 6, 1, 3},
+  };
+  Rng rng(seed);
+  for (const ViewGeometry& g : geometries) {
+    const std::int64_t out_h = (g.height - g.kernel) / g.stride + 1;
+    const std::int64_t out_w = (g.width - g.kernel) / g.stride + 1;
+    const std::int64_t n_count = g.channels * g.kernel * g.kernel;
+    const std::int64_t k_count = out_h * out_w;
+    const std::vector<float> image = random_values(g.channels * g.height * g.width, rng, 0.2);
+    std::vector<std::int64_t> off;
+    for (std::int64_t c = 0; c < g.channels; ++c) {
+      for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
+        for (std::int64_t kw = 0; kw < g.kernel; ++kw) {
+          off.push_back((c * g.height + kh) * g.width + kw);
+        }
+      }
+    }
+    const NtRows view{image.data(), off.data(), out_h, out_w, g.stride * g.width, g.stride};
+    std::vector<float> rows(static_cast<std::size_t>(n_count * k_count));
+    ref_im2col(image.data(), g.channels, g.height, g.width, g.kernel, g.stride, 0, rows.data());
+    for (const std::int64_t m_count : {1, 8, 9, 32}) {
+      const std::vector<float> a = random_values(m_count * k_count, rng, 0.3);
+      const std::vector<float> c0 = random_values(m_count * n_count, rng, 0.3);
+      std::vector<float> want = c0;
+      std::vector<float> got = c0;
+      ref_gemm_nt(m_count, n_count, k_count, a.data(), rows.data(), want.data());
+      gemm_nt(kernels, m_count, n_count, a.data(), view, got.data());
+      EXPECT_TRUE(bitwise_equal(want, got))
+          << kernels.isa << " view M=" << m_count << " C=" << g.channels << " H=" << g.height
+          << " W=" << g.width << " k=" << g.kernel << " s=" << g.stride;
+    }
+  }
+}
+
 void check_all_kinds(const GemmKernels* kernels) {
   check_gemm(kernels, Kind::kNN, 0.0, 1);
   check_gemm(kernels, Kind::kNN, 0.4, 2);
@@ -107,6 +160,7 @@ void check_all_kinds(const GemmKernels* kernels) {
   check_gemm(kernels, Kind::kNT, 0.4, 4);
   check_gemm(kernels, Kind::kTN, 0.0, 5);
   check_gemm(kernels, Kind::kTN, 0.4, 6);
+  check_nt_views(*kernels, 7);
 }
 
 TEST(GemmOracle, NNMatchesReferenceBitwise) {
@@ -118,6 +172,8 @@ TEST(GemmOracle, NTMatchesReferenceBitwise) {
   check_gemm(nullptr, Kind::kNT, 0.0, 3);
   check_gemm(nullptr, Kind::kNT, 0.4, 4);
 }
+
+TEST(GemmOracle, NTOnStridedViewsMatchesReferenceBitwise) { check_nt_views(gemm_kernels(), 7); }
 
 TEST(GemmOracle, TNMatchesReferenceBitwise) {
   check_gemm(nullptr, Kind::kTN, 0.0, 5);

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "nn/grad_shape.hpp"
+
 namespace adaflow::nn {
 namespace {
 
@@ -102,6 +104,15 @@ TEST(Linear, QuantizedExportTernary) {
 
 TEST(Linear, WeightShapeValidated) {
   EXPECT_THROW(Linear("fc", 3, 2, QuantSpec{}, Tensor(Shape{2, 4})), ShapeError);
+}
+
+TEST(Linear, BackwardRejectsGradientOfAnotherShape) {
+  Rng rng(6);
+  Linear fc("fc", 12, 5, QuantSpec{}, rng);
+  fc.forward(Tensor(Shape{2, 3, 2, 2}), true);
+  expect_grad_shape_error(fc, Shape{2, 5}, Shape{8, 5});
+  expect_grad_shape_error(fc, Shape{2, 5}, Shape{2, 6});
+  EXPECT_THROW(fc.backward_params(Tensor(Shape{8, 5})), ShapeError);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/grad_shape.hpp"
+
 namespace adaflow::nn {
 namespace {
 
@@ -61,6 +63,13 @@ TEST(MaxPool2d, NegativeValuesHandled) {
   in[2] = -1.0f;
   Tensor out = pool.forward(in, false);
   EXPECT_FLOAT_EQ(out[0], -1.0f);
+}
+
+TEST(MaxPool2d, BackwardRejectsGradientOfAnotherShape) {
+  MaxPool2d pool("pool", 2);
+  pool.forward(Tensor(Shape{2, 3, 4, 4}), true);
+  expect_grad_shape_error(pool, Shape{2, 3, 2, 2}, Shape{8, 3, 2, 2});
+  expect_grad_shape_error(pool, Shape{2, 3, 2, 2}, Shape{2, 3, 4, 4});
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/grad_shape.hpp"
+
 namespace adaflow::nn {
 namespace {
 
@@ -82,6 +84,13 @@ TEST(QuantAct, OutputNonNegative) {
     EXPECT_GE(out[i], 0.0f);
     EXPECT_LE(out[i], 1.5f);
   }
+}
+
+TEST(QuantAct, BackwardRejectsGradientOfAnotherShape) {
+  QuantAct act("act", two_bit());
+  act.forward(Tensor(Shape{2, 4}), true);
+  expect_grad_shape_error(act, Shape{2, 4}, Shape{8, 4});
+  expect_grad_shape_error(act, Shape{2, 4}, Shape{2, 4, 1, 1});
 }
 
 }  // namespace

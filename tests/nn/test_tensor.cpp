@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace adaflow::nn {
 namespace {
 
@@ -42,6 +44,28 @@ TEST(Tensor, ReshapePreservesData) {
   Tensor r = t.reshaped(Shape{3, 4});
   EXPECT_EQ(r.shape(), (Shape{3, 4}));
   EXPECT_EQ(r[7], 3.0f);
+}
+
+TEST(Tensor, ReshapeOfAnRvalueMovesTheStorage) {
+  Tensor t(Shape{2, 6});
+  t[7] = 3.0f;
+  const float* storage = t.data();
+  Tensor copy = t.reshaped(Shape{12});
+  EXPECT_NE(copy.data(), storage);
+  EXPECT_EQ(t.shape(), (Shape{2, 6}));  // an lvalue keeps its tensor
+  Tensor moved = std::move(t).reshaped(Shape{4, 3});
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_EQ(moved.shape(), (Shape{4, 3}));
+  EXPECT_EQ(moved[7], 3.0f);
+}
+
+TEST(Tensor, UninitializedHasTheShapeAndWritableStorage) {
+  Tensor t = Tensor::uninitialized(Shape{3, 5});
+  EXPECT_EQ(t.shape(), (Shape{3, 5}));
+  ASSERT_EQ(t.size(), 15);
+  t.fill(2.0f);
+  EXPECT_EQ(t[14], 2.0f);
+  EXPECT_TRUE(Tensor::uninitialized(Shape{0, 4}).empty());
 }
 
 TEST(Tensor, ReshapeRejectsCountMismatch) {

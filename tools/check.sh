@@ -19,7 +19,7 @@ cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== nn group (ctest -L nn: GEMM oracle per ISA variant, panelled conv oracle, Trainer + golden pin) =="
+echo "== nn group (ctest -L nn: GEMM oracle per ISA variant incl. strided NT views, conv oracle (stride/pad/odd widths), BatchNorm lane-chain oracle, Trainer + golden pin) =="
 ctest --test-dir "$root/build" -L nn --output-on-failure -j "$jobs"
 
 echo "== sim group (ctest -L sim: event-queue oracle + statistics tests) =="
@@ -76,8 +76,9 @@ ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ing
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
 # so TSan covers exactly those groups; the nn-training-heavy unit suite is
 # narrowed to its Parallel.* tests to keep the tier's runtime sane, and the nn
-# group to the Conv2d oracle, which runs the panelled conv at 1, 2 and 4
-# workers.
+# group to the Conv2d oracle, which runs the panelled passes and the
+# per-sample view GEMM of the weight gradient (each worker on its own scratch
+# buffers) at 1, 2 and 4 workers.
 echo "== tier 3: ThreadSanitizer shard/fleet/common tests =="
 cmake -B "$root/build-tsan" -S "$root" -DADAFLOW_TSAN=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
