@@ -1,7 +1,8 @@
 /// Google-benchmark microbenchmarks of the library's primitives: software
-/// conv forward, one QAT training step, each conv layer's and the first
-/// BatchNorm's share of it, the three GEMM kernels behind it (the context line `gemm_kernels` names
-/// the ISA variant the process selected),
+/// conv forward, one QAT training step, each conv layer's (also conv4/conv5
+/// of a 50%-pruned model), the first BatchNorm's and the first MaxPool's
+/// share of it, the three GEMM kernels behind it (the context line
+/// `gemm_kernels` names the ISA variant the process selected),
 /// functional dataflow inference (fixed vs flexible), the
 /// dataflow-aware pruner, threshold folding, and the hot paths the sharded
 /// parallel engine leans on — EventQueue scheduling at standing depth, the
@@ -10,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/gemm.hpp"
 #include "adaflow/nn/loss.hpp"
+#include "adaflow/nn/maxpool2d.hpp"
 #include "adaflow/pruning/prune.hpp"
 #include "adaflow/shard/mailbox.hpp"
 #include "adaflow/sim/event_queue.hpp"
@@ -123,8 +126,9 @@ BENCHMARK(BM_Gemm<GemmKind::kTN>)->Name("BM_GemmTN")->Unit(benchmark::kMicroseco
 // One conv layer of BM_TrainStep's model on its own: forward + backward at
 // that layer's geometry, batch 32. conv0 skips its input gradient, as in
 // Model::backward. conv4 and conv5 have 9 and 1 output pixels per sample.
-void BM_ConvLayerStep(benchmark::State& state, int conv) {
-  const nn::Model m = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+// The /p50 rows run conv4 and conv5 of that model pruned at 50% (the
+// library generator retrains such versions), with their odd channel counts.
+void BM_ConvLayerStep(benchmark::State& state, const nn::Model& m, int conv) {
   const std::size_t index = m.indices_of(nn::LayerKind::kConv2d).at(static_cast<std::size_t>(conv));
   const auto& source = m.layer_as<nn::Conv2d>(index);
   nn::Conv2d layer("conv", source.config(), source.quant(), source.weight());
@@ -144,9 +148,18 @@ void BM_ConvLayerStep(benchmark::State& state, int conv) {
 
 const bool kConvLayerStepsRegistered = [] {
   benchmark::AddCustomContext("gemm_kernels", nn::gemm_kernels().isa);
+  static const nn::Model full = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+  static const nn::Model pruned =
+      pruning::dataflow_aware_prune(full, hls::folding_for_target_fps(full, 450.0, 100e6), 0.5)
+          .model;
   for (int conv = 0; conv < 6; ++conv) {
     benchmark::RegisterBenchmark(("BM_ConvLayerStep/conv" + std::to_string(conv)).c_str(),
-                                 BM_ConvLayerStep, conv)
+                                 BM_ConvLayerStep, std::cref(full), conv)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  for (int conv : {4, 5}) {
+    benchmark::RegisterBenchmark(("BM_ConvLayerStep/conv" + std::to_string(conv) + "/p50").c_str(),
+                                 BM_ConvLayerStep, std::cref(pruned), conv)
         ->Unit(benchmark::kMicrosecond);
   }
   return true;
@@ -166,6 +179,21 @@ void BM_BatchNormStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchNormStep)->Unit(benchmark::kMicrosecond);
+
+// MaxPool2d pool1 of BM_TrainStep's model on its own: forward + backward on
+// conv1's output, 32 x 8 x 28 x 28 in (the 2x2 path). Each forward copies
+// the lvalue input once.
+void BM_MaxPoolStep(benchmark::State& state) {
+  nn::MaxPool2d layer("pool1", 2);
+  Rng rng(5);
+  const nn::Tensor input = nn::Tensor::uniform(nn::Shape{32, 8, 28, 28}, -1, 1, rng);
+  const nn::Tensor grad = nn::Tensor::uniform(nn::Shape{32, 8, 14, 14}, -1, 1, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward(input, true).data());
+    benchmark::DoNotOptimize(layer.backward(grad).data());
+  }
+}
+BENCHMARK(BM_MaxPoolStep)->Unit(benchmark::kMicrosecond);
 
 void BM_DataflowInferFixed(benchmark::State& state) {
   hls::DataflowAccelerator accel(hls::AcceleratorVariant::kFixed, compiled(), folding());

@@ -25,6 +25,12 @@ struct ClassStyle {
   double blob_r[3];       // blob radii
   int shape;              // 0 = disc mask, 1 = triangle mask, 2 = diamond
   double glyph_angle;     // inner glyph rotation
+  // cos / sin of orientation and glyph_angle, computed once per style
+  // rather than once per pixel.
+  double orientation_cos;
+  double orientation_sin;
+  double glyph_cos;
+  double glyph_sin;
 };
 
 ClassStyle class_style(const DatasetSpec& spec, int label) {
@@ -52,6 +58,10 @@ ClassStyle class_style(const DatasetSpec& spec, int label) {
     s.blob_r[b] = rng.uniform(0.08, 0.22);
   }
   s.glyph_angle = rng.uniform(0.0, 2.0 * kPi);
+  s.orientation_cos = std::cos(s.orientation);
+  s.orientation_sin = std::sin(s.orientation);
+  s.glyph_cos = std::cos(s.glyph_angle);
+  s.glyph_sin = std::sin(s.glyph_angle);
   return s;
 }
 
@@ -81,7 +91,7 @@ double shape_mask(const ClassStyle& s, double x, double y) {
 /// jitter is applied through the arguments).
 double class_field(const ClassStyle& s, double x, double y, double phase, double jx, double jy) {
   // Oriented grating inside the shape mask.
-  const double u = std::cos(s.orientation) * (x - jx) + std::sin(s.orientation) * (y - jy);
+  const double u = s.orientation_cos * (x - jx) + s.orientation_sin * (y - jy);
   double v = std::sin(2.0 * kPi * s.frequency * u + phase);
 
   // Blobs add localized features (glyph-like dots).
@@ -94,7 +104,7 @@ double class_field(const ClassStyle& s, double x, double y, double phase, double
   }
 
   // Glyph: a rotated bar through the center.
-  const double gx = std::cos(s.glyph_angle) * (x - 0.5) + std::sin(s.glyph_angle) * (y - 0.5);
+  const double gx = s.glyph_cos * (x - 0.5) + s.glyph_sin * (y - 0.5);
   const double glyph = std::exp(-gx * gx / 0.004);
 
   return shape_mask(s, x, y) * (0.6 * v + 0.9 * blobs + 0.8 * glyph);

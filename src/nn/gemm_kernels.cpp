@@ -49,14 +49,16 @@ inline Vec load(const float* p) {
 inline void store(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
 
 /// c[0, kLanes*kVecs) += a[k * a_step] * b[k * ldb + (0, kLanes*kVecs)] for k
-/// ascending, skipping zero a. The outputs stay in registers across the whole
-/// k loop.
+/// ascending, skipping zero a; with \p write the sums start from +0 instead
+/// of c. The outputs stay in registers across the whole k loop.
 template <int kVecs>
 inline void axpy_tile(std::int64_t k_count, const float* a, std::int64_t a_step, const float* b,
-                      std::int64_t ldb, float* c) {
-  Vec acc[kVecs];
-  for (int v = 0; v < kVecs; ++v) {
-    acc[v] = load(c + v * kLanes);
+                      std::int64_t ldb, float* c, bool write) {
+  Vec acc[kVecs] = {};
+  if (!write) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[v] = load(c + v * kLanes);
+    }
   }
   for (std::int64_t k = 0; k < k_count; ++k) {
     const float a_val = a[k * a_step];
@@ -78,31 +80,35 @@ inline void axpy_tile(std::int64_t k_count, const float* a, std::int64_t a_step,
 template <int kVecs>
 std::int64_t axpy_tiles(std::int64_t n, std::int64_t m_count, std::int64_t n_count,
                         std::int64_t k_count, const float* a, std::int64_t a_m_step,
-                        std::int64_t a_k_step, const float* b, float* c) {
+                        std::int64_t a_k_step, const float* b, float* c, bool write) {
   constexpr std::int64_t kWidth = kVecs * kLanes;
   for (; n + kWidth <= n_count; n += kWidth) {
     for (std::int64_t m = 0; m < m_count; ++m) {
-      axpy_tile<kVecs>(k_count, a + m * a_m_step, a_k_step, b + n, n_count, c + m * n_count + n);
+      axpy_tile<kVecs>(k_count, a + m * a_m_step, a_k_step, b + n, n_count, c + m * n_count + n,
+                       write);
     }
   }
   return n;
 }
 
-/// C[M,N] += A * B[K,N] with A(m, k) = a[m * a_m_step + k * a_k_step]: the
+/// C[M,N] (+)= A * B[K,N] with A(m, k) = a[m * a_m_step + k * a_k_step]: the
 /// common body of gemm_nn and gemm_tn. Column tiles run outermost so that
 /// one tile of B stays in L1 across all rows of C. The main tile holds 8
 /// independent accumulator chains; 4/2/1-vector tails and a scalar loop
 /// cover the columns left over.
 void gemm_axpy(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-               std::int64_t a_m_step, std::int64_t a_k_step, const float* b, float* c) {
-  std::int64_t n = axpy_tiles<8>(0, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c);
-  n = axpy_tiles<4>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c);
-  n = axpy_tiles<2>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c);
-  n = axpy_tiles<1>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c);
+               std::int64_t a_m_step, std::int64_t a_k_step, const float* b, float* c,
+               GemmOut out) {
+  const bool write = out == GemmOut::kWrite;
+  std::int64_t n =
+      axpy_tiles<8>(0, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c, write);
+  n = axpy_tiles<4>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c, write);
+  n = axpy_tiles<2>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c, write);
+  n = axpy_tiles<1>(n, m_count, n_count, k_count, a, a_m_step, a_k_step, b, c, write);
   for (; n < n_count; ++n) {
     for (std::int64_t m = 0; m < m_count; ++m) {
       const float* a_row = a + m * a_m_step;
-      float acc = c[m * n_count + n];
+      float acc = write ? 0.0f : c[m * n_count + n];
       for (std::int64_t k = 0; k < k_count; ++k) {
         const float a_val = a_row[k * a_k_step];
         if (a_val != 0.0f) {
@@ -115,98 +121,128 @@ void gemm_axpy(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count,
 }
 
 void gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c) {
-  gemm_axpy(m_count, n_count, k_count, a, k_count, 1, b, c);
+             const float* b, float* c, GemmOut out) {
+  gemm_axpy(m_count, n_count, k_count, a, k_count, 1, b, c, out);
 }
 
 void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c) {
-  gemm_axpy(m_count, n_count, k_count, a, 1, m_count, b, c);
+             const float* b, float* c, GemmOut out) {
+  gemm_axpy(m_count, n_count, k_count, a, 1, m_count, b, c, out);
 }
 
-/// sums[j * kRows + r] = +0 + sum over k ascending of at[k * ld + r] * B(j, k),
-/// for kCols columns j and kRows = kRowVecs * kLanes rows r, where B(j, k) is
-/// element k = (h, w) of the view row at rows[j]. The a row advances by ld
-/// per k, so k ascends as h, then w, ascend.
+/// Rows [m0, m0 + kRows) and columns [n0, n0 + kCols) of an NtBatch, with
+/// kRows = kRowVecs * kLanes: kCols * kRowVecs independent chains. Each
+/// output starts at its C value (+0 with \p write) and adds, in ascending
+/// sample order, that sample's dot product summed from +0 over k = (h, w)
+/// ascending. The a row of a sample advances by ld per k.
 template <int kRowVecs, int kCols>
-inline void dot_tile(const float* at, std::int64_t ld, const NtRows& b, const float* const* rows,
-                     float* sums) {
+void nt_tile(std::int64_t m_count, std::int64_t n_count, std::int64_t samples, const float* at,
+             std::int64_t ld, const NtRows& b, std::int64_t m0, std::int64_t n0, float* c,
+             bool write) {
   constexpr std::int64_t kRows = kRowVecs * kLanes;
-  Vec acc[kCols][kRowVecs] = {};
-  const float* row[kCols];
+  const std::int64_t row_count = m_count - m0 < kRows ? m_count - m0 : kRows;
+  const std::int64_t k_count = b.height * b.width;
+  // C's tile, transposed so that a column's rows form whole vectors. Rows
+  // past M are padding: their lanes are computed and never stored.
+  float sums[kCols * kRows];
   for (int j = 0; j < kCols; ++j) {
-    row[j] = rows[j];
+    for (std::int64_t r = 0; r < kRows; ++r) {
+      sums[j * kRows + r] = write || r >= row_count ? 0.0f : c[(m0 + r) * n_count + n0 + j];
+    }
   }
-  const float* a_k = at;
-  for (std::int64_t h = 0; h < b.height; ++h) {
-    for (std::int64_t w = 0; w < b.width; ++w, a_k += ld) {
-      const std::int64_t x = w * b.step;
-      Vec a_vec[kRowVecs];
-      for (int v = 0; v < kRowVecs; ++v) {
-        a_vec[v] = load(a_k + v * kLanes);
+  Vec total[kCols][kRowVecs];
+  const float* first[kCols];
+  for (int j = 0; j < kCols; ++j) {
+    for (int v = 0; v < kRowVecs; ++v) {
+      total[j][v] = load(sums + j * kRows + v * kLanes);
+    }
+    first[j] = b.base + b.off[n0 + j];
+  }
+  for (std::int64_t s = 0; s < samples; ++s) {
+    const float* row[kCols];
+    for (int j = 0; j < kCols; ++j) {
+      row[j] = first[j] + s * b.sample_stride;
+    }
+    Vec acc[kCols][kRowVecs] = {};
+    const float* a_k = at + s * k_count * ld + m0;
+    for (std::int64_t h = 0; h < b.height; ++h) {
+      for (std::int64_t w = 0; w < b.width; ++w, a_k += ld) {
+        const std::int64_t x = w * b.step;
+        Vec a_vec[kRowVecs];
+        for (int v = 0; v < kRowVecs; ++v) {
+          a_vec[v] = load(a_k + v * kLanes);
+        }
+        for (int j = 0; j < kCols; ++j) {
+          const float b_val = row[j][x];
+          for (int v = 0; v < kRowVecs; ++v) {
+            acc[j][v] += a_vec[v] * b_val;
+          }
+        }
       }
       for (int j = 0; j < kCols; ++j) {
-        const float b_val = row[j][x];
-        for (int v = 0; v < kRowVecs; ++v) {
-          acc[j][v] += a_vec[v] * b_val;
-        }
+        row[j] += b.pitch;
       }
     }
     for (int j = 0; j < kCols; ++j) {
-      row[j] += b.pitch;
+      for (int v = 0; v < kRowVecs; ++v) {
+        total[j][v] += acc[j][v];
+      }
     }
   }
   for (int j = 0; j < kCols; ++j) {
     for (int v = 0; v < kRowVecs; ++v) {
-      store(sums + j * kRows + v * kLanes, acc[j][v]);
+      store(sums + j * kRows + v * kLanes, total[j][v]);
+    }
+    for (std::int64_t r = 0; r < row_count; ++r) {
+      c[(m0 + r) * n_count + n0 + j] = sums[j * kRows + r];
     }
   }
 }
 
-/// gemm_nt on packed A^T with tiles of kRowVecs row vectors by 8 / kRowVecs
-/// columns: 8 independent chains, then a tile of half the columns and single
-/// columns for the rest.
+/// nt_tile over the last \p width < kCols columns from n0, as one tile:
+/// fewer chains, but one pass over the samples instead of one per column.
+template <int kRowVecs, int kWidth>
+void nt_last_tile(std::int64_t width, std::int64_t m_count, std::int64_t n_count,
+                  std::int64_t samples, const float* at, std::int64_t ld, const NtRows& b,
+                  std::int64_t m0, std::int64_t n0, float* c, bool write) {
+  if constexpr (kWidth > 0) {
+    if (width == kWidth) {
+      nt_tile<kRowVecs, kWidth>(m_count, n_count, samples, at, ld, b, m0, n0, c, write);
+    } else {
+      nt_last_tile<kRowVecs, kWidth - 1>(width, m_count, n_count, samples, at, ld, b, m0, n0, c,
+                                         write);
+    }
+  }
+}
+
+/// Columns [n_begin, n_end) of an NtBatch in tiles of kRowVecs row vectors
+/// by kCols = 8 / kRowVecs columns (8 independent chains), then one
+/// narrower tile for the columns left over.
 template <int kRowVecs>
-void nt_tiles(std::int64_t m_count, std::int64_t n_count, const float* at, std::int64_t ld,
-              const NtRows& b, float* c) {
+void nt_columns(std::int64_t m_count, std::int64_t n_count, std::int64_t samples,
+                const float* at, std::int64_t ld, const NtRows& b, std::int64_t n_begin,
+                std::int64_t n_end, float* c, bool write) {
   constexpr int kCols = 8 / kRowVecs;
   constexpr std::int64_t kRows = kRowVecs * kLanes;
-  float sums[kCols * kRows];
-  const float* rows[kCols];
   for (std::int64_t m0 = 0; m0 < m_count; m0 += kRows) {
-    const std::int64_t row_count = m_count - m0 < kRows ? m_count - m0 : kRows;
-    const auto tile = [&]<int kTileCols>(std::int64_t n0) {
-      for (int j = 0; j < kTileCols; ++j) {
-        rows[j] = b.base + b.off[n0 + j];
-      }
-      dot_tile<kRowVecs, kTileCols>(at + m0, ld, b, rows, sums);
-      for (int j = 0; j < kTileCols; ++j) {
-        for (std::int64_t r = 0; r < row_count; ++r) {
-          c[(m0 + r) * n_count + n0 + j] += sums[j * kRows + r];
-        }
-      }
-    };
-    std::int64_t n = 0;
-    for (; n + kCols <= n_count; n += kCols) {
-      tile.template operator()<kCols>(n);
+    std::int64_t n = n_begin;
+    for (; n + kCols <= n_end; n += kCols) {
+      nt_tile<kRowVecs, kCols>(m_count, n_count, samples, at, ld, b, m0, n, c, write);
     }
-    if (n + kCols / 2 <= n_count) {
-      tile.template operator()<kCols / 2>(n);
-      n += kCols / 2;
-    }
-    for (; n < n_count; ++n) {
-      tile.template operator()<1>(n);
-    }
+    nt_last_tile<kRowVecs, kCols - 1>(n_end - n, m_count, n_count, samples, at, ld, b, m0, n, c,
+                                      write);
   }
 }
 
-void gemm_nt(std::int64_t m_count, std::int64_t n_count, const float* at, std::int64_t ld,
-             const NtRows& b, float* c) {
+void gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t samples, const float* at,
+             std::int64_t ld, const NtRows& b, std::int64_t n_begin, std::int64_t n_end,
+             float* c, GemmOut out) {
+  const bool write = out == GemmOut::kWrite;
   // Few rows (a narrow conv's weight gradient): one row vector, more columns.
   if (m_count <= kLanes) {
-    nt_tiles<1>(m_count, n_count, at, ld, b, c);
+    nt_columns<1>(m_count, n_count, samples, at, ld, b, n_begin, n_end, c, write);
   } else {
-    nt_tiles<2>(m_count, n_count, at, ld, b, c);
+    nt_columns<2>(m_count, n_count, samples, at, ld, b, n_begin, n_end, c, write);
   }
 }
 
@@ -395,6 +431,6 @@ void channel_grads(std::int64_t outer, std::int64_t channels, std::int64_t inner
 }  // namespace
 
 extern constinit const GemmKernels kKernels{
-    kIsa, &gemm_nn, &gemm_tn, &gemm_nt, 2 * kLanes, &channel_moments, &channel_grads};
+    kIsa, &gemm_nn, &gemm_tn, &gemm_nt, kLanes, &channel_moments, &channel_grads};
 
 }  // namespace adaflow::nn::ADAFLOW_GEMM_VARIANT

@@ -13,7 +13,12 @@
 ///   product never turns a -0 in C into +0;
 /// - gemm_nt sums each dot product from +0 and adds it to C once. Its B
 ///   operand is a set of row views (NtRows), so Conv2d's weight gradient
-///   reads the input image in place instead of an im2col copy.
+///   reads the input image in place instead of an im2col copy, and a batch
+///   of such products (NtBatch) adds one dot product per sample, in
+///   ascending sample order.
+/// - GemmOut::kWrite starts every output from +0 in registers instead of
+///   loading C: the bits of zero-filling C and accumulating, without the
+///   fill. Every element of C is stored, a fully skipped one as +0.
 /// adaflow_nn builds with -ffp-contract=off, so no multiply-add is fused.
 ///
 /// The kernels come from one source built once per ISA variant: the
@@ -30,19 +35,29 @@
 
 namespace adaflow::nn {
 
-/// C[M,N] += A[M,K] * B[K,N]
+/// Whether a GEMM adds into C (C += A * B) or overwrites it (C = A * B,
+/// with the bits of C = +0; C += A * B).
+enum class GemmOut { kAccumulate, kWrite };
+
+/// C[M,N] (+)= A[M,K] * B[K,N]
 void gemm_nn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c);
+             const float* b, float* c, GemmOut out = GemmOut::kAccumulate);
 
-/// C[M,N] += A[M,K] * B[N,K]^T
+/// C[M,N] (+)= A[M,K] * B[N,K]^T
 void gemm_nt(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c);
+             const float* b, float* c, GemmOut out = GemmOut::kAccumulate);
 
-/// The B operand of gemm_nt as N row views of K = height * width elements:
-/// element k = h * width + w of row j is base[off[j] + h * pitch + w * step].
-/// A contiguous [N, K] matrix is height 1, width K, off[j] = j * K. Conv2d's
-/// weight gradient views the (zero-bordered) input image: row (c, kh, kw)
-/// starts at (c * H + kh) * W + kw, pitch = stride * W and step = stride.
+/// C[M,N] (+)= A[K,M]^T * B[K,N]
+void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
+             const float* b, float* c, GemmOut out = GemmOut::kAccumulate);
+
+/// The B operand of gemm_nt as N row views of K = height * width elements
+/// per sample: element k = h * width + w of row j of sample s is
+/// base[s * sample_stride + off[j] + h * pitch + w * step]. A contiguous
+/// [N, K] matrix is height 1, width K, off[j] = j * K. Conv2d's weight
+/// gradient views the (zero-bordered) input images: row (c, kh, kw) starts
+/// at (c * H + kh) * W + kw, pitch = stride * W, step = stride and
+/// sample_stride = C * H * W.
 struct NtRows {
   const float* base;
   const std::int64_t* off;  ///< N row offsets
@@ -50,17 +65,56 @@ struct NtRows {
   std::int64_t width;
   std::int64_t pitch;
   std::int64_t step;
+  std::int64_t sample_stride = 0;
 
   std::int64_t k_count() const { return height * width; }
 };
 
-/// C[M,N] += A[M,K] * B^T with B given as row views; K = b.k_count().
-void gemm_nt(std::int64_t m_count, std::int64_t n_count, const float* a, const NtRows& b,
-             float* c);
+struct GemmKernels;
 
-/// C[M,N] += A[K,M]^T * B[K,N]
-void gemm_tn(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c);
+/// A batch of gemm_nt products summed into one C, split by output columns
+/// so that it can run in parallel without changing a bit:
+///   C[M,N] (+)= sum over samples s = 0, 1, ... of A_s[M,K] * B_s^T,
+/// where A_s = a + s * M * K and B_s is sample s of the views b. Each output
+/// adds its samples' dot products (each from +0, in ascending k) in
+/// ascending s, which is what one gemm_nt per sample into C gives. This is
+/// a conv layer's weight gradient in one call, with no per-sample partials.
+///
+/// The constructor packs every A_s^T, once, into a buffer of the calling
+/// thread, one parallel_for task per sample (so a batch of more than one
+/// sample must not be built inside parallel_for); a thread holds one live
+/// NtBatch at a time. run(i) then forms the columns of chunk i alone, and
+/// distinct chunks may run concurrently (the caller spreads them over
+/// parallel_for). Every output belongs to exactly one chunk, so the result
+/// does not depend on the worker count.
+class NtBatch {
+ public:
+  /// Columns per chunk: a whole number of the kernels' column tiles.
+  static constexpr std::int64_t kChunkColumns = 8;
+
+  NtBatch(std::int64_t m_count, std::int64_t n_count, std::int64_t samples, const float* a,
+          const NtRows& b, float* c, GemmOut out = GemmOut::kAccumulate);
+  /// The same through the given kernel variant (the oracle tests).
+  NtBatch(const GemmKernels& kernels, std::int64_t m_count, std::int64_t n_count,
+          std::int64_t samples, const float* a, const NtRows& b, float* c,
+          GemmOut out = GemmOut::kAccumulate);
+
+  std::int64_t chunks() const { return (n_count_ + kChunkColumns - 1) / kChunkColumns; }
+  void run(std::int64_t chunk) const;
+  /// Every chunk, serially on the calling thread.
+  void run_all() const;
+
+ private:
+  const GemmKernels& kernels_;
+  std::int64_t m_count_;
+  std::int64_t n_count_;
+  std::int64_t samples_;
+  const float* at_;
+  std::int64_t ld_;
+  NtRows b_;
+  float* c_;
+  GemmOut out_;
+};
 
 /// BatchNorm's per-channel reductions over x[(n * channels + c) * inner + i]
 /// (rank 4 is [N, C, H*W], rank 2 is [N, C, 1]). Each channel is one serial
@@ -82,14 +136,18 @@ struct GemmKernels {
   const char* isa;
   /// gemm_nn and gemm_tn.
   void (*nn)(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c);
+             const float* b, float* c, GemmOut out);
   void (*tn)(std::int64_t m_count, std::int64_t n_count, std::int64_t k_count, const float* a,
-             const float* b, float* c);
-  /// gemm_nt on A^T packed as at[k * ld + m], with ld a multiple of nt_rows
-  /// and zeros in rows m >= m_count. gemm_nt below does the packing.
-  void (*nt)(std::int64_t m_count, std::int64_t n_count, const float* at, std::int64_t ld,
-             const NtRows& b, float* c);
-  std::int64_t nt_rows;
+             const float* b, float* c, GemmOut out);
+  /// Columns [n_begin, n_end) of an NtBatch, with every A_s^T packed as
+  /// at[(s * K + k) * ld + m]: ld is `lanes` when M <= lanes (the kernel
+  /// then reads one vector of rows), else M rounded up to 2 * lanes, and
+  /// the rows m >= M hold zeros. n_begin is a multiple of the chunk width.
+  void (*nt)(std::int64_t m_count, std::int64_t n_count, std::int64_t samples, const float* at,
+             std::int64_t ld, const NtRows& b, std::int64_t n_begin, std::int64_t n_end, float* c,
+             GemmOut out);
+  /// Floats per vector register.
+  std::int64_t lanes;
   /// channel_moments and channel_grads.
   void (*moments)(std::int64_t outer, std::int64_t channels, std::int64_t inner, const float* x,
                   double* sum, double* sq_sum);
@@ -107,10 +165,9 @@ const GemmKernels* gemm_kernels_for(GemmIsa isa);
 /// the widest one this CPU supports, chosen once per process.
 const GemmKernels& gemm_kernels();
 
-/// gemm_nt through the given variant.
+/// gemm_nt on a contiguous B through the given variant.
 void gemm_nt(const GemmKernels& kernels, std::int64_t m_count, std::int64_t n_count,
-             std::int64_t k_count, const float* a, const float* b, float* c);
-void gemm_nt(const GemmKernels& kernels, std::int64_t m_count, std::int64_t n_count,
-             const float* a, const NtRows& b, float* c);
+             std::int64_t k_count, const float* a, const float* b, float* c,
+             GemmOut out = GemmOut::kAccumulate);
 
 }  // namespace adaflow::nn

@@ -21,7 +21,6 @@ thread_local std::vector<float> t_out;
 thread_local std::vector<float> t_dy;
 thread_local std::vector<float> t_dcol;
 thread_local std::vector<float> t_padded;
-thread_local std::vector<float> t_dw_partials;
 
 /// \p count floats of \p buffer, not initialised (poisoned in sanitizer
 /// builds): the caller writes every one before reading it.
@@ -123,11 +122,10 @@ Tensor Conv2d::forward(Tensor input, bool training) {
              col + s * pixels, cols);
     }
     // A one-sample panel has the layout of that sample's output block, so
-    // the GEMM accumulates there directly.
+    // the GEMM writes there directly.
     float* out = samples == 1 ? output.data() + first * out_ch * pixels
                               : workspace(t_out, out_ch * cols);
-    std::fill(out, out + out_ch * cols, 0.0f);
-    gemm_nn(out_ch, cols, k_count, w.data(), col, out);
+    gemm_nn(out_ch, cols, k_count, w.data(), col, out, GemmOut::kWrite);
     if (samples > 1) {
       for (std::int64_t s = 0; s < samples; ++s) {
         float* out_ptr = output.data() + (first + s) * out_ch * pixels;
@@ -166,12 +164,13 @@ Tensor Conv2d::backward_pass(const Tensor& grad_output, bool input_grad) {
   const std::int64_t out_w = grad_output.dim(3);
   const std::int64_t pixels = out_h * out_w;
 
-  // dW_n = dY_n [out, HW] * col_n^T [HW, K], one sample at a time, with
-  // col_n read in place: its row (c, kh, kw) is the (zero-bordered) image
-  // seen through the window offset (kh, kw), element (oh, ow) at
+  // dW += sum over samples n of dY_n [out, HW] * col_n^T [HW, K], with col_n
+  // read in place: its row (c, kh, kw) is the (zero-bordered) image seen
+  // through the window offset (kh, kw), element (oh, ow) at
   // (c * img_h + kh + oh * stride) * img_w + kw + ow * stride.
   const std::int64_t img_h = in_h + 2 * pad;
   const std::int64_t img_w = in_w + 2 * pad;
+  const std::int64_t img_size = channels * img_h * img_w;
   std::vector<std::int64_t> offsets;
   offsets.reserve(static_cast<std::size_t>(k_count));
   for (std::int64_t c = 0; c < channels; ++c) {
@@ -181,67 +180,63 @@ Tensor Conv2d::backward_pass(const Tensor& grad_output, bool input_grad) {
       }
     }
   }
-  // Per-sample partials from +0, reduced serially afterwards in ascending
-  // sample order, so the sum does not depend on the worker count. The
-  // buffer belongs to the calling thread; the workers fill disjoint slices.
-  const std::int64_t w_size = weight_.grad.size();
-  float* partials = workspace(t_dw_partials, batch * w_size);
-  parallel_for(batch, [&](std::int64_t n) {
-    const float* image = input.data() + n * channels * in_h * in_w;
-    if (pad > 0) {
-      float* padded = workspace(t_padded, channels * img_h * img_w);
-      std::fill(padded, padded + channels * img_h * img_w, 0.0f);
+  const float* images = input.data();
+  if (pad > 0) {
+    float* padded = workspace(t_padded, batch * img_size);
+    std::fill(padded, padded + batch * img_size, 0.0f);
+    for (std::int64_t n = 0; n < batch; ++n) {
       for (std::int64_t c = 0; c < channels; ++c) {
         for (std::int64_t h = 0; h < in_h; ++h) {
-          copy_floats(image + (c * in_h + h) * in_w, in_w,
-                      padded + (c * img_h + h + pad) * img_w + pad);
+          copy_floats(images + ((n * channels + c) * in_h + h) * in_w, in_w,
+                      padded + n * img_size + (c * img_h + h + pad) * img_w + pad);
         }
       }
-      image = padded;
     }
-    float* dw = partials + n * w_size;
-    std::fill(dw, dw + w_size, 0.0f);
-    gemm_nt(out_ch, k_count, grad_output.data() + n * out_ch * pixels,
-            NtRows{image, offsets.data(), out_h, out_w, stride * img_w, stride}, dw);
-  });
+    images = padded;
+  }
+  // One call for the whole batch: each dW element adds its samples' dot
+  // products in ascending sample order (STE: the gradient w.r.t. the
+  // quantized weight flows to the shadow weight).
+  const NtBatch dw(out_ch, k_count, batch, grad_output.data(),
+                   NtRows{images, offsets.data(), out_h, out_w, stride * img_w, stride, img_size},
+                   weight_.grad.data());
 
   // dCol = W^T [K, out] * dY [out, panel columns], then col2im per sample.
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();  // zeroed: col2im adds
-  if (input_grad) {
-    const Panels p = panels(batch, pixels);
-    parallel_for(p.count, [&](std::int64_t panel) {
-      const std::int64_t first = panel * p.samples;
-      const std::int64_t samples = std::min(p.samples, batch - first);
-      const std::int64_t cols = samples * pixels;
-      // A one-sample panel of dY is that sample's block of grad_output.
-      const float* dy = grad_output.data() + first * out_ch * pixels;
-      if (samples > 1) {
-        float* panel_dy = workspace(t_dy, out_ch * cols);
-        for (std::int64_t s = 0; s < samples; ++s) {
-          const float* src = grad_output.data() + (first + s) * out_ch * pixels;
-          for (std::int64_t c = 0; c < out_ch; ++c) {
-            copy_floats(src + c * pixels, pixels, panel_dy + c * cols + s * pixels);
-          }
-        }
-        dy = panel_dy;
-      }
-      float* dcol = workspace(t_dcol, k_count * cols);
-      std::fill(dcol, dcol + k_count * cols, 0.0f);
-      gemm_tn(k_count, cols, out_ch, cached_effective_weight_.data(), dy, dcol);
-      for (std::int64_t s = 0; s < samples; ++s) {
-        float* dx = grad_input.data() + (first + s) * channels * in_h * in_w;
-        col2im(dcol + s * pixels, channels, in_h, in_w, kernel, stride, pad, dx, cols);
-      }
-    });
-  }
-
-  float* grad = weight_.grad.data();
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const float* dw = partials + n * w_size;
-    for (std::int64_t i = 0; i < w_size; ++i) {
-      grad[i] += dw[i];  // STE: gradient w.r.t. quantized weight flows to shadow
+  // The dW column chunks come first in the same parallel_for, so that the
+  // panels fill the workers they leave idle.
+  Tensor grad_input = input_grad ? Tensor::uninitialized(input.shape()) : Tensor();
+  const Panels p = input_grad ? panels(batch, pixels) : Panels{};
+  parallel_for(dw.chunks() + p.count, [&](std::int64_t task) {
+    if (task < dw.chunks()) {
+      dw.run(task);
+      return;
     }
-  }
+    const std::int64_t first = (task - dw.chunks()) * p.samples;
+    const std::int64_t samples = std::min(p.samples, batch - first);
+    const std::int64_t cols = samples * pixels;
+    // A one-sample panel of dY is that sample's block of grad_output.
+    const float* dy = grad_output.data() + first * out_ch * pixels;
+    if (samples > 1) {
+      float* panel_dy = workspace(t_dy, out_ch * cols);
+      for (std::int64_t s = 0; s < samples; ++s) {
+        const float* src = grad_output.data() + (first + s) * out_ch * pixels;
+        for (std::int64_t c = 0; c < out_ch; ++c) {
+          copy_floats(src + c * pixels, pixels, panel_dy + c * cols + s * pixels);
+        }
+      }
+      dy = panel_dy;
+    }
+    float* dcol = workspace(t_dcol, k_count * cols);
+    gemm_tn(k_count, cols, out_ch, cached_effective_weight_.data(), dy, dcol, GemmOut::kWrite);
+    // col2im adds overlapping windows, so the panel's samples are zeroed
+    // first, here rather than serially for the whole batch.
+    float* dx = grad_input.data() + first * channels * in_h * in_w;
+    std::fill(dx, dx + samples * channels * in_h * in_w, 0.0f);
+    for (std::int64_t s = 0; s < samples; ++s) {
+      col2im(dcol + s * pixels, channels, in_h, in_w, kernel, stride, pad,
+             dx + s * channels * in_h * in_w, cols);
+    }
+  });
   return grad_input;
 }
 

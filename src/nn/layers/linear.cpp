@@ -64,9 +64,10 @@ Tensor Linear::forward(Tensor input, bool training) {
   Tensor flat = std::move(input).reshaped(Shape{batch, in_features_});
 
   Tensor w = effective_weight();
-  Tensor output(out_shape);  // zeroed: gemm_nt accumulates into it
+  Tensor output = Tensor::uninitialized(out_shape);
   // out [N, out] = flat [N, in] * W^T [in, out]
-  gemm_nt(batch, out_features_, in_features_, flat.data(), w.data(), output.data());
+  gemm_nt(batch, out_features_, in_features_, flat.data(), w.data(), output.data(),
+          GemmOut::kWrite);
 
   if (training) {
     cached_input_shape_ = std::move(input_shape);
@@ -89,9 +90,9 @@ Tensor Linear::backward(const Tensor& grad_output) {
   const std::int64_t batch = cached_input_.dim(0);
 
   // dX [N, in] = dY [N, out] * W [out, in]
-  Tensor grad_flat(Shape{batch, in_features_});  // zeroed: gemm_nn accumulates into it
+  Tensor grad_flat = Tensor::uninitialized(Shape{batch, in_features_});
   gemm_nn(batch, in_features_, out_features_, grad_output.data(), cached_effective_weight_.data(),
-          grad_flat.data());
+          grad_flat.data(), GemmOut::kWrite);
   return std::move(grad_flat).reshaped(cached_input_shape_);
 }
 

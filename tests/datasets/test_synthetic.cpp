@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "testing/fixtures.hpp"
 
@@ -99,6 +101,32 @@ TEST(Synthetic, RejectsBadSpecs) {
   EXPECT_THROW(generate(spec), ConfigError);
   spec = synth_cifar10_spec(0, 10);
   EXPECT_THROW(generate(spec), ConfigError);
+}
+
+/// FNV-1a over the raw bytes of every pixel and label of both splits, so
+/// any change in a single bit of the synthesis moves it.
+std::uint64_t dataset_digest(const SyntheticDataset& ds) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const nn::LabeledData* split : {&ds.train, &ds.test}) {
+    mix(split->images.data(), static_cast<std::size_t>(split->images.size()) * sizeof(float));
+    mix(split->labels.data(), split->labels.size() * sizeof(int));
+  }
+  return h;
+}
+
+TEST(Synthetic, GeneratedBytesMatchGoldenDigests) {
+  // Pinned on the synthesis before ClassStyle cached its cos/sin values: a
+  // faster synthesis must leave every byte where it was.
+  EXPECT_EQ(dataset_digest(generate(synth_cifar10_spec(24, 12))), 0xf0f545e087220162ull);
+  EXPECT_EQ(dataset_digest(generate(synth_gtsrb_spec(50, 10))), 0x093499a6df9c3e2dull);
+  EXPECT_EQ(dataset_digest(generate(synth_mnist_spec(24, 12))), 0x1c2e812e15cd3aedull);
 }
 
 TEST(Synthetic, RenderLabelRangeChecked) {

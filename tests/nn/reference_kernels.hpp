@@ -120,6 +120,54 @@ inline void ref_col2im(const float* col, std::int64_t channels, std::int64_t hei
   }
 }
 
+// ---- MaxPool2d (the generic loop before the 2x2 path) ---------------------
+
+/// Max pooling with kernel == stride over [N, C, H, W]: each window scanned
+/// row by row, a later element winning only if strictly greater; argmax
+/// holds the winner's flat input index.
+inline void ref_maxpool_forward(const float* input, std::int64_t batch, std::int64_t channels,
+                                std::int64_t in_h, std::int64_t in_w, std::int64_t kernel,
+                                float* output, std::int64_t* argmax) {
+  const std::int64_t out_h = in_h / kernel;
+  const std::int64_t out_w = in_w / kernel;
+  std::int64_t out_idx = 0;
+  for (std::int64_t n = 0; n < batch; ++n) {
+    for (std::int64_t c = 0; c < channels; ++c) {
+      const float* plane = input + (n * channels + c) * in_h * in_w;
+      for (std::int64_t oh = 0; oh < out_h; ++oh) {
+        for (std::int64_t ow = 0; ow < out_w; ++ow, ++out_idx) {
+          float best = plane[(oh * kernel) * in_w + ow * kernel];
+          std::int64_t best_idx = (oh * kernel) * in_w + ow * kernel;
+          for (std::int64_t kh = 0; kh < kernel; ++kh) {
+            for (std::int64_t kw = 0; kw < kernel; ++kw) {
+              const std::int64_t idx = (oh * kernel + kh) * in_w + (ow * kernel + kw);
+              if (plane[idx] > best) {
+                best = plane[idx];
+                best_idx = idx;
+              }
+            }
+          }
+          output[out_idx] = best;
+          argmax[out_idx] = (n * channels + c) * in_h * in_w + best_idx;
+        }
+      }
+    }
+  }
+}
+
+/// The input gradient: zeroed, then each output's gradient added at its
+/// argmax.
+inline void ref_maxpool_backward(const float* grad_output, const std::int64_t* argmax,
+                                 std::int64_t out_count, std::int64_t in_count,
+                                 float* grad_input) {
+  for (std::int64_t i = 0; i < in_count; ++i) {
+    grad_input[i] = 0.0f;
+  }
+  for (std::int64_t i = 0; i < out_count; ++i) {
+    grad_input[argmax[i]] += grad_output[i];
+  }
+}
+
 // ---- BatchNorm (the pre-lane implementation: one channel at a time) -------
 
 /// Per-channel double sums over x[(n * channels + c) * inner + i].

@@ -1,8 +1,9 @@
 // Bit-exact oracle for Conv2d: the layer runs its forward and input-gradient
 // GEMMs over multi-sample column panels and in parallel, and its weight
-// gradient reads the input image in place (no im2col); the result must equal
-// a per-sample naive im2col + GEMM reference bit for bit, at every worker
-// count, for strided, padded and non-square geometries too.
+// gradient is one batched NT over the input images read in place (no
+// im2col), split into column chunks that run as parallel tasks; the result
+// must equal a per-sample naive im2col + GEMM reference bit for bit, at
+// every worker count, for strided, padded, non-square and pruned geometries.
 // Also pins Model::backward's first-layer skip to the full backward.
 
 #include <gtest/gtest.h>
@@ -110,7 +111,9 @@ struct OracleGeometry {
 
 // The CNV geometry (3x3 VALID) at 1, 9 and 100 output pixels; stride 2 with
 // pad 1 on a non-square input; output rows 28 and 13 wide (not a lane
-// multiple); a 1x1 output from a strided conv; and 1x1 kernels.
+// multiple); a 1x1 output from a strided conv; 1x1 kernels; and odd channel
+// counts as pruning leaves them (weight-gradient row tiles with padding
+// rows, a second row tile from 17 rows on, column tails of 45, 63 and 27).
 const std::vector<OracleGeometry> kOracleGeometries = {
     {{.in_channels = 3, .out_channels = 6, .kernel = 3}, 3, 3},
     {{.in_channels = 3, .out_channels = 6, .kernel = 3}, 5, 5},
@@ -121,6 +124,9 @@ const std::vector<OracleGeometry> kOracleGeometries = {
     {{.in_channels = 3, .out_channels = 4, .kernel = 3, .stride = 2}, 4, 4},
     {{.in_channels = 4, .out_channels = 3, .kernel = 1}, 3, 5},
     {{.in_channels = 2, .out_channels = 3, .kernel = 1, .stride = 2, .pad = 1}, 5, 6},
+    {{.in_channels = 5, .out_channels = 11, .kernel = 3}, 6, 6},
+    {{.in_channels = 7, .out_channels = 17, .kernel = 3}, 5, 5},
+    {{.in_channels = 3, .out_channels = 9, .kernel = 3, .stride = 1, .pad = 1}, 4, 4},
 };
 
 TEST(Conv2dOracle, PanelledConvMatchesPerSampleReferenceBitwise) {

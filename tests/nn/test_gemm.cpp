@@ -1,7 +1,9 @@
 // Bit-exact oracle tests for the nn kernels, against the naive loops in
 // reference_kernels.hpp (one output at a time, one accumulator chain). The
 // NT kernel reads B as row views; it is checked on contiguous rows (the
-// gemm_nt entry point) and on the strided views of a conv weight gradient. The
+// gemm_nt entry point), on the strided views of a conv weight gradient and
+// as a batch over samples (NtBatch); the write mode of each kernel is
+// checked against zero-filling C and accumulating. The
 // optimised kernels may tile and vectorise but must reproduce every float
 // bit for bit, signed zeros included, in every ISA variant: the library
 // cache is keyed on the model topology, so numeric drift would silently
@@ -12,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "adaflow/common/rng.hpp"
@@ -68,8 +71,12 @@ enum class Kind { kNN, kNT, kTN };
 
 /// Checks one kernel against its reference over gemm_shapes(). With
 /// \p kernels null it runs the public entry points (the selected variant).
-void check_gemm(const GemmKernels* kernels, Kind kind, double zero_frac, std::uint64_t seed) {
+/// kWrite is checked against zero-filling C and accumulating, on a C that
+/// starts as NaN, so an element the kernel does not store shows.
+void check_gemm(const GemmKernels* kernels, Kind kind, double zero_frac, std::uint64_t seed,
+                GemmOut out = GemmOut::kAccumulate) {
   Rng rng(seed);
+  const GemmKernels& variant = kernels != nullptr ? *kernels : gemm_kernels();
   for (const GemmShape& s : gemm_shapes(rng)) {
     // A is [M,K] (NN, NT) or [K,M] (TN); B is [K,N] (NN, TN) or [N,K] (NT).
     const std::vector<float> a = random_values(s.m * s.k, rng, zero_frac);
@@ -79,26 +86,29 @@ void check_gemm(const GemmKernels* kernels, Kind kind, double zero_frac, std::ui
     const std::vector<float> c0 = random_values(s.m * s.n, rng, 0.3);
     std::vector<float> want = c0;
     std::vector<float> got = c0;
+    if (out == GemmOut::kWrite) {
+      want.assign(want.size(), 0.0f);
+      got.assign(got.size(), std::numeric_limits<float>::quiet_NaN());
+    }
     switch (kind) {
       case Kind::kNN:
         ref_gemm_nn(s.m, s.n, s.k, a.data(), b.data(), want.data());
         (kernels != nullptr ? kernels->nn : gemm_nn)(s.m, s.n, s.k, a.data(), b.data(),
-                                                     got.data());
+                                                     got.data(), out);
         break;
       case Kind::kNT:
         ref_gemm_nt(s.m, s.n, s.k, a.data(), b.data(), want.data());
-        gemm_nt(kernels != nullptr ? *kernels : gemm_kernels(), s.m, s.n, s.k, a.data(),
-                b.data(), got.data());
+        gemm_nt(variant, s.m, s.n, s.k, a.data(), b.data(), got.data(), out);
         break;
       case Kind::kTN:
         ref_gemm_tn(s.m, s.n, s.k, a.data(), b.data(), want.data());
         (kernels != nullptr ? kernels->tn : gemm_tn)(s.m, s.n, s.k, a.data(), b.data(),
-                                                     got.data());
+                                                     got.data(), out);
         break;
     }
     EXPECT_TRUE(bitwise_equal(want, got))
-        << (kernels != nullptr ? kernels->isa : "selected") << " M=" << s.m << " N=" << s.n
-        << " K=" << s.k << " zero_frac=" << zero_frac;
+        << variant.isa << " M=" << s.m << " N=" << s.n << " K=" << s.k
+        << " zero_frac=" << zero_frac << (out == GemmOut::kWrite ? " write" : " accumulate");
   }
 }
 
@@ -113,9 +123,10 @@ struct ViewGeometry {
   std::int64_t stride;
 };
 
-/// gemm_nt on views against ref_gemm_nt on the same rows copied out by
-/// ref_im2col: the CNV conv1 geometry (28-wide rows), strides 2 and 3,
-/// non-square images, a 1x1 view and 1x1 kernels.
+/// NtBatch on views against ref_gemm_nt, one sample at a time in ascending
+/// order, on the same rows copied out by ref_im2col: the CNV conv1 geometry
+/// (28-wide rows), strides 2 and 3, non-square images, a 1x1 view and 1x1
+/// kernels, for one sample and for three images one after another.
 void check_nt_views(const GemmKernels& kernels, std::uint64_t seed) {
   const std::vector<ViewGeometry> geometries = {
       {8, 30, 30, 3, 1}, {3, 9, 7, 3, 2}, {2, 5, 13, 1, 1}, {4, 3, 3, 3, 1},
@@ -127,7 +138,7 @@ void check_nt_views(const GemmKernels& kernels, std::uint64_t seed) {
     const std::int64_t out_w = (g.width - g.kernel) / g.stride + 1;
     const std::int64_t n_count = g.channels * g.kernel * g.kernel;
     const std::int64_t k_count = out_h * out_w;
-    const std::vector<float> image = random_values(g.channels * g.height * g.width, rng, 0.2);
+    const std::int64_t image_size = g.channels * g.height * g.width;
     std::vector<std::int64_t> off;
     for (std::int64_t c = 0; c < g.channels; ++c) {
       for (std::int64_t kh = 0; kh < g.kernel; ++kh) {
@@ -136,19 +147,80 @@ void check_nt_views(const GemmKernels& kernels, std::uint64_t seed) {
         }
       }
     }
-    const NtRows view{image.data(), off.data(), out_h, out_w, g.stride * g.width, g.stride};
-    std::vector<float> rows(static_cast<std::size_t>(n_count * k_count));
-    ref_im2col(image.data(), g.channels, g.height, g.width, g.kernel, g.stride, 0, rows.data());
-    for (const std::int64_t m_count : {1, 8, 9, 32}) {
-      const std::vector<float> a = random_values(m_count * k_count, rng, 0.3);
-      const std::vector<float> c0 = random_values(m_count * n_count, rng, 0.3);
-      std::vector<float> want = c0;
-      std::vector<float> got = c0;
-      ref_gemm_nt(m_count, n_count, k_count, a.data(), rows.data(), want.data());
-      gemm_nt(kernels, m_count, n_count, a.data(), view, got.data());
-      EXPECT_TRUE(bitwise_equal(want, got))
-          << kernels.isa << " view M=" << m_count << " C=" << g.channels << " H=" << g.height
-          << " W=" << g.width << " k=" << g.kernel << " s=" << g.stride;
+    for (const std::int64_t samples : {1, 3}) {
+      const std::vector<float> images = random_values(samples * image_size, rng, 0.2);
+      const NtRows view{images.data(), off.data(), out_h,     out_w,
+                        g.stride * g.width, g.stride, image_size};
+      std::vector<float> rows(static_cast<std::size_t>(samples * n_count * k_count));
+      for (std::int64_t s = 0; s < samples; ++s) {
+        ref_im2col(images.data() + s * image_size, g.channels, g.height, g.width, g.kernel,
+                   g.stride, 0, rows.data() + s * n_count * k_count);
+      }
+      for (const std::int64_t m_count : {1, 8, 9, 32}) {
+        const std::vector<float> a = random_values(samples * m_count * k_count, rng, 0.3);
+        const std::vector<float> c0 = random_values(m_count * n_count, rng, 0.3);
+        std::vector<float> want = c0;
+        std::vector<float> got = c0;
+        for (std::int64_t s = 0; s < samples; ++s) {
+          ref_gemm_nt(m_count, n_count, k_count, a.data() + s * m_count * k_count,
+                      rows.data() + s * n_count * k_count, want.data());
+        }
+        NtBatch(kernels, m_count, n_count, samples, a.data(), view, got.data()).run_all();
+        EXPECT_TRUE(bitwise_equal(want, got))
+            << kernels.isa << " view M=" << m_count << " samples=" << samples
+            << " C=" << g.channels << " H=" << g.height << " W=" << g.width
+            << " k=" << g.kernel << " s=" << g.stride;
+      }
+    }
+  }
+}
+
+/// NtBatch on contiguous per-sample B against the serial reference: every
+/// sample's sums from +0, added into C in ascending sample order. M covers
+/// every row count up to 17 (pruned widths, one and two row tiles) and 32,
+/// N a conv0-like 27 (a 3-column tail), a single column and whole chunks;
+/// the values include -0. Chunks run in reverse order, as parallel workers
+/// may, and in write mode C starts as NaN.
+void check_nt_batch(const GemmKernels& kernels, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int64_t> m_counts;
+  for (std::int64_t m = 1; m <= 17; ++m) {
+    m_counts.push_back(m);
+  }
+  m_counts.push_back(32);
+  for (const std::int64_t m_count : m_counts) {
+    for (const std::int64_t n_count : {27, 1, 16}) {
+      for (const std::int64_t samples : {1, 3, 32}) {
+        const std::int64_t k_count = rng.uniform_int(1, 12);
+        const std::vector<float> a = random_values(samples * m_count * k_count, rng, 0.3);
+        const std::vector<float> b = random_values(samples * n_count * k_count, rng, 0.3);
+        std::vector<std::int64_t> off;
+        for (std::int64_t j = 0; j < n_count; ++j) {
+          off.push_back(j * k_count);
+        }
+        const NtRows view{b.data(), off.data(), 1, k_count, k_count, 1, n_count * k_count};
+        for (const GemmOut out : {GemmOut::kAccumulate, GemmOut::kWrite}) {
+          std::vector<float> want = random_values(m_count * n_count, rng, 0.3);
+          std::vector<float> got = want;
+          if (out == GemmOut::kWrite) {
+            want.assign(want.size(), 0.0f);
+            got.assign(got.size(), std::numeric_limits<float>::quiet_NaN());
+          }
+          for (std::int64_t s = 0; s < samples; ++s) {
+            ref_gemm_nt(m_count, n_count, k_count, a.data() + s * m_count * k_count,
+                        b.data() + s * n_count * k_count, want.data());
+          }
+          const NtBatch batch(kernels, m_count, n_count, samples, a.data(), view, got.data(),
+                              out);
+          for (std::int64_t i = batch.chunks(); i-- > 0;) {
+            batch.run(i);
+          }
+          EXPECT_TRUE(bitwise_equal(want, got))
+              << kernels.isa << " batch M=" << m_count << " N=" << n_count
+              << " K=" << k_count << " samples=" << samples
+              << (out == GemmOut::kWrite ? " write" : " accumulate");
+        }
+      }
     }
   }
 }
@@ -160,7 +232,11 @@ void check_all_kinds(const GemmKernels* kernels) {
   check_gemm(kernels, Kind::kNT, 0.4, 4);
   check_gemm(kernels, Kind::kTN, 0.0, 5);
   check_gemm(kernels, Kind::kTN, 0.4, 6);
+  check_gemm(kernels, Kind::kNN, 0.4, 8, GemmOut::kWrite);
+  check_gemm(kernels, Kind::kNT, 0.4, 9, GemmOut::kWrite);
+  check_gemm(kernels, Kind::kTN, 0.4, 10, GemmOut::kWrite);
   check_nt_views(*kernels, 7);
+  check_nt_batch(*kernels, 11);
 }
 
 TEST(GemmOracle, NNMatchesReferenceBitwise) {
@@ -178,6 +254,16 @@ TEST(GemmOracle, NTOnStridedViewsMatchesReferenceBitwise) { check_nt_views(gemm_
 TEST(GemmOracle, TNMatchesReferenceBitwise) {
   check_gemm(nullptr, Kind::kTN, 0.0, 5);
   check_gemm(nullptr, Kind::kTN, 0.4, 6);
+}
+
+TEST(GemmOracle, WriteModeMatchesZeroFillAndAccumulateBitwise) {
+  check_gemm(nullptr, Kind::kNN, 0.4, 8, GemmOut::kWrite);
+  check_gemm(nullptr, Kind::kNT, 0.4, 9, GemmOut::kWrite);
+  check_gemm(nullptr, Kind::kTN, 0.4, 10, GemmOut::kWrite);
+}
+
+TEST(GemmOracle, NTBatchMatchesSerialPerSampleReferenceBitwise) {
+  check_nt_batch(gemm_kernels(), 11);
 }
 
 TEST(GemmOracle, BaselineVariantMatchesReferenceBitwise) {
@@ -213,6 +299,16 @@ TEST(GemmOracle, SkippedZeroWeightKeepsNegativeZero) {
   // gemm_nt starts its dot product from +0, so -0 * 1 sums to +0 and
   // -0 + +0 is +0.
   gemm_nt(1, 1, 2, a, b, c);
+  EXPECT_FALSE(std::signbit(c[0]));
+  // Write mode stores +0 where every product is skipped, as a zero fill
+  // would leave it, and +0 + (-1 * +0) is +0.
+  const float w[2] = {-1.0f, 0.0f};
+  const float zero[2] = {0.0f, 0.0f};
+  c[0] = -0.0f;
+  gemm_nn(1, 1, 2, a, b, c, GemmOut::kWrite);
+  EXPECT_FALSE(std::signbit(c[0]));
+  c[0] = -0.0f;
+  gemm_tn(1, 1, 2, w, zero, c, GemmOut::kWrite);
   EXPECT_FALSE(std::signbit(c[0]));
 }
 

@@ -19,7 +19,7 @@ cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== nn group (ctest -L nn: GEMM oracle per ISA variant incl. strided NT views, conv oracle (stride/pad/odd widths), BatchNorm lane-chain oracle, Trainer + golden pin) =="
+echo "== nn group (ctest -L nn: GEMM oracle per ISA variant incl. strided NT views, the batched NT and write-mode NN/TN/NT, conv oracle (stride/pad/odd and pruned widths, 1/2/4 workers), BatchNorm lane-chain oracle, MaxPool2d 2x2-vs-generic oracle, Trainer + golden pin) =="
 ctest --test-dir "$root/build" -L nn --output-on-failure -j "$jobs"
 
 echo "== sim group (ctest -L sim: event-queue oracle + statistics tests) =="
@@ -76,9 +76,11 @@ ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ing
 # engine (window barriers + mailboxes) and the fleet paths the shards drive,
 # so TSan covers exactly those groups; the nn-training-heavy unit suite is
 # narrowed to its Parallel.* tests to keep the tier's runtime sane, and the nn
-# group to the Conv2d oracle, which runs the panelled passes and the
-# per-sample view GEMM of the weight gradient (each worker on its own scratch
-# buffers) at 1, 2 and 4 workers.
+# group to the Conv2d oracle, which runs the panelled passes (each worker on
+# its own scratch buffers) and the batched weight-gradient NT (its column
+# chunks as tasks of the same parallel_for) at 1, 2 and 4 workers, to the
+# batched-NT GEMM oracle, whose A^T packing runs one task per sample, and to
+# the MaxPool2d oracle, whose planes run in parallel blocks.
 echo "== tier 3: ThreadSanitizer shard/fleet/common tests =="
 cmake -B "$root/build-tsan" -S "$root" -DADAFLOW_TSAN=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
@@ -87,7 +89,7 @@ cmake --build "$root/build-tsan" -j "$jobs" --target adaflow_unit_tests \
   --target adaflow_cli
 ctest --test-dir "$root/build-tsan" -L 'shard|fleet' --output-on-failure -j "$jobs"
 ctest --test-dir "$root/build-tsan" -L unit -R '^Parallel\.' --output-on-failure -j "$jobs"
-ctest --test-dir "$root/build-tsan" -L nn -R '^Conv2dOracle\.' --output-on-failure -j "$jobs"
+ctest --test-dir "$root/build-tsan" -L nn -R '^(Conv2dOracle\.|GemmOracle\.NTBatch|MaxPool2dOracle\.)' --output-on-failure -j "$jobs"
 
 # Every simulation bench is deterministic in its quality metrics (loss, QoE,
 # conservation counters), so a --smoke run compared against the committed
