@@ -237,18 +237,7 @@ int main(int argc, char** argv) {
   };
   const fleet::FleetMetrics r1 = replay();
   const fleet::FleetMetrics r2 = replay();
-  bool identical = r1.arrived == r2.arrived && r1.dispatched == r2.dispatched &&
-                   r1.ingress_lost == r2.ingress_lost && r1.processed == r2.processed &&
-                   r1.device_lost == r2.device_lost && r1.redispatched == r2.redispatched &&
-                   r1.hedged == r2.hedged && r1.quarantines == r2.quarantines &&
-                   r1.rejoins == r2.rejoins && r1.qoe_accuracy_sum == r2.qoe_accuracy_sum &&
-                   r1.energy_j == r2.energy_j && r1.tail_latency_p95_s == r2.tail_latency_p95_s;
-  for (std::size_t i = 0; identical && i < r1.devices.size(); ++i) {
-    identical = r1.devices[i].metrics.processed == r2.devices[i].metrics.processed &&
-                r1.devices[i].quarantines == r2.devices[i].quarantines &&
-                r1.devices[i].final_health == r2.devices[i].final_health;
-  }
-  all_ok &= check(identical, "same seed replays the chaos run bit-identically");
+  all_ok &= check(sim::identical(r1, r2), "same seed replays the chaos run bit-identically");
 
   if (all_ok) {
     json.write();

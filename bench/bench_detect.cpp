@@ -37,6 +37,7 @@
 #include "adaflow/detect/scene.hpp"
 #include "adaflow/detect/yolo.hpp"
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "common.hpp"
 
 namespace {
@@ -46,18 +47,6 @@ using namespace adaflow;
 bool check(bool ok, const char* what) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
   return ok;
-}
-
-bool detection_identical(const edge::RunMetrics& a, const edge::RunMetrics& b) {
-  return a.arrived == b.arrived && a.processed == b.processed && a.lost == b.lost &&
-         a.qoe_accuracy_sum == b.qoe_accuracy_sum && a.model_switches == b.model_switches &&
-         a.detection.frames_scored == b.detection.frames_scored &&
-         a.detection.nms_pairs_total == b.detection.nms_pairs_total &&
-         a.detection.true_positives == b.detection.true_positives &&
-         a.detection.false_positives == b.detection.false_positives &&
-         a.detection.missed_objects == b.detection.missed_objects &&
-         a.detection.map_proxy_sum == b.detection.map_proxy_sum &&
-         a.detection.postprocess_s == b.detection.postprocess_s;
 }
 
 }  // namespace
@@ -167,7 +156,7 @@ int main(int argc, char** argv) {
     core::RuntimeManager second_policy(lib, manager);
     const edge::RunMetrics first = detect::run_detection(scene, first_policy, server, run, 42);
     const edge::RunMetrics second = detect::run_detection(scene, second_policy, server, run, 42);
-    all_ok &= check(detection_identical(first, second),
+    all_ok &= check(sim::identical(first, second),
                     "same seed replays the detection run bit-identically");
   }
 

@@ -16,6 +16,7 @@
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fpga/device.hpp"
 #include "adaflow/fpga/reconfig.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "common.hpp"
 
 namespace {
@@ -39,7 +40,7 @@ Summary evaluate(const core::AcceleratorLibrary& lib, const edge::WorkloadConfig
   core::RuntimeManagerConfig rmc;
 
   Summary s;
-  sim::FaultStats total;
+  std::vector<sim::FaultStats> per_run;
   double degraded = 0.0;
   double mttr = 0.0;
   for (int r = 0; r < runs; ++r) {
@@ -53,12 +54,11 @@ Summary evaluate(const core::AcceleratorLibrary& lib, const edge::WorkloadConfig
         edge::run_simulation(trace, policy, server, seed ^ 0x5bd1e995ULL, &injector);
     s.loss.add(m.frame_loss());
     s.qoe.add(m.qoe());
-    total.accumulate(m.faults);
+    per_run.push_back(m.faults);
     degraded += m.faults.degraded_fraction(m.duration_s);
     mttr += m.faults.mean_time_to_recovery_s();
   }
-  total.divide(runs);
-  s.faults = total;
+  s.faults = sim::mean(per_run);
   s.degraded_fraction = degraded / runs;
   s.mttr_s = mttr / runs;
   return s;

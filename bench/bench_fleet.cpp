@@ -226,12 +226,7 @@ int main(int argc, char** argv) {
   };
   const fleet::FleetMetrics d1 = replay();
   const fleet::FleetMetrics d2 = replay();
-  const bool identical = d1.arrived == d2.arrived && d1.dispatched == d2.dispatched &&
-                         d1.processed == d2.processed && d1.ingress_lost == d2.ingress_lost &&
-                         d1.qoe_accuracy_sum == d2.qoe_accuracy_sum &&
-                         d1.energy_j == d2.energy_j &&
-                         d1.tail_latency_p95_s == d2.tail_latency_p95_s;
-  all_ok &= check(identical, "same seed replays the fleet bit-identically");
+  all_ok &= check(sim::identical(d1, d2), "same seed replays the fleet bit-identically");
 
   if (all_ok) {
     json.write();

@@ -38,6 +38,7 @@
 #include "adaflow/edge/server.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/forecast/tracker.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "common.hpp"
 
 namespace {
@@ -106,25 +107,6 @@ void add_row(TextTable& table, const std::string& workload, const std::string& p
                  m.forecast.forecasts > 0 ? format_percent(m.forecast.mape(), 1) : "-"});
 }
 
-bool identical(const edge::RunMetrics& a, const edge::RunMetrics& b) {
-  bool same = a.arrived == b.arrived && a.processed == b.processed && a.lost == b.lost &&
-              a.qoe_accuracy_sum == b.qoe_accuracy_sum && a.energy_j == b.energy_j &&
-              a.switch_stall_s == b.switch_stall_s && a.violation_s == b.violation_s &&
-              a.model_switches == b.model_switches && a.reconfigurations == b.reconfigurations &&
-              a.forecast.forecasts == b.forecast.forecasts &&
-              a.forecast.abs_pct_error_sum == b.forecast.abs_pct_error_sum &&
-              a.forecast.interval_hits == b.forecast.interval_hits &&
-              a.forecast.changepoints == b.forecast.changepoints &&
-              a.forecast.burst_windows == b.forecast.burst_windows;
-  same = same && a.forecast_pred_series.values.size() == b.forecast_pred_series.values.size();
-  if (same) {
-    for (std::size_t i = 0; i < a.forecast_pred_series.values.size(); ++i) {
-      same = same && a.forecast_pred_series.values[i] == b.forecast_pred_series.values[i];
-    }
-  }
-  return same;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,8 +163,7 @@ int main(int argc, char** argv) {
         track_trace(diurnal, forecast::ForecasterKind::kHoltWinters, 0.5);
     const forecast::ForecastTracker b =
         track_trace(diurnal, forecast::ForecasterKind::kHoltWinters, 0.5);
-    all_ok &= check(a.stats().abs_pct_error_sum == b.stats().abs_pct_error_sum &&
-                        a.stats().interval_hits == b.stats().interval_hits,
+    all_ok &= check(sim::identical(a.stats(), b.stats()),
                     "forecast tracking is bit-identical across replays");
   }
 
@@ -245,7 +226,7 @@ int main(int argc, char** argv) {
   };
   const edge::RunMetrics first = proactive_once();
   const edge::RunMetrics second = proactive_once();
-  all_ok &= check(identical(first, second),
+  all_ok &= check(sim::identical(first, second),
                   "same seed replays the proactive run bit-identically, forecasts included");
 
   bench::export_figure(

@@ -36,6 +36,7 @@
 #include "adaflow/common/table.hpp"
 #include "adaflow/core/library.hpp"
 #include "adaflow/ingest/pipeline.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "common.hpp"
 
 namespace {
@@ -113,23 +114,6 @@ void check(bool ok, const std::string& what) {
     std::fprintf(stderr, "FAILED: %s\n", what.c_str());
     std::exit(1);
   }
-}
-
-/// Bit-identical comparison of two same-seed runs (Part C).
-bool identical(const ingest::IngestMetrics& a, const ingest::IngestMetrics& b) {
-  return a.captured == b.captured && a.duplicates == b.duplicates &&
-         a.network_lost == b.network_lost && a.stale_dropped == b.stale_dropped &&
-         a.reordered == b.reordered && a.thinned == b.thinned &&
-         a.dropall_shed == b.dropall_shed && a.queue_drops == b.queue_drops &&
-         a.decode_started == b.decode_started && a.decode_failed == b.decode_failed &&
-         a.offered_to_fleet == b.offered_to_fleet && a.fleet_shed == b.fleet_shed &&
-         a.delivered == b.delivered && a.lost_in_fleet == b.lost_in_fleet &&
-         a.degraded_delivered == b.degraded_delivered &&
-         a.qoe_accuracy_sum == b.qoe_accuracy_sum &&
-         a.e2e_latency.identical(b.e2e_latency) &&
-         a.brownout.tier1_engagements == b.brownout.tier1_engagements &&
-         a.brownout.tier2_engagements == b.brownout.tier2_engagements &&
-         a.final_tier == b.final_tier && a.fleet.dispatched == b.fleet.dispatched;
 }
 
 void emit_mode(bench::BenchJson& json, const char* scenario, const ingest::IngestMetrics& m) {
@@ -216,8 +200,8 @@ int main(int argc, char** argv) {
   const ingest::IngestMetrics ladder2 =
       run(overload_config(lib, duration_s, ingest::BrownoutMode::kLadder), lib);
   const ingest::IngestMetrics churn2 = run(churn_config(lib, duration_s), lib);
-  check(identical(ladder, ladder2), "same-seed overload replay is bit-identical");
-  check(identical(churn, churn2), "same-seed churn replay is bit-identical");
+  check(sim::identical(ladder, ladder2), "same-seed overload replay is bit-identical");
+  check(sim::identical(churn, churn2), "same-seed churn replay is bit-identical");
 
   // --- JSON artefact (shared BenchJson schema) ------------------------------
   bench::BenchJson json("ingest");

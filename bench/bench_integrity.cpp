@@ -242,18 +242,8 @@ int main(int argc, char** argv) {
                       f1.devices[2].metrics.integrity.canaries_failed == 0,
                   "clean fleet devices never fail a canary");
   all_ok &= check(fleet_conserved(f1), "flow conservation holds through quarantine drains");
-  const bool identical =
-      f1.arrived == f2.arrived && f1.processed == f2.processed &&
-      f1.qoe_accuracy_sum == f2.qoe_accuracy_sum && f1.energy_j == f2.energy_j &&
-      f1.quarantines == f2.quarantines &&
-      f1.integrity.upsets_injected == f2.integrity.upsets_injected &&
-      f1.integrity.wrong_frames == f2.integrity.wrong_frames &&
-      f1.integrity.canaries_sent == f2.integrity.canaries_sent &&
-      f1.integrity.detections == f2.integrity.detections &&
-      f1.integrity.repairs == f2.integrity.repairs &&
-      f1.integrity.corrupt_time_s == f2.integrity.corrupt_time_s &&
-      f1.integrity.detection_latency_sum_s == f2.integrity.detection_latency_sum_s;
-  all_ok &= check(identical, "same seed replays the integrity fleet run bit-identically");
+  all_ok &= check(sim::identical(f1, f2),
+                  "same seed replays the integrity fleet run bit-identically");
 
   if (all_ok) {
     json.write();

@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   const tenant::MultiTenantMetrics replay =
       run(duration_s, tenant::SchedulerPolicy::kWfq, tenant::PartitionPolicy::kRateAware,
           /*allow_borrow=*/true, lib);
-  check(treatment.identical(replay), "same-seed replay is bit-identical");
+  check(sim::identical(treatment, replay), "same-seed replay is bit-identical");
 
   bench::BenchJson json("tenant");
   emit(json, "fifo_peak", baseline);

@@ -19,7 +19,9 @@ namespace adaflow {
 
 /// Runs fn(i) for i in [0, count) across the global worker pool. Blocks until
 /// all iterations finish. fn must be safe to call concurrently for distinct i.
-/// Falls back to a serial loop for small counts or when only one core exists.
+/// Falls back to a serial loop for small counts, when only one core exists,
+/// and when called from inside another parallel_for's iteration (a nested
+/// call runs inline on the calling thread instead of waiting on the pool).
 void parallel_for(std::int64_t count, const std::function<void(std::int64_t)>& fn);
 
 /// Number of workers in the global pool (>= 1).

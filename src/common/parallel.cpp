@@ -13,6 +13,22 @@ namespace {
 
 constexpr int kMaxWorkers = 512;
 
+/// Set while this thread runs an iteration of a parallel_for job — on a
+/// worker or on the publishing caller. A parallel_for issued from inside
+/// such an iteration runs serially on this thread: publishing a second job
+/// would wait for the pool to drain the first, which cannot finish until
+/// this iteration returns.
+thread_local bool t_in_pool_task = false;
+
+/// Marks the current thread as running pool iterations for its lifetime.
+class TaskScope {
+ public:
+  TaskScope() { t_in_pool_task = true; }
+  ~TaskScope() { t_in_pool_task = false; }
+  TaskScope(const TaskScope&) = delete;
+  TaskScope& operator=(const TaskScope&) = delete;
+};
+
 /// Persistent pool: workers sleep until a job (function + iteration range) is
 /// published, grab iterations via an atomic counter, then report completion.
 class Pool {
@@ -37,7 +53,7 @@ class Pool {
     if (count <= 0) {
       return;
     }
-    if (count == 1 || workers_.empty()) {
+    if (count == 1 || workers_.empty() || t_in_pool_task) {
       for (std::int64_t i = 0; i < count; ++i) {
         fn(i);
       }
@@ -97,6 +113,7 @@ class Pool {
   }
 
   void drain() {
+    const TaskScope scope;
     while (true) {
       const std::int64_t i = next_.fetch_add(1);
       if (i >= total_) {

@@ -77,8 +77,7 @@ struct DetectionLibraryConfig {
 
 /// Sweeps \p config.rates over yolo_graph(topology, rate) and fills a
 /// core::AcceleratorLibrary priced by the analytical models — every version
-/// carries the shared worst-case folding (the untuned generator path; the
-/// dse tuner can retune per-version foldings via dse::explore_graph). The
+/// carries the shared worst-case folding (the untuned generator path). The
 /// library's topology_hash is the unpruned graph's, so the TSV cache can
 /// never hand a CNV library to a detection run or vice versa.
 core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,

@@ -8,7 +8,6 @@
 #include "adaflow/common/math.hpp"
 #include "adaflow/common/parallel.hpp"
 #include "adaflow/common/rng.hpp"
-#include "adaflow/graph/lower.hpp"
 
 namespace adaflow::dse {
 
@@ -541,12 +540,6 @@ ExplorationResult explore(const nn::Model& model, const fpga::FpgaDevice& device
   require(!layers.empty(), "model has no MVTU layers to fold");
   return explore_geometry(hls::compile_geometry(model), layers.front().weight_bits,
                           layers.front().act_bits, device, config);
-}
-
-ExplorationResult explore_graph(const graph::Graph& graph, const fpga::FpgaDevice& device,
-                                const ExplorerConfig& config) {
-  return explore_geometry(graph::lower_geometry(graph), graph.quant().weight_bits,
-                          graph.quant().act_bits, device, config);
 }
 
 std::vector<LayerReport> layer_breakdown(const SearchSpace& space, const DesignPoint& point) {

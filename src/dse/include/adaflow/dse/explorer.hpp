@@ -25,7 +25,6 @@
 
 #include "adaflow/dse/search_space.hpp"
 #include "adaflow/fpga/device.hpp"
-#include "adaflow/graph/graph.hpp"
 #include "adaflow/nn/model.hpp"
 
 namespace adaflow::dse {
@@ -110,13 +109,6 @@ ExplorationResult explore_geometry(const hls::CompiledModel& geometry, int weigh
 /// (untrained models work — only layer shapes matter).
 ExplorationResult explore(const nn::Model& model, const fpga::FpgaDevice& device,
                           const ExplorerConfig& config);
-
-/// Graph-IR entry point: lowers \p graph to stage geometry (branchy DAGs
-/// included — detection heads with concat/upsample land on the non-MVTU
-/// overhead path) and explores its folding lattice with the graph's
-/// quantization.
-ExplorationResult explore_graph(const graph::Graph& graph, const fpga::FpgaDevice& device,
-                                const ExplorerConfig& config);
 
 /// Recomputes the per-layer breakdown of \p point against \p space.
 std::vector<LayerReport> layer_breakdown(const SearchSpace& space, const DesignPoint& point);

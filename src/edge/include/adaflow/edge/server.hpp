@@ -95,9 +95,11 @@ RunMetrics run_simulation(const WorkloadTrace& trace, ServingPolicy& policy,
 /// and cannot be averaged. Benches that need switching activity across every
 /// run must read `switches_per_run` / `reconfigurations_per_run` instead.
 struct RepeatedRunResult {
-  RunMetrics mean;                 ///< per-run means: scalars divided by runs
-                                   ///< (counts rounded), series averaged;
-                                   ///< `mean.switches` is run 0's trace only
+  RunMetrics mean;                 ///< sim::mean over RunMetrics' field table:
+                                   ///< scalars divided by runs (counts
+                                   ///< rounded), series averaged, e2e
+                                   ///< histogram pooled; `mean.switches` is
+                                   ///< run 0's trace only
   sim::RunningStat frame_loss;
   sim::RunningStat qoe;
   sim::RunningStat power;
@@ -116,10 +118,12 @@ struct RepeatedRunResult {
 };
 
 /// The fold behind run_repeated: per-run results (index = run) into their
-/// per-run means, spreads and pooled ratios. Every RunMetrics field is
-/// carried: counters and stats are summed then divided by the run count,
-/// except `mean.e2e_latency`, which is the pooled histogram of all runs.
-RepeatedRunResult summarize_runs(std::vector<RunMetrics> runs);
+/// per-run means, spreads and pooled ratios. The mean is derived from
+/// RunMetrics' field table (sim::mean in sim/fields.hpp), so every field is
+/// carried: counters and stats are summed in run order then divided by the
+/// run count, except `mean.e2e_latency`, which is the pooled histogram of
+/// all runs. The pooled ratios are those of sim::total.
+RepeatedRunResult summarize_runs(const std::vector<RunMetrics>& runs);
 
 /// Trace-factory core of run_repeated: \p trace_factory maps the per-run
 /// seed to the WorkloadTrace of that run, which is what generated traces
@@ -152,7 +156,7 @@ RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& fac
     results[idx] =
         run_simulation(traces[idx], *policies[idx], config, seed ^ 0x5bd1e995ULL);
   });
-  return summarize_runs(std::move(results));
+  return summarize_runs(results);
 }
 
 /// Averages scalar metrics and series over repeated runs of \p workload

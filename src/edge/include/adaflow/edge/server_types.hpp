@@ -8,8 +8,11 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "adaflow/sim/fields.hpp"
 #include "adaflow/sim/stats.hpp"
 
 namespace adaflow::edge {
@@ -60,6 +63,15 @@ struct SwitchRecord {
   std::string accelerator;
   bool reconfiguration = false;
 };
+
+constexpr auto field_table(std::type_identity<SwitchRecord>) {
+  using S = SwitchRecord;
+  return std::tuple{
+      sim::first("time_s", &S::time_s), sim::first("model_version", &S::model_version),
+      sim::first("accelerator", &S::accelerator),
+      sim::first("reconfiguration", &S::reconfiguration),
+  };
+}
 
 struct RunMetrics {
   std::int64_t arrived = 0;
@@ -112,17 +124,30 @@ struct RunMetrics {
   double average_power_w() const { return duration_s > 0 ? energy_j / duration_s : 0.0; }
   /// Processed inferences per watt-second (per joule).
   double power_efficiency() const { return energy_j > 0 ? processed / energy_j : 0.0; }
-
-  /// Folds \p other — metrics of a DISJOINT device subset simulated over the
-  /// same wall of time — into this one (the sharded engine's reduction).
-  /// Counters, energy, stall/violation time, fault/forecast/integrity stats,
-  /// and the e2e histogram add; duration takes the max; switch records concatenate in
-  /// call order; workload/power series merge element-wise additively,
-  /// loss/qoe series as the workload-weighted mean, forecast series
-  /// additively. A default-constructed RunMetrics is the identity, and the
-  /// integer state merges associatively (doubles to rounding) — see the
-  /// series-merge contract in sim/stats.hpp.
-  void merge(const RunMetrics& other);
 };
+
+/// RunMetrics' folds (sim/fields.hpp).
+constexpr auto field_table(std::type_identity<RunMetrics>) {
+  using S = RunMetrics;
+  return std::tuple{
+      sim::sum("arrived", &S::arrived), sim::sum("processed", &S::processed),
+      sim::sum("lost", &S::lost), sim::sum("qoe_accuracy_sum", &S::qoe_accuracy_sum),
+      sim::sum("energy_j", &S::energy_j),
+      sim::max("duration_s", &S::duration_s),
+      sim::sum("switch_stall_s", &S::switch_stall_s), sim::sum("violation_s", &S::violation_s),
+      sim::sum("model_switches", &S::model_switches),
+      sim::sum("reconfigurations", &S::reconfigurations),
+      sim::concat("switches", &S::switches),
+      sim::sum("faults", &S::faults), sim::sum("forecast", &S::forecast),
+      sim::sum("integrity", &S::integrity), sim::sum("detection", &S::detection),
+      sim::histogram("e2e_latency", &S::e2e_latency),
+      sim::sum_series("workload_series", &S::workload_series),
+      sim::weighted_series("loss_series", &S::loss_series),
+      sim::weighted_series("qoe_series", &S::qoe_series),
+      sim::sum_series("power_series", &S::power_series),
+      sim::sum_series("forecast_actual_series", &S::forecast_actual_series),
+      sim::sum_series("forecast_pred_series", &S::forecast_pred_series),
+  };
+}
 
 }  // namespace adaflow::edge

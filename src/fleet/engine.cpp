@@ -91,14 +91,6 @@ const core::AcceleratorLibrary& FleetEngine::device_library(std::size_t i) const
   return config_.devices[i].library != nullptr ? *config_.devices[i].library : fleet_library_;
 }
 
-double FleetEngine::worst_backlog_seconds() const {
-  double worst = 0.0;
-  for (const auto& dev : devices_) {
-    worst = std::max(worst, dev->backlog_seconds());
-  }
-  return worst;
-}
-
 void FleetEngine::set_frame_hooks(std::function<void(std::int64_t, double)> on_done,
                                   std::function<void(std::int64_t)> on_lost) {
   on_frame_done_ = std::move(on_done);
@@ -761,9 +753,9 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
     metrics_.energy_j += m.energy_j;
     metrics_.model_switches += m.model_switches;
     metrics_.reconfigurations += m.reconfigurations;
-    metrics_.faults.accumulate(m.faults);
-    metrics_.integrity.accumulate(m.integrity);
-    metrics_.detection.accumulate(m.detection);
+    sim::merge(metrics_.faults, m.faults);
+    sim::merge(metrics_.integrity, m.integrity);
+    sim::merge(metrics_.detection, m.detection);
     FleetDeviceResult result;
     result.name = config_.devices[i].name;
     result.queued_at_end = devices_[i]->queued();

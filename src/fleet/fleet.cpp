@@ -1,6 +1,5 @@
 #include "adaflow/fleet/fleet.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -62,42 +61,6 @@ void FleetConfig::validate() const {
           "quarantine/probe/rejoin machinery lives in the health monitor)");
     }
   }
-}
-
-void FleetMetrics::merge(const FleetMetrics& other) {
-  // Weighted series first: they read both sides' workload series pre-merge.
-  loss_series = sim::merge_weighted_series(loss_series, workload_series.values,
-                                           other.loss_series, other.workload_series.values);
-  qoe_series = sim::merge_weighted_series(qoe_series, workload_series.values,
-                                          other.qoe_series, other.workload_series.values);
-  workload_series = sim::merge_sum_series(workload_series, other.workload_series);
-  backlog_series = sim::merge_max_series(backlog_series, other.backlog_series);
-
-  arrived += other.arrived;
-  dispatched += other.dispatched;
-  ingress_lost += other.ingress_lost;
-  ingress_backlog += other.ingress_backlog;
-  redispatched += other.redispatched;
-  hedged += other.hedged;
-  hedge_wasted += other.hedge_wasted;
-  quarantines += other.quarantines;
-  rejoins += other.rejoins;
-  processed += other.processed;
-  device_lost += other.device_lost;
-  qoe_accuracy_sum += other.qoe_accuracy_sum;
-  energy_j += other.energy_j;
-  duration_s = std::max(duration_s, other.duration_s);
-  model_switches += other.model_switches;
-  reconfigurations += other.reconfigurations;
-  repartitions += other.repartitions;
-  tail_latency_p95_s = std::max(tail_latency_p95_s, other.tail_latency_p95_s);
-  faults.accumulate(other.faults);
-  forecast.accumulate(other.forecast);
-  integrity.accumulate(other.integrity);
-  detection.accumulate(other.detection);
-  e2e_latency.merge(other.e2e_latency);
-  devices.insert(devices.end(), other.devices.begin(), other.devices.end());
-  tenants.insert(tenants.end(), other.tenants.begin(), other.tenants.end());
 }
 
 PinnedPolicy::PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t version)

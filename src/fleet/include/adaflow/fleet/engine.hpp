@@ -156,8 +156,6 @@ class FleetEngine {
   /// Library device \p i serves from (its own, or the fleet default).
   const core::AcceleratorLibrary& device_library(std::size_t i) const;
   std::int64_t ingress_backlog() const { return static_cast<std::int64_t>(ingress_->size()); }
-  /// Worst per-device backlog drain estimate right now [s].
-  double worst_backlog_seconds() const;
   /// Externally commanded switch on device \p i — the same validated,
   /// fault-injected, timeout/retry-laddered path the coordinator uses.
   /// Callers gate on device(i).switch_in_flight().

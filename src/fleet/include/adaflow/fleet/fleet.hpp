@@ -26,6 +26,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "adaflow/core/library.hpp"
@@ -37,6 +39,7 @@
 #include "adaflow/fleet/health.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/integrity/manager.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "adaflow/sim/stats.hpp"
 
 namespace adaflow::edge {
@@ -148,6 +151,19 @@ struct TenantUsage {
   }
 };
 
+constexpr auto field_table(std::type_identity<TenantUsage>) {
+  using S = TenantUsage;
+  return std::tuple{
+      sim::first("name", &S::name),
+      sim::sum("offered", &S::offered), sim::sum("admitted", &S::admitted),
+      sim::sum("throttled", &S::throttled), sim::sum("shed", &S::shed),
+      sim::sum("delivered", &S::delivered), sim::sum("lost", &S::lost),
+      sim::sum("qoe_accuracy_sum", &S::qoe_accuracy_sum),
+      sim::sum("slo_violation_s", &S::slo_violation_s),
+      sim::histogram("latency", &S::latency),
+  };
+}
+
 struct FleetDeviceResult {
   std::string name;
   edge::RunMetrics metrics;
@@ -156,6 +172,16 @@ struct FleetDeviceResult {
   std::int64_t rejoins = 0;           ///< probed recoveries back to healthy
   HealthState final_health = HealthState::kHealthy;
 };
+
+constexpr auto field_table(std::type_identity<FleetDeviceResult>) {
+  using S = FleetDeviceResult;
+  return std::tuple{
+      sim::first("name", &S::name),
+      sim::sum("metrics", &S::metrics), sim::sum("queued_at_end", &S::queued_at_end),
+      sim::sum("quarantines", &S::quarantines), sim::sum("rejoins", &S::rejoins),
+      sim::first("final_health", &S::final_health),
+  };
+}
 
 /// Aggregate + per-device outcome of one fleet run.
 struct FleetMetrics {
@@ -231,20 +257,38 @@ struct FleetMetrics {
     return arrived > 0 ? qoe_accuracy_sum / static_cast<double>(arrived) : 0.0;
   }
   double average_power_w() const { return duration_s > 0 ? energy_j / duration_s : 0.0; }
-
-  /// Folds \p other — the metrics of a DISJOINT shard of the fleet simulated
-  /// over the same wall of time — into this one (the sharded engine's
-  /// reduction, run on the main thread in fixed shard order). Counters,
-  /// energy, fault/forecast stats, and the e2e histogram add; duration and
-  /// tail_latency_p95_s take the max (each shard's p95 lower-bounds the
-  /// union's, and the conservative-window engine reports the worst shard);
-  /// device results and tenant rows concatenate in call order; the workload
-  /// series merges additively, backlog as element-wise max, loss/qoe as the
-  /// workload-weighted mean. A default-constructed FleetMetrics is the
-  /// identity and the integer state merges associatively (doubles to
-  /// rounding) — the contract tests/shard/test_merge.cpp pins.
-  void merge(const FleetMetrics& other);
 };
+
+/// FleetMetrics' folds (sim/fields.hpp); sim::merge is the sharded engine's
+/// reduction of its shards, in shard order. tail_latency_p95_s takes the max:
+/// each shard's p95 lower-bounds the union's, and the conservative-window
+/// engine reports the worst shard.
+constexpr auto field_table(std::type_identity<FleetMetrics>) {
+  using S = FleetMetrics;
+  return std::tuple{
+      sim::sum("arrived", &S::arrived), sim::sum("dispatched", &S::dispatched),
+      sim::sum("ingress_lost", &S::ingress_lost), sim::sum("ingress_backlog", &S::ingress_backlog),
+      sim::sum("redispatched", &S::redispatched), sim::sum("hedged", &S::hedged),
+      sim::sum("hedge_wasted", &S::hedge_wasted), sim::sum("quarantines", &S::quarantines),
+      sim::sum("rejoins", &S::rejoins), sim::sum("processed", &S::processed),
+      sim::sum("device_lost", &S::device_lost), sim::sum("qoe_accuracy_sum", &S::qoe_accuracy_sum),
+      sim::sum("energy_j", &S::energy_j),
+      sim::max("duration_s", &S::duration_s),
+      sim::sum("model_switches", &S::model_switches),
+      sim::sum("reconfigurations", &S::reconfigurations),
+      sim::sum("repartitions", &S::repartitions),
+      sim::max("tail_latency_p95_s", &S::tail_latency_p95_s),
+      sim::sum_series("workload_series", &S::workload_series),
+      sim::weighted_series("loss_series", &S::loss_series),
+      sim::weighted_series("qoe_series", &S::qoe_series),
+      sim::max_series("backlog_series", &S::backlog_series),
+      sim::sum("faults", &S::faults), sim::sum("forecast", &S::forecast),
+      sim::sum("integrity", &S::integrity), sim::sum("detection", &S::detection),
+      sim::histogram("e2e_latency", &S::e2e_latency),
+      sim::concat("devices", &S::devices), sim::concat("tenants", &S::tenants),
+  };
+}
+
 
 /// Serves one library version on its Fixed-Pruning accelerator and never
 /// acts on its own; the fleet coordinator re-targets it through

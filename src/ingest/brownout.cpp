@@ -6,18 +6,6 @@
 
 namespace adaflow::ingest {
 
-const char* brownout_mode_name(BrownoutMode mode) {
-  switch (mode) {
-    case BrownoutMode::kOff:
-      return "off";
-    case BrownoutMode::kLadder:
-      return "ladder";
-    case BrownoutMode::kDropAll:
-      return "drop-all";
-  }
-  return "unknown";
-}
-
 void BrownoutConfig::validate() const {
   require(std::isfinite(poll_interval_s) && poll_interval_s > 0.0,
           "brownout config: poll_interval_s must be positive");

@@ -41,8 +41,6 @@ enum class BrownoutMode {
   kDropAll,  ///< baseline: binary admission control (all or nothing)
 };
 
-const char* brownout_mode_name(BrownoutMode mode);
-
 struct BrownoutConfig {
   BrownoutMode mode = BrownoutMode::kLadder;
   double poll_interval_s = 0.1;  ///< signal sampling cadence (set by the pipeline)

@@ -27,12 +27,15 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/ingest/brownout.hpp"
 #include "adaflow/ingest/network.hpp"
 #include "adaflow/ingest/session.hpp"
+#include "adaflow/sim/fields.hpp"
 
 namespace adaflow::ingest {
 
@@ -150,6 +153,80 @@ struct IngestMetrics {
             session_queued + decode_in_flight + fleet_backlog);
   }
 };
+
+// Field tables (sim/fields.hpp). Across DISJOINT camera subsets every
+// counter adds, the end-of-run in-flight counts included.
+
+constexpr auto field_table(std::type_identity<BrownoutStats>) {
+  using S = BrownoutStats;
+  return std::tuple{
+      sim::sum("tier1_engagements", &S::tier1_engagements),
+      sim::sum("tier2_engagements", &S::tier2_engagements),
+      sim::sum("time_tier1_s", &S::time_tier1_s), sim::sum("time_tier2_s", &S::time_tier2_s),
+      sim::sum("time_shedding_s", &S::time_shedding_s),
+  };
+}
+
+constexpr auto field_table(std::type_identity<CameraSessionStats>) {
+  using S = CameraSessionStats;
+  return std::tuple{
+      sim::sum("connects", &S::connects), sim::sum("disconnects", &S::disconnects),
+      sim::sum("reconnect_attempts", &S::reconnect_attempts),
+      sim::sum("frames_captured", &S::frames_captured),
+  };
+}
+
+constexpr auto field_table(std::type_identity<NetworkStats>) {
+  using S = NetworkStats;
+  return std::tuple{
+      sim::sum("transmitted", &S::transmitted), sim::sum("duplicates", &S::duplicates),
+      sim::sum("lost_iid", &S::lost_iid), sim::sum("lost_burst", &S::lost_burst),
+      sim::sum("lost_outage", &S::lost_outage), sim::sum("delivered", &S::delivered),
+  };
+}
+
+constexpr auto field_table(std::type_identity<StaleFilter::Stats>) {
+  using S = StaleFilter::Stats;
+  return std::tuple{
+      sim::sum("arrived", &S::arrived), sim::sum("accepted", &S::accepted),
+      sim::sum("dropped_stale", &S::dropped_stale), sim::sum("reordered", &S::reordered),
+  };
+}
+
+constexpr auto field_table(std::type_identity<IngestSessionResult>) {
+  using S = IngestSessionResult;
+  return std::tuple{
+      sim::first("name", &S::name), sim::first("final_state", &S::final_state),
+      sim::sum("session", &S::session), sim::sum("network", &S::network),
+      sim::sum("filter", &S::filter), sim::sum("queue_drops", &S::queue_drops),
+      sim::sum("queued_at_end", &S::queued_at_end),
+  };
+}
+
+constexpr auto field_table(std::type_identity<IngestMetrics>) {
+  using S = IngestMetrics;
+  return std::tuple{
+      sim::max("duration_s", &S::duration_s),
+      sim::sum("captured", &S::captured), sim::sum("duplicates", &S::duplicates),
+      sim::sum("network_lost", &S::network_lost),
+      sim::sum("network_in_flight", &S::network_in_flight),
+      sim::sum("stale_dropped", &S::stale_dropped), sim::sum("reordered", &S::reordered),
+      sim::sum("thinned", &S::thinned), sim::sum("dropall_shed", &S::dropall_shed),
+      sim::sum("queue_drops", &S::queue_drops), sim::sum("session_queued", &S::session_queued),
+      sim::sum("decode_started", &S::decode_started), sim::sum("decode_failed", &S::decode_failed),
+      sim::sum("decode_in_flight", &S::decode_in_flight),
+      sim::sum("offered_to_fleet", &S::offered_to_fleet), sim::sum("fleet_shed", &S::fleet_shed),
+      sim::sum("delivered", &S::delivered), sim::sum("lost_in_fleet", &S::lost_in_fleet),
+      sim::sum("fleet_backlog", &S::fleet_backlog),
+      sim::sum("degraded_delivered", &S::degraded_delivered),
+      sim::sum("qoe_accuracy_sum", &S::qoe_accuracy_sum),
+      sim::histogram("e2e_latency", &S::e2e_latency),
+      sim::sum("brownout", &S::brownout),
+      sim::max("final_tier", &S::final_tier),
+      sim::sum("faults", &S::faults), sim::sum("fleet", &S::fleet),
+      sim::concat("sessions", &S::sessions),
+  };
+}
 
 /// Runs the full ingest pipeline over a fresh FleetEngine. \p library is the
 /// fleet's default library; \p seed derives every component stream — the

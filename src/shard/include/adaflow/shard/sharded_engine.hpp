@@ -89,11 +89,13 @@ ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
                                  const fleet::FleetConfig& config, const ShardConfig& shard,
                                  const std::string& router_name, std::uint64_t seed);
 
-/// FNV-1a digest over the merged metrics' full observable state — counters,
-/// double bit patterns, every series sample, the e2e histogram buckets, and
-/// the per-device results in order — rendered as 16 hex chars. Two runs are
-/// bit-identical exactly when their fingerprints match; the determinism
-/// tests and bench_shard compare these across thread counts.
+/// sim::fingerprint of the merged metrics: FNV-1a over every member of
+/// FleetMetrics' field table — counters, double bit patterns, every series
+/// sample, the stats blocks, the e2e histogram, and every device row (with
+/// its full RunMetrics) and tenant row in order — rendered as 16 hex chars.
+/// Two runs are bit-identical exactly when their fingerprints match (up to
+/// hash collisions); the determinism tests and bench_shard compare these
+/// across thread counts.
 std::string metrics_fingerprint(const fleet::FleetMetrics& m);
 
 }  // namespace adaflow::shard

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -14,6 +11,7 @@
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/shard/mailbox.hpp"
 #include "adaflow/sim/event_queue.hpp"
+#include "adaflow/sim/fields.hpp"
 
 namespace adaflow::shard {
 
@@ -169,7 +167,7 @@ class Runner {
     ShardedMetrics out;
     std::int64_t total_forwarded = 0;
     for (auto& sh : shards_) {
-      out.fleet.merge(sh->engine->finalize(duration));
+      sim::merge(out.fleet, sh->engine->finalize(duration));
       total_forwarded += sh->forwarded;
       out.stats.handoff_lost += sh->handoff_lost;
     }
@@ -240,30 +238,6 @@ class Runner {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// FNV-1a 64-bit accumulator.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h = (h ^ b[i]) * 1099511628211ULL;
-    }
-  }
-  void i64(std::int64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    bytes(&bits, sizeof bits);
-  }
-  void series(const sim::TimeSeries& s) {
-    f64(s.interval_s);
-    i64(static_cast<std::int64_t>(s.values.size()));
-    for (double v : s.values) {
-      f64(v);
-    }
-  }
-};
-
 }  // namespace
 
 ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
@@ -274,72 +248,6 @@ ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
   return runner.run();
 }
 
-std::string metrics_fingerprint(const fleet::FleetMetrics& m) {
-  Fnv f;
-  f.i64(m.arrived);
-  f.i64(m.dispatched);
-  f.i64(m.ingress_lost);
-  f.i64(m.ingress_backlog);
-  f.i64(m.redispatched);
-  f.i64(m.hedged);
-  f.i64(m.hedge_wasted);
-  f.i64(m.quarantines);
-  f.i64(m.rejoins);
-  f.i64(m.processed);
-  f.i64(m.device_lost);
-  f.f64(m.qoe_accuracy_sum);
-  f.f64(m.energy_j);
-  f.f64(m.duration_s);
-  f.i64(m.model_switches);
-  f.i64(m.reconfigurations);
-  f.i64(m.repartitions);
-  f.f64(m.tail_latency_p95_s);
-  f.series(m.workload_series);
-  f.series(m.loss_series);
-  f.series(m.qoe_series);
-  f.series(m.backlog_series);
-  f.i64(m.faults.total_injected());
-  f.i64(m.faults.stalls_recovered);
-  f.i64(m.faults.overload_sheds);
-  f.f64(m.faults.time_degraded_s);
-  f.i64(m.forecast.forecasts);
-  f.f64(m.forecast.abs_pct_error_sum);
-  f.i64(m.integrity.upsets_injected);
-  f.i64(m.integrity.wrong_frames);
-  f.i64(m.integrity.canaries_sent);
-  f.i64(m.integrity.canaries_failed);
-  f.i64(m.integrity.detections);
-  f.i64(m.integrity.false_alarms);
-  f.i64(m.integrity.scrubs);
-  f.i64(m.integrity.repairs);
-  f.f64(m.integrity.corrupt_time_s);
-  f.f64(m.integrity.detection_latency_sum_s);
-  f.i64(m.detection.frames_scored);
-  f.i64(m.detection.true_positives);
-  f.i64(m.detection.false_positives);
-  f.i64(m.detection.missed_objects);
-  f.i64(m.detection.nms_pairs_total);
-  f.f64(m.detection.map_proxy_sum);
-  f.f64(m.detection.postprocess_s);
-  f.i64(m.e2e_latency.count());
-  f.f64(m.e2e_latency.sum_s());
-  for (std::int64_t b : m.e2e_latency.buckets()) {
-    f.i64(b);
-  }
-  for (const auto& d : m.devices) {
-    f.bytes(d.name.data(), d.name.size());
-    f.i64(d.metrics.arrived);
-    f.i64(d.metrics.processed);
-    f.i64(d.metrics.lost);
-    f.f64(d.metrics.energy_j);
-    f.i64(d.queued_at_end);
-    f.i64(d.quarantines);
-    f.i64(static_cast<std::int64_t>(d.metrics.model_switches));
-    f.i64(static_cast<std::int64_t>(d.metrics.reconfigurations));
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(f.h));
-  return std::string(buf);
-}
+std::string metrics_fingerprint(const fleet::FleetMetrics& m) { return sim::fingerprint(m); }
 
 }  // namespace adaflow::shard

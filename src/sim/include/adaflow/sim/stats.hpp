@@ -3,7 +3,9 @@
 /// \file stats.hpp
 /// Aggregation helpers for simulation outputs: running mean/stddev and
 /// fixed-interval time series (the paper's per-interval frame-loss / QoE
-/// curves).
+/// curves), plus the counter blocks every run reports. Their field tables,
+/// and the merge / per-run mean / fingerprint / equality folds derived from
+/// them, are in fields.hpp.
 
 #include <array>
 #include <cstdint>
@@ -111,10 +113,6 @@ class LatencyHistogram {
   /// values the determinism tests use).
   void merge(const LatencyHistogram& other);
 
-  /// True when the bucket counts (and count/min/max/sum) match exactly —
-  /// the bit-identical-replay check for tail metrics.
-  bool identical(const LatencyHistogram& other) const;
-
   const std::array<std::int64_t, kBuckets>& buckets() const { return buckets_; }
 
  private:
@@ -171,10 +169,6 @@ struct FaultStats {
   double mean_time_to_recovery_s() const {
     return recoveries > 0 ? recovery_time_sum_s / static_cast<double>(recoveries) : 0.0;
   }
-
-  void accumulate(const FaultStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
 };
 
 /// Silent-data-corruption observability of one simulated run (src/integrity):
@@ -211,10 +205,6 @@ struct IntegrityStats {
   double mean_detection_latency_s() const {
     return detections > 0 ? detection_latency_sum_s / static_cast<double>(detections) : 0.0;
   }
-
-  void accumulate(const IntegrityStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
 };
 
 /// Forecast quality of one simulated run: how well the workload forecaster
@@ -237,10 +227,6 @@ struct ForecastStats {
     return forecasts > 0 ? static_cast<double>(interval_hits) / static_cast<double>(forecasts)
                          : 0.0;
   }
-
-  void accumulate(const ForecastStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
 };
 
 /// Observability for detection workloads (src/detect): per-frame outcomes of
@@ -274,10 +260,6 @@ struct DetectionStats {
                                    static_cast<double>(objects_total)
                              : 0.0;
   }
-
-  void accumulate(const DetectionStats& other);
-  /// In-place mean over \p runs (counts rounded to nearest).
-  void divide(int runs);
 };
 
 }  // namespace adaflow::sim

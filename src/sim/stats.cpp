@@ -213,145 +213,4 @@ TimeSeries merge_weighted_series(const TimeSeries& a, const std::vector<double>&
   return out;
 }
 
-bool LatencyHistogram::identical(const LatencyHistogram& other) const {
-  return count_ == other.count_ && sum_s_ == other.sum_s_ && min_s_ == other.min_s_ &&
-         max_s_ == other.max_s_ && buckets_ == other.buckets_;
-}
-
-void FaultStats::accumulate(const FaultStats& other) {
-  reconfig_failures_injected += other.reconfig_failures_injected;
-  reconfig_slowdowns_injected += other.reconfig_slowdowns_injected;
-  monitor_dropouts += other.monitor_dropouts;
-  monitor_noise_events += other.monitor_noise_events;
-  stalls_injected += other.stalls_injected;
-  burst_windows += other.burst_windows;
-  device_crashes += other.device_crashes;
-  device_hangs += other.device_hangs;
-  degrade_windows += other.degrade_windows;
-  network_outage_drops += other.network_outage_drops;
-  decode_faults_injected += other.decode_faults_injected;
-  switch_failures += other.switch_failures;
-  switch_timeouts += other.switch_timeouts;
-  switch_retries += other.switch_retries;
-  fallbacks += other.fallbacks;
-  switches_abandoned += other.switches_abandoned;
-  stalls_recovered += other.stalls_recovered;
-  overload_sheds += other.overload_sheds;
-  time_degraded_s += other.time_degraded_s;
-  recovery_time_sum_s += other.recovery_time_sum_s;
-  recoveries += other.recoveries;
-}
-
-void FaultStats::divide(int runs) {
-  require(runs > 0, "FaultStats::divide needs runs > 0");
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  reconfig_failures_injected = mean_count(reconfig_failures_injected);
-  reconfig_slowdowns_injected = mean_count(reconfig_slowdowns_injected);
-  monitor_dropouts = mean_count(monitor_dropouts);
-  monitor_noise_events = mean_count(monitor_noise_events);
-  stalls_injected = mean_count(stalls_injected);
-  burst_windows = mean_count(burst_windows);
-  device_crashes = mean_count(device_crashes);
-  device_hangs = mean_count(device_hangs);
-  degrade_windows = mean_count(degrade_windows);
-  network_outage_drops = mean_count(network_outage_drops);
-  decode_faults_injected = mean_count(decode_faults_injected);
-  switch_failures = mean_count(switch_failures);
-  switch_timeouts = mean_count(switch_timeouts);
-  switch_retries = mean_count(switch_retries);
-  fallbacks = mean_count(fallbacks);
-  switches_abandoned = mean_count(switches_abandoned);
-  stalls_recovered = mean_count(stalls_recovered);
-  overload_sheds = mean_count(overload_sheds);
-  time_degraded_s /= static_cast<double>(runs);
-  recovery_time_sum_s /= static_cast<double>(runs);
-  recoveries = mean_count(recoveries);
-}
-
-void IntegrityStats::accumulate(const IntegrityStats& other) {
-  upsets_injected += other.upsets_injected;
-  wrong_frames += other.wrong_frames;
-  corrupt_time_s += other.corrupt_time_s;
-  canaries_sent += other.canaries_sent;
-  canaries_failed += other.canaries_failed;
-  detections += other.detections;
-  false_alarms += other.false_alarms;
-  detection_latency_sum_s += other.detection_latency_sum_s;
-  scrubs += other.scrubs;
-  repairs += other.repairs;
-}
-
-void IntegrityStats::divide(int runs) {
-  require(runs > 0, "IntegrityStats::divide needs runs > 0");
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  upsets_injected = mean_count(upsets_injected);
-  wrong_frames = mean_count(wrong_frames);
-  corrupt_time_s /= static_cast<double>(runs);
-  canaries_sent = mean_count(canaries_sent);
-  canaries_failed = mean_count(canaries_failed);
-  detections = mean_count(detections);
-  false_alarms = mean_count(false_alarms);
-  detection_latency_sum_s /= static_cast<double>(runs);
-  scrubs = mean_count(scrubs);
-  repairs = mean_count(repairs);
-}
-
-void ForecastStats::accumulate(const ForecastStats& other) {
-  forecasts += other.forecasts;
-  abs_pct_error_sum += other.abs_pct_error_sum;
-  interval_hits += other.interval_hits;
-  changepoints += other.changepoints;
-  burst_windows += other.burst_windows;
-}
-
-void ForecastStats::divide(int runs) {
-  require(runs > 0, "ForecastStats::divide needs runs > 0");
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  forecasts = mean_count(forecasts);
-  abs_pct_error_sum /= static_cast<double>(runs);
-  interval_hits = mean_count(interval_hits);
-  changepoints = mean_count(changepoints);
-  burst_windows = mean_count(burst_windows);
-}
-
-void DetectionStats::accumulate(const DetectionStats& other) {
-  frames_scored += other.frames_scored;
-  objects_total += other.objects_total;
-  candidates_total += other.candidates_total;
-  suppressed_total += other.suppressed_total;
-  nms_pairs_total += other.nms_pairs_total;
-  true_positives += other.true_positives;
-  false_positives += other.false_positives;
-  missed_objects += other.missed_objects;
-  postprocess_s += other.postprocess_s;
-  map_proxy_sum += other.map_proxy_sum;
-}
-
-void DetectionStats::divide(int runs) {
-  require(runs > 0, "DetectionStats::divide needs runs > 0");
-  auto mean_count = [runs](std::int64_t v) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(v) / static_cast<double>(runs)));
-  };
-  frames_scored = mean_count(frames_scored);
-  objects_total = mean_count(objects_total);
-  candidates_total = mean_count(candidates_total);
-  suppressed_total = mean_count(suppressed_total);
-  nms_pairs_total = mean_count(nms_pairs_total);
-  true_positives = mean_count(true_positives);
-  false_positives = mean_count(false_positives);
-  missed_objects = mean_count(missed_objects);
-  postprocess_s /= static_cast<double>(runs);
-  map_proxy_sum /= static_cast<double>(runs);
-}
-
 }  // namespace adaflow::sim

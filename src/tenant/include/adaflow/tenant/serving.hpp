@@ -18,12 +18,15 @@
 /// never adapts — the static baseline bench_tenant measures against.
 
 #include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "adaflow/core/library.hpp"
 #include "adaflow/dse/rate_planner.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/forecast/tracker.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "adaflow/tenant/coordinator.hpp"
 #include "adaflow/tenant/tenant.hpp"
 
@@ -103,11 +106,41 @@ struct MultiTenantMetrics {
   std::int64_t device_moves = 0;      ///< partition reassignments applied
   std::int64_t version_switches = 0;  ///< version switches commanded
   sim::ForecastStats forecast;        ///< pooled per-tenant tracker quality
-
-  /// Bit-identical-replay comparison over every per-tenant counter,
-  /// violation clock, latency histogram, and the fleet totals.
-  bool identical(const MultiTenantMetrics& other) const;
 };
+
+// Field tables (sim/fields.hpp). A tenant's percentiles, accuracy means and
+// plan are derived once per run and never combine (kFirst).
+
+constexpr auto field_table(std::type_identity<TenantResult>) {
+  using S = TenantResult;
+  return std::tuple{
+      sim::sum("usage", &S::usage),
+      sim::first("latency_p50_s", &S::latency_p50_s),
+      sim::first("latency_p95_s", &S::latency_p95_s),
+      sim::first("latency_p99_s", &S::latency_p99_s),
+      sim::first("mean_accuracy", &S::mean_accuracy),
+      sim::first("accuracy_floor", &S::accuracy_floor),
+      sim::first("in_budget_accuracy", &S::in_budget_accuracy),
+      sim::sum("in_budget_delivered", &S::in_budget_delivered),
+      sim::first("offered_rate_mean_fps", &S::offered_rate_mean_fps),
+      sim::first("final_version", &S::final_version),
+      sim::sum("version_switches", &S::version_switches),
+      sim::first("folding_plan", &S::folding_plan),
+      sim::first("peak_parallelism", &S::peak_parallelism),
+  };
+}
+
+constexpr auto field_table(std::type_identity<MultiTenantMetrics>) {
+  using S = MultiTenantMetrics;
+  return std::tuple{
+      sim::sum("fleet", &S::fleet),
+      sim::concat("tenants", &S::tenants),
+      sim::max("worst_violation_s", &S::worst_violation_s),
+      sim::sum("total_violation_s", &S::total_violation_s),
+      sim::sum("device_moves", &S::device_moves),
+      sim::sum("version_switches", &S::version_switches), sim::sum("forecast", &S::forecast),
+  };
+}
 
 /// Runs the multi-tenant simulation; (config, library, seed) replays
 /// bit-identically.
@@ -115,3 +148,32 @@ MultiTenantMetrics run_tenants(const MultiTenantConfig& config,
                                const core::AcceleratorLibrary& library, std::uint64_t seed);
 
 }  // namespace adaflow::tenant
+
+// The folding plan a TenantResult carries is a dse/hls value; its tables sit
+// here, with their only metrics user, in the namespaces lookup finds them in.
+namespace adaflow::hls {
+
+constexpr auto field_table(std::type_identity<LayerFolding>) {
+  return std::tuple{
+      sim::first("pe", &LayerFolding::pe), sim::first("simd", &LayerFolding::simd),
+  };
+}
+
+constexpr auto field_table(std::type_identity<FoldingConfig>) {
+  return std::tuple{sim::first("layers", &FoldingConfig::layers)};
+}
+
+}  // namespace adaflow::hls
+
+namespace adaflow::dse {
+
+constexpr auto field_table(std::type_identity<RateFoldingPlan>) {
+  using S = RateFoldingPlan;
+  return std::tuple{
+      sim::first("offered_fps", &S::offered_fps), sim::first("target_fps", &S::target_fps),
+      sim::first("folding", &S::folding), sim::first("sustained_fps", &S::sustained_fps),
+      sim::first("meets_target", &S::meets_target), sim::first("parallelism", &S::parallelism),
+  };
+}
+
+}  // namespace adaflow::dse

@@ -64,31 +64,6 @@ void MultiTenantConfig::validate() const {
   forecast.validate();
 }
 
-bool MultiTenantMetrics::identical(const MultiTenantMetrics& other) const {
-  if (tenants.size() != other.tenants.size() || device_moves != other.device_moves ||
-      version_switches != other.version_switches ||
-      worst_violation_s != other.worst_violation_s ||
-      total_violation_s != other.total_violation_s) {
-    return false;
-  }
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    const fleet::TenantUsage& a = tenants[t].usage;
-    const fleet::TenantUsage& b = other.tenants[t].usage;
-    if (a.offered != b.offered || a.admitted != b.admitted || a.throttled != b.throttled ||
-        a.shed != b.shed || a.delivered != b.delivered || a.lost != b.lost ||
-        a.qoe_accuracy_sum != b.qoe_accuracy_sum || a.slo_violation_s != b.slo_violation_s ||
-        !a.latency.identical(b.latency)) {
-      return false;
-    }
-  }
-  return fleet.arrived == other.fleet.arrived && fleet.dispatched == other.fleet.dispatched &&
-         fleet.ingress_lost == other.fleet.ingress_lost &&
-         fleet.redispatched == other.fleet.redispatched && fleet.hedged == other.fleet.hedged &&
-         fleet.processed == other.fleet.processed &&
-         fleet.qoe_accuracy_sum == other.fleet.qoe_accuracy_sum &&
-         fleet.reconfigurations == other.fleet.reconfigurations;
-}
-
 namespace {
 
 /// The whole simulation on one stack frame (the ingest-pipeline pattern):
@@ -412,7 +387,7 @@ struct TenantSim {
       out.worst_violation_s = std::max(out.worst_violation_s, r.usage.slo_violation_s);
       out.total_violation_s += r.usage.slo_violation_s;
       if (state.tracker.has_value()) {
-        out.forecast.accumulate(state.tracker->stats());
+        sim::merge(out.forecast, state.tracker->stats());
       }
       out.fleet.tenants.push_back(r.usage);
     }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace adaflow {
@@ -53,6 +54,32 @@ TEST(Parallel, BackToBackShortJobsRunEachIndexOnce) {
 }
 
 TEST(Parallel, WorkerCountIsPositive) { EXPECT_GE(parallel_worker_count(), 1); }
+
+TEST(Parallel, NestedCallRunsInlineOnTheCallingThread) {
+  // A parallel_for inside a pool task used to wait for the pool to drain the
+  // outer job, which it was part of: a deadlock. ctest gives this test a
+  // short timeout so a regression fails instead of hanging the suite.
+  const int previous = parallel_worker_count();
+  set_worker_count(4);
+  std::vector<std::atomic<int>> hits(4 * 8);
+  std::atomic<int> moved{0};  // inner iterations that left their outer thread
+  parallel_for(4, [&](std::int64_t o) {
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(8, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(o * 8 + i)]++;
+      moved += std::this_thread::get_id() != outer ? 1 : 0;
+    });
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+  EXPECT_EQ(moved.load(), 0);
+  // The pool still runs ordinary jobs afterwards.
+  std::atomic<std::int64_t> sum{0};
+  parallel_for(100, [&](std::int64_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 4950);
+  set_worker_count(previous);
+}
 
 }  // namespace
 }  // namespace adaflow

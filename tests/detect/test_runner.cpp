@@ -60,12 +60,7 @@ TEST(RunDetection, SameSeedReplaysBitIdentically) {
       run_detection(test_scene(), a, edge::ServerConfig{}, DetectionRunConfig{}, 42);
   const edge::RunMetrics y =
       run_detection(test_scene(), b, edge::ServerConfig{}, DetectionRunConfig{}, 42);
-  EXPECT_EQ(x.arrived, y.arrived);
-  EXPECT_EQ(x.processed, y.processed);
-  EXPECT_EQ(x.model_switches, y.model_switches);
-  EXPECT_EQ(x.detection.nms_pairs_total, y.detection.nms_pairs_total);
-  EXPECT_DOUBLE_EQ(x.detection.map_proxy_sum, y.detection.map_proxy_sum);
-  EXPECT_DOUBLE_EQ(x.qoe_accuracy_sum, y.qoe_accuracy_sum);
+  EXPECT_TRUE(sim::identical(x, y));
 }
 
 TEST(StaticFlexible, ServesOneVersionAndBoundsTheIndex) {
@@ -115,10 +110,7 @@ TEST(FleetIntegration, ConfigureHookAttachesPerDeviceWorkloads) {
 
   // Same config + seed replays bit-identically even with the hooks installed.
   const fleet::FleetMetrics again = run_once();
-  EXPECT_EQ(again.processed, m.processed);
-  EXPECT_EQ(again.detection.frames_scored, m.detection.frames_scored);
-  EXPECT_EQ(again.detection.nms_pairs_total, m.detection.nms_pairs_total);
-  EXPECT_DOUBLE_EQ(again.detection.map_proxy_sum, m.detection.map_proxy_sum);
+  EXPECT_TRUE(sim::identical(again, m));
 }
 
 }  // namespace

@@ -34,11 +34,7 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalRuns) {
     FixedModePolicy p2;
     RunMetrics a = run_simulation(t1, p1, ServerConfig{}, 33);
     RunMetrics b = run_simulation(t2, p2, ServerConfig{}, 33);
-    EXPECT_EQ(a.arrived, b.arrived);
-    EXPECT_EQ(a.processed, b.processed);
-    EXPECT_EQ(a.lost, b.lost);
-    EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
-    EXPECT_EQ(a.loss_series.values, b.loss_series.values);
+    EXPECT_TRUE(sim::identical(a, b));
   }
 }
 
@@ -82,25 +78,6 @@ core::AcceleratorLibrary replay_library() {
   return lib;
 }
 
-void expect_fault_stats_equal(const sim::FaultStats& a, const sim::FaultStats& b) {
-  EXPECT_EQ(a.reconfig_failures_injected, b.reconfig_failures_injected);
-  EXPECT_EQ(a.reconfig_slowdowns_injected, b.reconfig_slowdowns_injected);
-  EXPECT_EQ(a.monitor_dropouts, b.monitor_dropouts);
-  EXPECT_EQ(a.monitor_noise_events, b.monitor_noise_events);
-  EXPECT_EQ(a.stalls_injected, b.stalls_injected);
-  EXPECT_EQ(a.burst_windows, b.burst_windows);
-  EXPECT_EQ(a.switch_failures, b.switch_failures);
-  EXPECT_EQ(a.switch_timeouts, b.switch_timeouts);
-  EXPECT_EQ(a.switch_retries, b.switch_retries);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.switches_abandoned, b.switches_abandoned);
-  EXPECT_EQ(a.stalls_recovered, b.stalls_recovered);
-  EXPECT_EQ(a.overload_sheds, b.overload_sheds);
-  EXPECT_DOUBLE_EQ(a.time_degraded_s, b.time_degraded_s);
-  EXPECT_DOUBLE_EQ(a.recovery_time_sum_s, b.recovery_time_sum_s);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-}
-
 TEST(Determinism, FaultReplayIsBitIdentical) {
   // Acceptance: the same (FaultInjector seed, schedule) pair yields
   // bit-identical RunMetrics across two runs, including every fault counter.
@@ -118,21 +95,8 @@ TEST(Determinism, FaultReplayIsBitIdentical) {
   };
   const RunMetrics a = run_once();
   const RunMetrics b = run_once();
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.lost, b.lost);
-  EXPECT_DOUBLE_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);
-  EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.model_switches, b.model_switches);
-  EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-  ASSERT_EQ(a.switches.size(), b.switches.size());
-  for (std::size_t i = 0; i < a.switches.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.switches[i].time_s, b.switches[i].time_s);
-    EXPECT_EQ(a.switches[i].model_version, b.switches[i].model_version);
-  }
-  EXPECT_EQ(a.loss_series.values, b.loss_series.values);
-  EXPECT_EQ(a.qoe_series.values, b.qoe_series.values);
-  expect_fault_stats_equal(a.faults, b.faults);
+  EXPECT_TRUE(sim::identical(a, b));
+  EXPECT_GT(a.faults.total_injected(), 0);
 }
 
 TEST(Determinism, DifferentInjectorSeedsDiverge) {

@@ -239,11 +239,8 @@ TEST(FaultTolerance, DeviceWindowsReplayBitIdentically) {
   };
   const RunMetrics a = run_once();
   const RunMetrics b = run_once();
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.lost, b.lost);
-  EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.faults.device_crashes, b.faults.device_crashes);
+  EXPECT_TRUE(sim::identical(a, b));
+  EXPECT_GT(a.faults.device_crashes, 0);
 }
 
 TEST(FaultTolerance, FaultFreeInjectorMatchesNoInjector) {
@@ -254,10 +251,7 @@ TEST(FaultTolerance, FaultFreeInjectorMatchesNoInjector) {
   faults::FaultInjector injector(faults::FaultSchedule{}, 7);
   RunMetrics with = run_simulation(trace, p1, ServerConfig{}, 42, &injector);
   RunMetrics without = run_simulation(trace, p2, ServerConfig{}, 42);
-  EXPECT_EQ(with.arrived, without.arrived);
-  EXPECT_EQ(with.processed, without.processed);
-  EXPECT_EQ(with.lost, without.lost);
-  EXPECT_DOUBLE_EQ(with.energy_j, without.energy_j);
+  EXPECT_TRUE(sim::identical(with, without));
   EXPECT_EQ(with.faults.total_injected(), 0);
 }
 

@@ -145,27 +145,7 @@ TEST(Chaos, ReplayWithSameSeedIsBitIdenticalIncludingResilienceCounters) {
   const FleetMetrics a = run(trace, lib, config, 777);
   const FleetMetrics b = run(trace, lib, config, 777);
 
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.dispatched, b.dispatched);
-  EXPECT_EQ(a.ingress_lost, b.ingress_lost);
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.device_lost, b.device_lost);
-  EXPECT_EQ(a.redispatched, b.redispatched);
-  EXPECT_EQ(a.hedged, b.hedged);
-  EXPECT_EQ(a.quarantines, b.quarantines);
-  EXPECT_EQ(a.rejoins, b.rejoins);
-  EXPECT_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);  // bit-exact, not approx
-  EXPECT_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.tail_latency_p95_s, b.tail_latency_p95_s);
-  EXPECT_EQ(a.faults.device_crashes, b.faults.device_crashes);
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    EXPECT_EQ(a.devices[i].metrics.processed, b.devices[i].metrics.processed) << i;
-    EXPECT_EQ(a.devices[i].quarantines, b.devices[i].quarantines) << i;
-    EXPECT_EQ(a.devices[i].rejoins, b.devices[i].rejoins) << i;
-    EXPECT_EQ(a.devices[i].final_health, b.devices[i].final_health) << i;
-    EXPECT_EQ(a.devices[i].queued_at_end, b.devices[i].queued_at_end) << i;
-  }
+  EXPECT_TRUE(sim::identical(a, b));
 }
 
 TEST(Chaos, QuarantineDrainReportsRedispatchNotIngressLoss) {
@@ -213,15 +193,9 @@ TEST(Chaos, FaultStatsAggregationSumsPerDeviceCountersIncludingDeviceClasses) {
   const FleetMetrics m = run(trace, lib, config, 99);
   sim::FaultStats sum;
   for (const FleetDeviceResult& d : m.devices) {
-    sum.accumulate(d.metrics.faults);
+    sim::merge(sum, d.metrics.faults);
   }
-  EXPECT_EQ(sum.device_crashes, m.faults.device_crashes);
-  EXPECT_EQ(sum.device_hangs, m.faults.device_hangs);
-  EXPECT_EQ(sum.degrade_windows, m.faults.degrade_windows);
-  EXPECT_EQ(sum.reconfig_failures_injected, m.faults.reconfig_failures_injected);
-  EXPECT_EQ(sum.stalls_injected, m.faults.stalls_injected);
-  EXPECT_EQ(sum.monitor_dropouts, m.faults.monitor_dropouts);
-  EXPECT_EQ(sum.total_injected(), m.faults.total_injected());
+  EXPECT_TRUE(sim::identical(sum, m.faults));
   EXPECT_EQ(m.faults.device_crashes, 1);
   EXPECT_EQ(m.faults.device_hangs, 1);
   EXPECT_EQ(m.faults.degrade_windows, 1);

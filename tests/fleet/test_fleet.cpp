@@ -86,31 +86,7 @@ TEST(Fleet, SameSeedReplaysBitIdentically) {
   const FleetMetrics a = run_once();
   const FleetMetrics b = run_once();
 
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.dispatched, b.dispatched);
-  EXPECT_EQ(a.ingress_lost, b.ingress_lost);
-  EXPECT_EQ(a.ingress_backlog, b.ingress_backlog);
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.device_lost, b.device_lost);
-  EXPECT_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);  // bit-exact, not approx
-  EXPECT_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.model_switches, b.model_switches);
-  EXPECT_EQ(a.reconfigurations, b.reconfigurations);
-  EXPECT_EQ(a.repartitions, b.repartitions);
-  EXPECT_EQ(a.tail_latency_p95_s, b.tail_latency_p95_s);
-  ASSERT_EQ(a.backlog_series.values.size(), b.backlog_series.values.size());
-  for (std::size_t i = 0; i < a.backlog_series.values.size(); ++i) {
-    EXPECT_EQ(a.backlog_series.values[i], b.backlog_series.values[i]) << i;
-  }
-  ASSERT_EQ(a.devices.size(), b.devices.size());
-  for (std::size_t i = 0; i < a.devices.size(); ++i) {
-    EXPECT_EQ(a.devices[i].metrics.arrived, b.devices[i].metrics.arrived) << i;
-    EXPECT_EQ(a.devices[i].metrics.processed, b.devices[i].metrics.processed) << i;
-    EXPECT_EQ(a.devices[i].metrics.energy_j, b.devices[i].metrics.energy_j) << i;
-    EXPECT_EQ(a.devices[i].metrics.faults.total_injected(),
-              b.devices[i].metrics.faults.total_injected())
-        << i;
-  }
+  EXPECT_TRUE(sim::identical(a, b));
 }
 
 TEST(Fleet, LeastLoadedBeatsRoundRobinOnAHeterogeneousFleet) {

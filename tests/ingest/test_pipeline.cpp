@@ -57,15 +57,6 @@ IngestMetrics run(const IngestConfig& config, const core::AcceleratorLibrary& li
   return run_ingest(config, lib, *router, seed);
 }
 
-bool identical(const IngestMetrics& a, const IngestMetrics& b) {
-  return a.captured == b.captured && a.duplicates == b.duplicates &&
-         a.network_lost == b.network_lost && a.stale_dropped == b.stale_dropped &&
-         a.thinned == b.thinned && a.queue_drops == b.queue_drops &&
-         a.decode_failed == b.decode_failed && a.delivered == b.delivered &&
-         a.qoe_accuracy_sum == b.qoe_accuracy_sum && a.e2e_latency.identical(b.e2e_latency) &&
-         a.fleet.dispatched == b.fleet.dispatched;
-}
-
 TEST(IngestPipeline, RejectsInvalidConfig) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   IngestConfig bad = small_config(lib);
@@ -99,7 +90,7 @@ TEST(IngestPipeline, SameSeedReplaysBitIdentically) {
   const IngestConfig config = small_config(lib);
   const IngestMetrics a = run(config, lib, 42);
   const IngestMetrics b = run(config, lib, 42);
-  EXPECT_TRUE(identical(a, b));
+  EXPECT_TRUE(sim::identical(a, b));
 }
 
 TEST(IngestPipeline, DifferentSeedsDiverge) {
@@ -107,7 +98,7 @@ TEST(IngestPipeline, DifferentSeedsDiverge) {
   const IngestConfig config = small_config(lib);
   const IngestMetrics a = run(config, lib, 42);
   const IngestMetrics b = run(config, lib, 43);
-  EXPECT_FALSE(identical(a, b));
+  EXPECT_FALSE(sim::identical(a, b));
 }
 
 TEST(IngestPipeline, LadderEscalatesToTierTwoUnderOverload) {

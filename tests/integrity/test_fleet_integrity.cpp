@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "adaflow/common/error.hpp"
 #include "adaflow/core/library.hpp"
 #include "adaflow/edge/workload.hpp"
@@ -109,18 +111,7 @@ TEST(FleetIntegrity, StormReplayIsBitIdentical) {
   const FleetMetrics a = run_once();
   const FleetMetrics b = run_once();
 
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);  // bit-exact, not approx
-  EXPECT_EQ(a.quarantines, b.quarantines);
-  EXPECT_EQ(a.integrity.upsets_injected, b.integrity.upsets_injected);
-  EXPECT_EQ(a.integrity.wrong_frames, b.integrity.wrong_frames);
-  EXPECT_EQ(a.integrity.canaries_sent, b.integrity.canaries_sent);
-  EXPECT_EQ(a.integrity.canaries_failed, b.integrity.canaries_failed);
-  EXPECT_EQ(a.integrity.detections, b.integrity.detections);
-  EXPECT_EQ(a.integrity.false_alarms, b.integrity.false_alarms);
-  EXPECT_EQ(a.integrity.repairs, b.integrity.repairs);
-  EXPECT_EQ(a.integrity.corrupt_time_s, b.integrity.corrupt_time_s);
-  EXPECT_EQ(a.integrity.detection_latency_sum_s, b.integrity.detection_latency_sum_s);
+  EXPECT_TRUE(sim::identical(a, b));
 }
 
 TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
@@ -137,8 +128,8 @@ TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
   a.repairs = 5;
 
   sim::IntegrityStats sum;
-  sum.accumulate(a);
-  sum.accumulate(a);
+  sim::merge(sum, a);
+  sim::merge(sum, a);
   EXPECT_EQ(sum.upsets_injected, 12);
   EXPECT_EQ(sum.wrong_frames, 240);
   EXPECT_DOUBLE_EQ(sum.corrupt_time_s, 7.0);
@@ -150,14 +141,12 @@ TEST(FleetIntegrity, StatsAccumulateAndDivideRoundTrip) {
   EXPECT_EQ(sum.scrubs, 8);
   EXPECT_EQ(sum.repairs, 10);
 
-  sum.divide(2);
-  EXPECT_EQ(sum.upsets_injected, a.upsets_injected);
-  EXPECT_EQ(sum.wrong_frames, a.wrong_frames);
-  EXPECT_DOUBLE_EQ(sum.corrupt_time_s, a.corrupt_time_s);
-  EXPECT_EQ(sum.repairs, a.repairs);
-  EXPECT_DOUBLE_EQ(sum.wrong_fraction(240), 0.5);
-  EXPECT_DOUBLE_EQ(sum.canary_overhead(400), 0.1);
-  EXPECT_DOUBLE_EQ(sum.mean_detection_latency_s(), 0.4);
+  // The per-run mean of two equal runs is that run.
+  const sim::IntegrityStats avg = sim::mean(std::vector<sim::IntegrityStats>{a, a});
+  EXPECT_TRUE(sim::identical(avg, a));
+  EXPECT_DOUBLE_EQ(avg.wrong_fraction(240), 0.5);
+  EXPECT_DOUBLE_EQ(avg.canary_overhead(400), 0.1);
+  EXPECT_DOUBLE_EQ(avg.mean_detection_latency_s(), 0.4);
 }
 
 }  // namespace

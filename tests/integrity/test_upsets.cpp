@@ -143,23 +143,11 @@ TEST(ConfigUpsets, ReplayIsBitIdenticalForTheSameSeed) {
       run_integrity(steady_trace(400.0, 20.0, 11), std::make_unique<core::StaticFinnPolicy>(lib),
                     lib, config, storm, 11);
 
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.processed, b.processed);
-  EXPECT_DOUBLE_EQ(a.qoe_accuracy_sum, b.qoe_accuracy_sum);
-  EXPECT_DOUBLE_EQ(a.energy_j, b.energy_j);
-  EXPECT_EQ(a.integrity.upsets_injected, b.integrity.upsets_injected);
-  EXPECT_EQ(a.integrity.wrong_frames, b.integrity.wrong_frames);
-  EXPECT_EQ(a.integrity.canaries_sent, b.integrity.canaries_sent);
-  EXPECT_EQ(a.integrity.detections, b.integrity.detections);
-  EXPECT_EQ(a.integrity.false_alarms, b.integrity.false_alarms);
-  EXPECT_EQ(a.integrity.scrubs, b.integrity.scrubs);
-  EXPECT_EQ(a.integrity.repairs, b.integrity.repairs);
-  EXPECT_DOUBLE_EQ(a.integrity.corrupt_time_s, b.integrity.corrupt_time_s);
-  EXPECT_DOUBLE_EQ(a.integrity.detection_latency_sum_s, b.integrity.detection_latency_sum_s);
+  EXPECT_TRUE(sim::identical(a, b));
 }
 
 // Regression: the repeated-run fold used to drop the integrity counters and
-// the end-to-end latency histogram that RunMetrics::merge carries.
+// the end-to-end latency histogram.
 TEST(ConfigUpsets, RepeatedRunMeanCarriesIntegrityAndLatency) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   IntegrityRunConfig config;

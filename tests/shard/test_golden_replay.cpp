@@ -1,23 +1,238 @@
-// Golden replay pins for the simulator hot path. The strings below were
-// recorded before the event queue and the dispatcher were made
-// allocation-free; any change to the discrete-event core, the dispatcher or
-// the router's inputs that moves a single simulated outcome moves them.
-// A deliberate behaviour change re-records them, with the reason in its
-// commit message; a speed-up never does.
+// Golden replay pins. The fleet and shard strings were recorded before the
+// event queue and the dispatcher were made allocation-free; the single-device
+// runners' (run_simulation, run_integrity, run_detection) and the
+// multi-tenant runner's before those runners moved onto the shared arrival
+// source and single-device driver. Any change that moves a single simulated
+// outcome moves them. A deliberate behaviour change re-records them, with the
+// reason in its commit message; a speed-up or a refactor never does.
+//
+// `fingerprint` below is the test-side reference hasher: FNV-1a over every
+// counter, every double (bitwise), every series, histogram, switch list,
+// device row and tenant row, written out field by field and kept independent
+// of the library's field tables on purpose, so its pins move only when a
+// simulated number moves. The fleet and shard runs are also pinned with
+// shard::metrics_fingerprint, whose pins also move when its coverage changes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 
 #include "adaflow/core/library.hpp"
+#include "adaflow/core/runtime_manager.hpp"
+#include "adaflow/detect/runner.hpp"
+#include "adaflow/detect/yolo.hpp"
+#include "adaflow/edge/server.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/fleet/routing.hpp"
+#include "adaflow/fpga/device.hpp"
+#include "adaflow/integrity/runner.hpp"
 #include "adaflow/shard/sharded_engine.hpp"
+#include "adaflow/tenant/serving.hpp"
 
-namespace adaflow::shard {
+namespace adaflow {
 namespace {
+
+class Fnv {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ = (h_ ^ ((v >> (8 * i)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (const char c : s) {
+      h_ = (h_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  }
+  void series(const sim::TimeSeries& s) {
+    f64(s.interval_s);
+    u64(s.values.size());
+    for (const double v : s.values) {
+      f64(v);
+    }
+  }
+  void histogram(const sim::LatencyHistogram& h) {
+    i64(h.count());
+    f64(h.sum_s());
+    f64(h.min_s());
+    f64(h.max_s());
+    for (const std::int64_t b : h.buckets()) {
+      i64(b);
+    }
+  }
+  void faults(const sim::FaultStats& f) {
+    for (const std::int64_t v :
+         {f.reconfig_failures_injected, f.reconfig_slowdowns_injected, f.monitor_dropouts,
+          f.monitor_noise_events, f.stalls_injected, f.burst_windows, f.device_crashes,
+          f.device_hangs, f.degrade_windows, f.network_outage_drops, f.decode_faults_injected,
+          f.switch_failures, f.switch_timeouts, f.switch_retries, f.fallbacks,
+          f.switches_abandoned, f.stalls_recovered, f.overload_sheds, f.recoveries}) {
+      i64(v);
+    }
+    f64(f.time_degraded_s);
+    f64(f.recovery_time_sum_s);
+  }
+  void forecast(const sim::ForecastStats& f) {
+    i64(f.forecasts);
+    f64(f.abs_pct_error_sum);
+    i64(f.interval_hits);
+    i64(f.changepoints);
+    i64(f.burst_windows);
+  }
+  void integrity(const sim::IntegrityStats& s) {
+    for (const std::int64_t v : {s.upsets_injected, s.wrong_frames, s.canaries_sent,
+                                 s.canaries_failed, s.detections, s.false_alarms, s.scrubs,
+                                 s.repairs}) {
+      i64(v);
+    }
+    f64(s.corrupt_time_s);
+    f64(s.detection_latency_sum_s);
+  }
+  void detection(const sim::DetectionStats& d) {
+    for (const std::int64_t v : {d.frames_scored, d.objects_total, d.candidates_total,
+                                 d.suppressed_total, d.nms_pairs_total, d.true_positives,
+                                 d.false_positives, d.missed_objects}) {
+      i64(v);
+    }
+    f64(d.postprocess_s);
+    f64(d.map_proxy_sum);
+  }
+  void run(const edge::RunMetrics& m) {
+    i64(m.arrived);
+    i64(m.processed);
+    i64(m.lost);
+    f64(m.qoe_accuracy_sum);
+    f64(m.energy_j);
+    f64(m.duration_s);
+    f64(m.switch_stall_s);
+    f64(m.violation_s);
+    i64(m.model_switches);
+    i64(m.reconfigurations);
+    u64(m.switches.size());
+    for (const edge::SwitchRecord& s : m.switches) {
+      f64(s.time_s);
+      str(s.model_version);
+      str(s.accelerator);
+      u64(s.reconfiguration ? 1 : 0);
+    }
+    faults(m.faults);
+    forecast(m.forecast);
+    integrity(m.integrity);
+    detection(m.detection);
+    histogram(m.e2e_latency);
+    for (const sim::TimeSeries* s : {&m.workload_series, &m.loss_series, &m.qoe_series,
+                                     &m.power_series, &m.forecast_actual_series,
+                                     &m.forecast_pred_series}) {
+      series(*s);
+    }
+  }
+  void usage(const fleet::TenantUsage& u) {
+    str(u.name);
+    for (const std::int64_t v : {u.offered, u.admitted, u.throttled, u.shed, u.delivered, u.lost}) {
+      i64(v);
+    }
+    f64(u.qoe_accuracy_sum);
+    f64(u.slo_violation_s);
+    histogram(u.latency);
+  }
+  void fleet(const fleet::FleetMetrics& m) {
+    for (const std::int64_t v : {m.arrived, m.dispatched, m.ingress_lost, m.ingress_backlog,
+                                 m.redispatched, m.hedged, m.hedge_wasted, m.quarantines,
+                                 m.rejoins, m.processed, m.device_lost}) {
+      i64(v);
+    }
+    f64(m.qoe_accuracy_sum);
+    f64(m.energy_j);
+    f64(m.duration_s);
+    i64(m.model_switches);
+    i64(m.reconfigurations);
+    i64(m.repartitions);
+    f64(m.tail_latency_p95_s);
+    for (const sim::TimeSeries* s :
+         {&m.workload_series, &m.loss_series, &m.qoe_series, &m.backlog_series}) {
+      series(*s);
+    }
+    faults(m.faults);
+    forecast(m.forecast);
+    integrity(m.integrity);
+    detection(m.detection);
+    histogram(m.e2e_latency);
+    u64(m.devices.size());
+    for (const fleet::FleetDeviceResult& d : m.devices) {
+      str(d.name);
+      run(d.metrics);
+      i64(d.queued_at_end);
+      i64(d.quarantines);
+      i64(d.rejoins);
+      i64(static_cast<std::int64_t>(d.final_health));
+    }
+    u64(m.tenants.size());
+    for (const fleet::TenantUsage& u : m.tenants) {
+      usage(u);
+    }
+  }
+  void tenants(const tenant::MultiTenantMetrics& m) {
+    fleet(m.fleet);
+    u64(m.tenants.size());
+    for (const tenant::TenantResult& t : m.tenants) {
+      usage(t.usage);
+      for (const double v : {t.latency_p50_s, t.latency_p95_s, t.latency_p99_s, t.mean_accuracy,
+                             t.accuracy_floor, t.in_budget_accuracy, t.offered_rate_mean_fps,
+                             t.folding_plan.offered_fps, t.folding_plan.target_fps,
+                             t.folding_plan.sustained_fps}) {
+        f64(v);
+      }
+      i64(t.in_budget_delivered);
+      u64(t.final_version);
+      i64(t.version_switches);
+      u64(t.folding_plan.meets_target ? 1 : 0);
+      i64(t.folding_plan.parallelism);
+      i64(t.peak_parallelism);
+    }
+    f64(m.worst_violation_s);
+    f64(m.total_violation_s);
+    i64(m.device_moves);
+    i64(m.version_switches);
+    forecast(m.forecast);
+  }
+
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string fingerprint(const edge::RunMetrics& m) {
+  Fnv f;
+  f.run(m);
+  return f.hex();
+}
+
+std::string fingerprint(const fleet::FleetMetrics& m) {
+  Fnv f;
+  f.fleet(m);
+  return f.hex();
+}
+
+std::string fingerprint(const tenant::MultiTenantMetrics& m) {
+  Fnv f;
+  f.tenants(m);
+  return f.hex();
+}
 
 constexpr double kDurationS = 6.0;
 
@@ -41,18 +256,19 @@ fleet::FleetConfig golden_fleet(const core::AcceleratorLibrary& lib) {
   return config;
 }
 
-ShardedMetrics run_golden_sharded(int shards) {
+shard::ShardedMetrics run_golden_sharded(int shards) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   const fleet::FleetConfig config = golden_fleet(lib);
   const edge::WorkloadTrace trace = golden_trace(16, 3);
-  ShardConfig shard_cfg;
+  shard::ShardConfig shard_cfg;
   shard_cfg.shards = shards;
-  return run_sharded_fleet(trace, lib, config, shard_cfg, "least-loaded", 11);
+  return shard::run_sharded_fleet(trace, lib, config, shard_cfg, "least-loaded", 11);
 }
 
 TEST(GoldenReplay, ShardedOneShardFingerprintIsPinned) {
-  const ShardedMetrics m = run_golden_sharded(1);
-  EXPECT_EQ(metrics_fingerprint(m.fleet), "95618b9dfda8fca1");
+  const shard::ShardedMetrics m = run_golden_sharded(1);
+  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "9253fbe859f66e63");
+  EXPECT_EQ(fingerprint(m.fleet), "72faf9d0440c1327");
   // The pin is only worth something if the run exercises the hot path's
   // branches: mode switches, a full ingress, and the fault layer.
   EXPECT_GT(m.fleet.model_switches, 0);
@@ -61,8 +277,9 @@ TEST(GoldenReplay, ShardedOneShardFingerprintIsPinned) {
 }
 
 TEST(GoldenReplay, ShardedFourShardsFingerprintIsPinned) {
-  const ShardedMetrics m = run_golden_sharded(4);
-  EXPECT_EQ(metrics_fingerprint(m.fleet), "ba330a27abc9e8ff");
+  const shard::ShardedMetrics m = run_golden_sharded(4);
+  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "46ec9e8edfbbdb89");
+  EXPECT_EQ(fingerprint(m.fleet), "5429f2e4c19bca85");
   EXPECT_GT(m.stats.handoffs, 0);
 }
 
@@ -73,9 +290,102 @@ TEST(GoldenReplay, RunFleetWithCoordinatorFingerprintIsPinned) {
   const edge::WorkloadTrace trace = golden_trace(16, 5);
   auto router = fleet::make_router("least-loaded");
   const fleet::FleetMetrics m = fleet::run_fleet(trace, lib, config, *router, 23);
-  EXPECT_EQ(metrics_fingerprint(m), "51ededc7c6e7261d");
+  EXPECT_EQ(shard::metrics_fingerprint(m), "3c5ee223c01a668f");
+  EXPECT_EQ(fingerprint(m), "37e4ca1594fd9e5b");
   EXPECT_GT(m.reconfigurations, 0);
 }
 
+bool has_zero_window(const sim::TimeSeries& s) {
+  return std::find(s.values.begin(), s.values.end(), 0.0) != s.values.end();
+}
+
+/// Leading, middle and trailing zero-rate stretches around bursty load near
+/// the synthetic library's capacity, so the runtime manager switches.
+edge::WorkloadTrace gapped_trace() {
+  return edge::WorkloadTrace({0.0, 0.3, 2.0, 3.5, 5.0, 7.2}, {0.0, 700.0, 0.0, 950.0, 420.0, 0.0},
+                             8.0);
+}
+
+faults::FaultSpec burst_window(double start_s, double end_s, double factor) {
+  faults::FaultSpec f;
+  f.kind = faults::FaultKind::kQueueBurst;
+  f.start_s = start_s;
+  f.end_s = end_s;
+  f.magnitude = factor;
+  return f;
+}
+
+TEST(GoldenReplay, RunSimulationFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  faults::FaultSchedule schedule = faults::flaky_edge_schedule(8.0);
+  schedule.faults.push_back(burst_window(5.5, 6.5, 1.8));
+  faults::FaultInjector injector(schedule, 17);
+  auto policy = core::make_serving_policy(core::PolicyKind::kAdaFlow, lib,
+                                          core::RuntimeManagerConfig{});
+  const edge::RunMetrics m =
+      edge::run_simulation(gapped_trace(), *policy, edge::ServerConfig{}, 29, &injector);
+  EXPECT_EQ(fingerprint(m), "832da8a3f78dfc87");
+  EXPECT_GT(m.model_switches, 0);
+  EXPECT_GT(m.faults.burst_windows, 0);
+  EXPECT_TRUE(has_zero_window(m.workload_series));
+}
+
+TEST(GoldenReplay, RunIntegrityFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  integrity::IntegrityRunConfig config;
+  config.canary.canary_interval_s = 0.25;
+  config.policy.scrub_period_s = 3.0;
+  faults::FaultSchedule schedule = faults::config_upset_storm(0.5, 7.5, 1.2);
+  schedule.faults.push_back(burst_window(3.6, 4.4, 1.5));
+  const edge::RunMetrics m = integrity::run_integrity(
+      gapped_trace(),
+      core::make_serving_policy(core::PolicyKind::kAdaFlow, lib, core::RuntimeManagerConfig{}),
+      lib, config, schedule, 31);
+  EXPECT_EQ(fingerprint(m), "a42f619c35278310");
+  EXPECT_GT(m.model_switches, 0);
+  EXPECT_GT(m.faults.burst_windows, 0);
+  EXPECT_GT(m.integrity.upsets_injected, 0);
+  EXPECT_GT(m.integrity.canaries_sent, 0);
+  EXPECT_TRUE(has_zero_window(m.workload_series));
+}
+
+TEST(GoldenReplay, RunDetectionFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = detect::detection_library(fpga::zcu104());
+  core::RuntimeManagerConfig manager;
+  manager.accuracy_threshold = 0.15;
+  core::RuntimeManager policy(lib, manager);
+  const detect::SceneTrace scene =
+      detect::rush_hour_scene(2.0, 9.0, 4.0, 3.0, 5.0, 16.0, 0.5, 0.05, 7);
+  const edge::RunMetrics m = detect::run_detection(scene, policy, edge::ServerConfig{},
+                                                   detect::DetectionRunConfig{}, 43);
+  EXPECT_EQ(fingerprint(m), "eae4affba85c5265");
+  EXPECT_GT(m.model_switches, 0);
+  EXPECT_GT(m.detection.frames_scored, 0);
+}
+
+TEST(GoldenReplay, RunTenantsFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  tenant::MultiTenantConfig config;
+  config.devices = 3;
+  config.duration_s = 5.0;
+  config.warmup_s = 0.5;
+  tenant::TenantSpec a;
+  a.name = "alpha";
+  a.weight = 2.0;
+  a.admission.rate_fps = 1600.0;
+  a.trace = edge::WorkloadTrace({0.0, 1.5, 2.5}, {300.0, 0.0, 1500.0}, 5.0);
+  tenant::TenantSpec b;
+  b.name = "beta";
+  b.admission.rate_fps = 300.0;
+  b.trace = edge::WorkloadTrace({0.0, 0.4, 1.2, 2.8, 3.8}, {0.0, 250.0, 0.0, 250.0, 0.0}, 5.0);
+  config.tenants = {a, b};
+  const tenant::MultiTenantMetrics m = tenant::run_tenants(config, lib, 37);
+  EXPECT_EQ(fingerprint(m), "4fd4b8ab6cd9ded1");
+  EXPECT_GT(m.version_switches, 0);
+  EXPECT_GT(m.tenants[0].usage.offered, 0);
+  EXPECT_GT(m.tenants[1].usage.offered, 0);
+  EXPECT_TRUE(has_zero_window(m.fleet.workload_series));
+}
+
 }  // namespace
-}  // namespace adaflow::shard
+}  // namespace adaflow

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/fleet/fleet.hpp"
+#include "adaflow/ingest/pipeline.hpp"
 #include "adaflow/shard/sharded_engine.hpp"
+#include "adaflow/sim/fields.hpp"
 #include "adaflow/sim/stats.hpp"
+#include "adaflow/tenant/serving.hpp"
 
 namespace adaflow {
 namespace {
@@ -90,10 +98,10 @@ TEST(LatencyHistogramMerge, EmptyIsTheIdentityAndMergeIsAssociative) {
 
   sim::LatencyHistogram identity_check = a;
   identity_check.merge(sim::LatencyHistogram{});
-  EXPECT_TRUE(identity_check.identical(a));
+  EXPECT_TRUE(sim::identical(identity_check, a));
   sim::LatencyHistogram from_empty;
   from_empty.merge(a);
-  EXPECT_TRUE(from_empty.identical(a));
+  EXPECT_TRUE(sim::identical(from_empty, a));
 
   sim::LatencyHistogram left = a;
   left.merge(b);
@@ -102,145 +110,225 @@ TEST(LatencyHistogramMerge, EmptyIsTheIdentityAndMergeIsAssociative) {
   bc.merge(c);
   sim::LatencyHistogram right = a;
   right.merge(bc);
-  EXPECT_TRUE(left.identical(right));
+  EXPECT_TRUE(sim::identical(left, right));
   EXPECT_EQ(left.count(), 6);
   EXPECT_DOUBLE_EQ(left.min_s(), 0.001);
   EXPECT_DOUBLE_EQ(left.max_s(), 1.5);
 }
 
-edge::RunMetrics sample_run_metrics(std::int64_t scale) {
-  edge::RunMetrics m;
-  m.arrived = 100 * scale;
-  m.processed = 90 * scale;
-  m.lost = 10 * scale;
-  m.qoe_accuracy_sum = 81.0 * static_cast<double>(scale);
-  m.energy_j = 5.0 * static_cast<double>(scale);
-  m.duration_s = 10.0;
-  m.model_switches = static_cast<int>(scale);
-  m.workload_series = series({10.0 * static_cast<double>(scale)});
-  m.loss_series = series({0.1});
-  m.qoe_series = series({0.8});
-  m.power_series = series({0.5 * static_cast<double>(scale)});
-  m.integrity.upsets_injected = 2 * scale;
-  m.integrity.wrong_frames = 15 * scale;
-  m.integrity.canaries_sent = 8 * scale;
-  m.integrity.corrupt_time_s = 0.5 * static_cast<double>(scale);
-  // Exact binary fraction: sum_s stays bit-exact under any merge order.
-  m.e2e_latency.record(0.015625 * static_cast<double>(scale));
-  return m;
+// ---- Field tables: every entry of every table matters ----
+
+template <class V>
+struct IsVector : std::false_type {};
+template <class E>
+struct IsVector<std::vector<E>> : std::true_type {};
+
+/// Fills every member with a non-default value: counters and scalars
+/// k * scale (exact in binary), strings from k alone, enums and flags at
+/// their first non-default value, series {k, k + 1} (the same in every
+/// sample, so weighted merges stay exact), one histogram sample, one row per
+/// vector.
+template <class V>
+void populate(V& v, std::int64_t& k, std::int64_t scale) {
+  if constexpr (sim::Tabled<V>) {
+    sim::for_each_field<V>([&](const auto& e) { populate(v.*e.member, k, scale); });
+  } else if constexpr (IsVector<V>::value) {
+    v.assign(1, typename V::value_type{});
+    populate(v.front(), k, scale);
+  } else if constexpr (std::is_same_v<V, std::string>) {
+    v = std::to_string(k++);
+  } else if constexpr (std::is_same_v<V, sim::TimeSeries>) {
+    v = series({static_cast<double>(k), static_cast<double>(k + 1)});
+    k += 2;
+  } else if constexpr (std::is_same_v<V, sim::LatencyHistogram>) {
+    v.record(0.015625 * static_cast<double>(k++ * scale));
+  } else if constexpr (std::is_same_v<V, bool>) {
+    v = true;
+    ++k;
+  } else if constexpr (std::is_enum_v<V>) {
+    v = static_cast<V>(1);
+    ++k;
+  } else {
+    v = static_cast<V>(k++ * scale);
+  }
 }
 
-TEST(RunMetricsMerge, DefaultConstructedIsTheIdentity) {
-  const edge::RunMetrics m = sample_run_metrics(2);
-  edge::RunMetrics merged;
-  merged.merge(m);
-  EXPECT_EQ(merged.arrived, m.arrived);
-  EXPECT_EQ(merged.processed, m.processed);
-  EXPECT_EQ(merged.lost, m.lost);
-  EXPECT_DOUBLE_EQ(merged.qoe_accuracy_sum, m.qoe_accuracy_sum);
-  EXPECT_DOUBLE_EQ(merged.duration_s, m.duration_s);
-  EXPECT_EQ(merged.workload_series.values, m.workload_series.values);
-  EXPECT_EQ(merged.loss_series.values, m.loss_series.values);
-  EXPECT_TRUE(merged.e2e_latency.identical(m.e2e_latency));
+template <class S>
+S populated(std::int64_t scale) {
+  S s;
+  std::int64_t k = 2;  // above every default member value (LayerFolding's 1s)
+  populate(s, k, scale);
+  return s;
+}
+
+/// Converts to any member type: S{AnyMember{}...} compiles for at most as
+/// many initializers as the aggregate S has members.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+
+template <class S, class... A>
+constexpr std::size_t member_count() {
+  if constexpr (requires { S{A{}..., AnyMember{}}; }) {
+    return member_count<S, A..., AnyMember>();
+  } else {
+    return sizeof...(A);
+  }
+}
+
+/// \p a with \p b merged into it.
+template <class S>
+S merged(S a, const S& b) {
+  sim::merge(a, b);
+  return a;
 }
 
 TEST(RunMetricsMerge, IsAssociativeAndWeightsLossByWorkload) {
-  const edge::RunMetrics a = sample_run_metrics(1);
-  const edge::RunMetrics b = sample_run_metrics(2);
-  const edge::RunMetrics c = sample_run_metrics(4);
-
-  edge::RunMetrics left = a;
-  left.merge(b);
-  left.merge(c);
-  edge::RunMetrics bc = b;
-  bc.merge(c);
-  edge::RunMetrics right = a;
-  right.merge(bc);
-
-  EXPECT_EQ(left.arrived, right.arrived);
-  EXPECT_EQ(left.arrived, 700);
-  EXPECT_EQ(left.processed, right.processed);
-  EXPECT_DOUBLE_EQ(left.qoe_accuracy_sum, right.qoe_accuracy_sum);
-  EXPECT_EQ(left.workload_series.values, right.workload_series.values);
-  EXPECT_EQ(left.loss_series.values, right.loss_series.values);
-  EXPECT_TRUE(left.e2e_latency.identical(right.e2e_latency));
-  // All three substreams report loss 0.1, so any weighting returns 0.1.
-  EXPECT_DOUBLE_EQ(left.loss_series.values[0], 0.1);
-  // Workload adds: 10 + 20 + 40.
-  EXPECT_DOUBLE_EQ(left.workload_series.values[0], 70.0);
-  // The per-device integrity ledger adds like the frame counters.
-  EXPECT_EQ(left.integrity.upsets_injected, 14);
-  EXPECT_EQ(left.integrity.wrong_frames, 105);
-  EXPECT_EQ(left.integrity.canaries_sent, 56);
-  EXPECT_DOUBLE_EQ(left.integrity.corrupt_time_s, 3.5);
-}
-
-fleet::FleetMetrics sample_fleet_metrics(std::int64_t scale) {
-  fleet::FleetMetrics m;
-  m.arrived = 1000 * scale;
-  m.dispatched = 900 * scale;
-  m.ingress_lost = 80 * scale;
-  m.ingress_backlog = 20 * scale;
-  m.processed = 850 * scale;
-  m.device_lost = 50 * scale;
-  m.qoe_accuracy_sum = 700.0 * static_cast<double>(scale);
-  m.energy_j = 12.0 * static_cast<double>(scale);
-  m.duration_s = 10.0;
-  m.tail_latency_p95_s = 0.01 * static_cast<double>(scale);
-  m.workload_series = series({100.0 * static_cast<double>(scale)});
-  m.loss_series = series({0.1});
-  m.qoe_series = series({0.7});
-  m.backlog_series = series({0.02 * static_cast<double>(scale)});
-  m.integrity.upsets_injected = 5 * scale;
-  m.integrity.wrong_frames = 40 * scale;
-  m.integrity.corrupt_time_s = 1.5 * static_cast<double>(scale);
-  m.integrity.canaries_sent = 20 * scale;
-  m.integrity.canaries_failed = 6 * scale;
-  m.integrity.detections = 2 * scale;
-  m.integrity.scrubs = 3 * scale;
-  m.integrity.repairs = 2 * scale;
-  fleet::FleetDeviceResult d;
-  d.name = "dev" + std::to_string(scale);
-  d.metrics = sample_run_metrics(scale);
-  m.devices.push_back(d);
-  return m;
+  // 100 frames at loss 0.5 and 300 frames at loss 0.1 in one window merge to
+  // 0.2 (numerator-sum over weight-sum), not to the plain mean 0.3.
+  auto sample = [](std::int64_t scale, double frames, double loss) {
+    edge::RunMetrics m = populated<edge::RunMetrics>(scale);
+    m.workload_series = series({frames, 0.0});
+    m.loss_series = series({loss, 0.0});
+    return m;
+  };
+  const edge::RunMetrics a = sample(1, 100.0, 0.5);
+  const edge::RunMetrics b = sample(2, 300.0, 0.1);
+  const edge::RunMetrics c = sample(4, 0.0, 0.0);
+  const edge::RunMetrics m = merged(merged(a, b), c);
+  EXPECT_TRUE(sim::identical(m, merged(a, merged(b, c))));
+  EXPECT_DOUBLE_EQ(m.loss_series.values[0], 0.2);
+  EXPECT_DOUBLE_EQ(m.loss_series.values[1], 0.0);  // no weight anywhere
+  EXPECT_DOUBLE_EQ(m.workload_series.values[0], 400.0);
+  // Frame counters and the per-device integrity ledger add.
+  EXPECT_EQ(m.arrived, 7 * a.arrived);
+  EXPECT_EQ(m.integrity.wrong_frames, 7 * a.integrity.wrong_frames);
+  EXPECT_DOUBLE_EQ(m.integrity.corrupt_time_s, 7 * a.integrity.corrupt_time_s);
 }
 
 TEST(FleetMetricsMerge, IdentityAssociativityAndWorstOfSemantics) {
-  const fleet::FleetMetrics a = sample_fleet_metrics(1);
-  const fleet::FleetMetrics b = sample_fleet_metrics(3);
+  auto sample = [](std::int64_t scale) {
+    fleet::FleetMetrics m = populated<fleet::FleetMetrics>(scale);
+    m.backlog_series = series({0.02 * static_cast<double>(scale)});
+    m.arrived = m.dispatched + m.ingress_lost + m.ingress_backlog - m.redispatched;
+    return m;
+  };
+  const fleet::FleetMetrics a = sample(1);
+  const fleet::FleetMetrics b = sample(3);
+  const fleet::FleetMetrics c = sample(5);
+  EXPECT_EQ(shard::metrics_fingerprint(merged(fleet::FleetMetrics{}, a)),
+            shard::metrics_fingerprint(a));
+  const fleet::FleetMetrics left = merged(merged(a, b), c);
+  EXPECT_EQ(shard::metrics_fingerprint(left),
+            shard::metrics_fingerprint(merged(a, merged(b, c))));
 
-  fleet::FleetMetrics identity;
-  identity.merge(a);
-  EXPECT_EQ(shard::metrics_fingerprint(identity), shard::metrics_fingerprint(a));
-
-  const fleet::FleetMetrics c = sample_fleet_metrics(5);
-  fleet::FleetMetrics left = a;
-  left.merge(b);
-  left.merge(c);
-  fleet::FleetMetrics bc = b;
-  bc.merge(c);
-  fleet::FleetMetrics right = a;
-  right.merge(bc);
-  EXPECT_EQ(shard::metrics_fingerprint(left), shard::metrics_fingerprint(right));
-
-  // Worst-of fields take the max; counters add; device rows concatenate.
-  EXPECT_DOUBLE_EQ(left.tail_latency_p95_s, 0.05);
+  // Worst-of fields take the max; counters and the silent-corruption ledger
+  // add; device rows concatenate in call order.
+  EXPECT_DOUBLE_EQ(left.tail_latency_p95_s, c.tail_latency_p95_s);
   EXPECT_DOUBLE_EQ(left.backlog_series.values[0], 0.10);
-  EXPECT_EQ(left.arrived, 9000);
-  // The silent-corruption ledger is additive like the other counters.
-  EXPECT_EQ(left.integrity.upsets_injected, 45);
-  EXPECT_EQ(left.integrity.wrong_frames, 360);
-  EXPECT_DOUBLE_EQ(left.integrity.corrupt_time_s, 13.5);
-  EXPECT_EQ(left.integrity.canaries_sent, 180);
-  EXPECT_EQ(left.integrity.detections, 18);
-  EXPECT_EQ(left.integrity.repairs, 18);
+  EXPECT_EQ(left.processed, 9 * a.processed);
+  EXPECT_EQ(left.integrity.wrong_frames, 9 * a.integrity.wrong_frames);
+  EXPECT_DOUBLE_EQ(left.integrity.corrupt_time_s, 9 * a.integrity.corrupt_time_s);
   ASSERT_EQ(left.devices.size(), 3u);
-  EXPECT_EQ(left.devices[0].name, "dev1");
-  EXPECT_EQ(left.devices[2].name, "dev5");
+  EXPECT_TRUE(sim::identical(left.devices[2], c.devices[0]));
   // Flow conservation survives the merge.
   EXPECT_EQ(left.arrived + left.redispatched,
             left.dispatched + left.ingress_lost + left.ingress_backlog);
+}
+
+template <class S>
+class FieldTables : public ::testing::Test {};
+
+using TabledStructs =
+    ::testing::Types<sim::FaultStats, sim::IntegrityStats, sim::ForecastStats,
+                     sim::DetectionStats, edge::SwitchRecord, edge::RunMetrics,
+                     fleet::TenantUsage, fleet::FleetDeviceResult, fleet::FleetMetrics,
+                     tenant::TenantResult, tenant::MultiTenantMetrics, ingest::BrownoutStats,
+                     ingest::CameraSessionStats, ingest::NetworkStats,
+                     ingest::StaleFilter::Stats, ingest::IngestSessionResult,
+                     ingest::IngestMetrics, dse::RateFoldingPlan, hls::FoldingConfig,
+                     hls::LayerFolding>;
+TYPED_TEST_SUITE(FieldTables, TabledStructs);
+
+TYPED_TEST(FieldTables, TableListsEveryMember) {
+  constexpr std::size_t entries =
+      std::tuple_size_v<decltype(field_table(std::type_identity<TypeParam>{}))>;
+  EXPECT_EQ(entries, member_count<TypeParam>());
+  // ...each exactly once: with as many entries as members, no duplicate
+  // means no member is missing.
+  int repeats = 0;
+  sim::for_each_field<TypeParam>([&](const auto& a) {
+    sim::for_each_field<TypeParam>([&](const auto& b) {
+      if constexpr (std::is_same_v<decltype(a.member), decltype(b.member)>) {
+        repeats += a.member == b.member ? 1 : 0;
+      }
+    });
+  });
+  EXPECT_EQ(repeats, static_cast<int>(entries));  // each entry matches only itself
+}
+
+TYPED_TEST(FieldTables, EveryFieldMovesFingerprintAndEquality) {
+  // Every member of the sample differs from its default, so resetting any
+  // one member to its default is a change that a complete fingerprint and
+  // equality must both see.
+  const TypeParam base = populated<TypeParam>(1);
+  const TypeParam fresh{};
+  EXPECT_TRUE(sim::identical(base, base));
+  sim::for_each_field<TypeParam>([&](const auto& e) {
+    TypeParam changed = base;
+    changed.*e.member = fresh.*e.member;
+    EXPECT_FALSE(sim::identical(base, changed)) << e.name;
+    EXPECT_NE(sim::fingerprint(base), sim::fingerprint(changed)) << e.name;
+  });
+}
+
+TYPED_TEST(FieldTables, DefaultIsTheMergeIdentity) {
+  const TypeParam s = populated<TypeParam>(2);
+  TypeParam left;
+  sim::merge(left, s);
+  EXPECT_TRUE(sim::identical(left, s));
+  TypeParam right = s;
+  sim::merge(right, TypeParam{});
+  EXPECT_TRUE(sim::identical(right, s));
+}
+
+TYPED_TEST(FieldTables, MergeIsAssociativeOnIntegerWeightedSamples) {
+  const TypeParam a = populated<TypeParam>(1);
+  const TypeParam b = populated<TypeParam>(2);
+  const TypeParam c = populated<TypeParam>(4);
+  TypeParam left = a;
+  sim::merge(left, b);
+  sim::merge(left, c);
+  TypeParam bc = b;
+  sim::merge(bc, c);
+  TypeParam right = a;
+  sim::merge(right, bc);
+  EXPECT_TRUE(sim::identical(left, right));
+  EXPECT_EQ(sim::fingerprint(left), sim::fingerprint(right));
+}
+
+TYPED_TEST(FieldTables, MeanAndTotalOfOneRunAreTheRun) {
+  const TypeParam s = populated<TypeParam>(3);
+  EXPECT_TRUE(sim::identical(sim::mean(std::vector<TypeParam>{s}), s));
+  EXPECT_TRUE(sim::identical(sim::total(std::vector<TypeParam>{s}), s));
+}
+
+TEST(FieldTables, MeanSumsThenDividesAndKeepsRunZerosRows) {
+  const edge::RunMetrics a = populated<edge::RunMetrics>(1);
+  const edge::RunMetrics b = populated<edge::RunMetrics>(3);
+  const edge::RunMetrics m = sim::mean(std::vector<edge::RunMetrics>{a, b});
+  EXPECT_EQ(m.arrived, (a.arrived + b.arrived) / 2);
+  EXPECT_EQ(m.faults.recoveries, (a.faults.recoveries + b.faults.recoveries) / 2);
+  // Max-kind fields are averaged like the counters.
+  EXPECT_DOUBLE_EQ(m.duration_s, (a.duration_s + b.duration_s) / 2.0);
+  EXPECT_TRUE(sim::identical(m.loss_series, a.loss_series));
+  EXPECT_TRUE(sim::identical(m.switches, a.switches));
+  EXPECT_EQ(m.e2e_latency.count(), 2);
+  // Counts round to nearest; the totals keep the exact sums.
+  const edge::RunMetrics one = sim::mean(std::vector<edge::RunMetrics>{a, a, b});
+  EXPECT_EQ(one.lost, std::llround(static_cast<double>(2 * a.lost + b.lost) / 3.0));
+  EXPECT_EQ(sim::total(std::vector<edge::RunMetrics>{a, a, b}).lost, 2 * a.lost + b.lost);
 }
 
 }  // namespace

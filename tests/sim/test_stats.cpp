@@ -1,6 +1,7 @@
 #include "adaflow/sim/stats.hpp"
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/sim/fields.hpp"
 
 #include <gtest/gtest.h>
 
@@ -227,14 +228,14 @@ TEST(LatencyHistogram, MergeCombinesAndIdenticalDetectsDrift) {
     a.record(s);
     b.record(s);
   }
-  EXPECT_TRUE(a.identical(b));
+  EXPECT_TRUE(sim::identical(a, b));
   LatencyHistogram merged;
   merged.merge(a);
   merged.merge(b);
   EXPECT_EQ(merged.count(), 6);
   EXPECT_DOUBLE_EQ(merged.sum_s(), a.sum_s() + b.sum_s());
   b.record(0.2);
-  EXPECT_FALSE(a.identical(b));
+  EXPECT_FALSE(sim::identical(a, b));
 }
 
 }  // namespace

@@ -39,10 +39,10 @@ TEST(RunTenants, SameSeedReplayIsBitIdentical) {
   const MultiTenantConfig config = small_config();
   const MultiTenantMetrics first = run_tenants(config, lib, kSeed);
   const MultiTenantMetrics replay = run_tenants(config, lib, kSeed);
-  EXPECT_TRUE(first.identical(replay));
+  EXPECT_TRUE(sim::identical(first, replay));
   // A different seed draws different Poisson arrivals.
   const MultiTenantMetrics other = run_tenants(config, lib, kSeed + 1);
-  EXPECT_FALSE(first.identical(other));
+  EXPECT_FALSE(sim::identical(first, other));
 }
 
 TEST(RunTenants, PerTenantAccountingIdentitiesHold) {
@@ -102,7 +102,7 @@ TEST(RunTenants, FifoAndPeakFpsBaselineAlsoBalances) {
   const MultiTenantMetrics m = run_tenants(config, lib, kSeed);
   EXPECT_EQ(m.fleet.arrived + m.fleet.redispatched,
             m.fleet.dispatched + m.fleet.ingress_lost + m.fleet.ingress_backlog);
-  EXPECT_TRUE(m.identical(run_tenants(config, lib, kSeed)));
+  EXPECT_TRUE(sim::identical(m, run_tenants(config, lib, kSeed)));
 }
 
 TEST(MultiTenantConfigValidate, RejectsBadConfigs) {

@@ -43,7 +43,7 @@ ctest --test-dir "$root/build" -L ingest --output-on-failure -j "$jobs"
 echo "== tenant group (ctest -L tenant: multi-tenant tests + CLI validation + bench_tenant smoke) =="
 ctest --test-dir "$root/build" -L tenant --output-on-failure -j "$jobs"
 
-echo "== shard group (ctest -L shard: sharded-engine tests + CLI validation + bench_shard smoke) =="
+echo "== shard group (ctest -L shard: sharded-engine tests, the FieldTables perturbation/identity/associativity tests of every metrics field table + CLI validation + bench_shard smoke) =="
 ctest --test-dir "$root/build" -L shard --output-on-failure -j "$jobs"
 
 echo "== integrity group (ctest -L integrity: silent-corruption tests + CLI validation + bench_integrity smoke) =="
@@ -58,10 +58,10 @@ ctest --test-dir "$root/build" -L detect --output-on-failure -j "$jobs"
 echo "== cli group (ctest -L cli: every subcommand's smoke run + flag error paths) =="
 ctest --test-dir "$root/build" -L cli --output-on-failure -j "$jobs"
 
-echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device and tenant replay pins) =="
+echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device and tenant replay pins, metrics_fingerprint and reference-hasher) =="
 ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
 
-echo "== tier 2: ASan+UBSan unit tests =="
+echo "== tier 2: ASan+UBSan unit tests (incl. Parallel.NestedCallRunsInline* and the shard group's FieldTables tests) =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-asan" -j "$jobs" --target adaflow_unit_tests \
@@ -81,7 +81,7 @@ ctest --test-dir "$root/build-asan" -L 'unit|nn|sim|fleet|chaos|forecast|dse|ing
 # chunks as tasks of the same parallel_for) at 1, 2 and 4 workers, to the
 # batched-NT GEMM oracle, whose A^T packing runs one task per sample, and to
 # the MaxPool2d oracle, whose planes run in parallel blocks.
-echo "== tier 3: ThreadSanitizer shard/fleet/common tests =="
+echo "== tier 3: ThreadSanitizer shard/fleet/common tests (incl. FieldTables and the nested parallel_for test) =="
 cmake -B "$root/build-tsan" -S "$root" -DADAFLOW_TSAN=ON \
   -DADAFLOW_BUILD_BENCH=OFF -DADAFLOW_BUILD_EXAMPLES=OFF
 cmake --build "$root/build-tsan" -j "$jobs" --target adaflow_unit_tests \
