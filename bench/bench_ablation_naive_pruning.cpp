@@ -11,6 +11,8 @@
 #include "adaflow/common/math.hpp"
 #include "adaflow/common/strings.hpp"
 #include "adaflow/common/table.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/trainer.hpp"
 #include "adaflow/pruning/prune.hpp"
 #include "common.hpp"
@@ -23,7 +25,7 @@ int main() {
   // Build the standard CNVW2A2 and its bench folding (no training needed —
   // the constraints are structural).
   const nn::CnvTopology topology = bench::combo_topology(bench::Combo::kCifarW2A2);
-  nn::Model model = nn::build_cnv(topology, 7);
+  nn::Model model = graph::lower_model(graph::from_cnv(topology), 7);
   const hls::FoldingConfig folding =
       hls::folding_for_target_fps(model, bench::standard_library_config().target_base_fps, 100e6);
   const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);

@@ -36,6 +36,7 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 #include "common.hpp"
 
 namespace {
@@ -85,8 +86,7 @@ fleet::FleetConfig chaos_fleet(const core::AcceleratorLibrary& lib,
 
 fleet::FleetMetrics run(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& lib,
                         const fleet::FleetConfig& config, std::uint64_t seed) {
-  auto router = fleet::make_router("least-loaded");  // fresh cursor per run
-  return fleet::run_fleet(trace, lib, config, *router, seed);
+  return shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", seed).fleet;
 }
 
 void emit(bench::BenchJson& json, const std::string& scenario, const fleet::FleetMetrics& m) {

@@ -32,6 +32,8 @@
 #include "adaflow/common/table.hpp"
 #include "adaflow/dse/explorer.hpp"
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "common.hpp"
@@ -53,10 +55,10 @@ struct DefaultDesign {
 
 /// The heuristic baseline: folding_for_target_fps at the paper's operating
 /// point, evaluated through the same canonical perf/resource models.
-DefaultDesign default_design(const nn::Model& model, const hls::CompiledModel& geometry,
-                             int weight_bits, int act_bits, const fpga::FpgaDevice& device) {
+DefaultDesign default_design(const hls::CompiledModel& geometry, int weight_bits, int act_bits,
+                             const fpga::FpgaDevice& device) {
   DefaultDesign d;
-  d.folding = hls::folding_for_target_fps(model, 450.0, device.clock_hz);
+  d.folding = hls::folding_for_target_fps(geometry, 450.0, device.clock_hz);
   d.fps = perf::analyze(geometry, d.folding, hls::AcceleratorVariant::kFixed, device.clock_hz).fps;
   d.resources = fpga::accelerator_resources(geometry, d.folding, hls::AcceleratorVariant::kFixed,
                                             weight_bits, act_bits,
@@ -103,12 +105,11 @@ int main(int argc, char** argv) {
 
   TextTable table({"model", "contender", "FPS", "LUT", "BRAM18", "II[cyc]", "evaluated"});
   for (const nn::CnvTopology& topology : {nn::cnv_w2a2(10), nn::cnv_w1a2(10)}) {
-    const nn::Model model = nn::build_cnv(topology, 7);
-    const hls::CompiledModel geometry = hls::compile_geometry(model);
-    const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
-    const int wb = layers.front().weight_bits;
-    const int ab = layers.front().act_bits;
-    const DefaultDesign base = default_design(model, geometry, wb, ab, device);
+    const graph::Graph model = graph::from_cnv(topology);
+    const hls::CompiledModel geometry = graph::lower_geometry(model);
+    const int wb = model.quant().weight_bits;
+    const int ab = model.quant().act_bits;
+    const DefaultDesign base = default_design(geometry, wb, ab, device);
     table.add_row({topology.name, "default heuristic", format_double(base.fps, 1),
                    format_double(base.resources.luts, 0),
                    format_double(base.resources.bram18, 0), "-", "-"});

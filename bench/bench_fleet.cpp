@@ -33,6 +33,7 @@
 #include "adaflow/common/table.hpp"
 #include "adaflow/core/library.hpp"
 #include "adaflow/fleet/fleet.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 #include "common.hpp"
 
 namespace {
@@ -123,8 +124,8 @@ int main(int argc, char** argv) {
   double ll_loss = 0.0;
   double aa_loss = 0.0;
   for (const std::string& name : fleet::router_names()) {
-    auto router = fleet::make_router(name);
-    const fleet::FleetMetrics m = fleet::run_fleet(burst_trace, lib, hetero, *router, 99);
+    const fleet::FleetMetrics m =
+        shard::run_sharded_fleet(burst_trace, lib, hetero, {}, name, 99).fleet;
     add_fleet_row(sweep, name, m);
     emit_fleet(json, "router_" + name, m);
     if (name == "round-robin") {
@@ -159,9 +160,8 @@ int main(int argc, char** argv) {
   coordinated.coordinator.estimate_window_s = 0.5;
   coordinated.coordinator.poll_interval_s = 0.25;
   coordinated.coordinator.drain_timeout_s = 0.5;
-  auto router = fleet::make_router("least-loaded");
   const fleet::FleetMetrics fleet_m =
-      fleet::run_fleet(shift_trace, lib, coordinated, *router, 7);
+      shard::run_sharded_fleet(shift_trace, lib, coordinated, {}, "least-loaded", 7).fleet;
 
   // Baselines run one device with 3x the FPS of every version — the same
   // aggregate capacity in one box.
@@ -221,8 +221,7 @@ int main(int argc, char** argv) {
 
   // --- Part C: determinism ------------------------------------------------
   auto replay = [&] {
-    auto r = fleet::make_router("least-loaded");
-    return fleet::run_fleet(burst_trace, lib, hetero, *r, 12345);
+    return shard::run_sharded_fleet(burst_trace, lib, hetero, {}, "least-loaded", 12345).fleet;
   };
   const fleet::FleetMetrics d1 = replay();
   const fleet::FleetMetrics d2 = replay();

@@ -43,6 +43,7 @@
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/integrity/runner.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 #include "common.hpp"
 
 namespace {
@@ -216,8 +217,7 @@ int main(int argc, char** argv) {
   fconfig.integrity.canary_interval_s = 0.25;
   const edge::WorkloadTrace fleet_trace(flat(1200.0, duration), 23);
   auto run_fleet_once = [&] {
-    auto router = fleet::make_router("least-loaded");
-    return fleet::run_fleet(fleet_trace, lib, fconfig, *router, 7);
+    return shard::run_sharded_fleet(fleet_trace, lib, fconfig, {}, "least-loaded", 7).fleet;
   };
   const fleet::FleetMetrics f1 = run_fleet_once();
   const fleet::FleetMetrics f2 = run_fleet_once();

@@ -19,6 +19,8 @@
 #include "adaflow/edge/server.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/fleet/routing.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/gemm.hpp"
@@ -34,7 +36,7 @@ namespace {
 using namespace adaflow;
 
 const nn::Model& model() {
-  static nn::Model m = nn::build_cnv(nn::cnv_w2a2(10, 8), 7);
+  static nn::Model m = graph::lower_model(graph::from_cnv(nn::cnv_w2a2(10, 8)), 7);
   return m;
 }
 
@@ -68,7 +70,7 @@ BENCHMARK(BM_SoftwareForward);
 // One QAT step of the library generator's model: forward + backward of a
 // CNVW1A2 (scale 8) batch of 32. Library generation is this step repeated.
 void BM_TrainStep(benchmark::State& state) {
-  nn::Model m = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+  nn::Model m = graph::lower_model(graph::from_cnv(nn::cnv_w1a2(10, 8)), 7);
   Rng rng(5);
   const nn::Tensor images = nn::Tensor::uniform(nn::Shape{32, 3, 32, 32}, -1, 1, rng);
   std::vector<int> labels(32);
@@ -148,7 +150,7 @@ void BM_ConvLayerStep(benchmark::State& state, const nn::Model& m, int conv) {
 
 const bool kConvLayerStepsRegistered = [] {
   benchmark::AddCustomContext("gemm_kernels", nn::gemm_kernels().isa);
-  static const nn::Model full = nn::build_cnv(nn::cnv_w1a2(10, 8), 7);
+  static const nn::Model full = graph::lower_model(graph::from_cnv(nn::cnv_w1a2(10, 8)), 7);
   static const nn::Model pruned =
       pruning::dataflow_aware_prune(full, hls::folding_for_target_fps(full, 450.0, 100e6), 0.5)
           .model;

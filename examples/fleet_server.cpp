@@ -12,6 +12,7 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 
 int main() {
   using namespace adaflow;
@@ -43,8 +44,8 @@ int main() {
                                                /*rate_per_s=*/0.5, /*magnitude=*/0.5}}};
   config.coordinator.enabled = true;
 
-  auto router = fleet::make_router("least-loaded");
-  const fleet::FleetMetrics m = fleet::run_fleet(trace, lib, config, *router, /*seed=*/42);
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", /*seed=*/42).fleet;
 
   std::printf("fleet: %lld arrived, %lld dispatched, %lld processed\n",
               static_cast<long long>(m.arrived), static_cast<long long>(m.dispatched),

@@ -13,6 +13,8 @@
 #include "adaflow/common/strings.hpp"
 #include "adaflow/datasets/synthetic.hpp"
 #include "adaflow/fpga/reconfig.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/trainer.hpp"
@@ -25,7 +27,7 @@ int main() {
   // Train a compact CNV-W2A2 on the CIFAR-like set.
   datasets::DatasetSpec spec = datasets::synth_cifar10_spec(800, 200);
   const datasets::SyntheticDataset dataset = datasets::generate(spec);
-  nn::Model base = nn::build_cnv(nn::cnv_w2a2(spec.classes), 7);
+  nn::Model base = graph::lower_model(graph::from_cnv(nn::cnv_w2a2(spec.classes)), 7);
   nn::TrainConfig tc;
   tc.epochs = 5;
   tc.lr = 0.02f;

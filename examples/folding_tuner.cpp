@@ -18,6 +18,8 @@
 #include "adaflow/common/table.hpp"
 #include "adaflow/dse/explorer.hpp"
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/cnv.hpp"
 
@@ -26,11 +28,10 @@ int main() {
   set_log_level(LogLevel::kWarn);
 
   const fpga::FpgaDevice device = fpga::zcu104();
-  const nn::Model model = nn::build_cnv(nn::cnv_w2a2(10), /*seed=*/7);
-  const hls::CompiledModel geometry = hls::compile_geometry(model);
-  const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
-  const int wb = layers.front().weight_bits;
-  const int ab = layers.front().act_bits;
+  const graph::Graph model = graph::from_cnv(nn::cnv_w2a2(10));
+  const hls::CompiledModel geometry = graph::lower_geometry(model);
+  const int wb = model.quant().weight_bits;
+  const int ab = model.quant().act_bits;
 
   std::printf("tuning %s on %s (%.3g candidate foldings)\n\n", model.name().c_str(),
               device.name.c_str(),

@@ -20,8 +20,7 @@ std::string format_percent(double fraction, int decimals = 1);
 /// Joins strings with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// Left/right pads \p s with spaces to \p width.
+/// Right-pads \p s with spaces to \p width.
 std::string pad_right(const std::string& s, std::size_t width);
-std::string pad_left(const std::string& s, std::size_t width);
 
 }  // namespace adaflow

@@ -36,11 +36,4 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) {
-    return s;
-  }
-  return std::string(width - s.size(), ' ') + s;
-}
-
 }  // namespace adaflow

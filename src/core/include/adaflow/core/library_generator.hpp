@@ -82,24 +82,19 @@ class LibraryGenerator {
   LibraryGenerator(fpga::FpgaDevice device, LibraryConfig config)
       : device_(std::move(device)), config_(std::move(config)) {}
 
-  /// Runs the full design-time flow for one (initial CNN, dataset) pair.
-  /// Routed through the graph IR (from_cnv -> lower_model), so the produced
-  /// table carries the topology hash; bit-identical to the pre-IR path.
+  /// Runs the full design-time flow for one (initial CNN, dataset) pair:
+  /// generate_graph over graph::from_cnv(topology).
   GeneratedLibrary generate(const nn::CnvTopology& topology,
                             const datasets::SyntheticDataset& dataset) const;
 
-  /// Graph-IR entry point: lowers \p graph to a trainable model (linear
-  /// chains only — branchy graphs take the geometry-based detection route in
-  /// src/detect) and runs the full flow. The table's topology_hash is the
+  /// The design-time flow for any linear-chain graph (CNV, TFC, ...):
+  /// graph::lower_model builds the trainable model (branchy graphs take the
+  /// geometry-based detection route in src/detect), graph::lower_geometry
+  /// the stage list the folding and area models read. Quantization
+  /// precisions are the graph's, and the table's topology_hash is the
   /// graph's.
   GeneratedLibrary generate_graph(const graph::Graph& graph,
                                   const datasets::SyntheticDataset& dataset) const;
-
-  /// Same flow for an arbitrary (untrained) initial model — e.g. the TFC
-  /// fully-connected topology. Quantization precisions are derived from the
-  /// model's first MVTU layer.
-  GeneratedLibrary generate_from(nn::Model initial,
-                                 const datasets::SyntheticDataset& dataset) const;
 
   const LibraryConfig& config() const { return config_; }
 

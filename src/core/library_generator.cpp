@@ -43,14 +43,16 @@ dse::ExplorerConfig base_tune_config(const LibraryConfig& config) {
 /// Shared worst-case folding: cheapest one sustaining target_base_fps, with
 /// the pruning-granularity constraint so the shipped folding still admits the
 /// 5%-step rate sweep. Falls back to the heuristic when infeasible.
-hls::FoldingConfig tuned_base_folding(const nn::Model& base, const fpga::FpgaDevice& device,
+hls::FoldingConfig tuned_base_folding(const graph::Graph& graph,
+                                      const hls::CompiledModel& geometry,
+                                      const fpga::FpgaDevice& device,
                                       const LibraryConfig& config) {
-  const dse::ExplorationResult r = dse::explore(base, device, base_tune_config(config));
+  const dse::ExplorationResult r = dse::explore(graph, device, base_tune_config(config));
   if (r.frontier.empty() || !r.objective_met) {
     log_warn("folding auto-tune found no feasible design meeting ", config.target_base_fps,
              " fps within ", config.tune_budget_fraction,
              " of the device; falling back to the heuristic folding");
-    return hls::folding_for_target_fps(base, config.target_base_fps, device.clock_hz);
+    return hls::folding_for_target_fps(geometry, config.target_base_fps, device.clock_hz);
   }
   return r.best().folding;
 }
@@ -64,17 +66,11 @@ GeneratedLibrary LibraryGenerator::generate(const nn::CnvTopology& topology,
 
 GeneratedLibrary LibraryGenerator::generate_graph(
     const graph::Graph& graph, const datasets::SyntheticDataset& dataset) const {
-  GeneratedLibrary out = generate_from(graph::lower_model(graph, config_.seed), dataset);
-  out.table.topology_hash = graph.topology_hash();
-  return out;
-}
-
-GeneratedLibrary LibraryGenerator::generate_from(nn::Model base,
-                                                 const datasets::SyntheticDataset& dataset) const {
   require(!config_.rates.empty(), "library needs at least one pruning rate");
   require(config_.rates.front() == 0.0, "the first library rate must be 0 (the unpruned model)");
 
   // 1. Train the initial model (quantization-aware, Brevitas substitute).
+  nn::Model base = graph::lower_model(graph, config_.seed);
   {
     nn::TrainConfig tc;
     tc.epochs = config_.base_epochs;
@@ -91,28 +87,27 @@ GeneratedLibrary LibraryGenerator::generate_from(nn::Model base,
       hls::snap_to_input_grid(dataset.test.images, config_.input_quant), dataset.test.labels};
 
   // 2. Folding for the worst case (unpruned) model at the target throughput —
-  //    heuristic by default, design-space-explored when tuning is on.
+  //    heuristic by default, design-space-explored when tuning is on — on the
+  //    graph's weights-free stage list.
+  const hls::CompiledModel geometry = graph::lower_geometry(graph);
+  const int weight_bits = graph.quant().weight_bits;
+  const int act_bits = graph.quant().act_bits;
   const hls::FoldingConfig folding =
       config_.tune_folding
-          ? tuned_base_folding(base, device_, config_)
-          : hls::folding_for_target_fps(base, config_.target_base_fps, device_.clock_hz);
-  hls::validate_folding(base, folding);
-
-  const std::vector<hls::MvtuLayerDesc> mvtu_layers = hls::enumerate_mvtu_layers(base);
-  require(!mvtu_layers.empty(), "initial model has no MVTU layers");
-  const int weight_bits = mvtu_layers.front().weight_bits;
-  const int act_bits = mvtu_layers.front().act_bits;
+          ? tuned_base_folding(graph, geometry, device_, config_)
+          : hls::folding_for_target_fps(geometry, config_.target_base_fps, device_.clock_hz);
+  hls::validate_folding(geometry, folding);
 
   // Equal-area cap for per-version retuning: whatever the unpruned Fixed
   // accelerator costs under the shared folding, no tuned version may exceed.
   const fpga::ResourceUsage base_fixed_area =
-      fpga::accelerator_resources(hls::compile_geometry(base), folding,
-                                  hls::AcceleratorVariant::kFixed, weight_bits, act_bits,
-                                  config_.resource_constants);
+      fpga::accelerator_resources(geometry, folding, hls::AcceleratorVariant::kFixed,
+                                  weight_bits, act_bits, config_.resource_constants);
 
   GeneratedLibrary out;
   out.folding = folding;
   out.table.model_name = base.name();
+  out.table.topology_hash = graph.topology_hash();
   out.table.dataset_name = dataset.spec.name;
   out.table.clock_hz = device_.clock_hz;
 
@@ -122,7 +117,6 @@ GeneratedLibrary LibraryGenerator::generate_from(nn::Model base,
 
   // 3. Sweep pruning rates: prune -> retrain -> evaluate -> compile -> model
   //    performance/resources/power for both accelerator types.
-  hls::CompiledModel worstcase_compiled;
   for (double rate : config_.rates) {
     // Pruning at 0% yields a structural copy of the base model.
     pruning::PruneResult pr = pruning::dataflow_aware_prune(base, folding, rate, config_.prune_options);
@@ -150,9 +144,6 @@ GeneratedLibrary LibraryGenerator::generate_from(nn::Model base,
     hls::CompiledModel compiled =
         hls::compile_model(version_model, rate, config_.input_quant);
     compiled.accuracy = v.accuracy;
-    if (rate == 0.0) {
-      worstcase_compiled = compiled;
-    }
 
     // Per-version Fixed folding: retuned to the pruned channel counts when
     // the auto-tuner is on (max fps within the unpruned accelerator's area),
@@ -203,12 +194,14 @@ GeneratedLibrary LibraryGenerator::generate_from(nn::Model base,
              " fps_fixed=", format_double(out.table.versions.back().fps_fixed, 0));
   }
 
-  // 4. Shared accelerators: original FINN (baseline) and the Flexible one.
+  // 4. Shared accelerators: original FINN (baseline) and the Flexible one,
+  //    both sized for the worst case (the unpruned rate-0 version).
+  const hls::CompiledModel& worstcase = out.compiled.front();
   out.table.resources_finn =
-      fpga::accelerator_resources(worstcase_compiled, folding, hls::AcceleratorVariant::kFixed,
+      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFixed,
                                   weight_bits, act_bits, config_.resource_constants);
   out.table.resources_flexible =
-      fpga::accelerator_resources(worstcase_compiled, folding, hls::AcceleratorVariant::kFlexible,
+      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFlexible,
                                   weight_bits, act_bits, config_.resource_constants);
   out.table.folding_flexible = folding;
   out.table.finn_power_busy_w = power.watts(out.table.resources_finn, 1.0);

@@ -8,6 +8,7 @@
 #include "adaflow/common/math.hpp"
 #include "adaflow/common/parallel.hpp"
 #include "adaflow/common/rng.hpp"
+#include "adaflow/graph/lower.hpp"
 
 namespace adaflow::dse {
 
@@ -534,12 +535,10 @@ ExplorationResult explore_geometry(const hls::CompiledModel& geometry, int weigh
   return result;
 }
 
-ExplorationResult explore(const nn::Model& model, const fpga::FpgaDevice& device,
+ExplorationResult explore(const graph::Graph& graph, const fpga::FpgaDevice& device,
                           const ExplorerConfig& config) {
-  const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
-  require(!layers.empty(), "model has no MVTU layers to fold");
-  return explore_geometry(hls::compile_geometry(model), layers.front().weight_bits,
-                          layers.front().act_bits, device, config);
+  return explore_geometry(graph::lower_geometry(graph), graph.quant().weight_bits,
+                          graph.quant().act_bits, device, config);
 }
 
 std::vector<LayerReport> layer_breakdown(const SearchSpace& space, const DesignPoint& point) {

@@ -25,7 +25,7 @@
 
 #include "adaflow/dse/search_space.hpp"
 #include "adaflow/fpga/device.hpp"
-#include "adaflow/nn/model.hpp"
+#include "adaflow/graph/graph.hpp"
 
 namespace adaflow::dse {
 
@@ -105,9 +105,9 @@ ExplorationResult explore_geometry(const hls::CompiledModel& geometry, int weigh
                                    int act_bits, const fpga::FpgaDevice& device,
                                    const ExplorerConfig& config);
 
-/// Convenience wrapper: derives geometry and precisions from \p model
-/// (untrained models work — only layer shapes matter).
-ExplorationResult explore(const nn::Model& model, const fpga::FpgaDevice& device,
+/// Convenience wrapper: geometry from graph::lower_geometry, precisions from
+/// the graph's quantization (no weights are built or trained).
+ExplorationResult explore(const graph::Graph& graph, const fpga::FpgaDevice& device,
                           const ExplorerConfig& config);
 
 /// Recomputes the per-layer breakdown of \p point against \p space.

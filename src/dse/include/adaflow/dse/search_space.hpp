@@ -78,10 +78,10 @@ double space_size(const SearchSpace& space);
 bool prune_compatible(std::int64_t ch_out, std::int64_t pe, std::int64_t simd_next,
                       double max_granularity);
 
-/// Builds the lattice for \p geometry (a compile_geometry / compile_model
-/// result). Candidate costs are normalized against \p budget; \p variant
-/// selects whether cycle counts carry the Flexible guard/setup overhead.
-/// Candidate evaluation fans out over common/parallel.
+/// Builds the lattice for \p geometry (a graph::lower_geometry or
+/// hls::compile_model result). Candidate costs are normalized against
+/// \p budget; \p variant selects whether cycle counts carry the Flexible
+/// guard/setup overhead. Candidate evaluation fans out over common/parallel.
 SearchSpace build_search_space(const hls::CompiledModel& geometry, int weight_bits, int act_bits,
                                hls::AcceleratorVariant variant,
                                const fpga::ResourceUsage& budget,

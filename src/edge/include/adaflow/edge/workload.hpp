@@ -30,7 +30,6 @@ struct WorkloadConfig {
   std::vector<WorkloadPhase> phases;
 
   double base_rate() const { return devices * fps_per_device; }
-  double total_duration() const;
 
   /// Throws ConfigError naming the offending field (and phase index) on
   /// non-positive device counts, negative/NaN rates, deviations, intervals

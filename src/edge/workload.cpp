@@ -35,14 +35,6 @@ void WorkloadConfig::validate() const {
   }
 }
 
-double WorkloadConfig::total_duration() const {
-  double total = 0.0;
-  for (const WorkloadPhase& p : phases) {
-    total += p.duration_s;
-  }
-  return total;
-}
-
 WorkloadConfig scenario1(double duration_s) {
   WorkloadConfig c;
   c.phases = {WorkloadPhase{0.30, 5.0, duration_s}};

@@ -20,6 +20,14 @@ edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::s
   return mode;
 }
 
+edge::SwitchAction reconfigure_to(const core::AcceleratorLibrary& library, std::size_t version) {
+  edge::SwitchAction action;
+  action.target = fixed_mode_for(library, version);
+  action.switch_time_s = library.reconfig_time_s;
+  action.is_reconfiguration = true;
+  return action;
+}
+
 std::size_t find_version(const core::AcceleratorLibrary& library,
                          const std::string& version_name) {
   for (std::size_t i = 0; i < library.versions.size(); ++i) {
@@ -626,12 +634,7 @@ void FleetEngine::coordinator_tick() {
         break;  // self-healing ladder busy (stall recovery); wait it out
       }
       if (dev.idle() || now - drain_started_s_ >= config_.coordinator.drain_timeout_s) {
-        const core::AcceleratorLibrary& lib = device_library(coord_device_);
-        edge::SwitchAction action;
-        action.target = fixed_mode_for(lib, coord_target_);
-        action.switch_time_s = lib.reconfig_time_s;
-        action.is_reconfiguration = true;
-        dev.command_switch(action);
+        dev.command_switch(reconfigure_to(device_library(coord_device_), coord_target_));
         coord_state_ = CoordState::kReconfiguring;
       }
       break;

@@ -1,11 +1,9 @@
 #include "adaflow/fleet/fleet.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/fleet/engine.hpp"
-#include "adaflow/sim/event_queue.hpp"
 
 namespace adaflow::fleet {
 
@@ -71,52 +69,6 @@ PinnedPolicy::PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t 
 }
 
 edge::ServingMode PinnedPolicy::initial_mode() { return fixed_mode_for(library_, version_); }
-
-namespace {
-
-/// Chains the fleet-wide arrival process on the engine's queue: each arrival
-/// offers one frame, then schedules its successor.
-class FleetArrivals {
- public:
-  FleetArrivals(sim::EventQueue& queue, FleetEngine& engine, edge::PoissonArrivals source)
-      : queue_(queue), engine_(engine), source_(std::move(source)) {}
-  FleetArrivals(const FleetArrivals&) = delete;
-  FleetArrivals& operator=(const FleetArrivals&) = delete;
-
-  void schedule_next() {
-    if (const std::optional<double> when = source_.next()) {
-      queue_.schedule_at(*when, [this] {
-        engine_.offer_frame();
-        schedule_next();
-      });
-    }
-  }
-
- private:
-  sim::EventQueue& queue_;
-  FleetEngine& engine_;
-  edge::PoissonArrivals source_;
-};
-
-}  // namespace
-
-/// The classic closed-world entry point, a thin wrapper: one FleetEngine fed
-/// by the fleet-wide PoissonArrivals over \p trace. The engine draws no
-/// randomness of its own (injector seeds derive from device_seed), so the
-/// seed's Rng feeds only the arrival process and seeded runs replay
-/// bit-identically — also through the sharded engine at S == 1.
-FleetMetrics run_fleet(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& library,
-                       const FleetConfig& config, RoutingPolicy& router, std::uint64_t seed) {
-  config.validate();
-  require(!library.versions.empty(), "fleet library has no versions");
-  sim::EventQueue queue;
-  FleetEngine engine(queue, library, config, router, seed, trace.duration());
-  FleetArrivals arrivals(queue, engine, edge::PoissonArrivals(trace, seed, trace.duration()));
-  engine.start();
-  arrivals.schedule_next();
-  queue.run_until(trace.duration());
-  return engine.finalize(trace.duration());
-}
 
 FleetDevice managed_device(std::string name, const core::AcceleratorLibrary& library,
                            const core::RuntimeManagerConfig& manager, core::PolicyKind kind) {

@@ -4,13 +4,13 @@
 /// The fleet's dispatcher/coordinator/health core as a reusable,
 /// externally-driven component.
 ///
-/// FleetEngine is the cluster simulation of fleet.cpp with the workload
-/// pulled out — the same extraction DeviceSim is of the single server. It
-/// owns the N DeviceSims, the bounded ingress queue, the RoutingPolicy, the
+/// FleetEngine is the cluster simulation with the workload pulled out — the
+/// same extraction DeviceSim is of the single server. It owns the N
+/// DeviceSims, the bounded ingress queue, the RoutingPolicy, the
 /// HealthMonitor circuit breaker, and the drain-and-reconfigure coordinator,
 /// but frames are delivered from the outside through offer_frame() on a
-/// shared sim::EventQueue. run_fleet() wraps exactly one engine behind a
-/// Poisson arrival process; the ingest pipeline (src/ingest) places a
+/// shared sim::EventQueue. shard::run_sharded_fleet runs one engine per shard
+/// behind a Poisson arrival process; the ingest pipeline (src/ingest) places a
 /// session/network/decode front-end ahead of the same engine and feeds it
 /// tagged frames, so capture->result latency survives hedges, quarantine
 /// drains, and re-dispatch.
@@ -88,6 +88,11 @@ class FifoIngress final : public IngressQueue {
 /// device runs, what the coordinator reconfigures to, and what the ingest
 /// brownout controller downgrades to).
 edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::size_t version);
+
+/// A full reconfiguration to \p version's Fixed-Pruning accelerator: the
+/// switch the coordinator, the tenant partition plan and the ingest brownout
+/// ladder command.
+edge::SwitchAction reconfigure_to(const core::AcceleratorLibrary& library, std::size_t version);
 
 /// Index of \p version_name in \p library, or versions.size() when the
 /// device currently runs a mode from a different library.

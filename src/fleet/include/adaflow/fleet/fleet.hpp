@@ -20,6 +20,11 @@
 /// accelerator is reconfigured to the version matching the new per-device
 /// demand share, and the device rejoins. The cluster never loses more than
 /// one device's capacity to a reconfiguration.
+///
+/// This header holds the run's configuration, its metrics and the
+/// device-slot helpers. FleetEngine (engine.hpp) is the simulation core, and
+/// shard::run_sharded_fleet the one entry point that runs a FleetConfig over
+/// a workload trace (ShardConfig{} for a single dispatcher).
 
 #include <cstdint>
 #include <functional>
@@ -48,9 +53,8 @@ class DeviceSim;
 
 namespace adaflow::fleet {
 
-/// One device slot of the fleet. The policy factory runs once per
-/// run_fleet() call; everything it captures (libraries, configs) must
-/// outlive the run.
+/// One device slot of the fleet. The policy factory runs once per run;
+/// everything it captures (libraries, configs) must outlive the run.
 struct FleetDevice {
   std::string name;
   std::function<std::unique_ptr<edge::ServingPolicy>()> make_policy;
@@ -63,9 +67,9 @@ struct FleetDevice {
   /// policy does not fight the cluster-level decisions.
   bool coordinated = false;
   /// Library the coordinator uses to pick this device's versions (and that
-  /// pinned_device serves from); null means the library passed to
-  /// run_fleet(). Heterogeneous fleets point this at per-device scaled
-  /// copies (core::scale_library_fps).
+  /// pinned_device serves from); null means the fleet's default library
+  /// (the one passed to FleetEngine). Heterogeneous fleets point
+  /// this at per-device scaled copies (core::scale_library_fps).
   const core::AcceleratorLibrary* library = nullptr;
   /// Optional per-device hook run once right after the DeviceSim is built
   /// (before any traffic), with the device and its index. Workload layers
@@ -239,7 +243,7 @@ struct FleetMetrics {
 
   /// True end-to-end capture->result latency over delivered frames. Filled
   /// only by drivers that tag their frames (the ingest pipeline); empty for
-  /// plain run_fleet traffic, whose frames are anonymous.
+  /// plain sharded-fleet traffic, whose frames are anonymous.
   sim::LatencyHistogram e2e_latency;
 
   std::vector<FleetDeviceResult> devices;
@@ -304,13 +308,6 @@ class PinnedPolicy final : public edge::ServingPolicy {
   const core::AcceleratorLibrary& library_;
   std::size_t version_;
 };
-
-/// Runs the full cluster simulation of \p trace. \p library is the fleet's
-/// default library (coordinator targets, pinned devices without their own);
-/// \p seed drives arrivals and the per-device fault injectors — the same
-/// (config, trace, seed) triple replays bit-identically.
-FleetMetrics run_fleet(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& library,
-                       const FleetConfig& config, RoutingPolicy& router, std::uint64_t seed);
 
 /// One self-managed device slot: its own serving policy of \p kind over
 /// \p library (per-device manager construction from one shared library).

@@ -36,9 +36,6 @@ class PowerModel {
   /// Dynamic power at full activity (excludes the static baseline).
   double dynamic_watts(const ResourceUsage& usage) const;
 
-  /// Energy for one inference at full utilization: watts / fps.
-  double energy_per_inference_j(const ResourceUsage& usage, double fps) const;
-
   const FpgaDevice& device() const { return device_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "adaflow/fpga/power.hpp"
 
-#include "adaflow/common/error.hpp"
 #include "adaflow/common/math.hpp"
 
 namespace adaflow::fpga {
@@ -16,11 +15,6 @@ double PowerModel::watts(const ResourceUsage& usage, double activity) const {
   const double a = clamp(activity, 0.0, 1.0);
   const double effective = k_.idle_activity + (1.0 - k_.idle_activity) * a;
   return device_.static_power_w + dynamic_watts(usage) * effective;
-}
-
-double PowerModel::energy_per_inference_j(const ResourceUsage& usage, double fps) const {
-  require(fps > 0, "fps must be positive");
-  return watts(usage, 1.0) / fps;
 }
 
 }  // namespace adaflow::fpga

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file builders.hpp
-/// Graph-IR builders for the seed topologies. from_cnv / from_mlp emit the
-/// exact node sequence the nn builders instantiate (same layer names, same
-/// order), so lowering a built graph reproduces build_cnv / build_mlp
-/// bit-for-bit — the equivalence pin that lets the whole pipeline switch to
-/// consuming graphs without perturbing a single cached library.
+/// Graph-IR builders for the declarative nn topologies (nn::CnvTopology,
+/// nn::MlpTopology). Node order is part of the contract: lower_model draws
+/// the weights in node order, and the library cache is keyed on the graph's
+/// topology hash. Node names become the layer and stage names.
 
 #include "adaflow/graph/graph.hpp"
 #include "adaflow/nn/cnv.hpp"

@@ -143,61 +143,4 @@ CompiledModel compile_model(const nn::Model& model, double pruning_rate,
   return compiled;
 }
 
-CompiledModel compile_geometry(const nn::Model& model) {
-  CompiledModel compiled;
-  compiled.version = model.name();
-
-  const std::vector<nn::Shape> shapes = model.shapes_for_batch(1);
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    const nn::Layer& layer = model.layer(i);
-    CompiledStage stage;
-    switch (layer.kind()) {
-      case nn::LayerKind::kConv2d: {
-        const auto& conv = model.layer_as<nn::Conv2d>(i);
-        stage.desc.kind = StageKind::kConv;
-        stage.desc.kernel = conv.config().kernel;
-        stage.desc.stride = conv.config().stride;
-        stage.desc.pad = conv.config().pad;
-        stage.desc.ch_in = conv.config().in_channels;
-        stage.desc.ch_out = conv.config().out_channels;
-        stage.desc.in_dim = shapes[i][2];
-        stage.desc.out_dim = shapes[i + 1][2];
-        break;
-      }
-      case nn::LayerKind::kLinear: {
-        const auto& fc = model.layer_as<nn::Linear>(i);
-        stage.desc.kind = StageKind::kFc;
-        stage.desc.kernel = 1;
-        stage.desc.ch_in = fc.in_features();
-        stage.desc.ch_out = fc.out_features();
-        stage.desc.in_dim = 1;
-        stage.desc.out_dim = 1;
-        break;
-      }
-      case nn::LayerKind::kMaxPool2d: {
-        const auto& pool = model.layer_as<nn::MaxPool2d>(i);
-        stage.desc.kind = StageKind::kPool;
-        stage.desc.kernel = pool.kernel();
-        stage.desc.stride = pool.kernel();
-        stage.desc.ch_in = shapes[i][1];
-        stage.desc.ch_out = shapes[i][1];
-        stage.desc.in_dim = shapes[i][2];
-        stage.desc.out_dim = shapes[i + 1][2];
-        break;
-      }
-      case nn::LayerKind::kBatchNorm:
-      case nn::LayerKind::kQuantAct:
-        continue;  // folded into the preceding MVTU's thresholds at compile
-    }
-    stage.desc.name = layer.name();
-    const bool is_mvtu = stage.desc.kind != StageKind::kPool;
-    compiled.stages.push_back(std::move(stage));
-    if (is_mvtu) {
-      compiled.classes = compiled.stages.back().desc.ch_out;
-    }
-  }
-  require(!compiled.stages.empty(), "model has no dataflow stages");
-  return compiled;
-}
-
 }  // namespace adaflow::hls

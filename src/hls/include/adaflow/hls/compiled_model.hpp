@@ -64,11 +64,4 @@ struct CompiledModel {
 CompiledModel compile_model(const nn::Model& model, double pruning_rate = 0.0,
                             const InputQuantConfig& input_quant = {});
 
-/// Weights-free lowering: only the stage geometry (StageDescs) is filled in,
-/// no quantized weights or thresholds. Sufficient for the analytical models
-/// (perf, fpga::resources) and therefore for design-space exploration, which
-/// must evaluate thousands of candidate foldings without training anything.
-/// Works on untrained models; BatchNorm/QuantAct layers are skipped.
-CompiledModel compile_geometry(const nn::Model& model);
-
 }  // namespace adaflow::hls

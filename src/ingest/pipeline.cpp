@@ -256,11 +256,7 @@ struct IngestSim {
       if (current >= lib.versions.size() || current == target) {
         continue;
       }
-      edge::SwitchAction action;
-      action.target = fleet::fixed_mode_for(lib, target);
-      action.switch_time_s = lib.reconfig_time_s;
-      action.is_reconfiguration = true;
-      engine.command_device_switch(i, action);
+      engine.command_device_switch(i, fleet::reconfigure_to(lib, target));
     }
   }
 

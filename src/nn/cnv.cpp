@@ -1,6 +1,6 @@
 #include "adaflow/nn/cnv.hpp"
 
-#include <memory>
+#include <algorithm>
 
 #include "adaflow/common/math.hpp"
 
@@ -35,60 +35,6 @@ CnvTopology cnv_w1a2(std::int64_t classes, std::int64_t scale_div) {
   t.name = "CNVW1A2";
   t.quant.weight_bits = 1;
   return t;
-}
-
-std::vector<std::int64_t> cnv_spatial_dims(const CnvTopology& topology) {
-  require(topology.conv_channels.size() == topology.pool_after.size(),
-          "conv_channels / pool_after size mismatch");
-  std::vector<std::int64_t> dims;
-  std::int64_t d = topology.input[1];
-  for (std::size_t i = 0; i < topology.conv_channels.size(); ++i) {
-    d = d - 2;  // 3x3 VALID conv
-    require(d >= 1, "cnv spatial dimension collapsed at conv " + std::to_string(i));
-    if (topology.pool_after[i]) {
-      require(d % 2 == 0, "cnv pool input dim must be even at conv " + std::to_string(i));
-      d /= 2;
-    }
-    dims.push_back(d);
-  }
-  return dims;
-}
-
-Model build_cnv(const CnvTopology& topology, std::uint64_t seed) {
-  Rng rng(seed);
-  Model model(topology.name, topology.input);
-  const std::vector<std::int64_t> dims = cnv_spatial_dims(topology);
-
-  std::int64_t in_ch = topology.input[0];
-  for (std::size_t i = 0; i < topology.conv_channels.size(); ++i) {
-    const std::int64_t out_ch = topology.conv_channels[i];
-    Conv2dConfig cfg;
-    cfg.in_channels = in_ch;
-    cfg.out_channels = out_ch;
-    cfg.kernel = 3;
-    cfg.stride = 1;
-    cfg.pad = 0;
-    const std::string tag = std::to_string(i);
-    model.add(std::make_unique<Conv2d>("conv" + tag, cfg, topology.quant, rng));
-    model.add(std::make_unique<BatchNorm>("bn" + tag, out_ch));
-    model.add(std::make_unique<QuantAct>("act" + tag, topology.quant));
-    if (topology.pool_after[i]) {
-      model.add(std::make_unique<MaxPool2d>("pool" + tag, 2));
-    }
-    in_ch = out_ch;
-  }
-
-  std::int64_t features = in_ch * dims.back() * dims.back();
-  for (std::size_t i = 0; i < topology.fc_features.size(); ++i) {
-    const std::int64_t out_f = topology.fc_features[i];
-    const std::string tag = std::to_string(i);
-    model.add(std::make_unique<Linear>("fc" + tag, features, out_f, topology.quant, rng));
-    model.add(std::make_unique<BatchNorm>("fc_bn" + tag, out_f));
-    model.add(std::make_unique<QuantAct>("fc_act" + tag, topology.quant));
-    features = out_f;
-  }
-  model.add(std::make_unique<Linear>("classifier", features, topology.classes, topology.quant, rng));
-  return model;
 }
 
 }  // namespace adaflow::nn

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file cnv.hpp
-/// Builders for the paper's CNN models: CNV-W2A2 and CNV-W1A2 (the FINN CNV
+/// Topologies of the paper's CNN models: CNV-W2A2 and CNV-W1A2 (the FINN CNV
 /// topology — six 3x3 VALID convolutions with pooling after the 2nd and 4th,
-/// followed by a fully-connected head).
+/// followed by a fully-connected head). graph::from_cnv turns one into the
+/// graph IR, and graph::lower_model instantiates the trainable nn::Model.
 ///
 /// The channel widths are divided by a scale factor (default 8) so that the
 /// full 18-model pruning library retrains in CPU-minutes; see DESIGN.md
@@ -32,14 +33,5 @@ CnvTopology cnv_w2a2(std::int64_t classes, std::int64_t scale_div = 8);
 
 /// CNV with 1-bit weights / 2-bit activations (paper's CNVW1A2).
 CnvTopology cnv_w1a2(std::int64_t classes, std::int64_t scale_div = 8);
-
-/// Instantiates the model: per conv block Conv2d -> BatchNorm -> QuantAct
-/// (-> MaxPool2d), per hidden FC Linear -> BatchNorm -> QuantAct, and a final
-/// Linear classifier.
-Model build_cnv(const CnvTopology& topology, std::uint64_t seed);
-
-/// Spatial dimension of each conv layer's output for the given topology
-/// (sanity helper; throws if any dimension collapses below 1).
-std::vector<std::int64_t> cnv_spatial_dims(const CnvTopology& topology);
 
 }  // namespace adaflow::nn

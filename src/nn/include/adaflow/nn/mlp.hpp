@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file mlp.hpp
-/// Fully-connected topologies in the FINN family: TFC/SFC-style quantized
-/// MLPs (Linear -> BatchNorm -> QuantAct per hidden layer, bare Linear
-/// classifier). These exercise the pure-FC dataflow path (no SWU, no pool)
-/// and, combined with PruneOptions::prune_fc_neurons, the neuron-pruning
-/// branch of the dataflow-aware pruner.
+/// Fully-connected topologies in the FINN family: TFC-style quantized MLPs
+/// (Linear -> BatchNorm -> QuantAct per hidden layer, bare Linear
+/// classifier; graph::from_mlp + graph::lower_model build them). These
+/// exercise the pure-FC dataflow path (no SWU, no pool) and, combined with
+/// PruneOptions::prune_fc_neurons, the neuron-pruning branch of the
+/// dataflow-aware pruner.
 
 #include <string>
 #include <vector>
@@ -25,11 +26,5 @@ struct MlpTopology {
 /// FINN's TFC with 1-bit weights / 2-bit activations, width-scaled
 /// (original hidden widths are 64-64-64; scale_div shrinks them, floor 16).
 MlpTopology tfc_w1a2(std::int64_t classes, std::int64_t scale_div = 1);
-
-/// Larger SFC-style variant (256-wide hidden layers before scaling).
-MlpTopology sfc_w1a2(std::int64_t classes, std::int64_t scale_div = 4);
-
-/// Instantiates the model.
-Model build_mlp(const MlpTopology& topology, std::uint64_t seed);
 
 }  // namespace adaflow::nn

@@ -81,9 +81,6 @@ class Model {
   /// Number of scalar parameters.
   std::int64_t param_count() const;
 
-  /// Multiply-accumulate operations for one inference (conv + linear).
-  std::int64_t mac_count() const;
-
  private:
   std::string name_;
   Shape input_shape_;

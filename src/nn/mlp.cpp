@@ -1,6 +1,6 @@
 #include "adaflow/nn/mlp.hpp"
 
-#include <memory>
+#include <algorithm>
 
 #include "adaflow/common/math.hpp"
 
@@ -23,31 +23,6 @@ MlpTopology tfc_w1a2(std::int64_t classes, std::int64_t scale_div) {
   t.classes = classes;
   t.quant = QuantSpec{/*weight_bits=*/1, /*act_bits=*/2, /*act_scale=*/0.5f};
   return t;
-}
-
-MlpTopology sfc_w1a2(std::int64_t classes, std::int64_t scale_div) {
-  MlpTopology t = tfc_w1a2(classes, 1);
-  t.name = "SFCW1A2";
-  t.hidden = scaled({256, 256, 256}, scale_div);
-  return t;
-}
-
-Model build_mlp(const MlpTopology& topology, std::uint64_t seed) {
-  require(!topology.hidden.empty(), "mlp needs at least one hidden layer");
-  Rng rng(seed);
-  Model model(topology.name, topology.input);
-  std::int64_t features = topology.input[0] * topology.input[1] * topology.input[2];
-  for (std::size_t i = 0; i < topology.hidden.size(); ++i) {
-    const std::int64_t width = topology.hidden[i];
-    const std::string tag = std::to_string(i);
-    model.add(std::make_unique<Linear>("fc" + tag, features, width, topology.quant, rng));
-    model.add(std::make_unique<BatchNorm>("fc_bn" + tag, width));
-    model.add(std::make_unique<QuantAct>("fc_act" + tag, topology.quant));
-    features = width;
-  }
-  model.add(std::make_unique<Linear>("classifier", features, topology.classes, topology.quant,
-                                     rng));
-  return model;
 }
 
 }  // namespace adaflow::nn

@@ -102,21 +102,4 @@ std::int64_t Model::param_count() const {
   return n;
 }
 
-std::int64_t Model::mac_count() const {
-  std::int64_t macs = 0;
-  const std::vector<Shape> shapes = shapes_for_batch(1);
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (layers_[i]->kind() == LayerKind::kConv2d) {
-      const auto& conv = layer_as<Conv2d>(i);
-      const Shape& out = shapes[i + 1];
-      macs += out[2] * out[3] * conv.config().out_channels * conv.config().in_channels *
-              conv.config().kernel * conv.config().kernel;
-    } else if (layers_[i]->kind() == LayerKind::kLinear) {
-      const auto& fc = layer_as<Linear>(i);
-      macs += fc.in_features() * fc.out_features();
-    }
-  }
-  return macs;
-}
-
 }  // namespace adaflow::nn

@@ -18,11 +18,10 @@
 /// thread scheduling can only reorder work WITHIN a window, where shards
 /// share nothing.
 ///
-/// With S == 1 the engine degrades to exactly run_fleet(): shard 0's seed is
-/// the fleet seed unchanged, the arrivals are the same edge::PoissonArrivals
-/// stream run_fleet chains (drained up front here), and there is no other
-/// shard to hand off to (sheds are final) — pinned by
-/// tests/shard/test_sharded_engine.cpp.
+/// This is the one entry point of a fleet run: S == 1 (the ShardConfig default)
+/// is a single dispatcher over the whole fleet — shard 0 runs on the fleet
+/// seed unchanged, sees the whole edge::PoissonArrivals stream, and has no
+/// other shard to hand off to (sheds are final).
 
 #include <cstdint>
 #include <memory>
@@ -74,10 +73,10 @@ struct ShardedMetrics {
   ShardStats stats;
 };
 
-/// Per-shard seed salt. shard 0 keeps the fleet seed UNCHANGED — that is
-/// what makes S == 1 replay run_fleet() bit-identically — and later shards
-/// get splitmix-style spread salts so neighbouring shards draw unrelated
-/// fault streams.
+/// Per-shard seed salt. shard 0 keeps the fleet seed unchanged (so an
+/// S == 1 run is seeded by the caller's seed alone), and later shards get
+/// splitmix-style spread salts so neighbouring shards draw unrelated fault
+/// streams.
 std::uint64_t shard_seed(std::uint64_t seed, int shard);
 
 /// Runs the sharded cluster simulation of \p trace. \p router_name picks the

@@ -37,7 +37,7 @@ void ShardConfig::validate(std::size_t device_count) const {
 
 std::uint64_t shard_seed(std::uint64_t seed, int shard) {
   if (shard == 0) {
-    return seed;  // S == 1 must replay run_fleet() exactly
+    return seed;  // shard 0 runs on the fleet seed itself
   }
   return seed ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(shard) << 17));
 }
@@ -91,25 +91,24 @@ class Runner {
     const int S = shard_cfg.shards;
     shards_.reserve(static_cast<std::size_t>(S));
     for (int s = 0; s < S; ++s) {
+      // Every shard runs the whole FleetConfig; only its device subset and
+      // its share of the ingress capacity differ.
       auto sh = std::make_unique<Shard>();
-      sh->config.ingress_capacity =
-          config.ingress_capacity / S + (s < static_cast<int>(config.ingress_capacity % S) ? 1 : 0);
-      sh->config.sample_interval_s = config.sample_interval_s;
-      sh->config.coordinator = config.coordinator;
-      sh->config.health = config.health;
-      sh->config.integrity = config.integrity;
+      sh->config = config;
+      sh->config.devices.clear();
       for (std::size_t i = static_cast<std::size_t>(s); i < config.devices.size();
            i += static_cast<std::size_t>(S)) {
         sh->config.devices.push_back(config.devices[i]);
       }
+      sh->config.ingress_capacity =
+          config.ingress_capacity / S + (s < static_cast<int>(config.ingress_capacity % S) ? 1 : 0);
       sh->router = fleet::make_router(router_name);
       shards_.push_back(std::move(sh));
     }
 
-    // The arrival stream is the fleet-wide PoissonArrivals run_fleet chains
-    // online, drained here up front; frame k goes to shard k % S, so every
-    // shard sees a thinned copy of the same traffic and S == 1 degenerates
-    // to the classic stream.
+    // The arrival stream is one fleet-wide PoissonArrivals, drained here up
+    // front; frame k goes to shard k % S, so every shard sees a thinned copy
+    // of the same traffic and S == 1 serves the whole stream.
     edge::PoissonArrivals arrivals(trace, seed, trace.duration());
     std::size_t k = 0;
     while (const std::optional<double> when = arrivals.next()) {
@@ -205,9 +204,8 @@ class Runner {
     }
   }
 
-  /// Chains the shard's next home arrival, mirroring run_fleet's
-  /// self-rescheduling event (offer first, then schedule the successor) so
-  /// the event queue consumes sequence numbers identically at S == 1.
+  /// Chains the shard's next home arrival as a self-rescheduling event:
+  /// offer first, then schedule the successor.
   void schedule_next_arrival(Shard& sh) {
     if (sh.next_arrival >= sh.arrivals.size()) {
       return;

@@ -332,11 +332,7 @@ struct TenantSim {
           now - last_switch_s[i] < config.switch_spacing_factor * lib.reconfig_time_s) {
         continue;
       }
-      edge::SwitchAction action;
-      action.target = fleet::fixed_mode_for(lib, target);
-      action.switch_time_s = lib.reconfig_time_s;
-      action.is_reconfiguration = true;
-      engine->command_device_switch(i, action);
+      engine->command_device_switch(i, fleet::reconfigure_to(lib, target));
       last_switch_s[i] = now;
       ++out.version_switches;
       ++out.tenants[t].version_switches;

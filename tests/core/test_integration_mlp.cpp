@@ -5,6 +5,7 @@
 #include "adaflow/core/library_generator.hpp"
 #include "adaflow/core/runtime_manager.hpp"
 #include "adaflow/edge/server.hpp"
+#include "adaflow/graph/builders.hpp"
 #include "adaflow/nn/mlp.hpp"
 
 namespace adaflow::core {
@@ -23,7 +24,7 @@ const GeneratedLibrary& tfc_library() {
     datasets::DatasetSpec spec = datasets::synth_mnist_spec(300, 120);
     const datasets::SyntheticDataset dataset = datasets::generate(spec);
     LibraryGenerator gen(fpga::zcu104(), lc);
-    return gen.generate_from(nn::build_mlp(nn::tfc_w1a2(spec.classes), 11), dataset);
+    return gen.generate_graph(graph::from_mlp(nn::tfc_w1a2(spec.classes)), dataset);
   }();
   return g;
 }

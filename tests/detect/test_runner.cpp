@@ -14,6 +14,7 @@
 #include "adaflow/edge/device_sim.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 
 namespace adaflow::detect {
 namespace {
@@ -87,8 +88,7 @@ TEST(FleetIntegration, ConfigureHookAttachesPerDeviceWorkloads) {
       };
     }
     const edge::WorkloadTrace trace = workload_from_scene(scene, 400.0, 240.0);
-    auto router = fleet::make_router("least-loaded");
-    return fleet::run_fleet(trace, library(), config, *router, 42);
+    return shard::run_sharded_fleet(trace, library(), config, {}, "least-loaded", 42).fleet;
   };
 
   const fleet::FleetMetrics m = run_once();

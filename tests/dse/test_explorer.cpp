@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/cnv.hpp"
 
 namespace adaflow::dse {
@@ -11,7 +13,7 @@ namespace {
 /// Tiny CNV (4/4 channels, no hidden FC): its whole folding lattice is a few
 /// thousand points, so the explorer enumerates it exhaustively and tests can
 /// reason about optimality.
-nn::Model tiny_cnv() {
+graph::Graph tiny_cnv() {
   nn::CnvTopology t;
   t.name = "CNVTINY";
   t.input = {3, 32, 32};
@@ -20,11 +22,11 @@ nn::Model tiny_cnv() {
   t.fc_features = {};
   t.classes = 10;
   t.quant = nn::QuantSpec{2, 2, 0.5f};
-  return nn::build_cnv(t, 7);
+  return graph::from_cnv(t);
 }
 
 /// Full-size CNV: the lattice is ~1e10, forcing the beam + annealing path.
-nn::Model big_cnv() { return nn::build_cnv(nn::cnv_w2a2(10), 7); }
+graph::Graph big_cnv() { return graph::from_cnv(nn::cnv_w2a2(10)); }
 
 bool frontier_equal(const ExplorationResult& a, const ExplorationResult& b) {
   if (a.frontier.size() != b.frontier.size() || a.best_index != b.best_index) {
@@ -57,7 +59,7 @@ TEST(Explorer, ObjectiveNamesRoundTrip) {
 }
 
 TEST(Explorer, ExhaustiveResultsMatchCanonicalModels) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   const fpga::FpgaDevice device = fpga::zcu104();
   ExplorerConfig config;
   config.objective = Objective::kMaxFps;
@@ -67,7 +69,7 @@ TEST(Explorer, ExhaustiveResultsMatchCanonicalModels) {
   EXPECT_TRUE(result.objective_met);
   EXPECT_GT(result.evaluated, 0);
 
-  const hls::CompiledModel geometry = hls::compile_geometry(model);
+  const hls::CompiledModel geometry = graph::lower_geometry(model);
   for (const DesignPoint& p : result.frontier) {
     // The explorer's fps/latency come from the same integer cycle counts as
     // perf::analyze, so they agree exactly.
@@ -105,7 +107,7 @@ TEST(Explorer, FrontierIsSortedAndNonDominated) {
 }
 
 TEST(Explorer, TighterBudgetNeverImprovesBestFps) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   ExplorerConfig loose;
   loose.budget_fraction = 0.7;
   ExplorerConfig tight;
@@ -117,7 +119,7 @@ TEST(Explorer, TighterBudgetNeverImprovesBestFps) {
 }
 
 TEST(Explorer, MinResourcesMeetsTargetWithFewerResources) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   const fpga::FpgaDevice device = fpga::zcu104();
   ExplorerConfig maxfps;
   maxfps.objective = Objective::kMaxFps;
@@ -163,7 +165,7 @@ TEST(Explorer, BalancedPicksAFeasibleKnee) {
 }
 
 TEST(Explorer, BeamPathIsDeterministicUnderTheSeed) {
-  const nn::Model model = big_cnv();
+  const graph::Graph model = big_cnv();
   ExplorerConfig config;
   config.seed = 1234;
   config.anneal_iters = 500;
@@ -183,7 +185,7 @@ TEST(Explorer, ImpossibleBudgetYieldsEmptyFrontier) {
 }
 
 TEST(Explorer, ValidatesItsConfiguration) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   ExplorerConfig bad_beam;
   bad_beam.beam_width = 0;
   EXPECT_THROW(explore(model, fpga::zcu104(), bad_beam), ConfigError);
@@ -198,12 +200,13 @@ TEST(Explorer, ValidatesItsConfiguration) {
 }
 
 TEST(Explorer, PruneGranularityConstraintHoldsOnEveryFrontierPoint) {
-  const nn::Model model = big_cnv();
+  const graph::Graph model = big_cnv();
   ExplorerConfig config;
   config.constraints.max_prune_granularity = 0.25;
   const ExplorationResult result = explore(model, fpga::zcu104(), config);
   ASSERT_FALSE(result.frontier.empty());
-  const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
+  const std::vector<hls::MvtuLayerDesc> layers =
+      hls::enumerate_mvtu_layers(graph::lower_geometry(model));
   for (const DesignPoint& p : result.frontier) {
     for (std::size_t i = 1; i < layers.size(); ++i) {
       if (!layers[i - 1].is_conv) {
@@ -216,11 +219,11 @@ TEST(Explorer, PruneGranularityConstraintHoldsOnEveryFrontierPoint) {
 }
 
 TEST(Explorer, LayerBreakdownMarksTheBottleneck) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   const fpga::FpgaDevice device = fpga::zcu104();
   ExplorerConfig config;
   const ExplorationResult result = explore(model, device, config);
-  const hls::CompiledModel geometry = hls::compile_geometry(model);
+  const hls::CompiledModel geometry = graph::lower_geometry(model);
   const SearchSpace space = build_search_space(
       geometry, 2, 2, config.variant, result.budget, config.constraints,
       config.resource_constants, config.perf_constants);
@@ -234,7 +237,7 @@ TEST(Explorer, LayerBreakdownMarksTheBottleneck) {
 }
 
 TEST(Explorer, FlexibleVariantIsSlowerThanFixed) {
-  const nn::Model model = tiny_cnv();
+  const graph::Graph model = tiny_cnv();
   ExplorerConfig fixed;
   ExplorerConfig flex;
   flex.variant = hls::AcceleratorVariant::kFlexible;

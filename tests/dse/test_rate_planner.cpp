@@ -4,6 +4,8 @@
 #include "adaflow/dse/rate_planner.hpp"
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/folding.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/model.hpp"
@@ -13,7 +15,7 @@
 namespace adaflow::dse {
 namespace {
 
-nn::Model cnv() { return nn::build_cnv(nn::cnv_w2a2(10), 7); }
+nn::Model cnv() { return graph::lower_model(graph::from_cnv(nn::cnv_w2a2(10)), 7); }
 
 TEST(SustainedFps, IsClockOverBottleneckCycles) {
   const nn::Model model = cnv();

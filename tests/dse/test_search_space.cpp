@@ -3,22 +3,24 @@
 #include <gtest/gtest.h>
 
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/cnv.hpp"
 
 namespace adaflow::dse {
 namespace {
 
-nn::Model cnv() { return nn::build_cnv(nn::cnv_w2a2(10), 7); }
+hls::CompiledModel cnv() { return graph::lower_geometry(graph::from_cnv(nn::cnv_w2a2(10))); }
 
-SearchSpace build(const nn::Model& model, hls::AcceleratorVariant variant,
+SearchSpace build(const hls::CompiledModel& model, hls::AcceleratorVariant variant,
                   const SearchConstraints& constraints = {}) {
-  return build_search_space(hls::compile_geometry(model), 2, 2, variant,
+  return build_search_space(model, 2, 2, variant,
                             fpga::device_budget(fpga::zcu104(), 0.7), constraints,
                             fpga::default_resource_constants(), perf::default_perf_constants());
 }
 
 TEST(SearchSpace, LatticeCoversEveryDivisorPair) {
-  const nn::Model model = cnv();
+  const hls::CompiledModel model = cnv();
   const SearchSpace space = build(model, hls::AcceleratorVariant::kFixed);
   const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
   ASSERT_EQ(space.layers.size(), layers.size());
@@ -55,7 +57,7 @@ TEST(SearchSpace, CandidatesSortedByCostAndMinCyclesTracked) {
 }
 
 TEST(SearchSpace, CandidateCyclesMatchPerfModel) {
-  const nn::Model model = cnv();
+  const hls::CompiledModel model = cnv();
   const SearchSpace space = build(model, hls::AcceleratorVariant::kFixed);
   for (const LayerSpace& layer : space.layers) {
     for (const FoldingCandidate& c : layer.candidates) {
@@ -65,7 +67,7 @@ TEST(SearchSpace, CandidateCyclesMatchPerfModel) {
 }
 
 TEST(SearchSpace, FlexibleVariantCarriesOverheadCycles) {
-  const nn::Model model = cnv();
+  const hls::CompiledModel model = cnv();
   const SearchSpace fixed = build(model, hls::AcceleratorVariant::kFixed);
   const SearchSpace flex = build(model, hls::AcceleratorVariant::kFlexible);
   ASSERT_EQ(fixed.layers.size(), flex.layers.size());
@@ -120,8 +122,8 @@ TEST(SearchSpace, SpaceSizeIsTheCandidateProduct) {
 }
 
 TEST(SearchSpace, RejectsUnquantizedPrecisions) {
-  const nn::Model model = cnv();
-  EXPECT_THROW(build_search_space(hls::compile_geometry(model), 0, 2,
+  const hls::CompiledModel model = cnv();
+  EXPECT_THROW(build_search_space(model, 0, 2,
                                   hls::AcceleratorVariant::kFixed,
                                   fpga::device_budget(fpga::zcu104(), 0.7), {},
                                   fpga::default_resource_constants(),

@@ -35,7 +35,7 @@ TEST(Workload, PaperScenarios) {
   ASSERT_EQ(s12.phases.size(), 2u);
   EXPECT_DOUBLE_EQ(s12.phases[0].duration_s, 15.0);
   EXPECT_DOUBLE_EQ(s12.phases[1].duration_s, 10.0);
-  EXPECT_DOUBLE_EQ(s12.total_duration(), 25.0);
+  EXPECT_DOUBLE_EQ(WorkloadTrace(s12, 1).duration(), 25.0);
 }
 
 TEST(Workload, TraceRespectsDeviationBounds) {

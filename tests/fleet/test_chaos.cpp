@@ -8,6 +8,7 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -72,8 +73,7 @@ FleetConfig chaos_fleet(const core::AcceleratorLibrary& lib,
 
 FleetMetrics run(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& lib,
                  const FleetConfig& config, std::uint64_t seed) {
-  auto router = make_router("least-loaded");  // fresh cursor per run
-  return run_fleet(trace, lib, config, *router, seed);
+  return shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", seed).fleet;
 }
 
 void expect_conservation(const FleetMetrics& m) {
@@ -149,7 +149,7 @@ TEST(Chaos, ReplayWithSameSeedIsBitIdenticalIncludingResilienceCounters) {
 }
 
 TEST(Chaos, QuarantineDrainReportsRedispatchNotIngressLoss) {
-  // Regression for the run_fleet accounting fix: frames pulled off a
+  // Regression for the fleet accounting fix: frames pulled off a
   // quarantined device's queue are re-dispatched, not lost. At a rate the
   // survivor can absorb, the crash must produce redispatched > 0 while
   // ingress_lost stays at zero — a blind reading of "frames left the device"

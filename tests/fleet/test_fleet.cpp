@@ -3,6 +3,7 @@
 #include "adaflow/common/error.hpp"
 #include "adaflow/core/library.hpp"
 #include "adaflow/edge/workload.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -46,8 +47,7 @@ TEST(Fleet, FrameConservationAcrossDispatcherAndDevices) {
   FleetConfig config;
   config.devices = homogeneous_devices(lib, core::RuntimeManagerConfig{}, 3);
   edge::WorkloadTrace trace(bursty_workload(1200.0, 15.0), 3);
-  auto router = make_router("least-loaded");
-  FleetMetrics m = run_fleet(trace, lib, config, *router, 42);
+  FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
   EXPECT_GT(m.arrived, 0);
   EXPECT_GT(m.processed, 0);
   expect_conservation(m);
@@ -62,8 +62,7 @@ TEST(Fleet, SeriesLengthsMatchDurationAndCadence) {
   config.devices = homogeneous_devices(lib, core::RuntimeManagerConfig{}, 2);
   config.sample_interval_s = 0.5;
   edge::WorkloadTrace trace(constant_workload(600.0, 10.0), 5);
-  auto router = make_router("round-robin");
-  FleetMetrics m = run_fleet(trace, lib, config, *router, 7);
+  FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "round-robin", 7).fleet;
   EXPECT_EQ(m.workload_series.values.size(), 20u);  // 10 s / 0.5 s
   EXPECT_EQ(m.loss_series.values.size(), 20u);
   EXPECT_EQ(m.qoe_series.values.size(), 20u);
@@ -80,8 +79,7 @@ TEST(Fleet, SameSeedReplaysBitIdentically) {
   edge::WorkloadTrace trace(bursty_workload(1300.0, 12.0), 11);
 
   auto run_once = [&] {
-    auto router = make_router("least-loaded");  // fresh cursor/state per run
-    return run_fleet(trace, lib, config, *router, 1234);
+    return shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 1234).fleet;
   };
   const FleetMetrics a = run_once();
   const FleetMetrics b = run_once();
@@ -104,8 +102,7 @@ TEST(Fleet, LeastLoadedBeatsRoundRobinOnAHeterogeneousFleet) {
   edge::WorkloadTrace trace(bursty_workload(1600.0, 20.0), 17);
 
   auto run_with = [&](const std::string& router_name) {
-    auto router = make_router(router_name);
-    FleetMetrics m = run_fleet(trace, base, config, *router, 99);
+    FleetMetrics m = shard::run_sharded_fleet(trace, base, config, {}, router_name, 99).fleet;
     expect_conservation(m);
     return m;
   };
@@ -131,8 +128,7 @@ TEST(Fleet, AccuracyAwareRoutingLiftsQoeUnderLightLoad) {
   edge::WorkloadTrace trace(constant_workload(300.0, 15.0), 23);
 
   auto qoe_with = [&](const std::string& router_name) {
-    auto router = make_router(router_name);
-    return run_fleet(trace, lib, config, *router, 5).qoe();
+    return shard::run_sharded_fleet(trace, lib, config, {}, router_name, 5).fleet.qoe();
   };
   const double rr_qoe = qoe_with("round-robin");
   const double aa_qoe = qoe_with("accuracy-aware");
@@ -150,8 +146,7 @@ TEST(Fleet, CoordinatorRepartitionsAnOverloadedFleet) {
   auto run_with = [&](bool coordinated) {
     FleetConfig c = config;
     c.coordinator.enabled = coordinated;
-    auto router = make_router("least-loaded");
-    return run_fleet(trace, lib, c, *router, 77);
+    return shard::run_sharded_fleet(trace, lib, c, {}, "least-loaded", 77).fleet;
   };
 
   const FleetMetrics off = run_with(false);
@@ -176,8 +171,7 @@ TEST(Fleet, FaultScheduleDegradesOnlyTheInjectedDevice) {
   config.devices = {pinned_device("faulty", lib, 2), pinned_device("healthy", lib, 2)};
   config.devices[0].fault_schedule = stalls;
   edge::WorkloadTrace trace(constant_workload(600.0, 10.0), 41);
-  auto router = make_router("least-loaded");
-  FleetMetrics m = run_fleet(trace, lib, config, *router, 43);
+  FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 43).fleet;
 
   ASSERT_EQ(m.devices.size(), 2u);
   const edge::RunMetrics& faulty = m.devices[0].metrics;
@@ -200,8 +194,7 @@ TEST(Fleet, BoundedIngressShedsOnlyPastItsCapacity) {
   config.devices[0].server.queue_capacity = 8;
   config.ingress_capacity = 10;
   edge::WorkloadTrace trace(constant_workload(1500.0, 5.0), 51);
-  auto router = make_router("round-robin");
-  FleetMetrics m = run_fleet(trace, lib, config, *router, 53);
+  FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "round-robin", 53).fleet;
   EXPECT_GT(m.ingress_lost, 0);
   EXPECT_LE(m.ingress_backlog, 10);
   expect_conservation(m);
@@ -214,8 +207,7 @@ TEST(Fleet, ZeroIngressCapacityDropsImmediatelyWhenDevicesAreFull) {
   config.devices[0].server.queue_capacity = 4;
   config.ingress_capacity = 0;
   edge::WorkloadTrace trace(constant_workload(1500.0, 5.0), 51);
-  auto router = make_router("round-robin");
-  FleetMetrics m = run_fleet(trace, lib, config, *router, 53);
+  FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "round-robin", 53).fleet;
   EXPECT_GT(m.ingress_lost, 0);
   EXPECT_EQ(m.ingress_backlog, 0);
   EXPECT_EQ(m.arrived, m.dispatched + m.ingress_lost);
@@ -223,17 +215,16 @@ TEST(Fleet, ZeroIngressCapacityDropsImmediatelyWhenDevicesAreFull) {
 
 TEST(Fleet, InvalidConfigsAreRejectedWithTheDeviceNamed) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
-  auto router = make_router("round-robin");
   edge::WorkloadTrace trace(constant_workload(100.0, 1.0), 1);
 
   FleetConfig empty;
-  EXPECT_THROW(run_fleet(trace, lib, empty, *router, 1), ConfigError);
+  EXPECT_THROW(shard::run_sharded_fleet(trace, lib, empty, {}, "round-robin", 1), ConfigError);
 
   FleetConfig no_factory;
   no_factory.devices.push_back(FleetDevice{});
   no_factory.devices[0].name = "broken";
   try {
-    run_fleet(trace, lib, no_factory, *router, 1);
+    shard::run_sharded_fleet(trace, lib, no_factory, {}, "round-robin", 1);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("broken"), std::string::npos);
@@ -242,13 +233,14 @@ TEST(Fleet, InvalidConfigsAreRejectedWithTheDeviceNamed) {
   FleetConfig bad_interval;
   bad_interval.devices = {pinned_device("ok", lib, 0)};
   bad_interval.sample_interval_s = 0.0;
-  EXPECT_THROW(run_fleet(trace, lib, bad_interval, *router, 1), ConfigError);
+  EXPECT_THROW(shard::run_sharded_fleet(trace, lib, bad_interval, {}, "round-robin", 1),
+               ConfigError);
 
   FleetConfig bad_poll;
   bad_poll.devices = {pinned_device("slow", lib, 0)};
   bad_poll.devices[0].server.poll_interval_s = 0.0;
   try {
-    run_fleet(trace, lib, bad_poll, *router, 1);
+    shard::run_sharded_fleet(trace, lib, bad_poll, {}, "round-robin", 1);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("fleet device 0 ('slow'): server.poll_interval_s"),
@@ -259,7 +251,8 @@ TEST(Fleet, InvalidConfigsAreRejectedWithTheDeviceNamed) {
   FleetConfig bad_ingress;
   bad_ingress.devices = {pinned_device("ok", lib, 0)};
   bad_ingress.ingress_capacity = -1;
-  EXPECT_THROW(run_fleet(trace, lib, bad_ingress, *router, 1), ConfigError);
+  EXPECT_THROW(shard::run_sharded_fleet(trace, lib, bad_ingress, {}, "round-robin", 1),
+               ConfigError);
 }
 
 TEST(Fleet, PinnedPolicyRejectsAnOutOfRangeVersion) {

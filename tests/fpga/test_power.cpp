@@ -32,14 +32,6 @@ TEST(Power, ActivityClamped) {
   EXPECT_DOUBLE_EQ(p.watts(u, -1.0), p.watts(u, 0.0));
 }
 
-TEST(Power, EnergyPerInference) {
-  PowerModel p(zcu104());
-  ResourceUsage u{10000, 11000, 20, 0};
-  const double e = p.energy_per_inference_j(u, 500.0);
-  EXPECT_NEAR(e, p.watts(u, 1.0) / 500.0, 1e-12);
-  EXPECT_THROW(p.energy_per_inference_j(u, 0.0), ConfigError);
-}
-
 TEST(Power, CalibrationNearPaperOperatingPoint) {
   // The stock FINN CNV accelerator lands near the paper's ~1.07 W.
   const hls::CompiledModel compiled = hls::compile_model(testing::trained_cnv_w2a2());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "testing/fixtures.hpp"
 
@@ -22,7 +24,7 @@ nn::Model cnv48() {
   t.fc_features = {};
   t.classes = 10;
   t.quant = nn::QuantSpec{/*weight_bits=*/2, /*act_bits=*/2, /*act_scale=*/0.5f};
-  return nn::build_cnv(t, 7);
+  return graph::lower_model(graph::from_cnv(t), 7);
 }
 
 TEST(Folding, EnumeratesConvAndFcLayers) {

@@ -8,6 +8,7 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
+#include "adaflow/shard/sharded_engine.hpp"
 
 namespace adaflow::fleet {
 namespace {
@@ -46,16 +47,14 @@ TEST(FleetIntegrity, QuarantineOnDetectRequiresTheHealthMonitor) {
   config.integrity.enabled = true;
   config.integrity.quarantine_on_detect = true;  // but health stays disabled
   edge::WorkloadTrace trace(bursty_workload(500.0, 5.0), 3);
-  auto router = make_router("least-loaded");
-  EXPECT_THROW(run_fleet(trace, lib, config, *router, 42), ConfigError);
+  EXPECT_THROW(shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42), ConfigError);
 }
 
 TEST(FleetIntegrity, CleanFleetPaysTheCanaryTaxWithoutAlarms) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   FleetConfig config = integrity_fleet(lib, 3);
   edge::WorkloadTrace trace(bursty_workload(1200.0, 12.0), 3);
-  auto router = make_router("least-loaded");
-  const FleetMetrics m = run_fleet(trace, lib, config, *router, 42);
+  const FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
 
   // Probing is live on every device, and costs real service slots...
   EXPECT_GT(m.integrity.canaries_sent, 0);
@@ -78,8 +77,7 @@ TEST(FleetIntegrity, UpsetStormIsDetectedRepairedAndQuarantined) {
   // Device 1 takes a sustained upset storm; the other two stay clean.
   config.devices[1].fault_schedule = faults::config_upset_storm(2.0, 14.0, 1.0);
   edge::WorkloadTrace trace(bursty_workload(1200.0, 16.0), 7);
-  auto router = make_router("least-loaded");
-  const FleetMetrics m = run_fleet(trace, lib, config, *router, 99);
+  const FleetMetrics m = shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 99).fleet;
 
   EXPECT_GT(m.integrity.upsets_injected, 0);
   EXPECT_GT(m.integrity.wrong_frames, 0);
@@ -105,8 +103,7 @@ TEST(FleetIntegrity, StormReplayIsBitIdentical) {
   edge::WorkloadTrace trace(bursty_workload(1300.0, 14.0), 11);
 
   auto run_once = [&] {
-    auto router = make_router("least-loaded");
-    return run_fleet(trace, lib, config, *router, 1234);
+    return shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 1234).fleet;
   };
   const FleetMetrics a = run_once();
   const FleetMetrics b = run_once();

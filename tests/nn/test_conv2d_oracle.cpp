@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "adaflow/common/parallel.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/cnv.hpp"
 #include "adaflow/nn/conv2d.hpp"
 #include "adaflow/nn/loss.hpp"
@@ -214,8 +216,9 @@ void expect_skip_keeps_param_grads(Model model, std::uint64_t seed) {
 }
 
 TEST(Model, SkippingFirstLayerInputGradientKeepsParamGradsBitIdentical) {
-  expect_skip_keeps_param_grads(build_cnv(cnv_w1a2(10, 16), 4), 9);  // Conv2d first
-  expect_skip_keeps_param_grads(build_mlp(tfc_w1a2(10, 8), 4), 10);  // Linear first
+  // Conv2d first, then Linear first.
+  expect_skip_keeps_param_grads(graph::lower_model(graph::from_cnv(cnv_w1a2(10, 16)), 4), 9);
+  expect_skip_keeps_param_grads(graph::lower_model(graph::from_mlp(tfc_w1a2(10, 8)), 4), 10);
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "adaflow/datasets/synthetic.hpp"
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/trainer.hpp"
 
 namespace adaflow::nn {
 namespace {
+
+Model build(const MlpTopology& topology, std::uint64_t seed) {
+  return graph::lower_model(graph::from_mlp(topology), seed);
+}
 
 TEST(Mlp, TfcTopology) {
   const MlpTopology t = tfc_w1a2(10);
@@ -17,11 +23,6 @@ TEST(Mlp, TfcTopology) {
   EXPECT_EQ(t.input, (Shape{1, 28, 28}));
 }
 
-TEST(Mlp, SfcIsWider) {
-  const MlpTopology s = sfc_w1a2(10, 1);
-  EXPECT_EQ(s.hidden, (std::vector<std::int64_t>{256, 256, 256}));
-}
-
 TEST(Mlp, ScaleDivFloorsAtSixteen) {
   const MlpTopology t = tfc_w1a2(10, 100);
   for (std::int64_t w : t.hidden) {
@@ -30,7 +31,7 @@ TEST(Mlp, ScaleDivFloorsAtSixteen) {
 }
 
 TEST(Mlp, BuildsRunnableModel) {
-  Model m = build_mlp(tfc_w1a2(10), 5);
+  Model m = build(tfc_w1a2(10), 5);
   Rng rng(2);
   Tensor in = Tensor::uniform(Shape{3, 1, 28, 28}, -1, 1, rng);
   Tensor out = m.forward(in, false);
@@ -44,7 +45,7 @@ TEST(Mlp, BuildsRunnableModel) {
 TEST(Mlp, LearnsSynthMnist) {
   datasets::DatasetSpec spec = datasets::synth_mnist_spec(500, 200);
   const datasets::SyntheticDataset ds = datasets::generate(spec);
-  Model m = build_mlp(tfc_w1a2(spec.classes), 5);
+  Model m = build(tfc_w1a2(spec.classes), 5);
   TrainConfig tc;
   tc.epochs = 3;
   tc.lr = 0.02f;
@@ -56,7 +57,7 @@ TEST(Mlp, LearnsSynthMnist) {
 TEST(Mlp, EmptyHiddenRejected) {
   MlpTopology t = tfc_w1a2(10);
   t.hidden.clear();
-  EXPECT_THROW(build_mlp(t, 1), ConfigError);
+  EXPECT_THROW(build(t, 1), ConfigError);
 }
 
 }  // namespace

@@ -56,12 +56,6 @@ TEST(Model, ParamCountMatchesSum) {
   EXPECT_EQ(m.param_count(), 2 * 9 + 4 + 24);
 }
 
-TEST(Model, MacCount) {
-  Model m = small_model(7);
-  // conv: 4*4 output pixels * 2 out * 1 in * 9 = 288; fc: 8*3 = 24.
-  EXPECT_EQ(m.mac_count(), 288 + 24);
-}
-
 TEST(Model, ZeroGradClearsAll) {
   Model m = small_model(8);
   Rng rng(9);

@@ -88,7 +88,7 @@ TEST(Trainer, SampleExtractsOneImage) {
 
 TEST(Trainer, LossDecreasesOverTraining) {
   const auto& dataset = testing::tiny_cifar();
-  Model model = build_cnv(testing::tiny_topology(), 21);
+  Model model = testing::tiny_model(21);
   TrainConfig tc;
   tc.epochs = 3;
   tc.lr = 0.02f;
@@ -108,7 +108,7 @@ TEST(Trainer, TrainedModelBeatsChance) {
 }
 
 TEST(Trainer, EvaluateEmptyDataIsZero) {
-  Model model = build_cnv(testing::tiny_topology(), 22);
+  Model model = testing::tiny_model(22);
   LabeledData empty;
   EXPECT_EQ(Trainer::evaluate(model, empty), 0.0);
 }
@@ -118,8 +118,8 @@ TEST(Trainer, DeterministicForSameSeed) {
   TrainConfig tc;
   tc.epochs = 1;
   tc.seed = 5;
-  Model a = build_cnv(testing::tiny_topology(), 33);
-  Model b = build_cnv(testing::tiny_topology(), 33);
+  Model a = testing::tiny_model(33);
+  Model b = testing::tiny_model(33);
   const auto sa = Trainer(tc).fit(a, dataset.train);
   const auto sb = Trainer(tc).fit(b, dataset.train);
   EXPECT_DOUBLE_EQ(sa[0].train_loss, sb[0].train_loss);
@@ -148,7 +148,7 @@ TEST(Trainer, RejectsNonPositiveBatchSize) {
 }
 
 TEST(Trainer, EvaluateRejectsNonPositiveBatchSize) {
-  Model model = build_cnv(testing::tiny_topology(), 22);
+  Model model = testing::tiny_model(22);
   const auto& dataset = testing::tiny_cifar();
   expect_config_error([&] { Trainer::evaluate(model, dataset.test, 0); },
                       {"batch_size", "got 0"});
@@ -168,7 +168,7 @@ TEST(Trainer, RejectsNegativeAugmentPad) {
 TEST(Trainer, FitOnEmptyDataReturnsZeroStats) {
   TrainConfig tc;
   tc.epochs = 2;
-  Model model = build_cnv(testing::tiny_topology(), 22);
+  Model model = testing::tiny_model(22);
   const std::vector<EpochStats> stats = Trainer(tc).fit(model, LabeledData{});
   ASSERT_EQ(stats.size(), 2u);
   for (const EpochStats& s : stats) {
@@ -187,7 +187,7 @@ TEST(Trainer, OneEpochStateIsBitIdenticalToGolden) {
   tc.epochs = 1;
   tc.lr = 0.02f;
   tc.seed = 11;
-  Model model = build_cnv(testing::tiny_topology(), 11);
+  Model model = testing::tiny_model(11);
   Trainer(tc).fit(model, dataset.train);
   EXPECT_EQ(model_state_hash(model), 0x79c7d790282bf575ull);
 }

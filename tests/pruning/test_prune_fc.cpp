@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/datasets/synthetic.hpp"
 #include "adaflow/hls/accelerator.hpp"
 #include "adaflow/nn/loss.hpp"
@@ -15,7 +17,7 @@ const nn::Model& tfc() {
   static const nn::Model model = [] {
     datasets::DatasetSpec spec = datasets::synth_mnist_spec(300, 100);
     const datasets::SyntheticDataset ds = datasets::generate(spec);
-    nn::Model m = nn::build_mlp(nn::tfc_w1a2(spec.classes), 5);
+    nn::Model m = graph::lower_model(graph::from_mlp(nn::tfc_w1a2(spec.classes)), 5);
     nn::TrainConfig tc;
     tc.epochs = 2;
     tc.lr = 0.02f;

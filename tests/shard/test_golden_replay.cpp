@@ -4,7 +4,10 @@
 // multi-tenant runner's before those runners moved onto the shared arrival
 // source and single-device driver. Any change that moves a single simulated
 // outcome moves them. A deliberate behaviour change re-records them, with the
-// reason in its commit message; a speed-up or a refactor never does.
+// reason in its commit message; a speed-up or a refactor never does. The
+// coordinator, hedging, upset-storm and detection fleet pins were recorded
+// through the single-dispatcher fleet loop that run_sharded_fleet at one
+// shard replaced.
 //
 // `fingerprint` below is the test-side reference hasher: FNV-1a over every
 // counter, every double (bitwise), every series, histogram, switch list,
@@ -25,12 +28,13 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/core/runtime_manager.hpp"
 #include "adaflow/detect/runner.hpp"
+#include "adaflow/detect/scene.hpp"
 #include "adaflow/detect/yolo.hpp"
+#include "adaflow/edge/device_sim.hpp"
 #include "adaflow/edge/server.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
-#include "adaflow/fleet/routing.hpp"
 #include "adaflow/fpga/device.hpp"
 #include "adaflow/integrity/runner.hpp"
 #include "adaflow/shard/sharded_engine.hpp"
@@ -288,11 +292,95 @@ TEST(GoldenReplay, RunFleetWithCoordinatorFingerprintIsPinned) {
   fleet::FleetConfig config = golden_fleet(lib);
   config.coordinator.enabled = true;
   const edge::WorkloadTrace trace = golden_trace(16, 5);
-  auto router = fleet::make_router("least-loaded");
-  const fleet::FleetMetrics m = fleet::run_fleet(trace, lib, config, *router, 23);
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 23).fleet;
   EXPECT_EQ(shard::metrics_fingerprint(m), "3c5ee223c01a668f");
   EXPECT_EQ(fingerprint(m), "37e4ca1594fd9e5b");
   EXPECT_GT(m.reconfigurations, 0);
+}
+
+/// Four pinned version-0 devices behind the coordinator with the health
+/// monitor on and queue-wait hedging; device 0 runs slow through a degrade
+/// window (the chaos tests' hedging scenario).
+TEST(GoldenReplay, HedgedFleetUnderDegradeFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  fleet::FleetConfig config;
+  for (int i = 0; i < 4; ++i) {
+    config.devices.push_back(fleet::pinned_device("dev" + std::to_string(i), lib, 0));
+  }
+  config.devices[0].fault_schedule = faults::device_degrade_window(3.0, 9.0, 6.0, 0.15);
+  config.coordinator.enabled = true;
+  config.coordinator.poll_interval_s = 0.25;
+  config.coordinator.warmup_s = 0.5;
+  config.coordinator.estimate_window_s = 0.5;
+  config.coordinator.drain_timeout_s = 0.5;
+  config.coordinator.switch_interval_factor = 2.5;
+  config.health.enabled = true;
+  config.health.tick_interval_s = 0.25;
+  config.health.suspect_timeout_s = 0.75;
+  config.health.quarantine_timeout_s = 0.75;
+  config.health.probe_interval_s = 0.75;
+  config.health.probe_timeout_s = 0.75;
+  config.health.rejoin_probes = 2;
+  config.health.hedge_budget_s = 0.5;
+  edge::WorkloadConfig wc;
+  wc.devices = 1;
+  wc.fps_per_device = 1600.0;
+  wc.phases = {edge::WorkloadPhase{0.0, 12.0, 12.0}};
+  const edge::WorkloadTrace trace(wc, 17);
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
+  EXPECT_EQ(shard::metrics_fingerprint(m), "567b504b3689908c");
+  EXPECT_EQ(fingerprint(m), "be96999134a524c6");
+  EXPECT_GT(m.hedged, 0);
+  EXPECT_EQ(m.faults.degrade_windows, 1);
+}
+
+/// Three AdaFlow devices with canaries and detection-driven quarantine;
+/// device 1 takes a sustained configuration-upset storm.
+TEST(GoldenReplay, UpsetStormFleetFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  fleet::FleetConfig config;
+  config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, 3);
+  config.health.enabled = true;
+  config.integrity.enabled = true;
+  config.integrity.canary_interval_s = 0.25;
+  config.devices[1].fault_schedule = faults::config_upset_storm(2.0, 14.0, 1.0);
+  edge::WorkloadConfig wc;
+  wc.devices = 1;
+  wc.fps_per_device = 1200.0;
+  wc.phases = {edge::WorkloadPhase{0.7, 0.5, 16.0}};
+  const edge::WorkloadTrace trace(wc, 7);
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 99).fleet;
+  EXPECT_EQ(shard::metrics_fingerprint(m), "b0a16639dc829018");
+  EXPECT_EQ(fingerprint(m), "0cf8e5431dff9a7c");
+  EXPECT_GE(m.integrity.detections, 1);
+  EXPECT_GE(m.quarantines, 1);
+}
+
+/// Two detection-serving devices: the per-frame NMS cost and quality hook
+/// attached through FleetDevice::configure.
+TEST(GoldenReplay, DetectionFleetFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = detect::detection_library(fpga::zcu104());
+  const detect::SceneTrace scene =
+      detect::rush_hour_scene(2.0, 9.0, 4.0, 3.0, 5.0, 16.0, 0.5, 0.05, 7);
+  detect::DetectionWorkload workload(scene, detect::DetectorModel{}, 1234);
+  core::RuntimeManagerConfig manager;
+  manager.accuracy_threshold = 0.15;
+  fleet::FleetConfig config;
+  config.devices = fleet::homogeneous_devices(lib, manager, 2);
+  for (fleet::FleetDevice& d : config.devices) {
+    d.configure = [&workload](edge::DeviceSim& dev, std::size_t index) {
+      workload.attach(dev, index);
+    };
+  }
+  const edge::WorkloadTrace trace = detect::workload_from_scene(scene, 400.0, 240.0);
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
+  EXPECT_EQ(shard::metrics_fingerprint(m), "8ba2c912b20383dd");
+  EXPECT_EQ(fingerprint(m), "38106b82b9debae1");
+  EXPECT_GT(m.detection.frames_scored, 0);
 }
 
 bool has_zero_window(const sim::TimeSeries& s) {

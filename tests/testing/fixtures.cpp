@@ -1,5 +1,7 @@
 #include "testing/fixtures.hpp"
 
+#include "adaflow/graph/builders.hpp"
+#include "adaflow/graph/lower.hpp"
 #include "adaflow/nn/trainer.hpp"
 
 namespace adaflow::testing {
@@ -17,9 +19,13 @@ const nn::CnvTopology& tiny_topology() {
   return topology;
 }
 
+nn::Model tiny_model(std::uint64_t seed) {
+  return graph::lower_model(graph::from_cnv(tiny_topology()), seed);
+}
+
 const nn::Model& trained_cnv_w2a2() {
   static const nn::Model model = [] {
-    nn::Model m = nn::build_cnv(tiny_topology(), 7);
+    nn::Model m = tiny_model(7);
     nn::TrainConfig tc;
     tc.epochs = 3;
     tc.lr = 0.02f;

@@ -18,6 +18,9 @@ const nn::Model& trained_cnv_w2a2();
 /// The topology used by trained_cnv_w2a2().
 const nn::CnvTopology& tiny_topology();
 
+/// An untrained tiny_topology() model, lowered through the graph IR.
+nn::Model tiny_model(std::uint64_t seed);
+
 /// A folding valid for trained_cnv_w2a2() targeting ~450 FPS at 100 MHz.
 const hls::FoldingConfig& tiny_folding();
 

@@ -59,9 +59,9 @@ datasets::DatasetSpec dataset_option(const ArgParser& parser) {
                            : datasets::synth_mnist_spec();
 }
 
-/// Every --model name as a graph-IR description: `graph` prints it, and
-/// train / library / tune lower it with graph::lower_model (bit-identical
-/// to nn::build_cnv / build_mlp). \p rate prunes yolo-tiny's channels.
+/// Every --model name as a graph-IR description: `graph` prints it, train
+/// and library lower it with graph::lower_model, tune with
+/// graph::lower_geometry. \p rate prunes yolo-tiny's channels.
 graph::Graph model_graph(const std::string& name, std::int64_t classes, double rate = 0.0) {
   struct NamedModel {
     const char* name;
@@ -347,8 +347,9 @@ int cmd_fleet(ArgParser& parser, const Args& args) {
 
   const auto [rate, trace] =
       capacity_trace(parser, static_cast<double>(devices) * lib.versions.front().fps_fixed);
-  auto router = fleet::make_router(parser.option("router"));
-  const fleet::FleetMetrics m = fleet::run_fleet(trace, lib, config, *router, seed_option(parser));
+  const fleet::FleetMetrics m =
+      shard::run_sharded_fleet(trace, lib, config, {}, parser.option("router"), seed_option(parser))
+          .fleet;
 
   std::printf("fleet=%lld devices router=%s rate=%.0f FPS duration=%.0fs %s\n", ll(devices),
               parser.option("router").c_str(), rate, parser.real("duration"),
@@ -606,13 +607,10 @@ int cmd_tune(ArgParser& parser, const Args& args) {
   }
 
   const fpga::FpgaDevice device = fpga::device_by_name(parser.option("device"));
-  const nn::Model model =
-      graph::lower_model(trainable_graph(parser, dataset_option(parser).classes), ec.seed);
-  const std::vector<hls::MvtuLayerDesc> layers = hls::enumerate_mvtu_layers(model);
-  require(!layers.empty(), "model has no MVTU layers to tune");
-  const hls::CompiledModel geometry = hls::compile_geometry(model);
-  const int wb = layers.front().weight_bits;
-  const int ab = layers.front().act_bits;
+  const graph::Graph model = trainable_graph(parser, dataset_option(parser).classes);
+  const hls::CompiledModel geometry = graph::lower_geometry(model);
+  const int wb = model.quant().weight_bits;
+  const int ab = model.quant().act_bits;
   const dse::ExplorationResult result = dse::explore_geometry(geometry, wb, ab, device, ec);
 
   std::printf("tune %s on %s: objective=%s lattice=%.3g foldings, %lld evaluated (%s)\n",
