@@ -15,7 +15,6 @@
 #include "adaflow/common/table.hpp"
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fpga/device.hpp"
-#include "adaflow/fpga/reconfig.hpp"
 #include "adaflow/sim/fields.hpp"
 #include "common.hpp"
 
@@ -35,8 +34,6 @@ Summary evaluate(const core::AcceleratorLibrary& lib, const edge::WorkloadConfig
                  const faults::FaultSchedule& schedule, bool hardened, int runs) {
   edge::ServerConfig server;
   server.fault_tolerance.enabled = hardened;
-  // Mirror the PR controller's own supervision budget (fpga::ReconfigModel).
-  server.fault_tolerance.switch_timeout_factor = fpga::ReconfigModel::kDefaultTimeoutFactor;
   core::RuntimeManagerConfig rmc;
 
   Summary s;

@@ -80,7 +80,8 @@ int main() {
   bool change_of_dataflow_seen = false;
   std::string prev_accel = "Fixed";
   for (const edge::SwitchRecord& s : composite_ada.mean.switches) {
-    const bool change_of_dataflow = s.accelerator == "Flexible" && prev_accel != "Flexible";
+    const bool change_of_dataflow =
+        edge::is_flexible(s.accelerator) && !edge::is_flexible(prev_accel);
     std::printf("  t=%6.2fs  -> %-14s on %-16s %s%s\n", s.time_s, s.model_version.c_str(),
                 s.accelerator.c_str(), s.reconfiguration ? "[FPGA reconfiguration]" : "[fast switch]",
                 change_of_dataflow ? "  <-- Change of Dataflow" : "");

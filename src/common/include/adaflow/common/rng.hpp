@@ -56,10 +56,6 @@ class Rng {
     std::shuffle(values.begin(), values.end(), engine_);
   }
 
-  /// Derives an independent child generator; used to give each simulated
-  /// component its own stream without correlating draws.
-  Rng fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -11,8 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "adaflow/edge/policy.hpp"
 #include "adaflow/fpga/resources.hpp"
 #include "adaflow/hls/folding.hpp"
+#include "adaflow/hls/modules.hpp"
 
 namespace adaflow::core {
 
@@ -65,8 +67,32 @@ struct AcceleratorLibrary {
 
   const ModelVersion& unpruned() const;
   const ModelVersion& at_rate(double requested_rate) const;  ///< closest row
+  /// Row of \p version, or versions.size() when the name is not in this
+  /// library (a device may run a mode from another library).
+  std::size_t find(const std::string& version) const;
+  /// find() for a name that must be present: throws NotFoundError otherwise.
   std::size_t index_of(const std::string& version) const;
 };
+
+/// The operating point library row \p version serves on \p variant: its own
+/// Fixed-Pruning accelerator (fps_fixed and the fixed power pair, labelled
+/// "Fixed@<version>") or the shared Flexible-Pruning one (the flexible
+/// columns, labelled hls::variant_name(kFlexible)).
+edge::ServingMode serving_mode(const AcceleratorLibrary& library, std::size_t version,
+                               hls::AcceleratorVariant variant);
+
+/// The accelerator type a serving mode's label names (edge::is_flexible);
+/// the original FINN baseline counts as Fixed.
+hls::AcceleratorVariant variant_of(const edge::ServingMode& mode);
+
+/// The switch to serving_mode(library, version, target) while \p live is the
+/// loaded accelerator type (paper Section IV-B2): a Fixed target loads a new
+/// bitstream, a full reconfiguration of reconfig_time_s; Flexible to Flexible
+/// is the fast in-place model switch of the row's flexible_switch_time_s;
+/// Fixed to Flexible is one "Change of Dataflow" reconfiguration that brings
+/// the Flexible accelerator in.
+edge::SwitchAction switch_to(const AcceleratorLibrary& library, std::size_t version,
+                             hls::AcceleratorVariant target, hls::AcceleratorVariant live);
 
 /// Hand-built library with monotone accuracy/FPS profiles, shaped like the
 /// paper's CNV-on-ZCU104 table but requiring no training: version i runs at

@@ -68,6 +68,45 @@ struct LibraryConfig {
   static std::vector<double> default_rates();
 };
 
+/// The hardware columns of a library, priced for one device, its resource
+/// and power constants and the graph's precisions. LibraryGenerator and
+/// detect::detection_library both price their rows here; only their inputs
+/// differ (the per-version Fixed folding, and the geometry the fast switch
+/// streams).
+class LibraryPricer {
+ public:
+  LibraryPricer(const fpga::FpgaDevice& device, int weight_bits, int act_bits,
+                const fpga::ResourceModelConstants& resource_constants,
+                const fpga::PowerModelConstants& power_constants,
+                double flexible_toggle_floor);
+
+  /// One version's perf columns (on its own Fixed folding and on the shared
+  /// Flexible \p flexible_folding), its Fixed accelerator's resources and
+  /// power, and its fast-switch time (streaming \p switch_geometry). Reads
+  /// nothing but its arguments, so versions can be priced in any order.
+  void price_version(ModelVersion& v, const hls::CompiledModel& compiled,
+                     const hls::FoldingConfig& fixed_folding,
+                     const hls::FoldingConfig& flexible_folding,
+                     const hls::CompiledModel& switch_geometry) const;
+
+  /// The device columns, the two shared accelerators (original FINN and
+  /// Flexible, both sized on \p worstcase under \p folding) and every row's
+  /// Flexible power: toggle activity follows the active MAC volume,
+  /// quadratically in the surviving channel fraction, floored at the
+  /// always-clocked control fabric (the unpruned row runs at full activity).
+  void price_shared(AcceleratorLibrary& library, const hls::CompiledModel& worstcase,
+                    const hls::FoldingConfig& folding) const;
+
+ private:
+  int weight_bits_;
+  int act_bits_;
+  fpga::ResourceModelConstants resource_constants_;
+  double idle_activity_;
+  double flexible_toggle_floor_;
+  fpga::PowerModel power_;
+  fpga::ReconfigModel reconfig_;
+};
+
 /// Library plus the design-time artifacts (kept for functional use:
 /// examples run real inferences through these).
 struct GeneratedLibrary {

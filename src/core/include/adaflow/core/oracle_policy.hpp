@@ -29,8 +29,6 @@ class OraclePolicy final : public edge::ServingPolicy {
   double time_to_next_change(double now_s) const;
 
  private:
-  edge::ServingMode mode_for(std::size_t version, hls::AcceleratorVariant variant) const;
-
   const AcceleratorLibrary& library_;
   RuntimeManagerConfig config_;
   const edge::WorkloadTrace& trace_;

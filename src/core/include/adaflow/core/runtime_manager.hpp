@@ -92,8 +92,6 @@ class RuntimeManager final : public edge::ServingPolicy {
   hls::AcceleratorVariant current_variant() const { return current_variant_; }
 
  private:
-  edge::ServingMode mode_for(std::size_t version, hls::AcceleratorVariant variant) const;
-
   const AcceleratorLibrary& library_;
   RuntimeManagerConfig config_;
 

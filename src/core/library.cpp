@@ -30,13 +30,52 @@ const ModelVersion& AcceleratorLibrary::at_rate(double requested_rate) const {
   return *best;
 }
 
-std::size_t AcceleratorLibrary::index_of(const std::string& version) const {
+std::size_t AcceleratorLibrary::find(const std::string& version) const {
   for (std::size_t i = 0; i < versions.size(); ++i) {
     if (versions[i].version == version) {
       return i;
     }
   }
-  throw NotFoundError("library version " + version);
+  return versions.size();
+}
+
+std::size_t AcceleratorLibrary::index_of(const std::string& version) const {
+  const std::size_t i = find(version);
+  if (i == versions.size()) {
+    throw NotFoundError("library version " + version);
+  }
+  return i;
+}
+
+edge::ServingMode serving_mode(const AcceleratorLibrary& library, std::size_t version,
+                               hls::AcceleratorVariant variant) {
+  const ModelVersion& v = library.versions.at(version);
+  const bool fixed = variant == hls::AcceleratorVariant::kFixed;
+  edge::ServingMode mode;
+  mode.model_version = v.version;
+  mode.accelerator = fixed ? "Fixed@" + v.version : hls::variant_name(variant);
+  mode.fps = fixed ? v.fps_fixed : v.fps_flexible;
+  mode.accuracy = v.accuracy;
+  mode.power_busy_w = fixed ? v.power_busy_fixed_w : v.power_busy_flexible_w;
+  mode.power_idle_w = fixed ? v.power_idle_fixed_w : v.power_idle_flexible_w;
+  return mode;
+}
+
+hls::AcceleratorVariant variant_of(const edge::ServingMode& mode) {
+  return edge::is_flexible(mode.accelerator) ? hls::AcceleratorVariant::kFlexible
+                                             : hls::AcceleratorVariant::kFixed;
+}
+
+edge::SwitchAction switch_to(const AcceleratorLibrary& library, std::size_t version,
+                             hls::AcceleratorVariant target, hls::AcceleratorVariant live) {
+  edge::SwitchAction action;
+  action.target = serving_mode(library, version, target);
+  action.is_reconfiguration = target == hls::AcceleratorVariant::kFixed ||
+                              live == hls::AcceleratorVariant::kFixed;
+  action.switch_time_s = action.is_reconfiguration
+                             ? library.reconfig_time_s
+                             : library.versions[version].flexible_switch_time_s;
+  return action;
 }
 
 AcceleratorLibrary synthetic_library(int versions, double base_fps, double base_accuracy,

@@ -59,6 +59,67 @@ hls::FoldingConfig tuned_base_folding(const graph::Graph& graph,
 
 }  // namespace
 
+LibraryPricer::LibraryPricer(const fpga::FpgaDevice& device, int weight_bits, int act_bits,
+                             const fpga::ResourceModelConstants& resource_constants,
+                             const fpga::PowerModelConstants& power_constants,
+                             double flexible_toggle_floor)
+    : weight_bits_(weight_bits), act_bits_(act_bits), resource_constants_(resource_constants),
+      idle_activity_(power_constants.idle_activity),
+      flexible_toggle_floor_(flexible_toggle_floor), power_(device, power_constants),
+      reconfig_(device) {}
+
+void LibraryPricer::price_version(ModelVersion& v, const hls::CompiledModel& compiled,
+                                  const hls::FoldingConfig& fixed_folding,
+                                  const hls::FoldingConfig& flexible_folding,
+                                  const hls::CompiledModel& switch_geometry) const {
+  const double clock_hz = power_.device().clock_hz;
+  const perf::PerfReport fixed_perf =
+      perf::analyze(compiled, fixed_folding, hls::AcceleratorVariant::kFixed, clock_hz);
+  const perf::PerfReport flex_perf =
+      perf::analyze(compiled, flexible_folding, hls::AcceleratorVariant::kFlexible, clock_hz);
+  v.fps_fixed = fixed_perf.fps;
+  v.fps_flexible = flex_perf.fps;
+  v.latency_fixed_s = fixed_perf.latency_s;
+  v.latency_flexible_s = flex_perf.latency_s;
+
+  v.folding_fixed = fixed_folding;
+  v.resources_fixed =
+      fpga::accelerator_resources(compiled, fixed_folding, hls::AcceleratorVariant::kFixed,
+                                  weight_bits_, act_bits_, resource_constants_);
+  v.power_busy_fixed_w = power_.watts(v.resources_fixed, 1.0);
+  v.power_idle_fixed_w = power_.watts(v.resources_fixed, 0.0);
+  v.flexible_switch_time_s = reconfig_.flexible_switch_seconds(switch_geometry);
+}
+
+void LibraryPricer::price_shared(AcceleratorLibrary& library,
+                                 const hls::CompiledModel& worstcase,
+                                 const hls::FoldingConfig& folding) const {
+  const fpga::FpgaDevice& device = power_.device();
+  library.clock_hz = device.clock_hz;
+  library.reconfig_time_s = reconfig_.full_reconfig_seconds();
+  library.folding_flexible = folding;
+  library.resources_finn =
+      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFixed,
+                                  weight_bits_, act_bits_, resource_constants_);
+  library.resources_flexible =
+      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFlexible,
+                                  weight_bits_, act_bits_, resource_constants_);
+  library.finn_power_busy_w = power_.watts(library.resources_finn, 1.0);
+  library.finn_power_idle_w = power_.watts(library.resources_finn, 0.0);
+
+  const double full_dyn = power_.dynamic_watts(library.resources_flexible);
+  for (ModelVersion& v : library.versions) {
+    const double active = 1.0 - v.achieved_rate;
+    const double frac = v.requested_rate == 0.0
+                            ? 1.0
+                            : flexible_toggle_floor_ +
+                                  (1.0 - flexible_toggle_floor_) * active * active;
+    const double dyn = full_dyn * frac;
+    v.power_busy_flexible_w = device.static_power_w + dyn;
+    v.power_idle_flexible_w = device.static_power_w + dyn * idle_activity_;
+  }
+}
+
 GeneratedLibrary LibraryGenerator::generate(const nn::CnvTopology& topology,
                                             const datasets::SyntheticDataset& dataset) const {
   return generate_graph(graph::from_cnv(topology), dataset);
@@ -109,11 +170,8 @@ GeneratedLibrary LibraryGenerator::generate_graph(
   out.table.model_name = base.name();
   out.table.topology_hash = graph.topology_hash();
   out.table.dataset_name = dataset.spec.name;
-  out.table.clock_hz = device_.clock_hz;
-
-  const fpga::PowerModel power(device_, config_.power_constants);
-  const fpga::ReconfigModel reconfig(device_);
-  out.table.reconfig_time_s = reconfig.full_reconfig_seconds();
+  const LibraryPricer pricer(device_, weight_bits, act_bits, config_.resource_constants,
+                             config_.power_constants, config_.flexible_toggle_floor);
 
   // 3. Sweep pruning rates: prune -> retrain -> evaluate -> compile -> model
   //    performance/resources/power for both accelerator types.
@@ -148,7 +206,7 @@ GeneratedLibrary LibraryGenerator::generate_graph(
     // Per-version Fixed folding: retuned to the pruned channel counts when
     // the auto-tuner is on (max fps within the unpruned accelerator's area),
     // the shared worst-case folding otherwise.
-    v.folding_fixed = folding;
+    hls::FoldingConfig fixed_folding = folding;
     if (config_.tune_folding) {
       dse::ExplorerConfig ec = base_tune_config(config_);
       ec.objective = dse::Objective::kMaxFps;
@@ -162,28 +220,12 @@ GeneratedLibrary LibraryGenerator::generate_graph(
         log_warn("folding auto-tune infeasible for ", v.version,
                  "; keeping the shared folding");
       } else {
-        v.folding_fixed = tuned.best().folding;
+        fixed_folding = tuned.best().folding;
       }
     }
-
-    // Performance on both accelerator types (Flexible always runs the shared
-    // worst-case folding — that is the accelerator actually on the fabric).
-    const perf::PerfReport fixed_perf =
-        perf::analyze(compiled, v.folding_fixed, hls::AcceleratorVariant::kFixed,
-                      device_.clock_hz);
-    const perf::PerfReport flex_perf =
-        perf::analyze(compiled, folding, hls::AcceleratorVariant::kFlexible, device_.clock_hz);
-    v.fps_fixed = fixed_perf.fps;
-    v.fps_flexible = flex_perf.fps;
-    v.latency_fixed_s = fixed_perf.latency_s;
-    v.latency_flexible_s = flex_perf.latency_s;
-
-    // This version's Fixed-Pruning accelerator.
-    v.resources_fixed =
-        fpga::accelerator_resources(compiled, v.folding_fixed, hls::AcceleratorVariant::kFixed,
-                                    weight_bits, act_bits, config_.resource_constants);
-    v.power_busy_fixed_w = power.watts(v.resources_fixed, 1.0);
-    v.power_idle_fixed_w = power.watts(v.resources_fixed, 0.0);
+    // Flexible always runs the shared worst-case folding (the accelerator
+    // actually on the fabric); its fast switch streams this version's weights.
+    pricer.price_version(v, compiled, fixed_folding, folding, compiled);
 
     out.compiled.push_back(std::move(compiled));
     out.table.versions.push_back(std::move(v));
@@ -195,37 +237,10 @@ GeneratedLibrary LibraryGenerator::generate_graph(
   }
 
   // 4. Shared accelerators: original FINN (baseline) and the Flexible one,
-  //    both sized for the worst case (the unpruned rate-0 version).
-  const hls::CompiledModel& worstcase = out.compiled.front();
-  out.table.resources_finn =
-      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFixed,
-                                  weight_bits, act_bits, config_.resource_constants);
-  out.table.resources_flexible =
-      fpga::accelerator_resources(worstcase, folding, hls::AcceleratorVariant::kFlexible,
-                                  weight_bits, act_bits, config_.resource_constants);
-  out.table.folding_flexible = folding;
-  out.table.finn_power_busy_w = power.watts(out.table.resources_finn, 1.0);
-  out.table.finn_power_idle_w = power.watts(out.table.resources_finn, 0.0);
+  //    both sized for the worst case (the unpruned rate-0 version), and the
+  //    Flexible operating point of every version.
+  pricer.price_shared(out.table, out.compiled.front(), folding);
   out.table.base_accuracy = out.table.versions.front().accuracy;
-
-  // Flexible operating points per version: toggle activity scales with the
-  // fraction of fed units; switch time from the weight reload model.
-  for (std::size_t i = 0; i < out.table.versions.size(); ++i) {
-    ModelVersion& v = out.table.versions[i];
-    // Toggle activity follows the active MAC volume, which shrinks roughly
-    // quadratically with the filter-pruning rate (both producer and consumer
-    // channel counts drop); the floor is the always-clocked control fabric.
-    const double active = 1.0 - v.achieved_rate;
-    const double frac = config_.rates[i] == 0.0
-                            ? 1.0
-                            : config_.flexible_toggle_floor +
-                                  (1.0 - config_.flexible_toggle_floor) * active * active;
-    const double dyn = power.dynamic_watts(out.table.resources_flexible) * frac;
-    v.power_busy_flexible_w = device_.static_power_w + dyn;
-    v.power_idle_flexible_w =
-        device_.static_power_w + dyn * config_.power_constants.idle_activity;
-    v.flexible_switch_time_s = reconfig.flexible_switch_seconds(out.compiled[i]);
-  }
 
   out.base_model = std::move(base);
   return out;

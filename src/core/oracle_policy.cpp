@@ -9,26 +9,6 @@ OraclePolicy::OraclePolicy(const AcceleratorLibrary& library, RuntimeManagerConf
                            const edge::WorkloadTrace& trace)
     : library_(library), config_(config), trace_(trace) {}
 
-edge::ServingMode OraclePolicy::mode_for(std::size_t version,
-                                         hls::AcceleratorVariant variant) const {
-  const ModelVersion& v = library_.versions.at(version);
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accuracy = v.accuracy;
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    mode.accelerator = "Fixed@" + v.version;
-    mode.fps = v.fps_fixed;
-    mode.power_busy_w = v.power_busy_fixed_w;
-    mode.power_idle_w = v.power_idle_fixed_w;
-  } else {
-    mode.accelerator = "Flexible";
-    mode.fps = v.fps_flexible;
-    mode.power_busy_w = v.power_busy_flexible_w;
-    mode.power_idle_w = v.power_idle_flexible_w;
-  }
-  return mode;
-}
-
 double OraclePolicy::time_to_next_change(double now_s) const {
   const std::vector<double>& times = trace_.change_times();
   auto it = std::upper_bound(times.begin(), times.end(), now_s);
@@ -44,7 +24,7 @@ edge::ServingMode OraclePolicy::initial_mode() {
                                             config_.accuracy_threshold, config_.fps_margin,
                                             /*use_flexible_fps=*/false);
   current_variant_ = hls::AcceleratorVariant::kFixed;
-  return mode_for(current_version_, current_variant_);
+  return serving_mode(library_, current_version_, current_variant_);
 }
 
 std::optional<edge::SwitchAction> OraclePolicy::on_poll(double now_s, double /*estimate*/) {
@@ -64,18 +44,7 @@ std::optional<edge::SwitchAction> OraclePolicy::on_poll(double now_s, double /*e
           ? hls::AcceleratorVariant::kFixed
           : hls::AcceleratorVariant::kFlexible;
 
-  edge::SwitchAction action;
-  action.target = mode_for(target, variant);
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  } else if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    action.switch_time_s = library_.versions.at(target).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
+  const edge::SwitchAction action = switch_to(library_, target, variant, current_variant_);
   current_version_ = target;
   current_variant_ = variant;
   return action;

@@ -68,26 +68,6 @@ RuntimeManager::RuntimeManager(const AcceleratorLibrary& library, RuntimeManager
   }
 }
 
-edge::ServingMode RuntimeManager::mode_for(std::size_t version,
-                                           hls::AcceleratorVariant variant) const {
-  const ModelVersion& v = library_.versions.at(version);
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    mode.accelerator = "Fixed@" + v.version;
-    mode.fps = v.fps_fixed;
-    mode.power_busy_w = v.power_busy_fixed_w;
-    mode.power_idle_w = v.power_idle_fixed_w;
-  } else {
-    mode.accelerator = "Flexible";
-    mode.fps = v.fps_flexible;
-    mode.power_busy_w = v.power_busy_flexible_w;
-    mode.power_idle_w = v.power_idle_flexible_w;
-  }
-  mode.accuracy = v.accuracy;
-  return mode;
-}
-
 edge::ServingMode RuntimeManager::initial_mode() {
   // Deployment starts on the unpruned model's Fixed accelerator — the same
   // hardware the Original FINN baseline runs, before any adaptation. The
@@ -99,7 +79,7 @@ edge::ServingMode RuntimeManager::initial_mode() {
   live_variant_ = hls::AcceleratorVariant::kFixed;
   last_model_switch_s_ = -1e18;
   last_switch_failure_s_ = -1e18;
-  return mode_for(current_version_, current_variant_);
+  return serving_mode(library_, current_version_, current_variant_);
 }
 
 std::size_t RuntimeManager::select_version(double incoming_fps) const {
@@ -173,23 +153,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
   }
 
   const hls::AcceleratorVariant variant = select_variant(now_s);
-  edge::SwitchAction action;
-  action.target = mode_for(target, variant);
-  if (variant == hls::AcceleratorVariant::kFixed) {
-    // Loading a different Fixed bitstream is always a reconfiguration.
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  } else if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    // Fast in-place model switch.
-    action.switch_time_s = library_.versions.at(target).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    // "Change of Dataflow": one reconfiguration to bring in the Flexible
-    // accelerator, after which switches are fast.
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
-
+  const edge::SwitchAction action = switch_to(library_, target, variant, current_variant_);
   current_version_ = target;
   current_variant_ = variant;
   last_decision_s_ = now_s;
@@ -198,8 +162,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
 
 void RuntimeManager::on_switch_applied(double now_s, const edge::ServingMode& mode) {
   last_model_switch_s_ = now_s;
-  live_variant_ = mode.accelerator == "Flexible" ? hls::AcceleratorVariant::kFlexible
-                                                 : hls::AcceleratorVariant::kFixed;
+  live_variant_ = variant_of(mode);
   live_version_ = library_.index_of(mode.model_version);
 }
 
@@ -215,22 +178,15 @@ std::optional<edge::SwitchAction> RuntimeManager::on_switch_failed(
     return std::nullopt;  // a fast switch failed; nothing cheaper exists
   }
   last_switch_failure_s_ = now_s;
-  if (action.target.accelerator == "Flexible") {
+  if (variant_of(action.target) == hls::AcceleratorVariant::kFlexible) {
     return std::nullopt;  // the safety net itself failed to load; stay put
   }
   // Fixed-Pruning reconfiguration failed: fall back to the same model version
   // on the Flexible accelerator — fast if Flexible is already loaded, one
   // "Change of Dataflow" reconfiguration otherwise.
   const std::size_t version = library_.index_of(action.target.model_version);
-  edge::SwitchAction fallback;
-  fallback.target = mode_for(version, hls::AcceleratorVariant::kFlexible);
-  if (live_variant_ == hls::AcceleratorVariant::kFlexible) {
-    fallback.switch_time_s = library_.versions.at(version).flexible_switch_time_s;
-    fallback.is_reconfiguration = false;
-  } else {
-    fallback.switch_time_s = library_.reconfig_time_s;
-    fallback.is_reconfiguration = true;
-  }
+  const edge::SwitchAction fallback =
+      switch_to(library_, version, hls::AcceleratorVariant::kFlexible, live_variant_);
   current_version_ = version;
   current_variant_ = hls::AcceleratorVariant::kFlexible;
   last_decision_s_ = now_s;
@@ -265,15 +221,8 @@ std::optional<edge::SwitchAction> RuntimeManager::on_overload(double now_s, doub
       library_.versions.at(fastest).fps_fixed >= fastest_fps) {
     return std::nullopt;  // the Fixed variant of the same version is no slower
   }
-  edge::SwitchAction action;
-  action.target = mode_for(fastest, hls::AcceleratorVariant::kFlexible);
-  if (current_variant_ == hls::AcceleratorVariant::kFlexible) {
-    action.switch_time_s = library_.versions.at(fastest).flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
+  const edge::SwitchAction action =
+      switch_to(library_, fastest, hls::AcceleratorVariant::kFlexible, current_variant_);
   current_version_ = fastest;
   current_variant_ = hls::AcceleratorVariant::kFlexible;
   last_decision_s_ = now_s;
@@ -299,15 +248,7 @@ ReconfPruningPolicy::ReconfPruningPolicy(const AcceleratorLibrary& library,
 
 edge::ServingMode ReconfPruningPolicy::initial_mode() {
   current_version_ = 0;
-  const ModelVersion& v = library_.unpruned();
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Fixed@" + v.version;
-  mode.fps = v.fps_fixed;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_fixed_w;
-  mode.power_idle_w = v.power_idle_fixed_w;
-  return mode;
+  return serving_mode(library_, current_version_, hls::AcceleratorVariant::kFixed);
 }
 
 std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
@@ -337,14 +278,9 @@ std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
     return std::nullopt;
   }
   current_version_ = target;
-  const ModelVersion& v = library_.versions.at(target);
+  // Not switch_to: Figure 1(b) sweeps this policy's own reconfiguration time.
   edge::SwitchAction action;
-  action.target.model_version = v.version;
-  action.target.accelerator = "Fixed@" + v.version;
-  action.target.fps = v.fps_fixed;
-  action.target.accuracy = v.accuracy;
-  action.target.power_busy_w = v.power_busy_fixed_w;
-  action.target.power_idle_w = v.power_idle_fixed_w;
+  action.target = serving_mode(library_, target, hls::AcceleratorVariant::kFixed);
   action.switch_time_s = reconfig_time_s_;
   action.is_reconfiguration = reconfig_time_s_ > 0.0;
   return action;

@@ -56,15 +56,7 @@ StaticFlexiblePolicy::StaticFlexiblePolicy(const core::AcceleratorLibrary& libra
 }
 
 edge::ServingMode StaticFlexiblePolicy::initial_mode() {
-  const core::ModelVersion& v = library_.versions[version_];
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Flexible";
-  mode.fps = v.fps_flexible;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_flexible_w;
-  mode.power_idle_w = v.power_idle_flexible_w;
-  return mode;
+  return core::serving_mode(library_, version_, hls::AcceleratorVariant::kFlexible);
 }
 
 }  // namespace adaflow::detect

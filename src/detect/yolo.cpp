@@ -4,12 +4,9 @@
 #include <string>
 
 #include "adaflow/common/error.hpp"
-#include "adaflow/fpga/power.hpp"
-#include "adaflow/fpga/reconfig.hpp"
-#include "adaflow/fpga/resources.hpp"
+#include "adaflow/core/library_generator.hpp"
 #include "adaflow/graph/lower.hpp"
 #include "adaflow/hls/folding.hpp"
-#include "adaflow/perf/perf.hpp"
 
 namespace adaflow::detect {
 
@@ -166,12 +163,8 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
   lib.dataset_name = "scene-density";
   lib.topology_hash = base_graph.topology_hash();
   lib.base_accuracy = config.base_map;
-  lib.clock_hz = device.clock_hz;
-  lib.folding_flexible = folding;
-
-  const fpga::PowerModel power(device, config.power_constants);
-  const fpga::ReconfigModel reconfig(device);
-  lib.reconfig_time_s = reconfig.full_reconfig_seconds();
+  const core::LibraryPricer pricer(device, weight_bits, act_bits, config.resource_constants,
+                                   config.power_constants, config.flexible_toggle_floor);
 
   // Prunable conv volume of the base graph (for the achieved-rate readout):
   // every conv except the fixed-width 1x1 detection outputs.
@@ -202,52 +195,11 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
         0.05, config.base_map *
                   (1.0 - config.prune_map_penalty * std::pow(v.achieved_rate, 1.5)));
     compiled.accuracy = v.accuracy;
-
-    v.folding_fixed = folding;
-    const perf::PerfReport fixed_perf =
-        perf::analyze(compiled, folding, hls::AcceleratorVariant::kFixed, device.clock_hz);
-    const perf::PerfReport flex_perf =
-        perf::analyze(compiled, folding, hls::AcceleratorVariant::kFlexible, device.clock_hz);
-    v.fps_fixed = fixed_perf.fps;
-    v.fps_flexible = flex_perf.fps;
-    v.latency_fixed_s = fixed_perf.latency_s;
-    v.latency_flexible_s = flex_perf.latency_s;
-
-    v.resources_fixed =
-        fpga::accelerator_resources(compiled, folding, hls::AcceleratorVariant::kFixed,
-                                    weight_bits, act_bits, config.resource_constants);
-    v.power_busy_fixed_w = power.watts(v.resources_fixed, 1.0);
-    v.power_idle_fixed_w = power.watts(v.resources_fixed, 0.0);
-    v.flexible_switch_time_s =
-        reconfig.flexible_switch_seconds(padded_for_switch_cost(compiled, act_bits));
-
+    pricer.price_version(v, compiled, folding, folding,
+                         padded_for_switch_cost(compiled, act_bits));
     lib.versions.push_back(std::move(v));
   }
-
-  lib.resources_finn =
-      fpga::accelerator_resources(base_geom, folding, hls::AcceleratorVariant::kFixed,
-                                  weight_bits, act_bits, config.resource_constants);
-  lib.resources_flexible =
-      fpga::accelerator_resources(base_geom, folding, hls::AcceleratorVariant::kFlexible,
-                                  weight_bits, act_bits, config.resource_constants);
-  lib.finn_power_busy_w = power.watts(lib.resources_finn, 1.0);
-  lib.finn_power_idle_w = power.watts(lib.resources_finn, 0.0);
-
-  // Flexible operating points: toggle activity follows the active MAC
-  // volume, quadratically in the surviving channel fraction, floored at the
-  // always-clocked control fabric (same model as the CNV generator).
-  for (std::size_t i = 0; i < lib.versions.size(); ++i) {
-    core::ModelVersion& v = lib.versions[i];
-    const double active = 1.0 - v.achieved_rate;
-    const double frac = config.rates[i] == 0.0
-                            ? 1.0
-                            : config.flexible_toggle_floor +
-                                  (1.0 - config.flexible_toggle_floor) * active * active;
-    const double dyn = power.dynamic_watts(lib.resources_flexible) * frac;
-    v.power_busy_flexible_w = device.static_power_w + dyn;
-    v.power_idle_flexible_w =
-        device.static_power_w + dyn * config.power_constants.idle_activity;
-  }
+  pricer.price_shared(lib, base_geom, folding);
   return lib;
 }
 

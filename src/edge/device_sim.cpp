@@ -116,9 +116,8 @@ void DeviceSim::set_mode(const ServingMode& m) {
 /// The scaling is deterministic (no device-side randomness), so replay
 /// depends only on the injector's pre-resolved schedule.
 void DeviceSim::on_config_upset(const faults::ConfigUpsetEvent& upset) {
-  const bool flexible = mode_.accelerator.rfind("Flexible", 0) == 0;
-  const double penalty =
-      upset.accuracy_penalty * (flexible ? upset.flexible_cross_section : 1.0);
+  const double penalty = upset.accuracy_penalty *
+                         (is_flexible(mode_.accelerator) ? upset.flexible_cross_section : 1.0);
   if (penalty <= 0.0) {
     return;
   }

@@ -25,6 +25,11 @@ struct ServingMode {
   double power_idle_w = 0.0;   ///< board power while idle / reconfiguring
 };
 
+/// True when \p accelerator labels the shared Flexible-Pruning accelerator
+/// (core::serving_mode's label for it). Fixed-Pruning bitstreams are labelled
+/// "Fixed@<version>" and the original FINN baseline "OriginalFINN".
+inline bool is_flexible(const std::string& accelerator) { return accelerator == "Flexible"; }
+
 /// A switch the policy wants performed.
 struct SwitchAction {
   ServingMode target;

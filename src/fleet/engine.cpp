@@ -8,36 +8,6 @@
 
 namespace adaflow::fleet {
 
-edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::size_t version) {
-  const core::ModelVersion& v = library.versions.at(version);
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Fixed@" + v.version;
-  mode.fps = v.fps_fixed;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_fixed_w;
-  mode.power_idle_w = v.power_idle_fixed_w;
-  return mode;
-}
-
-edge::SwitchAction reconfigure_to(const core::AcceleratorLibrary& library, std::size_t version) {
-  edge::SwitchAction action;
-  action.target = fixed_mode_for(library, version);
-  action.switch_time_s = library.reconfig_time_s;
-  action.is_reconfiguration = true;
-  return action;
-}
-
-std::size_t find_version(const core::AcceleratorLibrary& library,
-                         const std::string& version_name) {
-  for (std::size_t i = 0; i < library.versions.size(); ++i) {
-    if (library.versions[i].version == version_name) {
-      return i;
-    }
-  }
-  return library.versions.size();
-}
-
 std::uint64_t device_seed(std::uint64_t fleet_seed, std::size_t index) {
   return fleet_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1));
 }
@@ -496,17 +466,11 @@ void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
       !devices_[i]->switch_in_flight()) {
     const core::AcceleratorLibrary& lib = device_library(i);
     const edge::ServingMode& mode = devices_[i]->mode();
-    const std::size_t version = find_version(lib, mode.model_version);
+    const std::size_t version = lib.find(mode.model_version);
     if (version < lib.versions.size()) {
-      edge::SwitchAction action;
-      action.target = mode;
-      if (mode.accelerator == "Flexible") {
-        action.switch_time_s = lib.versions[version].flexible_switch_time_s;
-        action.is_reconfiguration = false;
-      } else {
-        action.switch_time_s = lib.reconfig_time_s;
-        action.is_reconfiguration = true;
-      }
+      const hls::AcceleratorVariant live = core::variant_of(mode);
+      edge::SwitchAction action = core::switch_to(lib, version, live, live);
+      action.target = mode;  // the live mode as loaded (the FINN baseline too)
       last_repair_s_[i] = now;
       command_device_switch(i, action);
     }
@@ -581,7 +545,7 @@ void FleetEngine::maybe_start_repartition(double now) {
     const std::size_t target =
         core::select_library_version(lib, share, config_.coordinator.accuracy_threshold,
                                      config_.coordinator.fps_margin, /*use_flexible_fps=*/false);
-    const std::size_t current = find_version(lib, devices_[i]->mode().model_version);
+    const std::size_t current = lib.find(devices_[i]->mode().model_version);
     if (current == lib.versions.size() || target == current) {
       continue;
     }
@@ -634,7 +598,9 @@ void FleetEngine::coordinator_tick() {
         break;  // self-healing ladder busy (stall recovery); wait it out
       }
       if (dev.idle() || now - drain_started_s_ >= config_.coordinator.drain_timeout_s) {
-        dev.command_switch(reconfigure_to(device_library(coord_device_), coord_target_));
+        dev.command_switch(core::switch_to(device_library(coord_device_), coord_target_,
+                                           hls::AcceleratorVariant::kFixed,
+                                           core::variant_of(dev.mode())));
         coord_state_ = CoordState::kReconfiguring;
       }
       break;
@@ -647,8 +613,7 @@ void FleetEngine::coordinator_tick() {
       // The episode resolved — applied, or abandoned by the retry ladder.
       // Either way the device rejoins; only a successful cycle counts as a
       // repartition.
-      if (find_version(device_library(coord_device_), dev.mode().model_version) ==
-          coord_target_) {
+      if (device_library(coord_device_).find(dev.mode().model_version) == coord_target_) {
         ++metrics_.repartitions;
       }
       accepting_[coord_device_] = 1;

@@ -68,7 +68,9 @@ PinnedPolicy::PinnedPolicy(const core::AcceleratorLibrary& library, std::size_t 
               std::to_string(library.versions.size()) + " versions)");
 }
 
-edge::ServingMode PinnedPolicy::initial_mode() { return fixed_mode_for(library_, version_); }
+edge::ServingMode PinnedPolicy::initial_mode() {
+  return core::serving_mode(library_, version_, hls::AcceleratorVariant::kFixed);
+}
 
 FleetDevice managed_device(std::string name, const core::AcceleratorLibrary& library,
                            const core::RuntimeManagerConfig& manager, core::PolicyKind kind) {

@@ -84,21 +84,6 @@ class FifoIngress final : public IngressQueue {
   std::deque<std::int64_t> frames_;
 };
 
-/// The Fixed-Pruning operating point of one library version (what a pinned
-/// device runs, what the coordinator reconfigures to, and what the ingest
-/// brownout controller downgrades to).
-edge::ServingMode fixed_mode_for(const core::AcceleratorLibrary& library, std::size_t version);
-
-/// A full reconfiguration to \p version's Fixed-Pruning accelerator: the
-/// switch the coordinator, the tenant partition plan and the ingest brownout
-/// ladder command.
-edge::SwitchAction reconfigure_to(const core::AcceleratorLibrary& library, std::size_t version);
-
-/// Index of \p version_name in \p library, or versions.size() when the
-/// device currently runs a mode from a different library.
-std::size_t find_version(const core::AcceleratorLibrary& library,
-                         const std::string& version_name);
-
 /// Per-device injector seed: splitmix-style spreading of the fleet seed so
 /// neighbouring devices get unrelated streams.
 std::uint64_t device_seed(std::uint64_t fleet_seed, std::size_t index);

@@ -24,23 +24,11 @@ class ReconfigModel {
   /// levels + thresholds over AXI (~1.6 GB/s) plus a fixed control cost.
   double flexible_switch_seconds(const hls::CompiledModel& model) const;
 
-  /// Supervision budget for one reconfiguration: after factor x the nominal
-  /// load time without the DONE signal, the PR controller must assume the
-  /// load hung and abort it (the Edge server's switch timeout mirrors this).
-  double timeout_seconds(double factor = kDefaultTimeoutFactor) const;
-
-  /// Seconds to detect an aborted load after the transfer finished: reading
-  /// back the configuration status registers over the config port.
-  double failure_detect_seconds() const;
-
-  static constexpr double kDefaultTimeoutFactor = 3.0;
-
   const FpgaDevice& device() const { return device_; }
 
  private:
   static constexpr double kAxiBandwidthBps = 1.6e9;
   static constexpr double kControlOverheadS = 200e-6;
-  static constexpr double kStatusReadbackBytes = 4096.0;
 
   FpgaDevice device_;
 };

@@ -2,14 +2,6 @@
 
 namespace adaflow::fpga {
 
-double ReconfigModel::timeout_seconds(double factor) const {
-  return factor * full_reconfig_seconds();
-}
-
-double ReconfigModel::failure_detect_seconds() const {
-  return kStatusReadbackBytes / device_.config_bandwidth_bps;
-}
-
 double ReconfigModel::flexible_switch_seconds(const hls::CompiledModel& model) const {
   double bytes = 0.0;
   for (const hls::CompiledStage& stage : model.stages) {

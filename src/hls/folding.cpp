@@ -100,16 +100,6 @@ void validate_folding(const CompiledModel& geometry, const FoldingConfig& foldin
   validate_folding_layers(enumerate_mvtu_layers(geometry), folding);
 }
 
-std::int64_t largest_divisor_at_most(std::int64_t value, std::int64_t cap) {
-  require(value > 0 && cap > 0, "divisor search needs positive operands");
-  for (std::int64_t d = std::min(value, cap); d >= 1; --d) {
-    if (value % d == 0) {
-      return d;
-    }
-  }
-  return 1;
-}
-
 std::int64_t next_divisor_above(std::int64_t value, std::int64_t current) {
   require(value > 0, "divisor search needs a positive value");
   for (std::int64_t d = current + 1; d <= value; ++d) {

@@ -70,9 +70,6 @@ void validate_folding(const CompiledModel& geometry, const FoldingConfig& foldin
 FoldingConfig folding_for_target_fps(const CompiledModel& geometry, double target_fps,
                                      double clock_hz);
 
-/// Largest divisor of \p value that is <= \p cap.
-std::int64_t largest_divisor_at_most(std::int64_t value, std::int64_t cap);
-
 /// Smallest divisor of \p value strictly greater than \p current, or 0 when
 /// \p current is already the full value. The step primitive of the greedy
 /// folding walk and the DSE neighborhood moves.

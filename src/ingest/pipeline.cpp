@@ -252,11 +252,12 @@ struct IngestSim {
       if (dev.switch_in_flight()) {
         continue;  // try again next tick; never interrupt a ladder
       }
-      const std::size_t current = fleet::find_version(lib, dev.mode().model_version);
+      const std::size_t current = lib.find(dev.mode().model_version);
       if (current >= lib.versions.size() || current == target) {
         continue;
       }
-      engine.command_device_switch(i, fleet::reconfigure_to(lib, target));
+      engine.command_device_switch(i, core::switch_to(lib, target, hls::AcceleratorVariant::kFixed,
+                                                      core::variant_of(dev.mode())));
     }
   }
 
@@ -284,8 +285,7 @@ struct IngestSim {
     base_version.reserve(engine.device_count());
     for (std::size_t i = 0; i < engine.device_count(); ++i) {
       const core::AcceleratorLibrary& lib = engine.device_library(i);
-      const std::size_t base =
-          fleet::find_version(lib, engine.device(i).mode().model_version);
+      const std::size_t base = lib.find(engine.device(i).mode().model_version);
       base_version.push_back(base);
       if (base < lib.versions.size()) {
         nominal_accuracy = std::max(nominal_accuracy, lib.versions[base].accuracy);

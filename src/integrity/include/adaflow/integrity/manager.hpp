@@ -94,7 +94,6 @@ class IntegrityManager final : public edge::ServingPolicy {
 
  private:
   edge::SwitchAction reload_action() const;
-  edge::ServingMode flexible_mode_for(const std::string& model_version) const;
 
   std::unique_ptr<edge::ServingPolicy> inner_;
   const core::AcceleratorLibrary& library_;

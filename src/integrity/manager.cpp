@@ -30,34 +30,15 @@ edge::ServingMode IntegrityManager::initial_mode() {
   return live_mode_;
 }
 
-edge::ServingMode IntegrityManager::flexible_mode_for(const std::string& model_version) const {
-  const core::ModelVersion& v = library_.versions.at(library_.index_of(model_version));
-  edge::ServingMode mode;
-  mode.model_version = v.version;
-  mode.accelerator = "Flexible";
-  mode.fps = v.fps_flexible;
-  mode.accuracy = v.accuracy;
-  mode.power_busy_w = v.power_busy_flexible_w;
-  mode.power_idle_w = v.power_idle_flexible_w;
-  return mode;
-}
-
 /// Re-load of the LIVE mode. Repairing a Fixed variant means rewriting its
 /// whole bitstream (a full reconfiguration); repairing the shared Flexible
 /// overlay only rewrites its config registers, which the sub-ms fast switch
 /// already does.
 edge::SwitchAction IntegrityManager::reload_action() const {
-  edge::SwitchAction action;
-  action.target = live_mode_;
-  if (live_mode_.accelerator == "Flexible") {
-    const core::ModelVersion& v =
-        library_.versions.at(library_.index_of(live_mode_.model_version));
-    action.switch_time_s = v.flexible_switch_time_s;
-    action.is_reconfiguration = false;
-  } else {
-    action.switch_time_s = library_.reconfig_time_s;
-    action.is_reconfiguration = true;
-  }
+  const hls::AcceleratorVariant live = core::variant_of(live_mode_);
+  edge::SwitchAction action =
+      core::switch_to(library_, library_.index_of(live_mode_.model_version), live, live);
+  action.target = live_mode_;  // the live mode as loaded (the FINN baseline too)
   return action;
 }
 
@@ -126,10 +107,13 @@ std::optional<edge::SwitchAction> IntegrityManager::on_switch_failed(
     // Flexible overlay running the same model version — cheap repair, and
     // the Flexible cross-section shrinks future upsets as a bonus.
     fallback_issued_ = true;
+    // Priced as the fast switch even though the live accelerator is Fixed:
+    // core::switch_to (and so the Runtime Manager's own fallback) charges a
+    // "Change of Dataflow" reconfiguration for this same Fixed -> Flexible move.
+    const std::size_t version = library_.index_of(live_mode_.model_version);
     edge::SwitchAction fallback;
-    fallback.target = flexible_mode_for(live_mode_.model_version);
-    fallback.switch_time_s =
-        library_.versions.at(library_.index_of(live_mode_.model_version)).flexible_switch_time_s;
+    fallback.target = core::serving_mode(library_, version, hls::AcceleratorVariant::kFlexible);
+    fallback.switch_time_s = library_.versions[version].flexible_switch_time_s;
     fallback.is_reconfiguration = false;
     return fallback;
   }

@@ -134,7 +134,4 @@ class Tensor {
   std::vector<float, detail::DefaultInitAllocator<float>> data_;
 };
 
-/// Throws ShapeError unless the two shapes are identical.
-void check_same_shape(const Tensor& a, const Tensor& b, const std::string& context);
-
 }  // namespace adaflow::nn

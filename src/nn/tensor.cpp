@@ -81,10 +81,4 @@ std::string shape_string(const Shape& shape) {
   return os.str();
 }
 
-void check_same_shape(const Tensor& a, const Tensor& b, const std::string& context) {
-  if (a.shape() != b.shape()) {
-    throw ShapeError(context + ": " + a.shape_string() + " vs " + b.shape_string());
-  }
-}
-
 }  // namespace adaflow::nn

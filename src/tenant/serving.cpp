@@ -319,7 +319,7 @@ struct TenantSim {
       if (dev.switch_in_flight()) {
         continue;
       }
-      const std::size_t current = fleet::find_version(lib, dev.mode().model_version);
+      const std::size_t current = lib.find(dev.mode().model_version);
       const bool mode_matches =
           current == target &&
           std::abs(dev.mode().fps - lib.versions[target].fps_fixed) < 1e-9;
@@ -332,7 +332,8 @@ struct TenantSim {
           now - last_switch_s[i] < config.switch_spacing_factor * lib.reconfig_time_s) {
         continue;
       }
-      engine->command_device_switch(i, fleet::reconfigure_to(lib, target));
+      engine->command_device_switch(i, core::switch_to(lib, target, hls::AcceleratorVariant::kFixed,
+                                                       core::variant_of(dev.mode())));
       last_switch_s[i] = now;
       ++out.version_switches;
       ++out.tenants[t].version_switches;
@@ -392,7 +393,7 @@ struct TenantSim {
   std::size_t final_version_of(std::size_t t) const {
     for (std::size_t i = 0; i < router.assignment().size(); ++i) {
       if (router.owner(i) == t) {
-        return fleet::find_version(*tenant_lib[t], engine->device(i).mode().model_version);
+        return tenant_lib[t]->find(engine->device(i).mode().model_version);
       }
     }
     return tenant_lib[t]->versions.size();

@@ -77,21 +77,6 @@ TEST(Rng, ExponentialMeanMatchesRate) {
   EXPECT_NEAR(sum / kN, 0.25, 0.01);
 }
 
-TEST(Rng, ForkDecorrelatesStreams) {
-  Rng parent(5);
-  Rng child = parent.fork();
-  // The child must not replay the parent's stream.
-  Rng parent2(5);
-  parent2.fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (child.uniform() == parent2.uniform()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 5);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(17);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace adaflow::core {
 namespace {
@@ -57,8 +59,59 @@ TEST(Library, AtRateFindsClosest) {
 
 TEST(Library, IndexOfByName) {
   AcceleratorLibrary lib = sample_library();
+  EXPECT_EQ(lib.find("CNVW2A2@p25"), 1u);
+  EXPECT_EQ(lib.find("nope"), lib.versions.size());
   EXPECT_EQ(lib.index_of("CNVW2A2@p25"), 1u);
   EXPECT_THROW(lib.index_of("nope"), NotFoundError);
+}
+
+TEST(Library, ServingModeReadsTheVariantsColumns) {
+  const AcceleratorLibrary lib = sample_library();
+  const ModelVersion& v = lib.versions[1];
+  const edge::ServingMode fixed = serving_mode(lib, 1, hls::AcceleratorVariant::kFixed);
+  EXPECT_EQ(fixed.model_version, v.version);
+  EXPECT_EQ(fixed.accelerator, "Fixed@CNVW2A2@p25");
+  EXPECT_EQ(fixed.fps, v.fps_fixed);
+  EXPECT_EQ(fixed.accuracy, v.accuracy);
+  EXPECT_EQ(fixed.power_busy_w, v.power_busy_fixed_w);
+  EXPECT_EQ(fixed.power_idle_w, v.power_idle_fixed_w);
+  EXPECT_EQ(variant_of(fixed), hls::AcceleratorVariant::kFixed);
+
+  const edge::ServingMode flexible = serving_mode(lib, 1, hls::AcceleratorVariant::kFlexible);
+  EXPECT_EQ(flexible.model_version, v.version);
+  EXPECT_EQ(flexible.accelerator, hls::variant_name(hls::AcceleratorVariant::kFlexible));
+  EXPECT_TRUE(edge::is_flexible(flexible.accelerator));
+  EXPECT_EQ(flexible.fps, v.fps_flexible);
+  EXPECT_EQ(flexible.accuracy, v.accuracy);
+  EXPECT_EQ(flexible.power_busy_w, v.power_busy_flexible_w);
+  EXPECT_EQ(flexible.power_idle_w, v.power_idle_flexible_w);
+  EXPECT_EQ(variant_of(flexible), hls::AcceleratorVariant::kFlexible);
+
+  EXPECT_THROW(serving_mode(lib, 3, hls::AcceleratorVariant::kFixed), std::out_of_range);
+}
+
+/// The paper's switch-cost rule over all four (live, target) pairs.
+TEST(Library, SwitchToPricesEveryLiveTargetPair) {
+  AcceleratorLibrary lib = sample_library();
+  lib.versions[2].flexible_switch_time_s = 0.0007;  // the target row's own cost
+  constexpr auto kFixed = hls::AcceleratorVariant::kFixed;
+  constexpr auto kFlexible = hls::AcceleratorVariant::kFlexible;
+  struct Case {
+    hls::AcceleratorVariant live;
+    hls::AcceleratorVariant target;
+    bool reconfiguration;
+    double seconds;
+  };
+  for (const Case& c : {Case{kFixed, kFixed, true, 0.145}, Case{kFlexible, kFixed, true, 0.145},
+                        Case{kFixed, kFlexible, true, 0.145},  // "Change of Dataflow"
+                        Case{kFlexible, kFlexible, false, 0.0007}}) {
+    const edge::SwitchAction a = switch_to(lib, 2, c.target, c.live);
+    SCOPED_TRACE(std::string(hls::variant_name(c.live)) + " -> " + hls::variant_name(c.target));
+    EXPECT_EQ(a.is_reconfiguration, c.reconfiguration);
+    EXPECT_EQ(a.switch_time_s, c.seconds);
+    EXPECT_EQ(a.target.accelerator, serving_mode(lib, 2, c.target).accelerator);
+    EXPECT_EQ(a.target.fps, serving_mode(lib, 2, c.target).fps);
+  }
 }
 
 TEST(Library, SaveLoadRoundTrip) {

@@ -75,20 +75,6 @@ TEST(Folding, ValidateRejectsZeroOrNegativeFolding) {
   EXPECT_THROW(validate_folding(trained_cnv_w2a2(), f), FoldingError);
 }
 
-TEST(Folding, LargestDivisorAtMost) {
-  EXPECT_EQ(largest_divisor_at_most(12, 5), 4);
-  EXPECT_EQ(largest_divisor_at_most(12, 12), 12);
-  EXPECT_EQ(largest_divisor_at_most(7, 6), 1);
-  EXPECT_EQ(largest_divisor_at_most(16, 3), 2);
-}
-
-TEST(Folding, LargestDivisorAtMostRejectsNonPositiveOperands) {
-  EXPECT_THROW(largest_divisor_at_most(0, 4), ConfigError);
-  EXPECT_THROW(largest_divisor_at_most(-12, 4), ConfigError);
-  EXPECT_THROW(largest_divisor_at_most(12, 0), ConfigError);
-  EXPECT_THROW(largest_divisor_at_most(12, -1), ConfigError);
-}
-
 TEST(Folding, NextDivisorAboveStepsThroughEveryDivisor) {
   // 48's chain: every divisor is visited, including the non-powers-of-two.
   const std::vector<std::int64_t> expected{2, 3, 4, 6, 8, 12, 16, 24, 48};

@@ -102,12 +102,5 @@ TEST(Tensor, ShapeString) {
   EXPECT_EQ(t.shape_string(), "[1, 3, 32, 32]");
 }
 
-TEST(Tensor, CheckSameShapeThrowsWithContext) {
-  Tensor a(Shape{2, 2});
-  Tensor b(Shape{2, 3});
-  EXPECT_THROW(check_same_shape(a, b, "ctx"), ShapeError);
-  EXPECT_NO_THROW(check_same_shape(a, a, "ctx"));
-}
-
 }  // namespace
 }  // namespace adaflow::nn

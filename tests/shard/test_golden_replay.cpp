@@ -7,7 +7,11 @@
 // reason in its commit message; a speed-up or a refactor never does. The
 // coordinator, hedging, upset-storm and detection fleet pins were recorded
 // through the single-dispatcher fleet loop that run_sharded_fleet at one
-// shard replaced.
+// shard replaced. The per-policy single-device pins (reconfiguration-only,
+// proactive, static FINN, oracle, static Flexible detection, and the Runtime
+// Manager under a reconfiguration storm with overload) were recorded before
+// every serving mode and switch price moved into core::serving_mode and
+// core::switch_to; they carry both hashers.
 //
 // `fingerprint` below is the test-side reference hasher: FNV-1a over every
 // counter, every double (bitwise), every series, histogram, switch list,
@@ -26,6 +30,7 @@
 #include <string>
 
 #include "adaflow/core/library.hpp"
+#include "adaflow/core/oracle_policy.hpp"
 #include "adaflow/core/runtime_manager.hpp"
 #include "adaflow/detect/runner.hpp"
 #include "adaflow/detect/scene.hpp"
@@ -473,6 +478,87 @@ TEST(GoldenReplay, RunTenantsFingerprintIsPinned) {
   EXPECT_GT(m.tenants[0].usage.offered, 0);
   EXPECT_GT(m.tenants[1].usage.offered, 0);
   EXPECT_TRUE(has_zero_window(m.fleet.workload_series));
+}
+
+bool any_switch(const edge::RunMetrics& m, bool reconfiguration) {
+  return std::any_of(m.switches.begin(), m.switches.end(), [&](const edge::SwitchRecord& s) {
+    return s.reconfiguration == reconfiguration;
+  });
+}
+
+/// One single-device run of \p kind on the gapped trace over the synthetic
+/// library — the serving policies the runtime-manager pin above leaves out.
+edge::RunMetrics run_policy(core::PolicyKind kind, std::uint64_t seed) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  auto policy = core::make_serving_policy(kind, lib, core::RuntimeManagerConfig{});
+  return edge::run_simulation(gapped_trace(), *policy, edge::ServerConfig{}, seed);
+}
+
+TEST(GoldenReplay, ReconfPruningRunFingerprintIsPinned) {
+  const edge::RunMetrics m = run_policy(core::PolicyKind::kReconfOnly, 47);
+  EXPECT_EQ(sim::fingerprint(m), "5abfbeb5b6987bfd");
+  EXPECT_EQ(fingerprint(m), "c196145abe764205");
+  EXPECT_GT(m.reconfigurations, 0);
+  EXPECT_FALSE(any_switch(m, /*reconfiguration=*/false));
+}
+
+TEST(GoldenReplay, ProactiveRunFingerprintIsPinned) {
+  const edge::RunMetrics m = run_policy(core::PolicyKind::kProactive, 53);
+  EXPECT_EQ(sim::fingerprint(m), "6242e0927615be71");
+  EXPECT_EQ(fingerprint(m), "1b01faf1184ae19f");
+  EXPECT_GT(m.model_switches, 0);
+  EXPECT_GT(m.forecast.forecasts, 0);
+}
+
+TEST(GoldenReplay, StaticFinnRunFingerprintIsPinned) {
+  const edge::RunMetrics m = run_policy(core::PolicyKind::kStaticFinn, 59);
+  EXPECT_EQ(sim::fingerprint(m), "c4eb0788981e7880");
+  EXPECT_EQ(fingerprint(m), "c4eb0788981e7880");
+  EXPECT_GT(m.processed, 0);
+  EXPECT_EQ(m.model_switches, 0);
+}
+
+TEST(GoldenReplay, OracleRunFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  // Rate changes 0.3 s apart make the lookahead pick Flexible, then switch fast.
+  const edge::WorkloadTrace trace({0.0, 1.0, 1.3, 1.6, 4.0}, {300.0, 600.0, 900.0, 450.0, 300.0},
+                                  6.0);
+  core::OraclePolicy policy(lib, core::RuntimeManagerConfig{}, trace);
+  const edge::RunMetrics m = edge::run_simulation(trace, policy, edge::ServerConfig{}, 61);
+  EXPECT_EQ(sim::fingerprint(m), "b9d3b0968d23a19e");
+  EXPECT_EQ(fingerprint(m), "a4531a5a044f4dce");
+  EXPECT_TRUE(any_switch(m, /*reconfiguration=*/true));
+  EXPECT_TRUE(any_switch(m, /*reconfiguration=*/false));
+}
+
+TEST(GoldenReplay, StaticFlexibleDetectionFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = detect::detection_library(fpga::zcu104());
+  detect::StaticFlexiblePolicy policy(lib);
+  const detect::SceneTrace scene =
+      detect::rush_hour_scene(2.0, 9.0, 4.0, 3.0, 5.0, 16.0, 0.5, 0.05, 7);
+  const edge::RunMetrics m = detect::run_detection(scene, policy, edge::ServerConfig{},
+                                                   detect::DetectionRunConfig{}, 67);
+  EXPECT_EQ(sim::fingerprint(m), "b569b5aae45915e2");
+  EXPECT_EQ(fingerprint(m), "b569b5aae45915e2");
+  EXPECT_GT(m.detection.frames_scored, 0);
+  EXPECT_EQ(m.model_switches, 0);
+}
+
+/// A flaky PR controller under a load spike: the Runtime Manager's
+/// reconfigurations fail into its Flexible fallback, and the saturated queue
+/// asks it to shed load.
+TEST(GoldenReplay, RuntimeManagerStormAndOverloadFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  faults::FaultSchedule schedule = faults::reconfig_failure_storm(0.5, 7.5);
+  schedule.faults.push_back(burst_window(3.6, 4.6, 2.5));
+  faults::FaultInjector injector(schedule, 72);
+  core::RuntimeManager policy(lib, core::RuntimeManagerConfig{});
+  const edge::RunMetrics m =
+      edge::run_simulation(gapped_trace(), policy, edge::ServerConfig{}, 73, &injector);
+  EXPECT_EQ(sim::fingerprint(m), "07e73be1596593c2");
+  EXPECT_EQ(fingerprint(m), "44c51018e29e1002");
+  EXPECT_GT(m.faults.fallbacks, 0);
+  EXPECT_GT(m.faults.overload_sheds, 0);
 }
 
 }  // namespace
