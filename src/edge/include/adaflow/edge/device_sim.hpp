@@ -140,14 +140,11 @@ class DeviceSim {
   // completion progress alone, the way a real dispatcher has to).
   bool crashed() const { return crash_depth_ > 0; }
   bool hung() const { return hang_depth_ > 0; }
-  bool degraded_service() const { return degrade_depth_ > 0; }
   /// Ground truth of the silent-corruption model: true while landed config
   /// upsets degrade the loaded configuration (benches and verdict scoring
   /// read this; detectors deliberately never do — they only see the canary
   /// error stream, the way a real integrity layer has to).
   bool corrupted() const { return upset_accuracy_penalty_ > 0.0; }
-  /// When the current corrupt episode began (meaningful while corrupted()).
-  double corrupt_since() const { return corrupt_since_; }
   /// Drain-time estimate of the backlog: (queued + in-flight) / mode FPS.
   double backlog_seconds() const;
 

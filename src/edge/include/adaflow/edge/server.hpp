@@ -19,7 +19,8 @@
 /// SingleDeviceDriver drives exactly one device from a workload trace — for
 /// run_simulation() here and the integrity and detection runners — while the
 /// fleet layer (src/fleet) drives N of them behind a dispatcher. Every driver
-/// draws its arrivals from the one PoissonArrivals process (workload.hpp).
+/// chains its arrivals from the one PoissonArrivals process (workload.hpp)
+/// and runs its poll and sample cadences with sim::EventQueue::every.
 
 #include <concepts>
 #include <cstdint>
@@ -61,17 +62,13 @@ class SingleDeviceDriver {
   sim::EventQueue& queue() { return queue_; }
   DeviceSim& device() { return device_; }
 
-  /// Starts the device, then schedules the first arrival, the first poll and
-  /// the first sample, in that order.
+  /// Starts the device, then declares the arrival chain, the poll cadence
+  /// and the sample cadence on queue(), in that order.
   void start();
   /// Runs the queue to the trace's end and returns the finalized metrics.
   RunMetrics finish();
 
  private:
-  void schedule_next_arrival();
-  void on_poll();
-  void on_sample();
-
   const WorkloadTrace& trace_;
   const ServerConfig& config_;
   sim::EventQueue queue_;

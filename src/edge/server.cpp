@@ -1,7 +1,6 @@
 #include "adaflow/edge/server.hpp"
 
 #include <cmath>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -39,40 +38,18 @@ SingleDeviceDriver::SingleDeviceDriver(const WorkloadTrace& trace, ServingPolicy
 
 void SingleDeviceDriver::start() {
   device_.start();
-  schedule_next_arrival();
-  queue_.schedule_at(config_.poll_interval_s, [this] { on_poll(); });
-  queue_.schedule_at(config_.sample_interval_s, [this] { on_sample(); });
+  queue_.chain([this] { return arrivals_.next(); },
+               [this] { device_.offer_frame(/*count_loss=*/true); });
+  const double end = trace_.duration();
+  queue_.every(config_.poll_interval_s, config_.poll_interval_s, end, [this] { device_.poll(); });
+  queue_.every(config_.sample_interval_s, config_.sample_interval_s, end + sim::kSampleEndSlack,
+               [this] { device_.sample_window(); });
 }
 
 RunMetrics SingleDeviceDriver::finish() {
   queue_.run_until(trace_.duration());
   device_.finalize(trace_.duration());
   return std::move(device_.metrics());
-}
-
-void SingleDeviceDriver::schedule_next_arrival() {
-  if (const std::optional<double> when = arrivals_.next()) {
-    queue_.schedule_at(*when, [this] {
-      device_.offer_frame(/*count_loss=*/true);
-      schedule_next_arrival();
-    });
-  }
-}
-
-void SingleDeviceDriver::on_poll() {
-  device_.poll();
-  const double next = queue_.now() + config_.poll_interval_s;
-  if (next <= trace_.duration()) {
-    queue_.schedule_at(next, [this] { on_poll(); });
-  }
-}
-
-void SingleDeviceDriver::on_sample() {
-  device_.sample_window();
-  const double next = queue_.now() + config_.sample_interval_s;
-  if (next <= trace_.duration() + 1e-9) {
-    queue_.schedule_at(next, [this] { on_sample(); });
-  }
 }
 
 RunMetrics run_simulation(const WorkloadTrace& trace, ServingPolicy& policy,

@@ -428,27 +428,9 @@ void FleetEngine::health_tick() {
   if (!ingress_->empty()) {
     drain_ingress();
   }
-  const double next = now + config_.health.tick_interval_s;
-  if (next <= horizon_s_) {
-    queue_.schedule_at(next, [this] { health_tick(); });
-  }
 }
 
 // --- integrity layer --------------------------------------------------------
-
-/// One canary round: every device gets one golden frame through its normal
-/// queue (the probing throughput tax). A full queue skips its probe — a
-/// saturated device must not displace real frames — and a quarantined device
-/// keeps probing, so corruption clearing under quarantine is still observed.
-void FleetEngine::canary_tick() {
-  for (auto& dev : devices_) {
-    dev->offer_canary();
-  }
-  const double next = queue_.now() + config_.integrity.canary_interval_s;
-  if (next <= horizon_s_) {
-    queue_.schedule_at(next, [this] { canary_tick(); });
-  }
-}
 
 void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
   if (!integrity_detectors_[i].feed(error)) {
@@ -623,57 +605,6 @@ void FleetEngine::coordinator_tick() {
       break;
     }
   }
-  const double next = now + config_.coordinator.poll_interval_s;
-  if (next <= horizon_s_) {
-    queue_.schedule_at(next, [this] { coordinator_tick(); });
-  }
-}
-
-// --- cadences and sampling --------------------------------------------------
-
-void FleetEngine::device_poll(std::size_t i) {
-  devices_[i]->poll();
-  const double next = queue_.now() + config_.devices[i].server.poll_interval_s;
-  if (next <= horizon_s_) {
-    queue_.schedule_at(next, [this, i] { device_poll(i); });
-  }
-}
-
-void FleetEngine::device_sample(std::size_t i) {
-  devices_[i]->sample_window();
-  const double next = queue_.now() + config_.devices[i].server.sample_interval_s;
-  if (next <= horizon_s_ + 1e-9) {
-    queue_.schedule_at(next, [this, i] { device_sample(i); });
-  }
-}
-
-void FleetEngine::fleet_sample() {
-  std::int64_t arrived_total = metrics_.arrived;
-  std::int64_t lost_total = metrics_.ingress_lost;
-  double qoe_total = 0.0;
-  double worst_backlog_s = 0.0;
-  for (const auto& dev : devices_) {
-    lost_total += dev->metrics().lost;
-    qoe_total += dev->metrics().qoe_accuracy_sum;
-    worst_backlog_s = std::max(worst_backlog_s, dev->backlog_seconds());
-  }
-  qoe_total -= hedge_wasted_qoe_;  // discarded duplicate completions
-  const std::int64_t d_arrived = arrived_total - snap_arrived_;
-  const std::int64_t d_lost = lost_total - snap_lost_;
-  const double d_qoe = qoe_total - snap_qoe_;
-  const double da = static_cast<double>(d_arrived);
-  metrics_.workload_series.values.push_back(da / config_.sample_interval_s);
-  metrics_.loss_series.values.push_back(d_arrived > 0 ? static_cast<double>(d_lost) / da : 0.0);
-  metrics_.qoe_series.values.push_back(d_arrived > 0 ? d_qoe / da : 0.0);
-  metrics_.backlog_series.values.push_back(worst_backlog_s);
-  snap_arrived_ = arrived_total;
-  snap_lost_ = lost_total;
-  snap_qoe_ = qoe_total;
-
-  const double next = queue_.now() + config_.sample_interval_s;
-  if (next <= horizon_s_ + 1e-9) {
-    queue_.schedule_at(next, [this] { fleet_sample(); });
-  }
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -690,21 +621,55 @@ void FleetEngine::start() {
           [this, i](double now_s, double error) { on_canary_result(i, now_s, error); });
     }
   }
+  // Each cadence first fires one period after t0.
   const double t0 = queue_.now();
+  const double sample_end = horizon_s_ + sim::kSampleEndSlack;
+  const auto every = [&](double period, double last, auto fn) {
+    queue_.every(t0 + period, period, last, std::move(fn));
+  };
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     const edge::ServerConfig& sc = config_.devices[i].server;
-    queue_.schedule_at(t0 + sc.poll_interval_s, [this, i] { device_poll(i); });
-    queue_.schedule_at(t0 + sc.sample_interval_s, [this, i] { device_sample(i); });
+    edge::DeviceSim* dev = devices_[i].get();
+    every(sc.poll_interval_s, horizon_s_, [dev] { dev->poll(); });
+    every(sc.sample_interval_s, sample_end, [dev] { dev->sample_window(); });
   }
-  queue_.schedule_at(t0 + config_.sample_interval_s, [this] { fleet_sample(); });
+  // Fleet sample window: the deltas since the previous sample instant.
+  every(config_.sample_interval_s, sample_end, [this] {
+    std::int64_t lost_total = metrics_.ingress_lost;
+    double qoe_total = 0.0;
+    double worst_backlog_s = 0.0;
+    for (const auto& dev : devices_) {
+      lost_total += dev->metrics().lost;
+      qoe_total += dev->metrics().qoe_accuracy_sum;
+      worst_backlog_s = std::max(worst_backlog_s, dev->backlog_seconds());
+    }
+    qoe_total -= hedge_wasted_qoe_;  // discarded duplicate completions
+    const std::int64_t d_arrived = metrics_.arrived - snap_arrived_;
+    const std::int64_t d_lost = lost_total - snap_lost_;
+    const double d_qoe = qoe_total - snap_qoe_;
+    const double da = static_cast<double>(d_arrived);
+    metrics_.workload_series.values.push_back(da / config_.sample_interval_s);
+    metrics_.loss_series.values.push_back(d_arrived > 0 ? static_cast<double>(d_lost) / da : 0.0);
+    metrics_.qoe_series.values.push_back(d_arrived > 0 ? d_qoe / da : 0.0);
+    metrics_.backlog_series.values.push_back(worst_backlog_s);
+    snap_arrived_ = metrics_.arrived;
+    snap_lost_ = lost_total;
+    snap_qoe_ = qoe_total;
+  });
   if (config_.coordinator.enabled) {
-    queue_.schedule_at(t0 + config_.coordinator.poll_interval_s, [this] { coordinator_tick(); });
+    every(config_.coordinator.poll_interval_s, horizon_s_, [this] { coordinator_tick(); });
   }
   if (config_.health.enabled) {
-    queue_.schedule_at(t0 + config_.health.tick_interval_s, [this] { health_tick(); });
+    every(config_.health.tick_interval_s, horizon_s_, [this] { health_tick(); });
   }
   if (config_.integrity.enabled && config_.integrity.canary_interval_s > 0.0) {
-    queue_.schedule_at(t0 + config_.integrity.canary_interval_s, [this] { canary_tick(); });
+    // One golden frame per device per round. A full queue skips its probe;
+    // a quarantined device keeps probing, so a clearing corruption is seen.
+    every(config_.integrity.canary_interval_s, horizon_s_, [this] {
+      for (auto& dev : devices_) {
+        dev->offer_canary();
+      }
+    });
   }
 }
 

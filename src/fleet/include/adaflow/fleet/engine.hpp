@@ -98,8 +98,9 @@ class FleetEngine {
   };
 
   /// \p queue, \p library, \p config, and \p router must outlive the engine.
-  /// \p horizon_s bounds the self-rescheduling cadence events (health,
-  /// coordinator, sampling) — pass the run duration. \p seed derives the
+  /// \p horizon_s is the last time of the cadences start() declares on
+  /// \p queue (device polls and samples, fleet samples, coordinator, health,
+  /// canaries) — pass the run duration. \p seed derives the
   /// per-device fault-injector seeds; the engine itself draws no randomness.
   FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary& library,
               const FleetConfig& config, RoutingPolicy& router, std::uint64_t seed,
@@ -109,8 +110,9 @@ class FleetEngine {
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  /// Starts every device and schedules the cadence events. Call once, at the
-  /// simulation time the run begins (normally t=0), before any offer_frame.
+  /// Starts every device and declares the cadences (sim::EventQueue::every).
+  /// Call once, at the simulation time the run begins (normally t=0), before
+  /// any offer_frame.
   void start();
 
   /// One frame reaches the dispatcher at queue.now(): routed immediately
@@ -178,9 +180,6 @@ class FleetEngine {
   void quarantine_drain(std::size_t i);
   bool any_other_eligible(std::size_t i) const;
   void health_tick();
-  /// Offers one golden canary frame to every device (integrity layer
-  /// cadence); full queues skip their probe this round.
-  void canary_tick();
   /// A canary completed on device \p i with \p error against the golden
   /// answer: feeds that device's drift detector, and on a trip scores the
   /// verdict, issues the detection-triggered reload (cooldown-gated), and
@@ -190,9 +189,6 @@ class FleetEngine {
   double planning_rate(double measured) const;
   void maybe_start_repartition(double now);
   void coordinator_tick();
-  void device_poll(std::size_t i);
-  void device_sample(std::size_t i);
-  void fleet_sample();
 
   sim::EventQueue& queue_;
   const core::AcceleratorLibrary& fleet_library_;

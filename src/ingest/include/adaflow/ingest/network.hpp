@@ -60,8 +60,6 @@ class NetworkLink {
 
   /// One frame enters the link at queue.now() (= its capture time).
   void transmit(std::int64_t seq, double capture_s);
-
-  bool in_burst_state() const { return bad_state_; }
   const NetworkStats& stats() const { return stats_; }
 
  private:

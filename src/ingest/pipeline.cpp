@@ -262,17 +262,12 @@ struct IngestSim {
   }
 
   void brownout_tick() {
-    const double now = queue.now();
     const BrownoutController::Decision d =
-        controller.update(now, queue_fill_fraction(), recent_p99_s());
+        controller.update(queue.now(), queue_fill_fraction(), recent_p99_s());
     if (config.brownout.mode == BrownoutMode::kLadder) {
       apply_downgrade(d.downgrade);
     }
     try_start_decodes();  // backpressure may have cleared since the last wake
-    const double next = now + config.brownout.poll_interval_s;
-    if (next <= config.duration_s) {
-      queue.schedule_at(next, [this] { brownout_tick(); });
-    }
   }
 
   // --- lifecycle ------------------------------------------------------------
@@ -300,7 +295,8 @@ struct IngestSim {
       });
       sessions[i]->start();
     }
-    queue.schedule_at(config.brownout.poll_interval_s, [this] { brownout_tick(); });
+    const double poll = config.brownout.poll_interval_s;
+    queue.every(poll, poll, config.duration_s, [this] { brownout_tick(); });
 
     queue.run_until(config.duration_s);
 

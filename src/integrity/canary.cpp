@@ -22,21 +22,13 @@ void CanaryProber::start(double horizon_s) {
   if (config_.canary_interval_s <= 0.0) {
     return;
   }
-  horizon_s_ = horizon_s;
   device_.set_canary_hook(
       [this](double now_s, double error) { on_canary_result(now_s, error); });
-  queue_.schedule_at(config_.canary_interval_s, [this] { tick(); });
-}
-
-void CanaryProber::tick() {
   // A full queue skips the probe (offer_canary refuses) — a saturated device
   // is losing real frames already; displacing one for a probe would be a
   // worse trade, and the prober simply tries again next interval.
-  device_.offer_canary();
-  const double next = queue_.now() + config_.canary_interval_s;
-  if (next <= horizon_s_) {
-    queue_.schedule_at(next, [this] { tick(); });
-  }
+  const double period = config_.canary_interval_s;
+  queue_.every(period, period, horizon_s, [this] { device_.offer_canary(); });
 }
 
 void CanaryProber::on_canary_result(double now_s, double error) {
@@ -46,7 +38,6 @@ void CanaryProber::on_canary_result(double now_s, double error) {
   // Re-arm BEFORE the callback: the trip handler may synchronously complete
   // further canaries (repair switches flush the service ladder).
   detector_.reset();
-  ++trips_;
   if (on_trip_) {
     on_trip_(now_s);
   }

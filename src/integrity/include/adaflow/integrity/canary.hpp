@@ -43,12 +43,7 @@ class CanaryProber {
   /// \p horizon_s. No-op when the configured interval is 0.
   void start(double horizon_s);
 
-  DriftDetector& detector() { return detector_; }
-  const DriftDetector& detector() const { return detector_; }
-  std::int64_t trips() const { return trips_; }
-
  private:
-  void tick();
   void on_canary_result(double now_s, double error);
 
   sim::EventQueue& queue_;
@@ -56,8 +51,6 @@ class CanaryProber {
   CanaryProberConfig config_;
   DriftDetector detector_;
   std::function<void(double)> on_trip_;
-  double horizon_s_ = 0.0;
-  std::int64_t trips_ = 0;
 };
 
 }  // namespace adaflow::integrity

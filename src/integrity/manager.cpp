@@ -104,18 +104,14 @@ std::optional<edge::SwitchAction> IntegrityManager::on_switch_failed(
   }
   if (action.is_reconfiguration && !fallback_issued_) {
     // The full reload keeps failing: fall back to the always-available
-    // Flexible overlay running the same model version — cheap repair, and
-    // the Flexible cross-section shrinks future upsets as a bonus.
+    // Flexible overlay running the same model version, and the Flexible
+    // cross-section shrinks future upsets as a bonus. Off a Fixed bitstream
+    // this is the paper's "Change of Dataflow" reconfiguration, priced like
+    // the Runtime Manager's own fallback; fallback_issued_ stops a failure of
+    // it from falling back again.
     fallback_issued_ = true;
-    // Priced as the fast switch even though the live accelerator is Fixed:
-    // core::switch_to (and so the Runtime Manager's own fallback) charges a
-    // "Change of Dataflow" reconfiguration for this same Fixed -> Flexible move.
-    const std::size_t version = library_.index_of(live_mode_.model_version);
-    edge::SwitchAction fallback;
-    fallback.target = core::serving_mode(library_, version, hls::AcceleratorVariant::kFlexible);
-    fallback.switch_time_s = library_.versions[version].flexible_switch_time_s;
-    fallback.is_reconfiguration = false;
-    return fallback;
+    return core::switch_to(library_, library_.index_of(live_mode_.model_version),
+                           hls::AcceleratorVariant::kFlexible, core::variant_of(live_mode_));
   }
   // The cheap path failed too (or was the primary and failed): stay on the
   // live mode, let the cooldown expire, and try again on fresh evidence.

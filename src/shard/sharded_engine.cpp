@@ -70,7 +70,6 @@ struct Shard {
   std::unique_ptr<fleet::FleetEngine> engine;
 
   std::vector<double> arrivals;  ///< home arrival times, ascending
-  std::size_t next_arrival = 0;
 
   Mailbox inbox;
   Mailbox outbox;
@@ -128,9 +127,14 @@ class Runner {
     const int S = shard_cfg_.shards;
     const double duration = trace_.duration();
 
-    for (auto& sh : shards_) {
-      sh->engine->start();
-      schedule_next_arrival(*sh);
+    for (auto& ptr : shards_) {
+      Shard& sh = *ptr;
+      sh.engine->start();
+      sh.queue.chain(
+          [&sh, k = std::size_t{0}]() mutable {
+            return k < sh.arrivals.size() ? std::optional(sh.arrivals[k++]) : std::nullopt;
+          },
+          [this, &sh] { offer(sh, edge::DeviceSim::kNoTag, 0); });
     }
 
     std::int64_t windows = 0;
@@ -202,20 +206,6 @@ class Runner {
     } else if (hops > 0) {
       ++sh.handoff_lost;  // travelled and still found every ingress full
     }
-  }
-
-  /// Chains the shard's next home arrival as a self-rescheduling event:
-  /// offer first, then schedule the successor.
-  void schedule_next_arrival(Shard& sh) {
-    if (sh.next_arrival >= sh.arrivals.size()) {
-      return;
-    }
-    const double when = sh.arrivals[sh.next_arrival];
-    ++sh.next_arrival;
-    sh.queue.schedule_at(when, [this, &sh] {
-      offer(sh, edge::DeviceSim::kNoTag, 0);
-      schedule_next_arrival(sh);
-    });
   }
 
   /// Window barrier, main thread only: outbox s feeds inbox (s+1) % S, in

@@ -51,8 +51,6 @@ class WfqIngress final : public fleet::IngressQueue {
   bool push(std::int64_t tag) override;
   std::int64_t pop() override;
   void unpop(std::int64_t tag) override;
-
-  std::size_t class_count() const { return classes_.size(); }
   std::size_t backlog(std::size_t cls) const { return queues_[cls].size(); }
   /// Frames rejected because class \p cls was full (per-tenant shed base).
   std::int64_t rejected(std::size_t cls) const { return rejected_[cls]; }

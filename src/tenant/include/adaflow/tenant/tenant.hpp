@@ -81,8 +81,6 @@ class TokenBucket {
     return true;
   }
 
-  double tokens() const { return tokens_; }
-
  private:
   double rate_;
   double burst_;

@@ -216,15 +216,6 @@ struct TenantSim {
     }
   }
 
-  void schedule_next_arrival(std::size_t t) {
-    if (const std::optional<double> when = tenants[t].arrivals.next()) {
-      queue.schedule_at(*when, [this, t] {
-        arrive(t);
-        schedule_next_arrival(t);
-      });
-    }
-  }
-
   // --- SLO sampling ---------------------------------------------------------
 
   void sample_window() {
@@ -253,10 +244,6 @@ struct TenantSim {
       state.w_delivered = 0;
       state.w_quality = 0.0;
       state.w_latencies.clear();
-    }
-    const double next = queue.now() + config.sample_interval_s;
-    if (next <= config.duration_s + 1e-9) {
-      queue.schedule_at(next, [this] { sample_window(); });
     }
   }
 
@@ -296,10 +283,6 @@ struct TenantSim {
     // Frames a hard partition declined earlier get another look whenever the
     // plan (or simply time) moved.
     engine->pump();
-    const double next = now + config.coordinator_interval_s;
-    if (next <= config.duration_s) {
-      queue.schedule_at(next, [this] { coordinator_tick(); });
-    }
   }
 
   void apply_plan(double now, const PartitionPlan& plan) {
@@ -348,10 +331,13 @@ struct TenantSim {
         [this](std::int64_t tag) { on_lost(tag); });
     engine->start();
     for (std::size_t t = 0; t < tenants.size(); ++t) {
-      schedule_next_arrival(t);
+      queue.chain([this, t] { return tenants[t].arrivals.next(); }, [this, t] { arrive(t); });
     }
-    queue.schedule_at(config.sample_interval_s, [this] { sample_window(); });
-    queue.schedule_at(config.coordinator_interval_s, [this] { coordinator_tick(); });
+    const double sample = config.sample_interval_s;
+    queue.every(sample, sample, config.duration_s + sim::kSampleEndSlack,
+                [this] { sample_window(); });
+    const double control = config.coordinator_interval_s;
+    queue.every(control, control, config.duration_s, [this] { coordinator_tick(); });
     queue.run_until(config.duration_s);
     finalize();
     return std::move(out);

@@ -127,13 +127,15 @@ TEST(IntegrityManager, FailedReloadFallsBackToFlexibleAndNotifiesInner) {
   ASSERT_TRUE(reload.has_value());
   ASSERT_TRUE(reload->is_reconfiguration);
 
-  // The reload's retry ladder exhausts: the manager answers with the cheap
-  // Flexible fast switch on the same model version.
+  // The reload's retry ladder exhausts: the manager answers with the
+  // Flexible overlay on the same model version. Off the live Fixed bitstream
+  // that is a "Change of Dataflow" reconfiguration, priced as one.
   auto fallback = f.manager->on_switch_failed(1.5, *reload);
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(fallback->target.accelerator, "Flexible");
   EXPECT_EQ(fallback->target.model_version, f.lib.versions.front().version);
-  EXPECT_FALSE(fallback->is_reconfiguration);
+  EXPECT_TRUE(fallback->is_reconfiguration);
+  EXPECT_EQ(fallback->switch_time_s, f.lib.reconfig_time_s);
   // The inner policy heard nothing yet (its bookkeeping never advanced).
   EXPECT_EQ(f.inner->failed, 0);
 

@@ -11,7 +11,8 @@
 // proactive, static FINN, oracle, static Flexible detection, and the Runtime
 // Manager under a reconfiguration storm with overload) were recorded before
 // every serving mode and switch price moved into core::serving_mode and
-// core::switch_to; they carry both hashers.
+// core::switch_to; they carry both hashers. The ingest pin was recorded before
+// every cadence and arrival chain moved onto sim::EventQueue::every / chain.
 //
 // `fingerprint` below is the test-side reference hasher: FNV-1a over every
 // counter, every double (bitwise), every series, histogram, switch list,
@@ -41,6 +42,7 @@
 #include "adaflow/faults/fault_injector.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/fpga/device.hpp"
+#include "adaflow/ingest/pipeline.hpp"
 #include "adaflow/integrity/runner.hpp"
 #include "adaflow/shard/sharded_engine.hpp"
 #include "adaflow/tenant/serving.hpp"
@@ -215,6 +217,40 @@ class Fnv {
     forecast(m.forecast);
   }
 
+  void ingest(const ingest::IngestMetrics& m) {
+    f64(m.duration_s);
+    for (const std::int64_t v :
+         {m.captured, m.duplicates, m.network_lost, m.network_in_flight, m.stale_dropped,
+          m.reordered, m.thinned, m.dropall_shed, m.queue_drops, m.session_queued,
+          m.decode_started, m.decode_failed, m.decode_in_flight, m.offered_to_fleet,
+          m.fleet_shed, m.delivered, m.lost_in_fleet, m.fleet_backlog, m.degraded_delivered}) {
+      i64(v);
+    }
+    f64(m.qoe_accuracy_sum);
+    histogram(m.e2e_latency);
+    i64(m.brownout.tier1_engagements);
+    i64(m.brownout.tier2_engagements);
+    f64(m.brownout.time_tier1_s);
+    f64(m.brownout.time_tier2_s);
+    f64(m.brownout.time_shedding_s);
+    i64(m.final_tier);
+    faults(m.faults);
+    fleet(m.fleet);
+    u64(m.sessions.size());
+    for (const ingest::IngestSessionResult& r : m.sessions) {
+      str(r.name);
+      i64(static_cast<std::int64_t>(r.final_state));
+      for (const std::int64_t v :
+           {r.session.connects, r.session.disconnects, r.session.reconnect_attempts,
+            r.session.frames_captured, r.network.transmitted, r.network.duplicates,
+            r.network.lost_iid, r.network.lost_burst, r.network.lost_outage, r.network.delivered,
+            r.filter.arrived, r.filter.accepted, r.filter.dropped_stale, r.filter.reordered,
+            r.queue_drops, r.queued_at_end}) {
+        i64(v);
+      }
+    }
+  }
+
   std::string hex() const {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h_));
@@ -240,6 +276,12 @@ std::string fingerprint(const fleet::FleetMetrics& m) {
 std::string fingerprint(const tenant::MultiTenantMetrics& m) {
   Fnv f;
   f.tenants(m);
+  return f.hex();
+}
+
+std::string fingerprint(const ingest::IngestMetrics& m) {
+  Fnv f;
+  f.ingest(m);
   return f.hex();
 }
 
@@ -478,6 +520,72 @@ TEST(GoldenReplay, RunTenantsFingerprintIsPinned) {
   EXPECT_GT(m.tenants[0].usage.offered, 0);
   EXPECT_GT(m.tenants[1].usage.offered, 0);
   EXPECT_TRUE(has_zero_window(m.fleet.workload_series));
+}
+
+/// Ten flapping cameras at 2.5x overload of two pinned devices, with a
+/// network outage and a decode-fault window: the brownout ladder reaches the
+/// downgrade tier, decode pauses on the fleet's backlog, and sessions drop
+/// and reconnect.
+ingest::IngestConfig golden_ingest(const core::AcceleratorLibrary& lib) {
+  ingest::IngestConfig config;
+  config.cameras = 10;
+  config.duration_s = 8.0;
+  config.camera.fps = 250.0;
+  config.camera.mean_uptime_s = 6.0;
+  config.camera.reconnect_success_p = 0.6;
+  config.network.base_delay_s = 0.01;
+  config.network.jitter_s = 0.005;
+  config.network.loss_p = 0.005;
+  config.decode.cost_s = 0.0005;
+  config.decode.workers = 4;
+  config.decode.backpressure_threshold = 2;
+  config.brownout.mode = ingest::BrownoutMode::kLadder;
+  config.brownout.downgrade_steps = 2;
+  config.brownout.tier1_latency_s = 0.06;
+  config.brownout.tier2_latency_s = 0.10;
+  config.brownout.min_dwell_s = 1.0;
+  config.brownout.release_fraction = 0.2;
+  faults::FaultSchedule schedule = faults::network_outage_window(2.0, 2.5);
+  const faults::FaultSchedule decode = faults::decode_fault_window(4.0, 4.5, 0.5);
+  schedule.faults.insert(schedule.faults.end(), decode.faults.begin(), decode.faults.end());
+  config.faults = schedule;
+  for (int i = 0; i < 2; ++i) {
+    config.fleet.devices.push_back(fleet::pinned_device("dev" + std::to_string(i), lib, 0));
+  }
+  return config;
+}
+
+ingest::IngestMetrics run_golden_ingest(const ingest::IngestConfig& config,
+                                        const core::AcceleratorLibrary& lib) {
+  auto router = fleet::make_router("least-loaded");
+  return ingest::run_ingest(config, lib, *router, 41);
+}
+
+TEST(GoldenReplay, RunIngestFingerprintIsPinned) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  const ingest::IngestConfig config = golden_ingest(lib);
+  const ingest::IngestMetrics m = run_golden_ingest(config, lib);
+  EXPECT_EQ(sim::fingerprint(m), "ed5030c523804c43");
+  EXPECT_EQ(fingerprint(m), "df663f4070b816a3");
+  EXPECT_EQ(m.conservation_error(), 0);
+  EXPECT_GT(m.brownout.tier2_engagements, 0);
+  EXPECT_GT(m.brownout.time_tier2_s, 0.0);
+  EXPECT_GT(m.degraded_delivered, 0);
+  EXPECT_GT(m.faults.network_outage_drops, 0);
+  EXPECT_GT(m.faults.decode_faults_injected, 0);
+  std::int64_t disconnects = 0;
+  std::int64_t reconnects = 0;
+  for (const ingest::IngestSessionResult& r : m.sessions) {
+    disconnects += r.session.disconnects;
+    reconnects += r.session.connects - 1;
+  }
+  EXPECT_GT(disconnects, 0);
+  EXPECT_GT(reconnects, 0);
+  // Decode backpressure fires: the same run with a threshold the fleet's
+  // ingress can never reach starts its decodes differently.
+  ingest::IngestConfig no_backpressure = config;
+  no_backpressure.decode.backpressure_threshold = config.fleet.ingress_capacity + 1;
+  EXPECT_NE(run_golden_ingest(no_backpressure, lib).decode_started, m.decode_started);
 }
 
 bool any_switch(const edge::RunMetrics& m, bool reconfiguration) {

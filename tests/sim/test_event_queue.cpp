@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <random>
 #include <string>
@@ -303,6 +304,95 @@ TEST(EventQueue, SlabGrowthDuringACallbackIsSafe) {
   }
   EXPECT_EQ(std::vector<int>(order.begin() + 1, order.end()), expected);
   EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueEvery, ATickOnLastFiresAndTheNextDoesNot) {
+  EventQueue q;
+  std::vector<double> fired;
+  q.every(1.0, 0.5, 2.0, [&] { fired.push_back(q.now()); });
+  q.run_until(10.0);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 1.5, 2.0}));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueEvery, TheFirstFiringIgnoresLast) {
+  EventQueue q;
+  int fired = 0;
+  q.every(3.0, 1.0, 2.0, [&] { ++fired; });
+  q.run_until(10.0);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueEvery, AnEventTheBodySchedulesAtTheSuccessorsTimeFiresFirst) {
+  EventQueue q;
+  std::vector<std::string> log;
+  q.every(1.0, 1.0, 3.0, [&] {
+    log.push_back("tick@" + std::to_string(static_cast<int>(q.now())));
+    if (q.now() == 1.0) {
+      q.schedule_at(2.0, [&] { log.push_back("other@2"); });
+    }
+  });
+  q.run_until(10.0);
+  EXPECT_EQ(log, (std::vector<std::string>{"tick@1", "other@2", "tick@2", "tick@3"}));
+}
+
+TEST(EventQueueEvery, RejectsAPeriodThatIsNotFiniteAndPositive) {
+  for (const double period : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    EventQueue q;
+    EXPECT_THROW(q.every(1.0, period, 10.0, [] {}), ConfigError) << period;
+    EXPECT_EQ(q.pending(), 0u);
+  }
+}
+
+TEST(EventQueueChain, StopsOnNulloptAndDrawsEachTimeAfterTheBodyRan) {
+  EventQueue q;
+  const std::vector<double> times = {0.5, 1.0, 1.0, 2.5};
+  std::size_t k = 0;
+  std::vector<std::string> log;
+  q.chain(
+      [&]() -> std::optional<double> {
+        log.push_back("draw@" + std::to_string(q.now()));
+        if (k == times.size()) {
+          return std::nullopt;
+        }
+        return times[k++];
+      },
+      [&] { log.push_back("fire@" + std::to_string(q.now())); });
+  q.run_until(5.0);
+  q.run_until(10.0);
+  const std::vector<std::string> expected = {
+      "draw@" + std::to_string(0.0), "fire@" + std::to_string(0.5),
+      "draw@" + std::to_string(0.5), "fire@" + std::to_string(1.0),
+      "draw@" + std::to_string(1.0), "fire@" + std::to_string(1.0),
+      "draw@" + std::to_string(1.0), "fire@" + std::to_string(2.5),
+      "draw@" + std::to_string(2.5)};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueChain, AnEmptyChainSchedulesNothing) {
+  EventQueue q;
+  bool fired = false;
+  q.chain([] { return std::optional<double>(); }, [&] { fired = true; });
+  EXPECT_EQ(q.pending(), 0u);
+  q.run_until(1.0);
+  EXPECT_FALSE(fired);
+}
+
+TEST(EventQueueEvery, ALongRunHoldsOneEntryPerLiveCadence) {
+  EventQueue q;
+  std::int64_t ticks = 0;
+  q.every(0.001, 0.001, 1e9, [&] { ++ticks; });
+  q.every(0.5, 0.5, 1e9, [&] { ++ticks; });
+  q.chain([&q] { return std::optional<double>(q.now() + 0.003); }, [&] { ++ticks; });
+  // A cadence that ends early leaves nothing behind.
+  q.every(0.25, 0.25, 1.0, [&] { ++ticks; });
+  for (int step = 1; step <= 100; ++step) {
+    q.run_until(0.1 * step);
+    EXPECT_EQ(q.pending(), step < 10 ? 4u : 3u) << "at t=" << q.now();
+  }
+  EXPECT_GT(ticks, 13000);
 }
 
 }  // namespace

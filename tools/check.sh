@@ -58,7 +58,7 @@ ctest --test-dir "$root/build" -L detect --output-on-failure -j "$jobs"
 echo "== cli group (ctest -L cli: every subcommand's smoke run + flag error paths) =="
 ctest --test-dir "$root/build" -L cli --output-on-failure -j "$jobs"
 
-echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device and tenant replay pins, metrics_fingerprint and reference-hasher) =="
+echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device, tenant and ingest (RunIngestFingerprintIsPinned) replay pins, metrics_fingerprint and reference-hasher) =="
 ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
 
 echo "== tier 2: ASan+UBSan unit tests (incl. Parallel.NestedCallRunsInline* and the shard group's FieldTables tests) =="
