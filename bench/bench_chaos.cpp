@@ -26,7 +26,6 @@
 /// test; all shape checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,14 +41,6 @@
 namespace {
 
 using namespace adaflow;
-
-edge::WorkloadConfig flat(double rate, double duration_s) {
-  edge::WorkloadConfig c;
-  c.devices = 1;
-  c.fps_per_device = rate;
-  c.phases = {edge::WorkloadPhase{0.0, duration_s, duration_s}};  // no deviation
-  return c;
-}
 
 /// Four pinned version-0 devices behind the fleet coordinator; dev0 carries
 /// \p schedule. The workload sits just above three devices' version-0
@@ -105,27 +96,14 @@ void add_row(TextTable& table, const std::string& name, const fleet::FleetMetric
                  std::to_string(m.hedged), std::to_string(m.repartitions)});
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("shape check: %s: %s\n", what, ok ? "PASS" : "FAIL");
-  return ok;
-}
-
 bool conserved(const fleet::FleetMetrics& m) {
-  std::int64_t device_arrived = 0;
-  for (const fleet::FleetDeviceResult& d : m.devices) {
-    device_arrived += d.metrics.arrived;
-  }
-  return m.arrived + m.redispatched == m.dispatched + m.ingress_lost + m.ingress_backlog &&
-         device_arrived == m.dispatched && m.hedged <= m.redispatched;
+  return fleet::conserves_flow(m) && m.hedged <= m.redispatched;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Fleet chaos",
                       "seeded whole-device faults vs the health-monitored dispatcher");
 
@@ -136,8 +114,8 @@ int main(int argc, char** argv) {
   // 4 x 500 FPS capacity; 1600 FPS load. Three survivors on version 0 are
   // 100 FPS short; re-partitioned to version 1 they have headroom again.
   const double rate = 1600.0;
-  const edge::WorkloadTrace trace(flat(rate, duration), 17);
-  bool all_ok = true;
+  const edge::WorkloadTrace trace(bench::stream(rate, 0.0, duration, duration), 17);
+  bench::Checks check("chaos");
 
   // --- Part A: crash + recovery, baseline vs monitored --------------------
   const faults::FaultSchedule crash = faults::device_crash_window(fault_start, fault_end);
@@ -159,19 +137,19 @@ int main(int argc, char** argv) {
   std::printf("crash window %.0fs..%.0fs of a %.0fs run, flat %.0f FPS, 4 devices:\n%s\n",
               fault_start, fault_end, duration, rate, table.render().c_str());
 
-  all_ok &= check(monitored.lost() < baseline.lost(),
-                  "health-monitored dispatcher loses strictly fewer frames than baseline");
-  all_ok &= check(monitored.quarantines >= 1, "the crashed device was quarantined");
-  all_ok &= check(monitored.rejoins >= 1, "the recovered device rejoined the fleet");
+  check(monitored.lost() < baseline.lost(),
+        "health-monitored dispatcher loses strictly fewer frames than baseline");
+  check(monitored.quarantines >= 1, "the crashed device was quarantined");
+  check(monitored.rejoins >= 1, "the recovered device rejoined the fleet");
   bool all_healthy = true;
   for (const fleet::FleetDeviceResult& d : monitored.devices) {
     all_healthy = all_healthy && d.final_health == fleet::HealthState::kHealthy;
   }
-  all_ok &= check(all_healthy, "every device is healthy again at the end of the run");
-  all_ok &= check(conserved(baseline) && conserved(monitored) && conserved(hedging),
-                  "flow conservation holds with and without the monitor");
-  all_ok &= check(baseline.faults.device_crashes == 1 && monitored.faults.device_crashes == 1,
-                  "exactly one crash window manifested in both runs");
+  check(all_healthy, "every device is healthy again at the end of the run");
+  check(conserved(baseline) && conserved(monitored) && conserved(hedging),
+        "flow conservation holds with and without the monitor");
+  check(baseline.faults.device_crashes == 1 && monitored.faults.device_crashes == 1,
+        "exactly one crash window manifested in both runs");
 
   // --- Part B: seeded chaos sweep with SLO invariants ----------------------
   struct Scenario {
@@ -226,10 +204,10 @@ int main(int argc, char** argv) {
   }
   std::printf("seeded chaos sweep (fault window %.0fs..%.0fs, monitored + hedge 0.5s):\n%s\n",
               fault_start, fault_end, sweep.render().c_str());
-  all_ok &= check(sweep_conserved, "flow conservation holds on every chaos run");
-  all_ok &= check(sweep_loss_bounded, "frame loss stays under 10% on every chaos run");
-  all_ok &= check(sweep_no_stuck, "no frame is left stuck on an out-of-rotation device");
-  all_ok &= check(sweep_rejoined, "every quarantined device rejoined after its fault window");
+  check(sweep_conserved, "flow conservation holds on every chaos run");
+  check(sweep_loss_bounded, "frame loss stays under 10% on every chaos run");
+  check(sweep_no_stuck, "no frame is left stuck on an out-of-rotation device");
+  check(sweep_rejoined, "every quarantined device rejoined after its fault window");
 
   // --- Part C: bit-identical replay under chaos ----------------------------
   auto replay = [&] {
@@ -237,10 +215,10 @@ int main(int argc, char** argv) {
   };
   const fleet::FleetMetrics r1 = replay();
   const fleet::FleetMetrics r2 = replay();
-  all_ok &= check(sim::identical(r1, r2), "same seed replays the chaos run bit-identically");
+  check(sim::identical(r1, r2), "same seed replays the chaos run bit-identically");
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

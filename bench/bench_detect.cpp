@@ -25,7 +25,6 @@
 /// With --smoke the sweep shrinks; all acceptance checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,18 +43,10 @@ namespace {
 
 using namespace adaflow;
 
-bool check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Detection workload adaptation",
                       "YOLO-style pipeline: adaptive manager vs static accelerators "
                       "across a scene-density sweep");
@@ -70,7 +61,7 @@ int main(int argc, char** argv) {
   const edge::ServerConfig server;
   detect::DetectionRunConfig run;
 
-  bool all_ok = true;
+  bench::Checks check("detect");
   bench::BenchJson json("detect");
 
   // --- Part A: scene-density sweep ----------------------------------------
@@ -124,15 +115,14 @@ int main(int argc, char** argv) {
       json.set(scen, std::string(name) + "_frame_loss", m.frame_loss());
       json.set(scen, std::string(name) + "_map_mean", m.detection.mean_map_proxy());
 
-      all_ok &= check(m.detection.true_positives + m.detection.missed_objects ==
-                          m.detection.objects_total,
-                      "detection ledger conserves (tp + missed == objects)");
+      check(m.detection.true_positives + m.detection.missed_objects ==
+                m.detection.objects_total,
+            "detection ledger conserves (tp + missed == objects)");
       // The frame still in service when the trace ends is scored at service
       // entry but never finishes, so scored may lead processed by one.
       const std::int64_t scored_lead =
           m.detection.frames_scored - static_cast<std::int64_t>(m.processed);
-      all_ok &= check(scored_lead >= 0 && scored_lead <= 1,
-                      "every processed frame ran the detection head");
+      check(scored_lead >= 0 && scored_lead <= 1, "every processed frame ran the detection head");
     }
   }
   std::printf("\n%s\n", table.render().c_str());
@@ -141,10 +131,10 @@ int main(int argc, char** argv) {
     if (scales[s] < 1.0) {
       continue;  // quiet scenes: everyone keeps up, no win expected
     }
-    all_ok &= check(grid[s][0].qoe > grid[s][1].qoe,
-                    "adaptive beats the static Fixed (FINN) detector at this density");
-    all_ok &= check(grid[s][0].qoe > grid[s][2].qoe,
-                    "adaptive beats the static Flexible detector at this density");
+    check(grid[s][0].qoe > grid[s][1].qoe,
+          "adaptive beats the static Fixed (FINN) detector at this density");
+    check(grid[s][0].qoe > grid[s][2].qoe,
+          "adaptive beats the static Flexible detector at this density");
   }
 
   // --- Part B: bit-identical replay ----------------------------------------
@@ -156,13 +146,11 @@ int main(int argc, char** argv) {
     core::RuntimeManager second_policy(lib, manager);
     const edge::RunMetrics first = detect::run_detection(scene, first_policy, server, run, 42);
     const edge::RunMetrics second = detect::run_detection(scene, second_policy, server, run, 42);
-    all_ok &= check(sim::identical(first, second),
-                    "same seed replays the detection run bit-identically");
+    check(sim::identical(first, second), "same seed replays the detection run bit-identically");
   }
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  std::printf("\n%s\n", all_ok ? "ALL CHECKS PASSED" : "CHECKS FAILED");
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

@@ -24,7 +24,6 @@
 /// enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,6 @@
 namespace {
 
 using namespace adaflow;
-
-bool check(bool ok, const char* what) {
-  std::printf("shape check: %s: %s\n", what, ok ? "PASS" : "FAIL");
-  return ok;
-}
 
 struct DefaultDesign {
   hls::FoldingConfig folding;
@@ -93,15 +87,12 @@ bool same_frontier(const dse::ExplorationResult& a, const dse::ExplorationResult
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Folding auto-tuner",
                       "DSE-tuned folding vs the default heuristic at equal cost");
 
   const fpga::FpgaDevice device = fpga::zcu104();
-  bool all_ok = true;
+  bench::Checks check("dse");
 
   TextTable table({"model", "contender", "FPS", "LUT", "BRAM18", "II[cyc]", "evaluated"});
   for (const nn::CnvTopology& topology : {nn::cnv_w2a2(10), nn::cnv_w1a2(10)}) {
@@ -131,8 +122,8 @@ int main(int argc, char** argv) {
                    format_double(fast.best().resources.luts, 0),
                    format_double(fast.best().resources.bram18, 0),
                    std::to_string(fast.best().ii_cycles), std::to_string(fast.evaluated)});
-    all_ok &= check(fast.best().fps > base.fps,
-                    (topology.name + ": tuned fps beats the heuristic at equal budget").c_str());
+    check(fast.best().fps > base.fps,
+          (topology.name + ": tuned fps beats the heuristic at equal budget").c_str());
 
     // --- Part B: fewest resources sustaining the default design's fps -----
     dse::ExplorerConfig minres = common;
@@ -144,19 +135,18 @@ int main(int argc, char** argv) {
                    format_double(lean.best().resources.luts, 0),
                    format_double(lean.best().resources.bram18, 0),
                    std::to_string(lean.best().ii_cycles), std::to_string(lean.evaluated)});
-    all_ok &= check(lean.objective_met && lean.best().fps + 1e-9 >= base.fps,
-                    (topology.name + ": min-res tuning still meets the heuristic fps").c_str());
-    all_ok &= check(lean.best().resources.luts < base.resources.luts,
-                    (topology.name + ": min-res tuning spends fewer LUTs").c_str());
+    check(lean.objective_met && lean.best().fps + 1e-9 >= base.fps,
+          (topology.name + ": min-res tuning still meets the heuristic fps").c_str());
+    check(lean.best().resources.luts < base.resources.luts,
+          (topology.name + ": min-res tuning spends fewer LUTs").c_str());
 
     // --- Part C: bit-identical frontier under the same seed ---------------
     const dse::ExplorationResult replay = dse::explore_geometry(geometry, wb, ab, device, maxfps);
-    all_ok &= check(same_frontier(fast, replay),
-                    (topology.name + ": same seed reproduces the frontier bit-identically").c_str());
+    check(same_frontier(fast, replay),
+          (topology.name + ": same seed reproduces the frontier bit-identically").c_str());
   }
   std::printf("\ntuned vs default folding on %s (450-FPS heuristic operating point):\n%s\n",
               device.name.c_str(), table.render().c_str());
 
-  std::printf("%s\n", all_ok ? "bench_dse: ALL CHECKS PASSED" : "bench_dse: CHECKS FAILED");
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

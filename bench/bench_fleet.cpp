@@ -24,7 +24,6 @@
 /// a ctest smoke test; all shape checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,25 +38,6 @@
 namespace {
 
 using namespace adaflow;
-
-edge::WorkloadConfig bursty(double rate, double duration_s) {
-  edge::WorkloadConfig c;
-  c.devices = 1;
-  c.fps_per_device = rate;
-  c.phases = {edge::WorkloadPhase{0.7, 0.5, duration_s}};  // scenario-2 style
-  return c;
-}
-
-edge::WorkloadConfig shifting(double rate, double duration_s) {
-  edge::WorkloadConfig c;
-  c.devices = 1;
-  c.fps_per_device = rate;
-  // Wide +-50% shifts every 5 s: no single static operating point stays
-  // right — over-provisioning costs accuracy, under-provisioning loses
-  // frames — which is exactly the regime adaptation is for.
-  c.phases = {edge::WorkloadPhase{0.5, 5.0, duration_s}};
-  return c;
-}
 
 void emit_fleet(bench::BenchJson& json, const std::string& scenario,
                 const fleet::FleetMetrics& m) {
@@ -89,24 +69,16 @@ void add_single_row(TextTable& table, const std::string& name, const edge::RunMe
                  std::to_string(m.reconfigurations), "-"});
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("shape check: %s: %s\n", what, ok ? "PASS" : "FAIL");
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   const double duration = smoke ? 8.0 : 30.0;
   bench::print_banner("Fleet serving",
                       "multi-FPGA cluster vs single-device baselines at equal aggregate FPS");
 
   const core::AcceleratorLibrary lib = core::synthetic_library();
-  bool all_ok = true;
+  bench::Checks check("fleet");
   bench::BenchJson json("fleet");
 
   // --- Part A: router sweep on a heterogeneous fleet ----------------------
@@ -116,7 +88,7 @@ int main(int argc, char** argv) {
   hetero.devices = {fleet::pinned_device("slow-0.5x", slow, 0),
                     fleet::pinned_device("mid-1.0x", lib, 0),
                     fleet::pinned_device("fast-2.0x", fast, 0)};
-  const edge::WorkloadTrace burst_trace(bursty(1600.0, duration), 17);
+  const edge::WorkloadTrace burst_trace(bench::stream(1600.0, 0.7, 0.5, duration), 17);
 
   TextTable sweep({"router", "frame_loss", "QoE", "p95[ms]", "power[W]", "switches", "reconfigs",
                    "repartitions"});
@@ -138,12 +110,15 @@ int main(int argc, char** argv) {
   }
   std::printf("heterogeneous fleet (250 + 500 + 1000 FPS), bursty %.0f-FPS trace:\n%s\n", 1600.0,
               sweep.render().c_str());
-  all_ok &= check(ll_loss < rr_loss, "least-loaded loses fewer frames than round robin");
-  all_ok &= check(aa_loss <= rr_loss, "accuracy-aware never loses more than round robin");
+  check(ll_loss < rr_loss, "least-loaded loses fewer frames than round robin");
+  check(aa_loss <= rr_loss, "accuracy-aware never loses more than round robin");
 
   // --- Part B: coordinated fleet vs single devices at equal aggregate FPS -
+  // Wide +-50% shifts every 5 s: no single static operating point stays
+  // right — over-provisioning costs accuracy, under-provisioning loses
+  // frames — which is exactly the regime adaptation is for.
   const double shift_duration = smoke ? 10.0 : 40.0;
-  const edge::WorkloadTrace shift_trace(shifting(2100.0, shift_duration), 21);
+  const edge::WorkloadTrace shift_trace(bench::stream(2100.0, 0.5, 5.0, shift_duration), 21);
   // Every contender starts correctly provisioned for the 2100-FPS mean
   // (version 1, ~725 FPS per device / ~2175 aggregate); what is measured is
   // how each copes once the rate starts shifting.
@@ -199,7 +174,7 @@ int main(int argc, char** argv) {
   // with no load balancing between them.
   edge::RunMetrics indep_total;
   for (int i = 0; i < 3; ++i) {
-    const edge::WorkloadTrace third(shifting(700.0, shift_duration), 100 + i);
+    const edge::WorkloadTrace third(bench::stream(700.0, 0.5, 5.0, shift_duration), 100 + i);
     core::RuntimeManager m3(lib, rmc);
     const edge::RunMetrics m = edge::run_simulation(third, m3, server, 200 + i);
     indep_total.arrived += m.arrived;
@@ -215,9 +190,9 @@ int main(int argc, char** argv) {
 
   std::printf("coordinated fleet vs single devices, shifting %.0f-FPS trace:\n%s\n", 2100.0,
               table.render().c_str());
-  all_ok &= check(fleet_m.qoe() >= best_single_qoe,
-                  "fleet QoE >= best single-device baseline at equal aggregate FPS");
-  all_ok &= check(fleet_m.repartitions > 0, "the coordinator actually repartitioned");
+  check(fleet_m.qoe() >= best_single_qoe,
+        "fleet QoE >= best single-device baseline at equal aggregate FPS");
+  check(fleet_m.repartitions > 0, "the coordinator actually repartitioned");
 
   // --- Part C: determinism ------------------------------------------------
   auto replay = [&] {
@@ -225,10 +200,10 @@ int main(int argc, char** argv) {
   };
   const fleet::FleetMetrics d1 = replay();
   const fleet::FleetMetrics d2 = replay();
-  all_ok &= check(sim::identical(d1, d2), "same seed replays the fleet bit-identically");
+  check(sim::identical(d1, d2), "same seed replays the fleet bit-identically");
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

@@ -23,7 +23,6 @@
 /// test; all acceptance checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,11 +43,6 @@
 namespace {
 
 using namespace adaflow;
-
-bool check(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
-  return ok;
-}
 
 /// Runs one forecaster over a trace sampled at a fixed window cadence —
 /// exactly the observation stream the proactive manager would see from a
@@ -110,10 +104,7 @@ void add_row(TextTable& table, const std::string& workload, const std::string& p
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Workload forecasting",
                       "online forecasters + proactive vs reactive runtime adaptation");
 
@@ -121,7 +112,7 @@ int main(int argc, char** argv) {
   const core::RuntimeManagerConfig manager;
   const edge::ServerConfig server;
   const int runs = smoke ? 5 : bench::bench_runs();
-  bool all_ok = true;
+  bench::Checks check("forecast");
   bench::BenchJson json("forecast");
 
   // --- Part A: forecaster quality on deterministic traces -----------------
@@ -152,10 +143,10 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s\n", quality.render().c_str());
-  all_ok &= check(mape["diurnal/holt-winters"] < mape["diurnal/naive"],
-                  "trend model beats last-value carry-forward on the diurnal trace");
-  all_ok &= check(mape["diurnal/ewma"] < 0.5 && mape["scenario2/ewma"] < 1.0,
-                  "forecast error stays in a sane range on both traces");
+  check(mape["diurnal/holt-winters"] < mape["diurnal/naive"],
+        "trend model beats last-value carry-forward on the diurnal trace");
+  check(mape["diurnal/ewma"] < 0.5 && mape["scenario2/ewma"] < 1.0,
+        "forecast error stays in a sane range on both traces");
 
   // Determinism of the tracker itself: same trace, same config, same stats.
   {
@@ -163,8 +154,8 @@ int main(int argc, char** argv) {
         track_trace(diurnal, forecast::ForecasterKind::kHoltWinters, 0.5);
     const forecast::ForecastTracker b =
         track_trace(diurnal, forecast::ForecasterKind::kHoltWinters, 0.5);
-    all_ok &= check(sim::identical(a.stats(), b.stats()),
-                    "forecast tracking is bit-identical across replays");
+    check(sim::identical(a.stats(), b.stats()),
+          "forecast tracking is bit-identical across replays");
   }
 
   // --- Part B: reactive vs proactive runtime adaptation -------------------
@@ -208,13 +199,11 @@ int main(int argc, char** argv) {
       json.set(name, std::string(policy) + "_stall_s", r->mean.switch_stall_s);
     }
     std::printf("%s:\n", name);
-    all_ok &= check(pro.violation_s < rea.violation_s,
-                    "proactive strictly reduces threshold-violation time");
-    all_ok &= check(pro.switch_stall_s < rea.switch_stall_s,
-                    "proactive strictly reduces switch-stall time");
-    all_ok &= check(pro.qoe_accuracy_sum >= rea.qoe_accuracy_sum,
-                    "proactive serves equal-or-better accuracy-seconds");
-    all_ok &= check(pro.forecast.forecasts > 0, "forecast MAPE is surfaced in RunMetrics");
+    check(pro.violation_s < rea.violation_s, "proactive strictly reduces threshold-violation time");
+    check(pro.switch_stall_s < rea.switch_stall_s, "proactive strictly reduces switch-stall time");
+    check(pro.qoe_accuracy_sum >= rea.qoe_accuracy_sum,
+          "proactive serves equal-or-better accuracy-seconds");
+    check(pro.forecast.forecasts > 0, "forecast MAPE is surfaced in RunMetrics");
   }
 
   // --- Part C: bit-identical replay of a proactive run --------------------
@@ -226,16 +215,15 @@ int main(int argc, char** argv) {
   };
   const edge::RunMetrics first = proactive_once();
   const edge::RunMetrics second = proactive_once();
-  all_ok &= check(sim::identical(first, second),
-                  "same seed replays the proactive run bit-identically, forecasts included");
+  check(sim::identical(first, second),
+        "same seed replays the proactive run bit-identically, forecasts included");
 
   bench::export_figure(
       "fig_forecast_flash_crowd", "Forecast vs actual arrival rate (flash crowd)", "FPS",
       {{"actual", first.forecast_actual_series}, {"predicted", first.forecast_pred_series}});
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  std::printf("\n%s\n", all_ok ? "ALL CHECKS PASSED" : "SOME CHECKS FAILED");
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

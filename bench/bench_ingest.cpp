@@ -27,7 +27,6 @@
 /// the binary doubles as a ctest smoke test; all shape checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -109,13 +108,6 @@ ingest::IngestMetrics run(const ingest::IngestConfig& config,
   return ingest::run_ingest(config, lib, *router, kSeed);
 }
 
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::fprintf(stderr, "FAILED: %s\n", what.c_str());
-    std::exit(1);
-  }
-}
-
 void emit_mode(bench::BenchJson& json, const char* scenario, const ingest::IngestMetrics& m) {
   json.set(scenario, "qoe", m.qoe());
   json.set(scenario, "delivered_fraction", m.delivered_fraction());
@@ -128,7 +120,8 @@ void emit_mode(bench::BenchJson& json, const char* scenario, const ingest::Inges
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = bench::smoke_mode(argc, argv);
+  bench::Checks check("ingest");
   const double duration_s = smoke ? 10.0 : 30.0;
   bench::print_banner("ingest", "end-to-end ingest pipeline under 2x sustained overload");
 
@@ -209,8 +202,8 @@ int main(int argc, char** argv) {
   emit_mode(json, "off", off);
   emit_mode(json, "drop_all", dropall);
   emit_mode(json, "churn", churn);
-  json.write();
-
-  std::printf("bench_ingest: all checks passed\n");
-  return 0;
+  if (check.passed()) {
+    json.write();
+  }
+  return check.exit_status();
 }

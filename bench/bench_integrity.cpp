@@ -31,7 +31,6 @@
 /// test; all shape checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,14 +48,6 @@
 namespace {
 
 using namespace adaflow;
-
-edge::WorkloadConfig flat(double rate, double duration_s) {
-  edge::WorkloadConfig c;
-  c.devices = 1;
-  c.fps_per_device = rate;
-  c.phases = {edge::WorkloadPhase{0.0, duration_s, duration_s}};  // no deviation
-  return c;
-}
 
 edge::RunMetrics run_one(const edge::WorkloadTrace& trace, const core::AcceleratorLibrary& lib,
                          double canary_interval_s, double scrub_period_s,
@@ -90,27 +81,10 @@ void add_row(TextTable& table, const std::string& name, const edge::RunMetrics& 
                  format_percent(m.qoe(), 2)});
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("shape check: %s: %s\n", what, ok ? "PASS" : "FAIL");
-  return ok;
-}
-
-bool fleet_conserved(const fleet::FleetMetrics& m) {
-  std::int64_t device_arrived = 0;
-  for (const fleet::FleetDeviceResult& d : m.devices) {
-    device_arrived += d.metrics.arrived;
-  }
-  return m.arrived + m.redispatched == m.dispatched + m.ingress_lost + m.ingress_backlog &&
-         device_arrived == m.dispatched;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Silent-corruption integrity",
                       "SEU upset storms vs canary probing, drift detection and scrub/reload");
 
@@ -122,8 +96,8 @@ int main(int argc, char** argv) {
   const double upset_rate = smoke ? 0.3 : 0.15;
   const faults::FaultSchedule storm =
       faults::config_upset_storm(storm_start, storm_end, upset_rate);
-  const edge::WorkloadTrace trace(flat(rate, duration), 17);
-  bool all_ok = true;
+  const edge::WorkloadTrace trace(bench::stream(rate, 0.0, duration, duration), 17);
+  bench::Checks check("integrity");
 
   // --- Part A: protection levels under the identical storm ----------------
   const edge::RunMetrics unprotected = run_one(trace, lib, 0.0, 0.0, storm, 42);
@@ -145,29 +119,28 @@ int main(int argc, char** argv) {
   std::printf("upset storm %.1f/s over %.0fs..%.0fs, flat %.0f FPS, one pinned device:\n%s\n",
               upset_rate, storm_start, storm_end, rate, table.render().c_str());
 
-  all_ok &= check(unprotected.integrity.upsets_injected >= 2,
-                  "the storm landed at least two upsets on the unprotected run");
-  all_ok &= check(unprotected.integrity.canaries_sent == 0 &&
-                      unprotected.integrity.repairs == 0,
-                  "the unprotected run pays zero overhead and never repairs");
-  all_ok &= check(
-      detect_only.integrity.wrong_frames * 5 <= unprotected.integrity.wrong_frames,
-      "detection cuts wrong-frames-served by at least 5x over the unprotected run");
-  all_ok &= check(detect_only.integrity.canary_overhead(detect_only.processed) <= 0.05,
-                  "the canary throughput tax stays under 5%");
-  all_ok &= check(detect_only.qoe() > unprotected.qoe(),
-                  "detection wins on net QoE (tax included) under the sustained storm");
-  all_ok &= check(detect_only.integrity.detections >= 1 &&
-                      detect_only.integrity.repairs >= detect_only.integrity.detections,
-                  "every detection led to a repair reload");
-  all_ok &= check(detect_only.integrity.false_alarms == 0 &&
-                      detect_scrub.integrity.false_alarms == 0,
-                  "golden canaries on a clean fabric never trip the detector");
-  all_ok &= check(scrub_only.integrity.wrong_frames < unprotected.integrity.wrong_frames,
-                  "blind scrubbing alone already bounds the corrupt window");
-  all_ok &= check(detect_scrub.integrity.wrong_frames * 3 <=
-                      unprotected.integrity.wrong_frames,
-                  "the combined channels keep the 3x+ win of the detection path");
+  check(unprotected.integrity.upsets_injected >= 2,
+        "the storm landed at least two upsets on the unprotected run");
+  check(unprotected.integrity.canaries_sent == 0 &&
+            unprotected.integrity.repairs == 0,
+        "the unprotected run pays zero overhead and never repairs");
+  check(detect_only.integrity.wrong_frames * 5 <= unprotected.integrity.wrong_frames,
+        "detection cuts wrong-frames-served by at least 5x over the unprotected run");
+  check(detect_only.integrity.canary_overhead(detect_only.processed) <= 0.05,
+        "the canary throughput tax stays under 5%");
+  check(detect_only.qoe() > unprotected.qoe(),
+        "detection wins on net QoE (tax included) under the sustained storm");
+  check(detect_only.integrity.detections >= 1 &&
+            detect_only.integrity.repairs >= detect_only.integrity.detections,
+        "every detection led to a repair reload");
+  check(detect_only.integrity.false_alarms == 0 &&
+            detect_scrub.integrity.false_alarms == 0,
+        "golden canaries on a clean fabric never trip the detector");
+  check(scrub_only.integrity.wrong_frames < unprotected.integrity.wrong_frames,
+        "blind scrubbing alone already bounds the corrupt window");
+  check(detect_scrub.integrity.wrong_frames * 3 <=
+            unprotected.integrity.wrong_frames,
+        "the combined channels keep the 3x+ win of the detection path");
 
   // --- Part B: canary-interval x scrub-period tradeoff surface -------------
   const std::vector<double> canary_intervals = {0.0, 0.5, 0.2, 0.1};
@@ -203,9 +176,9 @@ int main(int argc, char** argv) {
   }
   std::printf("canary-interval x scrub-period sweep (same storm, same seed):\n%s\n",
               sweep.render().c_str());
-  all_ok &= check(sweep_no_false_alarms, "no false alarms anywhere on the sweep");
-  all_ok &= check(sweep_detect_beats_blind,
-                  "at every scrub period, probing serves fewer wrong frames than blind");
+  check(sweep_no_false_alarms, "no false alarms anywhere on the sweep");
+  check(sweep_detect_beats_blind,
+        "at every scrub period, probing serves fewer wrong frames than blind");
 
   // --- Part C: fleet quarantine + bit-identical replay ---------------------
   fleet::FleetConfig fconfig;
@@ -215,7 +188,7 @@ int main(int argc, char** argv) {
   fconfig.health.enabled = true;
   fconfig.integrity.enabled = true;
   fconfig.integrity.canary_interval_s = 0.25;
-  const edge::WorkloadTrace fleet_trace(flat(1200.0, duration), 23);
+  const edge::WorkloadTrace fleet_trace(bench::stream(1200.0, 0.0, duration, duration), 23);
   auto run_fleet_once = [&] {
     return shard::run_sharded_fleet(fleet_trace, lib, fconfig, {}, "least-loaded", 7).fleet;
   };
@@ -235,18 +208,17 @@ int main(int argc, char** argv) {
   json.set("fleet_storm", "repairs", static_cast<double>(f1.integrity.repairs));
   json.set("fleet_storm", "canary_overhead", f1.integrity.canary_overhead(f1.processed));
 
-  all_ok &= check(f1.integrity.detections >= 1 && f1.quarantines >= 1,
-                  "the corrupted fleet device was detected and quarantined");
-  all_ok &= check(f1.integrity.repairs >= 1, "the fleet issued at least one repair reload");
-  all_ok &= check(f1.devices[0].metrics.integrity.canaries_failed == 0 &&
-                      f1.devices[2].metrics.integrity.canaries_failed == 0,
-                  "clean fleet devices never fail a canary");
-  all_ok &= check(fleet_conserved(f1), "flow conservation holds through quarantine drains");
-  all_ok &= check(sim::identical(f1, f2),
-                  "same seed replays the integrity fleet run bit-identically");
+  check(f1.integrity.detections >= 1 && f1.quarantines >= 1,
+        "the corrupted fleet device was detected and quarantined");
+  check(f1.integrity.repairs >= 1, "the fleet issued at least one repair reload");
+  check(f1.devices[0].metrics.integrity.canaries_failed == 0 &&
+            f1.devices[2].metrics.integrity.canaries_failed == 0,
+        "clean fleet devices never fail a canary");
+  check(fleet::conserves_flow(f1), "flow conservation holds through quarantine drains");
+  check(sim::identical(f1, f2), "same seed replays the integrity fleet run bit-identically");
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

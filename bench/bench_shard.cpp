@@ -21,7 +21,6 @@
 /// determinism and conservation checks stay enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,14 +38,6 @@ namespace {
 
 using namespace adaflow;
 
-edge::WorkloadConfig bursty(double rate, double duration_s) {
-  edge::WorkloadConfig c;
-  c.devices = 1;
-  c.fps_per_device = rate;
-  c.phases = {edge::WorkloadPhase{0.7, 0.5, duration_s}};  // scenario-2 style
-  return c;
-}
-
 fleet::FleetConfig homogeneous_fleet(const core::AcceleratorLibrary& lib, int devices) {
   fleet::FleetConfig config;
   config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, devices);
@@ -54,29 +45,17 @@ fleet::FleetConfig homogeneous_fleet(const core::AcceleratorLibrary& lib, int de
   return config;
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("shape check: %s: %s\n", what, ok ? "PASS" : "FAIL");
-  return ok;
-}
-
-bool conserves(const fleet::FleetMetrics& m) {
-  return m.arrived + m.redispatched == m.dispatched + m.ingress_lost + m.ingress_backlog;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    smoke = smoke || std::strcmp(argv[i], "--smoke") == 0;
-  }
+  const bool smoke = bench::smoke_mode(argc, argv);
   bench::print_banner("Sharded engine scaling",
                       "conservative-window parallel fleet: shards x threads sweep, "
                       "1000-device chaos scenario, thread-count determinism");
 
   const core::AcceleratorLibrary lib = core::synthetic_library();
   const unsigned hw = std::thread::hardware_concurrency();
-  bool all_ok = true;
+  bench::Checks check("shard");
   bench::BenchJson json("shard");
 
   // --- Part A: shards x threads scaling sweep -----------------------------
@@ -86,7 +65,7 @@ int main(int argc, char** argv) {
   // ~50 FPS of traffic per device: enough events for the wall-clock to mean
   // something, low enough that the smoke tier stays quick.
   const edge::WorkloadTrace sweep_trace(
-      bursty(50.0 * static_cast<double>(sweep_devices), sweep_duration), 17);
+      bench::stream(50.0 * static_cast<double>(sweep_devices), 0.7, 0.5, sweep_duration), 17);
 
   struct SweepPoint {
     int shards;
@@ -120,18 +99,16 @@ int main(int argc, char** argv) {
     json.set(scenario, "frame_loss", m.fleet.frame_loss());
     json.set(scenario, "qoe", m.fleet.qoe());
     json.set(scenario, "handoffs", static_cast<double>(m.stats.handoffs));
-    all_ok &= check(conserves(m.fleet),
-                    ("frame conservation at " + scenario).c_str());
+    check(fleet::conserves_flow(m.fleet), "frame conservation at " + scenario);
   }
   std::printf("%d-device scaling sweep (%.0f s trace, %u hardware threads):\n%s\n", sweep_devices,
               sweep_duration, hw, sweep.render().c_str());
   const double widest_speedup = wall_widest > 0.0 ? wall_serial / wall_widest : 0.0;
   json.set("sweep_summary", "speedup_x", widest_speedup);
   if (!smoke && hw >= 8) {
-    all_ok &= check(widest_speedup >= 4.0,
-                    "8-shard/8-thread run >= 4x faster than 1-shard/1-thread");
+    check(widest_speedup >= 4.0, "8-shard/8-thread run >= 4x faster than 1-shard/1-thread");
   } else {
-    std::printf("shape check: 8-shard/8-thread >= 4x speedup: SKIP (%s)\n",
+    std::printf("check shard/8-shard/8-thread >= 4x speedup: SKIP (%s)\n",
                 smoke ? "smoke mode" : "host has < 8 hardware threads");
   }
 
@@ -144,7 +121,7 @@ int main(int argc, char** argv) {
     chaos_fleet.devices[i].fault_schedule = faults::flaky_edge_schedule(chaos_duration);
   }
   const edge::WorkloadTrace chaos_trace(
-      bursty(30.0 * static_cast<double>(chaos_devices), chaos_duration), 23);
+      bench::stream(30.0 * static_cast<double>(chaos_devices), 0.7, 0.5, chaos_duration), 23);
   shard::ShardConfig chaos_cfg;
   chaos_cfg.shards = 8;
   chaos_cfg.threads = static_cast<int>(hw == 0 ? 1 : hw);
@@ -161,16 +138,15 @@ int main(int argc, char** argv) {
   json.set("chaos_1000", "frame_loss", chaos.fleet.frame_loss());
   json.set("chaos_1000", "qoe", chaos.fleet.qoe());
   json.set("chaos_1000", "handoffs", static_cast<double>(chaos.stats.handoffs));
-  all_ok &= check(chaos.fleet.arrived > 0 && chaos.fleet.processed > 0,
-                  "1000-device scenario completes with traffic served");
-  all_ok &= check(conserves(chaos.fleet), "1000-device frame conservation");
-  all_ok &= check(chaos.fleet.faults.total_injected() > 0,
-                  "the chaos schedules actually injected faults");
-  all_ok &= check(chaos.fleet.devices.size() == 1000, "all 1000 devices accounted for");
+  check(chaos.fleet.arrived > 0 && chaos.fleet.processed > 0,
+        "1000-device scenario completes with traffic served");
+  check(fleet::conserves_flow(chaos.fleet), "1000-device frame conservation");
+  check(chaos.fleet.faults.total_injected() > 0, "the chaos schedules actually injected faults");
+  check(chaos.fleet.devices.size() == 1000, "all 1000 devices accounted for");
 
   // --- Part C: thread-count determinism -----------------------------------
   const fleet::FleetConfig det_fleet = homogeneous_fleet(lib, 16);
-  const edge::WorkloadTrace det_trace(bursty(800.0, smoke ? 3.0 : 8.0), 31);
+  const edge::WorkloadTrace det_trace(bench::stream(800.0, 0.7, 0.5, smoke ? 3.0 : 8.0), 31);
   std::string expected;
   bool identical = true;
   for (int threads : {1, 4, static_cast<int>(hw == 0 ? 1 : hw)}) {
@@ -186,10 +162,10 @@ int main(int argc, char** argv) {
     }
     identical = identical && fp == expected;
   }
-  all_ok &= check(identical, "metrics bit-identical across thread counts at fixed (seed, shards)");
+  check(identical, "metrics bit-identical across thread counts at fixed (seed, shards)");
 
-  if (all_ok) {
+  if (check.passed()) {
     json.write();
   }
-  return all_ok ? 0 : 1;
+  return check.exit_status();
 }

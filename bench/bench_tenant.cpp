@@ -28,7 +28,6 @@
 /// every check stays enforced.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "adaflow/common/error.hpp"
@@ -43,13 +42,6 @@ namespace {
 using namespace adaflow;
 
 constexpr std::uint64_t kSeed = 42;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::fprintf(stderr, "FAILED: %s\n", what.c_str());
-    std::exit(1);
-  }
-}
 
 /// The three-tenant contention scenario over \p duration_s seconds.
 tenant::MultiTenantConfig contention_config(double duration_s,
@@ -106,10 +98,6 @@ tenant::MultiTenantMetrics run(double duration_s, tenant::SchedulerPolicy schedu
                              lib, kSeed);
 }
 
-bool conserved(const fleet::FleetMetrics& m) {
-  return m.arrived + m.redispatched == m.dispatched + m.ingress_lost + m.ingress_backlog;
-}
-
 /// Delivered-frame-weighted mean accuracy across all tenants.
 double fleet_accuracy(const tenant::MultiTenantMetrics& m) {
   double quality = 0.0;
@@ -161,7 +149,8 @@ void print_result(const char* name, const tenant::MultiTenantMetrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const bool smoke = bench::smoke_mode(argc, argv);
+  bench::Checks check("tenant");
   const double duration_s = smoke ? 24.0 : 48.0;
   bench::print_banner("tenant",
                       "multi-tenant contention: WFQ + rate-aware partitioning vs FIFO + peak-FPS");
@@ -187,8 +176,7 @@ int main(int argc, char** argv) {
   print_result("fifo_rate (ablation)", rate_only);
 
   for (const auto* m : {&baseline, &treatment, &wfq_only, &rate_only}) {
-    check(conserved(m->fleet), "flow conservation (arrived + redispatched == "
-                               "dispatched + ingress_lost + ingress_backlog)");
+    check(fleet::conserves_flow(m->fleet), "flow conservation (fleet::conserves_flow)");
   }
 
   // The headline: contention has to hurt the baseline, and the treatment has
@@ -229,8 +217,8 @@ int main(int argc, char** argv) {
   emit(json, "wfq_rate", treatment);
   emit(json, "wfq_peak", wfq_only);
   emit(json, "fifo_rate", rate_only);
-  json.write();
-
-  std::printf("bench_tenant: all checks passed\n");
-  return 0;
+  if (check.passed()) {
+    json.write();
+  }
+  return check.exit_status();
 }

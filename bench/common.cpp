@@ -1,54 +1,47 @@
 #include "common.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "adaflow/common/error.hpp"
 #include "adaflow/common/strings.hpp"
+#include "adaflow/fpga/device.hpp"
 #include "adaflow/report/csv.hpp"
 #include "adaflow/report/gnuplot.hpp"
 
 namespace adaflow::bench {
 
-const char* combo_name(Combo combo) {
-  switch (combo) {
-    case Combo::kCifarW2A2:
-      return "CIFAR-10/CNVW2A2";
-    case Combo::kGtsrbW2A2:
-      return "GTSRB/CNVW2A2";
-    case Combo::kCifarW1A2:
-      return "CIFAR-10/CNVW1A2";
-    case Combo::kGtsrbW1A2:
-      return "GTSRB/CNVW1A2";
-  }
-  return "?";
-}
+namespace {
+
+/// One row per Combo, in enum order.
+struct ComboRow {
+  const char* name;
+  bool gtsrb;  ///< SynthGTSRB, else SynthCIFAR-10
+  bool w1a2;   ///< CNVW1A2, else CNVW2A2
+};
+constexpr ComboRow kCombos[] = {{"CIFAR-10/CNVW2A2", false, false},
+                                {"GTSRB/CNVW2A2", true, false},
+                                {"CIFAR-10/CNVW1A2", false, true},
+                                {"GTSRB/CNVW1A2", true, true}};
+
+const ComboRow& row(Combo combo) { return kCombos[static_cast<int>(combo)]; }
+
+}  // namespace
+
+const char* combo_name(Combo combo) { return row(combo).name; }
 
 datasets::DatasetSpec combo_dataset(Combo combo) {
-  switch (combo) {
-    case Combo::kCifarW2A2:
-    case Combo::kCifarW1A2:
-      return datasets::synth_cifar10_spec();
-    case Combo::kGtsrbW2A2:
-    case Combo::kGtsrbW1A2:
-      return datasets::synth_gtsrb_spec();
-  }
-  return datasets::synth_cifar10_spec();
+  return row(combo).gtsrb ? datasets::synth_gtsrb_spec() : datasets::synth_cifar10_spec();
 }
 
 nn::CnvTopology combo_topology(Combo combo) {
   const std::int64_t classes = combo_dataset(combo).classes;
-  switch (combo) {
-    case Combo::kCifarW2A2:
-    case Combo::kGtsrbW2A2:
-      return nn::cnv_w2a2(classes);
-    case Combo::kCifarW1A2:
-    case Combo::kGtsrbW1A2:
-      return nn::cnv_w1a2(classes);
-  }
-  return nn::cnv_w2a2(classes);
+  return row(combo).w1a2 ? nn::cnv_w1a2(classes) : nn::cnv_w2a2(classes);
 }
 
 core::LibraryConfig standard_library_config() {
@@ -66,23 +59,57 @@ std::string cache_dir() {
   return ".adaflow_cache";
 }
 
-int bench_runs() {
-  if (const char* env = std::getenv("ADAFLOW_RUNS")) {
-    const int runs = std::atoi(env);
-    if (runs > 0) {
-      return runs;
-    }
-  }
-  return 30;
+edge::WorkloadConfig stream(double rate, double deviation, double interval_s,
+                            double duration_s) {
+  edge::WorkloadConfig c;
+  c.devices = 1;
+  c.fps_per_device = rate;
+  c.phases = {edge::WorkloadPhase{deviation, interval_s, duration_s}};
+  return c;
 }
 
-core::AcceleratorLibrary combo_library(Combo combo) {
+int bench_runs() {
+  const char* env = std::getenv("ADAFLOW_RUNS");
+  if (env == nullptr) {
+    return 30;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long runs = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || errno == ERANGE || runs < 1 || runs > INT_MAX) {
+    throw ConfigError("ADAFLOW_RUNS must be a positive integer, got '" + std::string(env) + "'");
+  }
+  return static_cast<int>(runs);
+}
+
+bool smoke_mode(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Checks::operator()(bool ok, const std::string& name, const std::string& measured,
+                        const std::string& bound) {
+  const std::string detail = measured.empty() ? "" : " (" + measured + " vs " + bound + ")";
+  std::printf("check %s/%s: %s%s\n", scope_.c_str(), name.c_str(), ok ? "PASS" : "FAIL",
+              detail.c_str());
+  failed_ += ok ? 0 : 1;
+  return ok;
+}
+
+core::AcceleratorLibrary combo_library(Combo combo, const std::string& device,
+                                       const core::LibraryConfig& config) {
   const datasets::DatasetSpec spec = combo_dataset(combo);
   const nn::CnvTopology topology = combo_topology(combo);
+  const std::string suffix = device.empty() ? "" : "_" + device;
   const std::string path =
-      cache_dir() + "/" + topology.name + "_" + spec.name + ".library.tsv";
-  return core::load_or_generate_library(path, fpga::zcu104(), standard_library_config(),
-                                        topology, spec);
+      cache_dir() + "/" + topology.name + "_" + spec.name + suffix + ".library.tsv";
+  return core::load_or_generate_library(
+      path, device.empty() ? fpga::zcu104() : fpga::device_by_name(device), config, topology,
+      spec);
 }
 
 std::string render_series(const sim::TimeSeries& series, const std::string& name,

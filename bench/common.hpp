@@ -1,17 +1,19 @@
 #pragma once
 
-/// Shared experiment infrastructure for the paper-reproduction benches.
+/// Shared experiment infrastructure for the benches.
 ///
-/// Each bench binary regenerates one table/figure of the paper. They all
-/// need the same design-time artifact — the AdaFlow library of each
-/// (CNN, dataset) pair — which takes CPU-minutes to train, so it is built
-/// once and cached on disk (see cache_dir()).
+/// bench_paper regenerates the paper's tables and figures. They all need
+/// the same design-time artifact — the AdaFlow library of each (CNN,
+/// dataset) pair — which takes CPU-minutes to train, so it is built once
+/// and cached on disk (see cache_dir()). Every bench states its claims as
+/// named predicates through one Checks reporter and exits 1 if any failed.
 ///
 /// Environment knobs:
 ///   ADAFLOW_RUNS       repetitions per scenario (default 30; paper: 100)
 ///   ADAFLOW_CACHE_DIR  library cache directory (default ./.adaflow_cache)
 
 #include <string>
+#include <utility>
 
 #include "adaflow/core/library_generator.hpp"
 #include "adaflow/core/runtime_manager.hpp"
@@ -36,11 +38,44 @@ nn::CnvTopology combo_topology(Combo combo);
 /// Standard library-generation config used by every bench.
 core::LibraryConfig standard_library_config();
 
-/// Loads (or generates + caches) the library of a combo.
-core::AcceleratorLibrary combo_library(Combo combo);
+/// Loads (or generates + caches) the library of a combo under \p config,
+/// for the ZCU104 or, if \p device is named, for that board. A named board
+/// caches to its own file, <model>_<dataset>_<device>.library.tsv.
+core::AcceleratorLibrary combo_library(
+    Combo combo, const std::string& device = "",
+    const core::LibraryConfig& config = standard_library_config());
 
-/// Number of simulation repetitions (ADAFLOW_RUNS, default 30).
+/// One camera stream of \p rate FPS for \p duration_s seconds, its rate
+/// redrawn within +-\p deviation every \p interval_s seconds.
+edge::WorkloadConfig stream(double rate, double deviation, double interval_s, double duration_s);
+
+/// Number of simulation repetitions (ADAFLOW_RUNS, default 30). Throws
+/// ConfigError naming ADAFLOW_RUNS unless it is a positive integer.
 int bench_runs();
+
+/// True when the command line holds `--smoke` (the short ctest variant).
+bool smoke_mode(int argc, char** argv);
+
+/// Named pass/fail predicates of one bench. Every check prints
+/// `check <scope>/<name>: PASS|FAIL`, followed by ` (<measured> vs <bound>)`
+/// when a measured value is given; a failure never stops the run, the bench
+/// reports exit_status() at the end.
+class Checks {
+ public:
+  explicit Checks(std::string scope) : scope_(std::move(scope)) {}
+
+  /// Records and prints one predicate; returns \p ok.
+  bool operator()(bool ok, const std::string& name, const std::string& measured = "",
+                  const std::string& bound = "");
+
+  bool passed() const { return failed_ == 0; }
+  /// 0 if every check passed, 1 otherwise.
+  int exit_status() const { return passed() ? 0 : 1; }
+
+ private:
+  std::string scope_;
+  int failed_ = 0;
+};
 
 std::string cache_dir();
 

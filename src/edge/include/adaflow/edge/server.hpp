@@ -12,8 +12,8 @@
 /// with a self-healing layer: switch timeout + bounded exponential-backoff
 /// retry, policy-driven fallback (Fixed -> Flexible), a watchdog for stalled
 /// in-flight frames, and load shedding when the queue saturates. Disabling
-/// FaultToleranceConfig::enabled yields the unhardened baseline that
-/// bench_faults compares against.
+/// FaultToleranceConfig::enabled yields the unhardened baseline that the
+/// `faults` figure of bench_paper compares against.
 ///
 /// The per-device simulation core lives in device_sim.hpp (edge::DeviceSim);
 /// SingleDeviceDriver drives exactly one device from a workload trace — for
@@ -23,8 +23,10 @@
 /// and runs its poll and sample cadences with sim::EventQueue::every.
 
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "adaflow/common/error.hpp"
@@ -122,50 +124,85 @@ struct RepeatedRunResult {
 /// all runs. The pooled ratios are those of sim::total.
 RepeatedRunResult summarize_runs(const std::vector<RunMetrics>& runs);
 
-/// Trace-factory core of run_repeated: \p trace_factory maps the per-run
-/// seed to the WorkloadTrace of that run, which is what generated traces
-/// (diurnal, flash-crowd) and CSV replays need — there is no WorkloadConfig
-/// behind them.
-template <typename TraceFactory, typename PolicyFactory>
-  requires std::invocable<TraceFactory&, std::uint64_t>
-RepeatedRunResult run_repeated(TraceFactory&& trace_factory, PolicyFactory&& factory,
-                               const ServerConfig& config, int runs,
-                               std::uint64_t seed_base = 1000) {
-  require(runs > 0, "run_repeated needs runs > 0");
-  // Traces and policies are built serially (factories may share state — RNGs,
-  // captured configs); the runs themselves are independent simulations with
-  // fixed per-run seeds, so they fan out over the worker pool.
-  // summarize_runs walks the results in run order, so the outcome is
-  // bit-identical to the serial loop regardless of worker count.
-  std::vector<WorkloadTrace> traces;
-  std::vector<decltype(factory())> policies;
-  traces.reserve(static_cast<std::size_t>(runs));
+/// The first per-run seed of run_each and run_repeated: run r draws its
+/// trace from seed_base + r (seed_base defaults to this) and runs its server
+/// at that seed ^ kServerSeedSalt.
+inline constexpr std::uint64_t kRunSeedBase = 1000;
+inline constexpr std::uint64_t kServerSeedSalt = 0x5bd1e995ULL;
+
+/// One simulation per run, results in run order. \p traces is a
+/// WorkloadConfig or a factory mapping the run's seed to its WorkloadTrace
+/// (generated traces and CSV replays have no WorkloadConfig behind them).
+/// \p factory builds the run's policy, from the run's trace if it takes one
+/// (a policy with lookahead). \p injectors, if given, maps the run's seed to
+/// the run's faults::FaultInjector (by value); by default runs are fault-free.
+template <typename Traces, typename PolicyFactory, typename InjectorFactory = std::nullptr_t>
+std::vector<RunMetrics> run_each(Traces&& traces, PolicyFactory&& factory,
+                                 const ServerConfig& config, int runs,
+                                 std::uint64_t seed_base = kRunSeedBase,
+                                 InjectorFactory&& injectors = nullptr) {
+  require(runs > 0, "run_each needs runs > 0");
+  constexpr bool kFaultFree = std::is_null_pointer_v<std::remove_cvref_t<InjectorFactory>>;
+  auto trace_of = [&traces](std::uint64_t seed) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<Traces>, WorkloadConfig>) {
+      return WorkloadTrace(traces, seed);
+    } else {
+      return WorkloadTrace(traces(seed));
+    }
+  };
+  auto policy_for = [&factory](const WorkloadTrace& trace) {
+    if constexpr (std::invocable<PolicyFactory&, const WorkloadTrace&>) {
+      return factory(trace);
+    } else {
+      return factory();
+    }
+  };
+  auto injector_of = [&injectors](std::uint64_t seed) {
+    if constexpr (kFaultFree) {
+      return nullptr;
+    } else {
+      return injectors(seed);
+    }
+  };
+  // Traces, policies and injectors are built serially (factories may share
+  // state — RNGs, captured configs); the runs themselves are independent
+  // simulations with fixed per-run seeds, so they fan out over the worker
+  // pool. Results are stored by run index, so the outcome is bit-identical
+  // to the serial loop regardless of worker count.
+  std::vector<WorkloadTrace> run_traces;
+  std::vector<decltype(policy_for(run_traces.front()))> policies;
+  std::vector<decltype(injector_of(seed_base))> run_injectors;
+  run_traces.reserve(static_cast<std::size_t>(runs));  // policies may keep a trace reference
   policies.reserve(static_cast<std::size_t>(runs));
+  run_injectors.reserve(static_cast<std::size_t>(runs));
   for (int r = 0; r < runs; ++r) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(r);
-    traces.push_back(trace_factory(seed));
-    policies.push_back(factory());
+    run_traces.push_back(trace_of(seed));
+    policies.push_back(policy_for(run_traces.back()));
+    run_injectors.push_back(injector_of(seed));
   }
   std::vector<RunMetrics> results(static_cast<std::size_t>(runs));
   parallel_for(runs, [&](std::int64_t r) {
     const std::uint64_t seed = seed_base + static_cast<std::uint64_t>(r);
     const auto idx = static_cast<std::size_t>(r);
-    results[idx] =
-        run_simulation(traces[idx], *policies[idx], config, seed ^ 0x5bd1e995ULL);
+    faults::FaultInjector* injector = nullptr;
+    if constexpr (!kFaultFree) {
+      injector = &run_injectors[idx];
+    }
+    results[idx] = run_simulation(run_traces[idx], *policies[idx], config,
+                                  seed ^ kServerSeedSalt, injector);
   });
-  return summarize_runs(results);
+  return results;
 }
 
-/// Averages scalar metrics and series over repeated runs of \p workload
-/// (seeds 0..runs-1 offset by seed_base), constructing a fresh policy per
-/// run via \p factory.
-template <typename PolicyFactory>
-RepeatedRunResult run_repeated(const WorkloadConfig& workload, PolicyFactory&& factory,
+/// run_each folded by summarize_runs: per-run means, spreads and pooled
+/// ratios of repeated fault-free runs.
+template <typename Traces, typename PolicyFactory>
+RepeatedRunResult run_repeated(Traces&& traces, PolicyFactory&& factory,
                                const ServerConfig& config, int runs,
-                               std::uint64_t seed_base = 1000) {
-  return run_repeated(
-      [&workload](std::uint64_t seed) { return WorkloadTrace(workload, seed); },
-      std::forward<PolicyFactory>(factory), config, runs, seed_base);
+                               std::uint64_t seed_base = kRunSeedBase) {
+  return summarize_runs(run_each(std::forward<Traces>(traces),
+                                 std::forward<PolicyFactory>(factory), config, runs, seed_base));
 }
 
 }  // namespace adaflow::edge

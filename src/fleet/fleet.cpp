@@ -7,6 +7,15 @@
 
 namespace adaflow::fleet {
 
+bool conserves_flow(const FleetMetrics& m) {
+  std::int64_t device_arrived = 0;
+  for (const FleetDeviceResult& d : m.devices) {
+    device_arrived += d.metrics.arrived;
+  }
+  return m.arrived + m.redispatched == m.dispatched + m.ingress_lost + m.ingress_backlog &&
+         device_arrived == m.dispatched;
+}
+
 void FleetConfig::validate() const {
   if (devices.empty()) {
     throw ConfigError("FleetConfig.devices must not be empty");

@@ -263,6 +263,13 @@ struct FleetMetrics {
   double average_power_w() const { return duration_s > 0 ? energy_j / duration_s : 0.0; }
 };
 
+/// Flow conservation of one fleet run: every frame offered to the ingress or
+/// pulled back for re-dispatch was dispatched, shed at the ingress or is
+/// still waiting there,
+///   arrived + redispatched == dispatched + ingress_lost + ingress_backlog,
+/// and the devices received exactly the dispatched frames.
+bool conserves_flow(const FleetMetrics& m);
+
 /// FleetMetrics' folds (sim/fields.hpp); sim::merge is the sharded engine's
 /// reduction of its shards, in shard order. tail_latency_p95_s takes the max:
 /// each shard's p95 lower-bounds the union's, and the conservative-window
