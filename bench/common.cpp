@@ -1,11 +1,11 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "adaflow/common/error.hpp"
@@ -82,15 +82,6 @@ int bench_runs() {
   return static_cast<int>(runs);
 }
 
-bool smoke_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Checks::operator()(bool ok, const std::string& name, const std::string& measured,
                         const std::string& bound) {
   const std::string detail = measured.empty() ? "" : " (" + measured + " vs " + bound + ")";
@@ -154,34 +145,33 @@ BenchJson::BenchJson(std::string bench_name) : name_(std::move(bench_name)) {
   require(!name_.empty(), "BenchJson needs a bench name");
 }
 
-void BenchJson::set(const std::string& scenario, const std::string& metric, double value) {
+void BenchJson::set(const std::string& scenario, const std::string& metric, double value,
+                    Better better) {
   require(std::isfinite(value),
           "BenchJson value for " + scenario + "." + metric + " must be finite");
-  for (auto& [name, metrics] : scenarios_) {
-    if (name != scenario) {
-      continue;
-    }
-    for (auto& [key, old] : metrics) {
-      if (key == metric) {
-        old = value;
-        return;
-      }
-    }
-    metrics.emplace_back(metric, value);
-    return;
+  auto it = std::find_if(scenarios_.begin(), scenarios_.end(),
+                         [&](const auto& s) { return s.first == scenario; });
+  if (it == scenarios_.end()) {
+    it = scenarios_.insert(it, {scenario, {}});
   }
-  scenarios_.emplace_back(scenario, Metrics{{metric, value}});
+  require(std::none_of(it->second.begin(), it->second.end(),
+                       [&](const Metric& m) { return m.name == metric; }),
+          "BenchJson metric " + scenario + "." + metric + " set twice");
+  it->second.push_back(Metric{metric, value, better});
 }
 
 std::string BenchJson::render() const {
-  std::string json = "{\n  \"bench\": \"" + name_ + "\",\n  \"schema\": 1,\n  \"scenarios\": {";
+  static constexpr const char* kBetter[] = {"lower", "higher", "info"};
+  std::string json = "{\n  \"bench\": \"" + name_ + "\",\n  \"schema\": 2,\n  \"scenarios\": {";
   for (std::size_t s = 0; s < scenarios_.size(); ++s) {
     json += std::string(s == 0 ? "" : ",") + "\n    \"" + scenarios_[s].first + "\": {";
-    const Metrics& metrics = scenarios_[s].second;
+    const std::vector<Metric>& metrics = scenarios_[s].second;
     for (std::size_t m = 0; m < metrics.size(); ++m) {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.9g", metrics[m].second);
-      json += std::string(m == 0 ? "" : ",") + "\n      \"" + metrics[m].first + "\": " + buf;
+      std::snprintf(buf, sizeof(buf), "%.9g", metrics[m].value);
+      json += std::string(m == 0 ? "" : ",") + "\n      \"" + metrics[m].name +
+              "\": {\"value\": " + buf + ", \"better\": \"" +
+              kBetter[static_cast<int>(metrics[m].better)] + "\"}";
     }
     json += "\n    }";
   }
@@ -190,7 +180,11 @@ std::string BenchJson::render() const {
 }
 
 void BenchJson::write() const {
-  const std::string path = "BENCH_" + name_ + ".json";
+  const std::string dir = report_dir();
+  if (dir.empty() || scenarios_.empty()) {
+    return;
+  }
+  const std::string path = dir + "/BENCH_" + name_ + ".json";
   std::ofstream out(path);
   require(out.good(), "cannot write " + path);
   out << render();

@@ -2,15 +2,18 @@
 
 /// Shared experiment infrastructure for the benches.
 ///
-/// bench_paper regenerates the paper's tables and figures. They all need
-/// the same design-time artifact — the AdaFlow library of each (CNN,
-/// dataset) pair — which takes CPU-minutes to train, so it is built once
-/// and cached on disk (see cache_dir()). Every bench states its claims as
-/// named predicates through one Checks reporter and exits 1 if any failed.
+/// bench_adaflow regenerates the paper's tables and figures and runs the
+/// simulation families. The figures all need the same design-time artifact
+/// — the AdaFlow library of each (CNN, dataset) pair — which takes
+/// CPU-minutes to train, so it is built once and cached on disk (see
+/// cache_dir()). Every entry states its claims as named predicates through
+/// one Checks reporter; the program exits 1 if any failed.
 ///
 /// Environment knobs:
 ///   ADAFLOW_RUNS       repetitions per scenario (default 30; paper: 100)
 ///   ADAFLOW_CACHE_DIR  library cache directory (default ./.adaflow_cache)
+///   ADAFLOW_REPORT_DIR artefact directory (CSV, gnuplot, BENCH_*.json);
+///                      unset writes none
 
 #include <string>
 #include <utility>
@@ -53,13 +56,9 @@ edge::WorkloadConfig stream(double rate, double deviation, double interval_s, do
 /// ConfigError naming ADAFLOW_RUNS unless it is a positive integer.
 int bench_runs();
 
-/// True when the command line holds `--smoke` (the short ctest variant).
-bool smoke_mode(int argc, char** argv);
-
 /// Named pass/fail predicates of one bench. Every check prints
 /// `check <scope>/<name>: PASS|FAIL`, followed by ` (<measured> vs <bound>)`
-/// when a measured value is given; a failure never stops the run, the bench
-/// reports exit_status() at the end.
+/// when a measured value is given; a failure never stops the run.
 class Checks {
  public:
   explicit Checks(std::string scope) : scope_(std::move(scope)) {}
@@ -69,8 +68,6 @@ class Checks {
                   const std::string& bound = "");
 
   bool passed() const { return failed_ == 0; }
-  /// 0 if every check passed, 1 otherwise.
-  int exit_status() const { return passed() ? 0 : 1; }
 
  private:
   std::string scope_;
@@ -95,12 +92,18 @@ void export_figure(const std::string& stem, const std::string& title, const std:
 /// Prints a header banner for a bench artefact.
 void print_banner(const std::string& artefact, const std::string& description);
 
-/// Shared BENCH_*.json emitter: every simulation bench publishes its headline
-/// numbers through this one schema so tools/bench_diff.py can compare any
-/// two artefacts:
+/// Which way a BenchJson metric should move. tools/bench_diff.py flags a
+/// kLower or kHigher metric that moved the wrong way beyond its tolerance;
+/// a kInfo metric (a bookkeeping count, a wall-clock time) is only shown.
+enum class Better { kLower, kHigher, kInfo };
+
+/// Shared BENCH_*.json emitter: every simulation family publishes its
+/// headline numbers through this one schema so tools/bench_diff.py can
+/// compare any two artefacts. Each metric carries its own direction:
 ///
-///   {"bench": "<name>", "schema": 1,
-///    "scenarios": {"<scenario>": {"<metric>": <number>, ...}, ...}}
+///   {"bench": "<name>", "schema": 2,
+///    "scenarios": {"<scenario>": {
+///      "<metric>": {"value": <number>, "better": "lower|higher|info"}, ...}, ...}}
 ///
 /// Scenarios and metrics render in insertion order (deterministic output);
 /// values must be finite.
@@ -108,18 +111,44 @@ class BenchJson {
  public:
   explicit BenchJson(std::string bench_name);
 
-  /// Sets scenarios[scenario][metric] = value (insert or overwrite).
-  void set(const std::string& scenario, const std::string& metric, double value);
+  /// Sets scenarios[scenario][metric] = value; each metric is set once.
+  void set(const std::string& scenario, const std::string& metric, double value, Better better);
 
   std::string render() const;
 
-  /// Writes BENCH_<name>.json to the working directory and logs the path.
+  /// Writes BENCH_<name>.json under report_dir() and logs the path; writes
+  /// nothing when reporting is disabled or no metric was set.
   void write() const;
 
  private:
-  using Metrics = std::vector<std::pair<std::string, double>>;
+  struct Metric {
+    std::string name;
+    double value;
+    Better better;
+  };
   std::string name_;
-  std::vector<std::pair<std::string, Metrics>> scenarios_;
+  std::vector<std::pair<std::string, std::vector<Metric>>> scenarios_;
 };
+
+/// What one entry of bench_adaflow reports: its named predicates and its
+/// BenchJson, both named after the entry.
+struct Report {
+  explicit Report(const std::string& name) : check(name), json(name) {}
+  Checks check;
+  BenchJson json;
+};
+
+/// The simulation families of bench_adaflow, one file each. Every family
+/// runs its full scenario, prints its tables and records its claims and
+/// headline metrics in \p report.
+void fleet_bench(Report& report);
+void chaos_bench(Report& report);
+void forecast_bench(Report& report);
+void ingest_bench(Report& report);
+void tenant_bench(Report& report);
+void shard_bench(Report& report);
+void integrity_bench(Report& report);
+void detect_bench(Report& report);
+void dse_bench(Report& report);
 
 }  // namespace adaflow::bench

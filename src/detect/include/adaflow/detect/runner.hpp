@@ -63,7 +63,7 @@ edge::RunMetrics run_detection(const SceneTrace& scene, edge::ServingPolicy& pol
 
 /// Baseline: the shared Flexible-Pruning accelerator statically serving one
 /// version (default: unpruned) — sub-ms switches available but never used.
-/// bench_detect's static counterpart to StaticFinnPolicy on the Fixed side.
+/// `bench_adaflow detect`'s static counterpart to StaticFinnPolicy on the Fixed side.
 class StaticFlexiblePolicy final : public edge::ServingPolicy {
  public:
   explicit StaticFlexiblePolicy(const core::AcceleratorLibrary& library,

@@ -37,7 +37,7 @@ class SceneTrace {
   double duration() const { return duration_; }
 
   /// The same trace with every density multiplied by \p factor — the
-  /// scene-density sweep axis of bench_detect.
+  /// scene-density sweep axis of `bench_adaflow detect`.
   SceneTrace scaled(double factor) const;
 
  private:

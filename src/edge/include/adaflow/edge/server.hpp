@@ -13,7 +13,7 @@
 /// retry, policy-driven fallback (Fixed -> Flexible), a watchdog for stalled
 /// in-flight frames, and load shedding when the queue saturates. Disabling
 /// FaultToleranceConfig::enabled yields the unhardened baseline that the
-/// `faults` figure of bench_paper compares against.
+/// `faults` entry of bench_adaflow compares against.
 ///
 /// The per-device simulation core lives in device_sim.hpp (edge::DeviceSim);
 /// SingleDeviceDriver drives exactly one device from a workload trace — for

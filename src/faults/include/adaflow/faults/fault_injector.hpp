@@ -122,8 +122,8 @@ struct FaultSchedule {
 
 /// Canned schedule: every reconfiguration attempted in [start_s, end_s) fails
 /// with \p probability, and surviving ones run \p slowdown x slower half the
-/// time — the "flaky PR controller" scenario of bench_paper's `faults`
-/// figure. The default slowdown stays inside the hardened server's 3x
+/// time — the "flaky PR controller" scenario of bench_adaflow's `faults`
+/// entry. The default slowdown stays inside the hardened server's 3x
 /// supervision budget; pass a larger factor to exercise the timeout/abort
 /// path instead.
 FaultSchedule reconfig_failure_storm(double start_s, double end_s, double probability = 0.9,

@@ -78,7 +78,7 @@ struct IngestSessionResult {
 };
 
 /// Everything that happened to the frames, stage by stage. Flow conservation
-/// holds exactly (checked by tests and bench_ingest):
+/// holds exactly (checked by tests and `bench_adaflow ingest`):
 ///   captured + duplicates ==
 ///     network_lost + stale_dropped + thinned + dropall_shed + queue_drops
 ///     + decode_failed + fleet_shed + delivered + lost_in_fleet

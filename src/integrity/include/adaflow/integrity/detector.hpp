@@ -15,7 +15,7 @@
 /// jitter); threshold trades false alarms against detection latency: a lower
 /// threshold trips on fewer corrupted canaries (faster detection) but lets
 /// benign noise bursts through more easily. Both knobs are exercised by the
-/// canary-rate sweep in bench_integrity.
+/// canary-rate sweep in `bench_adaflow integrity`.
 
 #include <cstdint>
 

@@ -5,7 +5,7 @@
 /// one DeviceSim whose serving policy is wrapped by the IntegrityManager,
 /// with a CanaryProber feeding the drift detector and a FaultInjector
 /// delivering the pre-resolved config-upset schedule. The composition the
-/// `adaflow integrity` CLI subcommand and bench_integrity drive; the fleet
+/// `adaflow integrity` CLI subcommand and `bench_adaflow integrity` drive; the fleet
 /// layer wires the same pieces per device itself (src/fleet).
 ///
 /// Replay contract: identical (trace, configs, schedule, seed) inputs replay

@@ -93,7 +93,7 @@ ShardedMetrics run_sharded_fleet(const edge::WorkloadTrace& trace,
 /// sample, the stats blocks, the e2e histogram, and every device row (with
 /// its full RunMetrics) and tenant row in order — rendered as 16 hex chars.
 /// Two runs are bit-identical exactly when their fingerprints match (up to
-/// hash collisions); the determinism tests and bench_shard compare these
+/// hash collisions); the determinism tests and `bench_adaflow shard` compare these
 /// across thread counts.
 std::string metrics_fingerprint(const fleet::FleetMetrics& m);
 

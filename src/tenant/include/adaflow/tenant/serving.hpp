@@ -15,7 +15,7 @@
 /// (coordinator.hpp), applying device moves instantly and version switches
 /// opportunistically (only on near-idle devices, spaced by the paper's
 /// switch-interval rule). PartitionPolicy::kPeakFps plans once at t=0 and
-/// never adapts — the static baseline bench_tenant measures against.
+/// never adapts — the static baseline `bench_adaflow tenant` measures against.
 
 #include <cstdint>
 #include <tuple>

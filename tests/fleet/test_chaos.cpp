@@ -1,7 +1,7 @@
 /// Fleet-level chaos invariants: the health-monitored dispatcher under
 /// seeded whole-device crash / hang / degrade windows. These are the SLO
 /// assertions from the chaos harness in unit-test form — short traces, the
-/// same shape checks as bench_chaos.
+/// same shape checks as `bench_adaflow chaos`.
 
 #include "adaflow/fleet/fleet.hpp"
 
@@ -47,7 +47,7 @@ HealthConfig fast_health(double hedge_budget_s = 0.0) {
   return h;
 }
 
-/// The bench_chaos scenario at test scale: four pinned version-0 devices
+/// The `bench_adaflow chaos` scenario at test scale: four pinned version-0 devices
 /// behind the coordinator, device 0 carrying \p schedule. The flat workload
 /// sits just above three devices' version-0 capacity, so losing a device
 /// without re-partitioning means sustained overload.

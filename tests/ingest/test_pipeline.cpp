@@ -26,7 +26,7 @@ IngestConfig small_config(const core::AcceleratorLibrary& lib) {
   return config;
 }
 
-/// 2x sustained overload, as in bench_ingest but shrunk: eight cameras at
+/// 2x sustained overload, as in `bench_adaflow ingest` but shrunk: eight cameras at
 /// 250 FPS against two pinned 500-FPS devices.
 IngestConfig overload_config(const core::AcceleratorLibrary& lib, BrownoutMode mode) {
   IngestConfig config;

@@ -1,6 +1,6 @@
 /// End-to-end run_tenants tests: determinism, per-tenant accounting
 /// identities, fleet flow conservation, and config validation error paths.
-/// Scenarios are kept tiny — bench_tenant owns the contention headline.
+/// Scenarios are kept tiny — `bench_adaflow tenant` owns the contention headline.
 
 #include "adaflow/tenant/serving.hpp"
 

@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Compare two BENCH_*.json artefacts and flag regressions.
 
-Every simulation bench emits the shared schema (bench/common.hpp BenchJson):
+Every simulation family of bench_adaflow emits the shared schema
+(bench/common.hpp BenchJson), in which each metric states its direction:
 
-    {"bench": "<name>", "schema": 1,
-     "scenarios": {"<scenario>": {"<metric>": <number>, ...}, ...}}
+    {"bench": "<name>", "schema": 2,
+     "scenarios": {"<scenario>": {
+       "<metric>": {"value": <number>, "better": "lower|higher|info"}, ...}}}
 
 Usage:
     tools/bench_diff.py OLD.json NEW.json [--tolerance 0.05]
 
-For each metric present in both files the direction of "better" is inferred
-from the metric name (violation/latency/loss-style metrics want to go down;
-qoe/accuracy/delivered-style metrics want to go up; bookkeeping counts like
-device_moves are informational only). A metric that moves in the worse
-direction by more than --tolerance (relative, with a small absolute floor)
-is a regression; the script lists every change and exits 1 if any metric
-regressed. Scenarios or metrics present on one side only are reported but
-are not regressions (benches grow new scenarios over time).
+A "lower" or "higher" metric present in both files that moves the wrong way
+by more than --tolerance (relative, with a small absolute floor) is a
+regression; an "info" metric is only shown. The script lists every change
+and exits 1 if any metric regressed. Scenarios or metrics present on one
+side only are reported but are not regressions (families grow new scenarios
+over time). A malformed artefact — a metric without a direction, or a
+direction that differs between the two files — exits 2 with a message.
 
 Stdlib only — no pip dependencies.
 """
@@ -25,66 +26,12 @@ import argparse
 import json
 import sys
 
-# Substring -> direction. First match wins, checked in order: the most
-# specific fragments come first ("delivered_fraction" must not hit "loss"
-# rules via a later fragment, "in_budget_delivered" must count as
-# higher-is-better even though "budget" alone says nothing).
-LOWER_IS_BETTER = (
-    "violation",
-    "loss",
-    "lost",
-    "shed",
-    "throttled",
-    "latency",
-    "_ms",
-    "p50",
-    "p95",
-    "p99",
-    "mape",
-    "stall",
-    "drops",
-    "wasted",
-    "error",
-    "degraded",
-    "power",
-    "wrong",
-    "upset",
-    "corrupt",
-    "false_alarm",
-    "overhead",
-)
-HIGHER_IS_BETTER = (
-    "qoe",
-    "accuracy",
-    "delivered",
-    "coverage",
-    "admitted",
-    "fraction",
-)
-# Bookkeeping counters: neither direction is a regression.
-NEUTRAL = (
-    "moves",
-    "switches",
-    "reconfigurations",
-    "quarantines",
-    "rejoins",
-    "redispatched",
-)
+DIRECTIONS = ("lower", "higher", "info")
 
 
-def direction(metric):
-    """Returns 'down', 'up', or 'neutral' for a metric name."""
-    name = metric.lower()
-    for fragment in NEUTRAL:
-        if fragment in name:
-            return "neutral"
-    for fragment in LOWER_IS_BETTER:
-        if fragment in name:
-            return "down"
-    for fragment in HIGHER_IS_BETTER:
-        if fragment in name:
-            return "up"
-    return "neutral"
+def fail(message):
+    sys.stderr.write(f"bench_diff: {message}\n")
+    sys.exit(2)
 
 
 def load(path):
@@ -92,22 +39,28 @@ def load(path):
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"bench_diff: cannot read {path}: {e}")
+        fail(f"cannot read {path}: {e}")
     for key in ("bench", "schema", "scenarios"):
         if key not in doc:
-            sys.exit(f"bench_diff: {path} is missing the '{key}' field "
-                     "(not a BenchJson artefact?)")
-    if doc["schema"] != 1:
-        sys.exit(f"bench_diff: {path} has unsupported schema {doc['schema']}")
+            fail(f"{path} is missing the '{key}' field (not a BenchJson artefact?)")
+    if doc["schema"] != 2:
+        fail(f"{path} has unsupported schema {doc['schema']}")
+    for scenario, metrics in doc["scenarios"].items():
+        for metric, entry in metrics.items():
+            key = f"{path}: {scenario}.{metric}"
+            if not isinstance(entry, dict) or entry.get("better") not in DIRECTIONS:
+                fail(f"{key} states no direction ('better' must be one of "
+                     f"{', '.join(DIRECTIONS)})")
+            if not isinstance(entry.get("value"), (int, float)):
+                fail(f"{key} is not numeric")
     return doc
 
 
-def worsened(metric, old, new, tolerance, abs_floor):
+def worsened(better, old, new, tolerance, abs_floor):
     """True when new is worse than old beyond tolerance."""
-    d = direction(metric)
-    if d == "neutral":
+    if better == "info":
         return False
-    delta = new - old if d == "up" else old - new  # positive = improvement
+    delta = new - old if better == "higher" else old - new  # positive = improvement
     if delta >= 0:
         return False
     slack = max(abs(old) * tolerance, abs_floor)
@@ -129,8 +82,7 @@ def main():
     old_doc = load(args.old)
     new_doc = load(args.new)
     if old_doc["bench"] != new_doc["bench"]:
-        sys.exit(f"bench_diff: comparing different benches: "
-                 f"'{old_doc['bench']}' vs '{new_doc['bench']}'")
+        fail(f"comparing different benches: '{old_doc['bench']}' vs '{new_doc['bench']}'")
 
     old_s = old_doc["scenarios"]
     new_s = new_doc["scenarios"]
@@ -145,22 +97,23 @@ def main():
         if scenario not in old_s:
             print(f"  [new]   {scenario} (only in {args.new})")
             continue
-        for metric in sorted(set(old_s[scenario]) | set(new_s[scenario])):
-            if metric not in new_s[scenario] or metric not in old_s[scenario]:
-                continue
-            old_v = old_s[scenario][metric]
-            new_v = new_s[scenario][metric]
-            if not isinstance(old_v, (int, float)) or not isinstance(new_v, (int, float)):
-                sys.exit(f"bench_diff: {scenario}.{metric} is not numeric")
+        for metric in sorted(set(old_s[scenario]) & set(new_s[scenario])):
+            old_e = old_s[scenario][metric]
+            new_e = new_s[scenario][metric]
             key = f"{scenario}.{metric}"
+            better = old_e["better"]
+            if new_e["better"] != better:
+                fail(f"{key} is '{better}' in {args.old} but '{new_e['better']}' in {args.new}")
+            old_v = old_e["value"]
+            new_v = new_e["value"]
             if old_v == new_v:
                 unchanged += 1
-            elif worsened(metric, old_v, new_v, args.tolerance, args.abs_floor):
-                regressions.append((key, old_v, new_v))
+            elif worsened(better, old_v, new_v, args.tolerance, args.abs_floor):
+                regressions.append(key)
                 print(f"  [WORSE] {key}: {old_v:g} -> {new_v:g}")
             else:
                 improvements += 1
-                arrow = "better" if direction(metric) != "neutral" else "changed"
+                arrow = "better" if better != "info" else "changed"
                 print(f"  [ok]    {key}: {old_v:g} -> {new_v:g} ({arrow})")
 
     print(f"bench_diff: {old_doc['bench']}: {len(regressions)} regression(s), "
