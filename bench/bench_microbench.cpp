@@ -300,11 +300,9 @@ void BM_EventQueueScheduleAtDepth(benchmark::State& state) {
 // shard queue.
 BENCHMARK(BM_EventQueueScheduleAtDepth)->Arg(50)->Arg(64)->Arg(1024);
 
-// One frame offered to a 16-device least-loaded fleet at twice its service
-// rate, plus the simulated time until the next arrival. The ingress stays
-// full, so each completion's drain_ingress dispatches one waiting frame and
-// ends in a failed dispatch: the dispatcher's per-frame path under load.
-void BM_FleetEngineOfferFrame(benchmark::State& state) {
+// One frame offered to a 16-device least-loaded fleet at \p load times its
+// service rate, plus the simulated time until the next arrival.
+void fleet_engine_offer_frame(benchmark::State& state, double load) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   fleet::FleetConfig config;
   config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, 16);
@@ -316,7 +314,7 @@ void BM_FleetEngineOfferFrame(benchmark::State& state) {
   for (std::size_t i = 0; i < engine.device_count(); ++i) {
     capacity_fps += engine.device(i).mode().fps;
   }
-  const double gap_s = 1.0 / (2.0 * capacity_fps);
+  const double gap_s = 1.0 / (load * capacity_fps);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.offer_frame());
     q.run_until(q.now() + gap_s);
@@ -324,7 +322,19 @@ void BM_FleetEngineOfferFrame(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   benchmark::DoNotOptimize(engine.metrics().dispatched);
 }
+
+// At twice the service rate the ingress stays full, so each completion's
+// drain_ingress dispatches one waiting frame and ends in a failed dispatch:
+// the dispatcher's per-frame path under load.
+void BM_FleetEngineOfferFrame(benchmark::State& state) { fleet_engine_offer_frame(state, 2.0); }
 BENCHMARK(BM_FleetEngineOfferFrame);
+
+// At half the service rate every device has headroom: each arrival routes
+// at once over a fully eligible fleet.
+void BM_FleetEngineOfferFrameLightLoad(benchmark::State& state) {
+  fleet_engine_offer_frame(state, 0.5);
+}
+BENCHMARK(BM_FleetEngineOfferFrameLightLoad);
 
 void BM_LatencyHistogramRecord(benchmark::State& state) {
   sim::LatencyHistogram h;

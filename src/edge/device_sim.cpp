@@ -41,7 +41,7 @@ DeviceSim::DeviceSim(sim::EventQueue& queue, ServingPolicy& policy, const Server
       name_(std::move(name)) {}
 
 void DeviceSim::start() {
-  mode_ = policy_.initial_mode();
+  set_mode(policy_.initial_mode());
   validate_mode(mode_, "initial mode");
   last_power_t_ = queue_.now();
   last_violation_t_ = queue_.now();
@@ -64,11 +64,6 @@ void DeviceSim::start() {
       queue_.schedule_at(u.time_s, [this, u] { on_config_upset(u); });
     }
   }
-}
-
-double DeviceSim::backlog_seconds() const {
-  const double frames = static_cast<double>(queued_) + (processing_ ? 1.0 : 0.0);
-  return mode_.fps > 0.0 ? frames / mode_.fps : 0.0;
 }
 
 double DeviceSim::current_power() const {
@@ -102,9 +97,9 @@ void DeviceSim::account_violation() {
   in_violation_ = queued_ * 2 >= config_.queue_capacity;
 }
 
-void DeviceSim::set_mode(const ServingMode& m) {
+void DeviceSim::apply_mode(const ServingMode& m) {
   integrate_power();
-  mode_ = m;
+  set_mode(m);
   repair_upsets();
 }
 
@@ -182,8 +177,7 @@ void DeviceSim::start_next_frame() {
     return;
   }
   integrate_power();
-  processing_ = true;
-  --queued_;
+  set_started_frame();
   inflight_tag_ = queued_tags_.front();
   queued_tags_.pop_front();
   inflight_canary_ = queued_canary_.front() != 0;
@@ -250,7 +244,7 @@ void DeviceSim::start_next_frame() {
 
 void DeviceSim::finish_frame() {
   integrate_power();
-  processing_ = false;
+  set_processing(false);
   if (inflight_canary_) {
     // A canary completes: its output is compared against the golden answer.
     // It is not workload — no processed/QoE accounting — its cost was the
@@ -301,7 +295,7 @@ void DeviceSim::finish_frame() {
 void DeviceSim::on_watchdog_fired() {
   integrate_power();
   enter_degraded();
-  processing_ = false;
+  set_processing(false);
   ++metrics_.faults.stalls_recovered;
   if (inflight_canary_) {
     // A wedged canary is silently discarded — it is not workload, so no
@@ -318,14 +312,14 @@ void DeviceSim::on_watchdog_fired() {
       }
     }
   }
-  switching_ = true;  // the re-load blocks the accelerator like a switch
+  set_switching(true);  // the re-load blocks the accelerator like a switch
   const std::uint64_t epoch = service_epoch_;
   queue_.schedule_in(ft().recovery_reload_s, [this, epoch] {
     if (epoch != service_epoch_) {
       return;  // a crash wiped the fabric mid-reload
     }
     integrate_power();
-    switching_ = false;
+    set_switching(false);
     if (!has_pending_switch_) {
       exit_degraded();
     }
@@ -337,9 +331,9 @@ void DeviceSim::abort_switch_episode() {
   if (switch_episode_) {
     ++metrics_.faults.switches_abandoned;
   }
-  switching_ = false;
-  switch_episode_ = false;
-  has_pending_switch_ = false;
+  set_switching(false);
+  set_switch_episode(false);
+  set_pending_switch(false);
   has_pending_retry_ = false;
   fallback_tried_ = false;
 }
@@ -355,7 +349,7 @@ void DeviceSim::on_device_fault_begin(const faults::DeviceFaultWindow& window) {
         // any switch ladder (or stall-recovery reload) is wiped with it.
         ++service_epoch_;
         if (processing_) {
-          processing_ = false;
+          set_processing(false);
           if (inflight_canary_) {
             inflight_canary_ = false;  // a wiped canary is not a workload loss
           } else {
@@ -423,9 +417,9 @@ void DeviceSim::on_device_fault_end(const faults::DeviceFaultWindow& window) {
 void DeviceSim::begin_switch() {
   require(has_pending_switch_, "no switch pending");
   integrate_power();
-  switching_ = true;
-  switch_episode_ = true;
-  has_pending_switch_ = false;
+  set_switching(true);
+  set_switch_episode(true);
+  set_pending_switch(false);
   fallback_tried_ = false;
   const SwitchAction action = pending_switch_;
   ++metrics_.model_switches;
@@ -443,7 +437,7 @@ void DeviceSim::begin_switch() {
 /// the load itself (the fabric is being reprogrammed).
 void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
   integrate_power();
-  switching_ = true;
+  set_switching(true);
   faults::FaultInjector::SwitchOutcome outcome;
   if (injector_ != nullptr) {
     outcome = injector_->on_switch_attempt(queue_.now(), action.is_reconfiguration);
@@ -464,10 +458,10 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
         return;
       }
       integrate_power();
-      switching_ = false;
-      switch_episode_ = false;
+      set_switching(false);
+      set_switch_episode(false);
       if (!failed) {
-        set_mode(action.target);
+        apply_mode(action.target);
       } else {
         ++metrics_.faults.switch_failures;
       }
@@ -510,9 +504,9 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
       return;
     }
     integrate_power();
-    switching_ = false;
-    switch_episode_ = false;
-    set_mode(action.target);
+    set_switching(false);
+    set_switch_episode(false);
+    apply_mode(action.target);
     policy_.on_switch_applied(queue_.now(), action.target);
     exit_degraded();
     start_next_frame();
@@ -527,7 +521,7 @@ void DeviceSim::on_switch_attempt_failed(const SwitchAction& action, int attempt
     // An aborted load leaves the previous configuration serving (the same
     // abstraction the unhardened path uses), so the backoff interval is
     // not dead time: frames keep draining on the old mode.
-    switching_ = false;
+    set_switching(false);
     const double backoff_s = ft().retry_backoff_s * static_cast<double>(1 << attempt);
     const std::uint64_t epoch = service_epoch_;
     queue_.schedule_in(backoff_s, [this, epoch, action, attempt] {
@@ -561,8 +555,8 @@ void DeviceSim::on_switch_attempt_failed(const SwitchAction& action, int attempt
     policy_.on_switch_failed(queue_.now(), action);
   }
   ++metrics_.faults.switches_abandoned;
-  switching_ = false;
-  switch_episode_ = false;
+  set_switching(false);
+  set_switch_episode(false);
   start_next_frame();  // keep serving on the still-loaded old mode
 }
 
@@ -583,7 +577,7 @@ bool DeviceSim::offer_frame(bool count_loss, std::int64_t tag) {
     }
     return false;
   }
-  ++queued_;
+  set_queued(queued_ + 1);
   queued_tags_.push_back(tag);
   queued_canary_.push_back(0);
   account_violation();
@@ -598,7 +592,7 @@ bool DeviceSim::offer_canary() {
     return false;  // saturated device: skip the probe, don't displace work
   }
   ++metrics_.integrity.canaries_sent;
-  ++queued_;
+  set_queued(queued_ + 1);
   ++queued_canaries_;
   queued_tags_.push_back(kNoTag);
   queued_canary_.push_back(1);
@@ -609,14 +603,15 @@ bool DeviceSim::offer_canary() {
 
 std::int64_t DeviceSim::take_queued(std::int64_t max_frames, std::vector<std::int64_t>* tags) {
   std::int64_t taken = 0;
-  while (taken < max_frames && queued_ > 0) {
+  std::int64_t left = queued_;
+  while (taken < max_frames && left > 0) {
     // Oldest first: the longest-waiting frames are the ones a hedge or a
     // quarantine drain wants somewhere else.
     const bool canary = queued_canary_.front() != 0;
     const std::int64_t tag = queued_tags_.front();
     queued_canary_.pop_front();
     queued_tags_.pop_front();
-    --queued_;
+    --left;
     if (canary) {
       --queued_canaries_;
       continue;  // drained canaries are discarded, not re-dispatched — the
@@ -627,6 +622,7 @@ std::int64_t DeviceSim::take_queued(std::int64_t max_frames, std::vector<std::in
     }
     ++taken;
   }
+  set_queued(left);
   account_violation();
   return taken;
 }
@@ -647,7 +643,7 @@ double DeviceSim::estimate_incoming_fps() {
 void DeviceSim::accept_switch(const SwitchAction& action) {
   validate_mode(action.target, "switch target");
   pending_switch_ = action;
-  has_pending_switch_ = true;
+  set_pending_switch(true);
   if (!processing_) {
     begin_switch();
   }

@@ -146,7 +146,10 @@ class DeviceSim {
   /// error stream, the way a real integrity layer has to).
   bool corrupted() const { return upset_accuracy_penalty_ > 0.0; }
   /// Drain-time estimate of the backlog: (queued + in-flight) / mode FPS.
-  double backlog_seconds() const;
+  double backlog_seconds() const {
+    const double frames = static_cast<double>(queued_) + (processing_ ? 1.0 : 0.0);
+    return mode_.fps > 0.0 ? frames / mode_.fps : 0.0;
+  }
 
   RunMetrics& metrics() { return metrics_; }
   const RunMetrics& metrics() const { return metrics_; }
@@ -154,6 +157,13 @@ class DeviceSim {
   /// Invoked every time a queued frame moves into service (queue headroom
   /// appeared). A fleet dispatcher uses it to drain its ingress queue.
   void set_on_headroom(std::function<void()> fn) { on_headroom_ = std::move(fn); }
+
+  /// Invoked after every write to a field a router reads — queued(),
+  /// processing(), the three flags behind switch_in_flight(), and mode() —
+  /// so an owner can keep a copy of that state current without polling the
+  /// device (the fleet dispatcher's router input). The hook runs
+  /// synchronously, before any other callback the same change triggers.
+  void set_on_status(std::function<void()> fn) { on_status_ = std::move(fn); }
 
   /// Per-frame service shaping for workloads whose cost and quality vary per
   /// frame (the detection pipeline: NMS cost scales with scene density, not
@@ -188,7 +198,43 @@ class DeviceSim {
   double current_power() const;
   void integrate_power();
   void account_violation();
-  void set_mode(const ServingMode& m);
+  void apply_mode(const ServingMode& m);
+  // The only writers of the router-visible fields (see set_on_status).
+  void notify_status() {
+    if (on_status_) {
+      on_status_();
+    }
+  }
+  void set_mode(const ServingMode& m) {
+    mode_ = m;
+    notify_status();
+  }
+  void set_queued(std::int64_t n) {
+    queued_ = n;
+    notify_status();
+  }
+  void set_processing(bool on) {
+    processing_ = on;
+    notify_status();
+  }
+  /// A queued frame moves into service: both writes, one notification.
+  void set_started_frame() {
+    processing_ = true;
+    --queued_;
+    notify_status();
+  }
+  void set_switching(bool on) {
+    switching_ = on;
+    notify_status();
+  }
+  void set_switch_episode(bool on) {
+    switch_episode_ = on;
+    notify_status();
+  }
+  void set_pending_switch(bool on) {
+    has_pending_switch_ = on;
+    notify_status();
+  }
   void enter_degraded();
   void exit_degraded();
   void start_next_frame();
@@ -211,14 +257,17 @@ class DeviceSim {
   faults::FaultInjector* injector_;
   std::string name_;
 
+  // Router-visible state: written only through the setters above, so every
+  // change reaches the status hook.
   ServingMode mode_;
   std::int64_t queued_ = 0;
   bool processing_ = false;
   bool switching_ = false;  ///< a switch (incl. retries) or stall recovery is in progress
   bool has_pending_switch_ = false;
+  bool switch_episode_ = false;  ///< a switch ladder (incl. backoff) is active
+
   SwitchAction pending_switch_;
   bool fallback_tried_ = false;     ///< one fallback per switch episode
-  bool switch_episode_ = false;     ///< a switch ladder (incl. backoff) is active
   bool has_pending_retry_ = false;  ///< retry timer fired while a frame was in flight
   SwitchAction retry_action_;
   int retry_attempt_ = 0;
@@ -285,6 +334,7 @@ class DeviceSim {
   double inflight_quality_ = -1.0;
 
   std::function<void()> on_headroom_;
+  std::function<void()> on_status_;
   std::function<void(std::int64_t, double)> on_frame_done_;
   std::function<void(std::int64_t)> on_frame_lost_;
   std::function<void(double, double)> on_canary_;

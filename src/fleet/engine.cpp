@@ -22,6 +22,7 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   policies_.reserve(n);
   injectors_.reserve(n);
   devices_.reserve(n);
+  statuses_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const FleetDevice& d = config_.devices[i];
     policies_.push_back(d.make_policy());
@@ -35,13 +36,18 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
     }
     devices_.push_back(std::make_unique<edge::DeviceSim>(queue_, *policies_.back(), d.server,
                                                          injectors_.back().get(), d.name));
+    // From here on the device's status hook keeps statuses_[i] current.
+    statuses_.emplace_back();
+    statuses_.back().capacity = devices_.back()->queue_capacity();
+    devices_with_room_ += has_room(i) ? 1 : 0;
+    devices_.back()->set_on_status([this, i] { refresh_status(i); });
+    refresh_status(i);
     if (d.configure) {
       d.configure(*devices_.back(), i);
     }
   }
   accepting_.assign(n, 1);
   probe_wanted_.assign(n, 0);
-  statuses_.resize(n);
   queued_since_.resize(n);
   if (config_.integrity.enabled) {
     integrity_detectors_.reserve(n);
@@ -91,33 +97,44 @@ void FleetEngine::command_device_switch(std::size_t i, const edge::SwitchAction&
 
 bool FleetEngine::excluded(std::size_t i) const { return monitor_.out_of_rotation(i); }
 
+/// The device's status hook: copies every router-visible field into
+/// statuses_[i] and keeps devices_with_room_ in step with its headroom.
+void FleetEngine::refresh_status(std::size_t i) {
+  const edge::DeviceSim& dev = *devices_[i];
+  DeviceStatus& s = statuses_[i];
+  devices_with_room_ -= s.queued < s.capacity ? 1 : 0;
+  s.queued = dev.queued();
+  s.busy = dev.processing();
+  s.switching = dev.switch_in_flight();
+  s.fps = dev.mode().fps;
+  s.accuracy = dev.mode().accuracy;
+  s.backlog_s = dev.backlog_seconds();
+  devices_with_room_ += s.queued < s.capacity ? 1 : 0;
+}
+
+bool FleetEngine::has_room(std::size_t i) const {
+  return statuses_[i].queued < statuses_[i].capacity;
+}
+
 /// Routes one frame to a device if any is eligible. Returns false (and
 /// touches nothing) when every device is drained, quarantined, or full.
 /// \p exclude additionally bars one device (hedging must not hand a frame
 /// back to the queue it was just pulled from).
 bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
-  // Eligibility first: a call that finds every device full (how each
-  // drain_ingress ends under load) returns before reading any other field.
+  // A full fleet (how each drain_ingress ends under load) costs one compare;
+  // otherwise only the engine-side eligibility is computed here — the
+  // devices' own fields are already current in statuses_.
+  if (devices_with_room_ == 0) {
+    return false;
+  }
   bool any_eligible = false;
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const bool eligible = accepting_[i] != 0 && !excluded(i) && i != exclude &&
-                          devices_[i]->free_slots() > 0;
+  for (std::size_t i = 0; i < statuses_.size(); ++i) {
+    const bool eligible = has_room(i) && in_rotation(i) && i != exclude;
     statuses_[i].eligible = eligible;
     any_eligible = any_eligible || eligible;
   }
   if (!any_eligible) {
     return false;
-  }
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const edge::DeviceSim& dev = *devices_[i];
-    DeviceStatus& s = statuses_[i];
-    s.queued = dev.queued();
-    s.capacity = dev.queue_capacity();
-    s.busy = dev.processing();
-    s.switching = dev.switch_in_flight();
-    s.fps = dev.mode().fps;
-    s.accuracy = dev.mode().accuracy;
-    s.backlog_s = dev.backlog_seconds();
   }
   const std::size_t idx = router_.route_tagged(queue_.now(), tag, statuses_);
   if (idx == RoutingPolicy::kDecline) {
@@ -128,8 +145,8 @@ bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
   }
   // Timestamp first: offer_frame may start service synchronously and fire
   // the headroom callback, which pops this very entry. That callback can
-  // also re-enter try_dispatch and overwrite statuses_, so nothing below
-  // reads it.
+  // also re-enter try_dispatch and overwrite statuses_ (as does the status
+  // hook), so nothing below reads it.
   queued_since_[idx].push_back(QueuedFrame{queue_.now(), tag});
   if (!devices_[idx]->offer_frame(/*count_loss=*/false, tag)) {
     throw ConfigError("eligible device '" + devices_[idx]->name() + "' rejected a frame");
@@ -300,7 +317,7 @@ void FleetEngine::quarantine_drain(std::size_t i) {
 /// Any device other than \p i that could take a hedged frame right now.
 bool FleetEngine::any_other_eligible(std::size_t i) const {
   for (std::size_t j = 0; j < devices_.size(); ++j) {
-    if (j != i && accepting_[j] != 0 && !excluded(j) && devices_[j]->free_slots() > 0) {
+    if (j != i && in_rotation(j) && has_room(j)) {
       return true;
     }
   }
@@ -511,7 +528,7 @@ void FleetEngine::maybe_start_repartition(double now) {
   // the coordinator re-targets them to faster (lower-accuracy) versions.
   std::int64_t accepting_count = 0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    accepting_count += (accepting_[i] != 0 && !excluded(i)) ? 1 : 0;
+    accepting_count += in_rotation(i) ? 1 : 0;
   }
   if (accepting_count == 0) {
     return;
@@ -519,8 +536,7 @@ void FleetEngine::maybe_start_repartition(double now) {
   const double share = agg / static_cast<double>(accepting_count);
   bool mismatch_blocked = false;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (!config_.devices[i].coordinated || accepting_[i] == 0 || excluded(i) ||
-        devices_[i]->switch_in_flight()) {
+    if (!config_.devices[i].coordinated || !in_rotation(i) || devices_[i]->switch_in_flight()) {
       continue;
     }
     const core::AcceleratorLibrary& lib = device_library(i);

@@ -148,6 +148,11 @@ class FleetEngine {
   /// Library device \p i serves from (its own, or the fleet default).
   const core::AcceleratorLibrary& device_library(std::size_t i) const;
   std::int64_t ingress_backlog() const { return static_cast<std::int64_t>(ingress_->size()); }
+  /// Whether the dispatcher routes to device \p i at all: not drained by the
+  /// coordinator and not out of rotation in the health monitor.
+  bool in_rotation(std::size_t i) const {
+    return accepting_[i] != 0 && !monitor_.out_of_rotation(i);
+  }
   /// Externally commanded switch on device \p i — the same validated,
   /// fault-injected, timeout/retry-laddered path the coordinator uses.
   /// Callers gate on device(i).switch_in_flight().
@@ -159,6 +164,8 @@ class FleetEngine {
   static constexpr std::size_t kNoExclude = static_cast<std::size_t>(-1);
 
   bool excluded(std::size_t i) const;
+  void refresh_status(std::size_t i);
+  bool has_room(std::size_t i) const;
   bool try_dispatch(std::int64_t tag, std::size_t exclude = kNoExclude);
   bool try_probe_dispatch(std::int64_t tag);
   /// Sets probe_wanted_[i] and keeps probes_wanted_ in step with it.
@@ -207,8 +214,14 @@ class FleetEngine {
   /// and how many of them there are (0 skips the per-frame probe scan).
   std::vector<char> probe_wanted_;
   std::int64_t probes_wanted_ = 0;
-  /// The router's input, reused by every try_dispatch (one per device).
+  /// The router's input, one per device. Every field but `eligible` is
+  /// push-maintained: each device's status hook (DeviceSim::set_on_status)
+  /// refreshes its entry after every change, so try_dispatch reads no device.
+  /// `eligible` is engine-side state, computed per dispatch.
   std::vector<DeviceStatus> statuses_;
+  /// Devices whose queue has a free slot, kept by refresh_status: 0 means
+  /// every device is full and try_dispatch returns at once.
+  std::int64_t devices_with_room_ = 0;
 
   /// Integrity layer (sized to the fleet only when config.integrity.enabled):
   /// one drift detector per device fed from that device's canary stream, and

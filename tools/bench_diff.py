@@ -13,11 +13,13 @@ Usage:
 
 A "lower" or "higher" metric present in both files that moves the wrong way
 by more than --tolerance (relative, with a small absolute floor) is a
-regression; an "info" metric is only shown. The script lists every change
-and exits 1 if any metric regressed. Scenarios or metrics present on one
-side only are reported but are not regressions (families grow new scenarios
-over time). A malformed artefact — a metric without a direction, or a
-direction that differs between the two files — exits 2 with a message.
+regression; an "info" metric is only shown. A scenario or metric of the
+baseline that the candidate no longer records is a regression too (a family
+that stops recording a number must not pass its gate); one only in the
+candidate is reported but is not a regression (families grow new scenarios
+over time). The script lists every change and exits 1 on any regression. A
+malformed artefact — a metric without a direction, or a direction that
+differs between the two files — exits 2 with a message.
 
 Stdlib only — no pip dependencies.
 """
@@ -92,15 +94,23 @@ def main():
 
     for scenario in sorted(set(old_s) | set(new_s)):
         if scenario not in new_s:
-            print(f"  [gone]  {scenario} (only in {args.old})")
+            regressions.append(scenario)
+            print(f"  [GONE]  {scenario} (only in {args.old})")
             continue
         if scenario not in old_s:
             print(f"  [new]   {scenario} (only in {args.new})")
             continue
-        for metric in sorted(set(old_s[scenario]) & set(new_s[scenario])):
+        for metric in sorted(set(old_s[scenario]) | set(new_s[scenario])):
+            key = f"{scenario}.{metric}"
+            if metric not in new_s[scenario]:
+                regressions.append(key)
+                print(f"  [GONE]  {key} (only in {args.old})")
+                continue
+            if metric not in old_s[scenario]:
+                print(f"  [new]   {key} (only in {args.new})")
+                continue
             old_e = old_s[scenario][metric]
             new_e = new_s[scenario][metric]
-            key = f"{scenario}.{metric}"
             better = old_e["better"]
             if new_e["better"] != better:
                 fail(f"{key} is '{better}' in {args.old} but '{new_e['better']}' in {args.new}")

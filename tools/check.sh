@@ -1,38 +1,60 @@
 #!/usr/bin/env bash
-# Full local gate: tier-1 release build (-Werror) + full test suite, fast
-# label groups for iterating on src/nn, src/sim, src/fleet, the resilience
-# layer, src/forecast, src/dse, src/ingest, src/tenant, src/shard, src/graph,
-# src/detect and the CLI, every golden replay pin as one group, the fast
+# Full local gate: tier-1 release build (-Werror) + full test suite, the fast
 # suites again under AddressSanitizer + UndefinedBehaviorSanitizer
 # (ADAFLOW_SANITIZE=ON), and the concurrency-bearing suites under
-# ThreadSanitizer (ADAFLOW_TSAN=ON). The bench group gates every simulation
-# family against the committed baselines in bench/baselines/.
+# ThreadSanitizer (ADAFLOW_TSAN=ON). Tier 1 includes the bench group, which
+# gates every simulation family against the committed baselines in
+# bench/baselines/.
 #
-# Usage: tools/check.sh [jobs]
+# Usage: tools/check.sh [jobs] [group...]
+#
+# With no group, runs tiers 1-3; every test runs once in tier 1. Naming one
+# or more groups instead builds tier 1 and runs only those groups, for
+# iterating on one layer: nn (GEMM/conv/BatchNorm/MaxPool oracles, Trainer +
+# golden pin), sim (event-queue oracle + statistics), fleet, chaos, forecast,
+# dse, ingest, tenant, shard (incl. the FieldTables tests of every metrics
+# field table), integrity, graph, detect (each with its CLI validation and its
+# bench gate), cli (every subcommand's short run + flag error paths), bench
+# (every simulation family's full run diffed against bench/baselines/ by
+# tools/bench_diff.py, plus that script's tests) and golden (every
+# GoldenReplay pin: fleet, shard, single-device, tenant and ingest replay
+# pins, metrics_fingerprint and the reference hasher).
 set -euo pipefail
 
-jobs="${1:-$(nproc)}"
+groups_known="nn sim fleet chaos forecast dse ingest tenant shard integrity graph detect cli bench golden"
+jobs="$(nproc)"
+if [[ $# -gt 0 && "$1" =~ ^[0-9]+$ ]]; then
+  jobs="$1"
+  shift
+fi
+for group in "$@"; do
+  if [[ " $groups_known " != *" $group "* ]]; then
+    echo "check.sh: unknown group '$group' (valid: $groups_known)" >&2
+    exit 2
+  fi
+done
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
-echo "== tier 1: release build (-Werror) + full test suite =="
+echo "== tier 1: release build (-Werror) =="
 cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
+
+if [[ $# -gt 0 ]]; then
+  for group in "$@"; do
+    if [[ "$group" == golden ]]; then
+      echo "== golden replay group (ctest -R '^GoldenReplay') =="
+      ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
+    else
+      echo "== $group group (ctest -L $group) =="
+      ctest --test-dir "$root/build" -L "$group" --output-on-failure -j "$jobs"
+    fi
+  done
+  echo "== named groups passed =="
+  exit 0
+fi
+
+echo "== tier 1: full test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
-
-# Label groups, for iterating on one layer: nn (GEMM/conv/BatchNorm/MaxPool
-# oracles, Trainer + golden pin), sim (event-queue oracle + statistics),
-# fleet, chaos, forecast, dse, ingest, tenant, shard (incl. the FieldTables
-# tests of every metrics field table), integrity, graph, detect (each with
-# its CLI validation and its bench gate), cli (every subcommand's short run +
-# flag error paths) and bench (every simulation family's full run diffed
-# against bench/baselines/ by tools/bench_diff.py, plus that script's tests).
-for group in nn sim fleet chaos forecast dse ingest tenant shard integrity graph detect cli bench; do
-  echo "== $group group (ctest -L $group) =="
-  ctest --test-dir "$root/build" -L "$group" --output-on-failure -j "$jobs"
-done
-
-echo "== golden replay group (ctest -R '^GoldenReplay': fleet, shard, single-device, tenant and ingest (RunIngestFingerprintIsPinned) replay pins, metrics_fingerprint and reference-hasher) =="
-ctest --test-dir "$root/build" -R '^GoldenReplay' --output-on-failure -j "$jobs"
 
 echo "== tier 2: ASan+UBSan unit tests (incl. Parallel.NestedCallRunsInline* and the shard group's FieldTables tests) =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
