@@ -603,7 +603,7 @@ struct FaultScenario {
 edge::RepeatedRunResult evaluate_faults(TextTable& table, const core::AcceleratorLibrary& lib,
                                         const FaultScenario& sc, bool hardened) {
   edge::ServerConfig server;
-  server.fault_tolerance.enabled = hardened;
+  server.fault_tolerance = hardened;
   // The injector seed depends only on the run's seed, so hardened and
   // unhardened face the exact same fault sequence.
   const std::vector<edge::RunMetrics> per_run = edge::run_each(

@@ -53,8 +53,6 @@ void detect_bench(Report& report) {
 
   core::RuntimeManagerConfig manager;
   manager.accuracy_threshold = 0.15;  // admit the full pruned-detector ladder
-  const edge::ServerConfig server;
-  detect::DetectionRunConfig run;
 
   // --- Part A: scene-density sweep ----------------------------------------
   std::printf("Part A: rush-hour scene at increasing density scales\n\n");
@@ -84,7 +82,7 @@ void detect_bench(Report& report) {
     qoe.emplace_back();
 
     for (const std::string name : {"adaflow", "finn", "flexible"}) {
-      const edge::RunMetrics m = detect::run_detection(scene, *make_policy(name), server, run, 42);
+      const edge::RunMetrics m = detect::run_detection(scene, *make_policy(name), 42);
       qoe.back().push_back(m.qoe());
       table.add_row({format_double(scale, 1), name, format_percent(m.qoe(), 1),
                      format_percent(m.frame_loss(), 1),
@@ -124,8 +122,8 @@ void detect_bench(Report& report) {
         detect::rush_hour_scene(2.0, 10.0, onset, ramp, hold, duration, 0.5, 0.05, 7);
     core::RuntimeManager first_policy(lib, manager);
     core::RuntimeManager second_policy(lib, manager);
-    const edge::RunMetrics first = detect::run_detection(scene, first_policy, server, run, 42);
-    const edge::RunMetrics second = detect::run_detection(scene, second_policy, server, run, 42);
+    const edge::RunMetrics first = detect::run_detection(scene, first_policy, 42);
+    const edge::RunMetrics second = detect::run_detection(scene, second_policy, 42);
     check(sim::identical(first, second), "same seed replays the detection run bit-identically");
   }
 }

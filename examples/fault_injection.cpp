@@ -63,7 +63,7 @@ int main() {
                    "abandoned", "degraded", "MTTR[ms]"});
   for (bool hardened : {true, false}) {
     edge::ServerConfig server;
-    server.fault_tolerance.enabled = hardened;
+    server.fault_tolerance = hardened;
     edge::WorkloadTrace trace(workload, /*seed=*/7);
     core::RuntimeManager policy(lib, rmc);
     faults::FaultInjector injector(storm, /*seed=*/21);

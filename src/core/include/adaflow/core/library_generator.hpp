@@ -41,7 +41,7 @@ struct LibraryConfig {
   /// Folding auto-tuning through the design-space explorer (src/dse). Off by
   /// default (the folding_for_target_fps heuristic is used). When on:
   ///  - the shared worst-case folding is the cheapest one sustaining
-  ///    target_base_fps within tune_budget_fraction of the device
+  ///    target_base_fps within 80% of the device
   ///    (min-resources objective, pruning-granularity constrained so the 5%
   ///    rate sweep stays fine-grained) — the Flexible accelerator ships it;
   ///  - every Fixed version gets a max-fps folding retuned to its pruned
@@ -50,10 +50,7 @@ struct LibraryConfig {
   /// Whenever a search is infeasible the generator logs a warning and falls
   /// back to the heuristic folding.
   bool tune_folding = false;
-  double tune_budget_fraction = 0.8;     ///< device share for the shared folding
-  double tune_prune_granularity = 0.25;  ///< cap on lcm(PE, SIMD_next) / ch_out
-  int tune_beam = 8;                     ///< beam width for large lattices
-  int tune_anneal_iters = 800;           ///< annealing refinement per search
+  int tune_anneal_iters = 800;  ///< annealing refinement per search
 
   hls::InputQuantConfig input_quant;
   pruning::PruneOptions prune_options;

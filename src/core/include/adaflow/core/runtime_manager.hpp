@@ -34,14 +34,6 @@ struct RuntimeManagerConfig {
   double fps_hysteresis = 0.10;
   /// Headroom applied to the incoming-FPS estimate when matching models.
   double fps_margin = 1.10;
-  /// Ignore polls before the monitor's rate estimate has a full window.
-  double warmup_s = 0.5;
-  /// Cooldown between decisions: after acting, wait for the estimate window
-  /// to refill before acting again (avoids double-switching on stale data).
-  double min_action_gap_s = 0.4;
-  /// Extra headroom required before moving to a SLOWER (more accurate)
-  /// model; asymmetric hysteresis that stops boundary flapping.
-  double downswitch_margin = 1.2;
   /// After a reconfiguration fails for good, avoid Fixed-Pruning (i.e. force
   /// the Flexible safety net) for this long — a flaky PR controller must not
   /// be handed another bitstream immediately.

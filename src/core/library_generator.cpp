@@ -22,6 +22,14 @@ std::vector<double> LibraryConfig::default_rates() {
 
 namespace {
 
+/// Folding auto-tune: device share the shared worst-case folding may use.
+constexpr double kTuneBudgetFraction = 0.8;
+/// Folding auto-tune: cap on lcm(PE, SIMD_next) / ch_out, so the shipped
+/// folding still admits the 5%-step rate sweep.
+constexpr double kTunePruneGranularity = 0.25;
+/// Folding auto-tune: beam width for large lattices.
+constexpr int kTuneBeam = 8;
+
 std::string version_name(const std::string& model, double rate) {
   return model + "@p" + std::to_string(static_cast<int>(std::llround(rate * 100)));
 }
@@ -30,10 +38,10 @@ dse::ExplorerConfig base_tune_config(const LibraryConfig& config) {
   dse::ExplorerConfig ec;
   ec.objective = dse::Objective::kMinResources;
   ec.target_fps = config.target_base_fps;
-  ec.budget_fraction = config.tune_budget_fraction;
+  ec.budget_fraction = kTuneBudgetFraction;
   ec.variant = hls::AcceleratorVariant::kFixed;
-  ec.constraints.max_prune_granularity = config.tune_prune_granularity;
-  ec.beam_width = config.tune_beam;
+  ec.constraints.max_prune_granularity = kTunePruneGranularity;
+  ec.beam_width = kTuneBeam;
   ec.anneal_iters = config.tune_anneal_iters;
   ec.seed = config.seed;
   ec.resource_constants = config.resource_constants;
@@ -50,7 +58,7 @@ hls::FoldingConfig tuned_base_folding(const graph::Graph& graph,
   const dse::ExplorationResult r = dse::explore(graph, device, base_tune_config(config));
   if (r.frontier.empty() || !r.objective_met) {
     log_warn("folding auto-tune found no feasible design meeting ", config.target_base_fps,
-             " fps within ", config.tune_budget_fraction,
+             " fps within ", kTuneBudgetFraction,
              " of the device; falling back to the heuristic folding");
     return hls::folding_for_target_fps(geometry, config.target_base_fps, device.clock_hz);
   }

@@ -7,6 +7,19 @@
 
 namespace adaflow::core {
 
+namespace {
+
+/// Ignore polls before the monitor's rate estimate has a full window.
+constexpr double kWarmupS = 0.5;
+/// Cooldown between decisions: after acting, wait for the estimate window
+/// to refill before acting again (avoids double-switching on stale data).
+constexpr double kMinActionGapS = 0.4;
+/// Extra headroom required before moving to a SLOWER (more accurate)
+/// model; asymmetric hysteresis that stops boundary flapping.
+constexpr double kDownswitchMargin = 1.2;
+
+}  // namespace
+
 std::size_t select_library_version(const AcceleratorLibrary& library, double incoming_fps,
                                    double accuracy_threshold, double fps_margin,
                                    bool use_flexible_fps) {
@@ -109,10 +122,10 @@ void RuntimeManager::set_accuracy_threshold(double threshold) {
 }
 
 std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double incoming_fps) {
-  if (now_s < config_.warmup_s) {
+  if (now_s < kWarmupS) {
     return std::nullopt;  // the monitor's estimate window is still filling
   }
-  if (now_s - last_decision_s_ < config_.min_action_gap_s) {
+  if (now_s - last_decision_s_ < kMinActionGapS) {
     return std::nullopt;  // estimate still contains pre-switch traffic
   }
   // The manager acts on workload changes (and threshold changes); small
@@ -148,7 +161,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
   // Asymmetric hysteresis: moving to a slower-but-more-accurate model needs
   // extra headroom, or boundary noise flip-flops between adjacent versions.
   if (current_adequate && tgt.fps_fixed < cur.fps_fixed &&
-      tgt.fps_fixed < incoming_fps * config_.fps_margin * config_.downswitch_margin) {
+      tgt.fps_fixed < incoming_fps * config_.fps_margin * kDownswitchMargin) {
     return std::nullopt;
   }
 
@@ -194,7 +207,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_switch_failed(
 }
 
 std::optional<edge::SwitchAction> RuntimeManager::on_overload(double now_s, double incoming_fps) {
-  if (now_s - last_decision_s_ < config_.min_action_gap_s) {
+  if (now_s - last_decision_s_ < kMinActionGapS) {
     return std::nullopt;  // an action is already in flight or just applied
   }
   // The queue is saturating: find the fastest version inside the accuracy
@@ -253,7 +266,7 @@ edge::ServingMode ReconfPruningPolicy::initial_mode() {
 
 std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
                                                                double incoming_fps) {
-  if (now_s < config_.warmup_s) {
+  if (now_s < kWarmupS) {
     return std::nullopt;
   }
   if (last_acted_fps_ > 0.0) {

@@ -46,20 +46,12 @@ class DetectionWorkload {
   std::vector<std::unique_ptr<Rng>> streams_;  ///< stable addresses for the hooks
 };
 
-/// Arrival coupling + per-frame model of one detection run.
-struct DetectionRunConfig {
-  DetectorModel detector;
-  double base_fps = 200.0;        ///< camera floor rate (empty scene)
-  double fps_per_object = 120.0;  ///< extra uploads per unit scene density
-};
-
 /// Runs one single-device detection simulation: Poisson arrivals from
-/// workload_from_scene(scene), the detection service model attached, the
-/// usual monitor/sample cadences. Same (scene, policy state, config, seed)
+/// workload_from_scene(scene), the default DetectorModel attached as the
+/// service model, a default ServerConfig. Same (scene, policy state, seed)
 /// -> bit-identical RunMetrics.
 edge::RunMetrics run_detection(const SceneTrace& scene, edge::ServingPolicy& policy,
-                               const edge::ServerConfig& server,
-                               const DetectionRunConfig& config, std::uint64_t seed);
+                               std::uint64_t seed);
 
 /// Baseline: the shared Flexible-Pruning accelerator statically serving one
 /// version (default: unpruned) — sub-ms switches available but never used.

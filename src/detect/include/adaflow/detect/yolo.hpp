@@ -59,17 +59,14 @@ YoloTopology yolo_tiny();
 /// is fixed by anchors/classes); widths land on max(4, even) counts.
 graph::Graph yolo_graph(const YoloTopology& topology, double rate = 0.0);
 
+/// The detection library's shared worst-case folding is sized for this FPS
+/// on the unpruned detector.
+inline constexpr double kDetectionTargetBaseFps = 900.0;
+
 /// Geometry-only library sweep configuration.
 struct DetectionLibraryConfig {
   std::vector<double> rates = {0.0, 0.15, 0.30, 0.45, 0.60};
-  double target_base_fps = 900.0;  ///< shared worst-case folding sized for this
   double base_map = 0.82;          ///< mAP proxy of the unpruned detector
-  /// mAP proxy of a pruned version: base_map * (1 - penalty * achieved^1.5).
-  double prune_map_penalty = 0.30;
-  /// Flexible dynamic-power floor (always-clocked control fabric fraction).
-  double flexible_toggle_floor = 0.35;
-  fpga::ResourceModelConstants resource_constants = fpga::default_resource_constants();
-  fpga::PowerModelConstants power_constants = fpga::default_power_constants();
 
   /// Throws ConfigError naming the offending field.
   void validate() const;

@@ -5,6 +5,14 @@
 
 namespace adaflow::detect {
 
+namespace {
+
+// Arrival coupling of a detection run (workload_from_scene).
+constexpr double kBaseFps = 200.0;       ///< camera floor rate (empty scene)
+constexpr double kFpsPerObject = 120.0;  ///< extra uploads per unit scene density
+
+}  // namespace
+
 DetectionWorkload::DetectionWorkload(SceneTrace scene, DetectorModel model, std::uint64_t seed)
     : scene_(std::move(scene)), model_(model), seed_(seed) {
   model_.validate();
@@ -33,16 +41,15 @@ void DetectionWorkload::attach(edge::DeviceSim& device, std::uint64_t salt) {
 }
 
 edge::RunMetrics run_detection(const SceneTrace& scene, edge::ServingPolicy& policy,
-                               const edge::ServerConfig& server,
-                               const DetectionRunConfig& config, std::uint64_t seed) {
+                               std::uint64_t seed) {
   // The workload trace is derived from the scene, so arrival rate and
   // per-frame cost move together.
-  const edge::WorkloadTrace trace =
-      workload_from_scene(scene, config.base_fps, config.fps_per_object);
+  const edge::WorkloadTrace trace = workload_from_scene(scene, kBaseFps, kFpsPerObject);
+  const edge::ServerConfig server;  // the driver and its device keep a reference
   edge::SingleDeviceDriver driver(trace, policy, server, seed);
   // An independent stream for the frame outcomes: the arrival process must
   // not shift when the detector model draws a different number of variates.
-  DetectionWorkload workload(scene, config.detector, seed ^ 0xd37ec7a9b1f05c3dULL);
+  DetectionWorkload workload(scene, DetectorModel{}, seed ^ 0xd37ec7a9b1f05c3dULL);
   workload.attach(driver.device());
   driver.start();
   return driver.finish();

@@ -35,6 +35,11 @@ YoloTopology yolo_tiny() { return YoloTopology{}; }
 
 namespace {
 
+/// mAP proxy of a pruned version: base_map * (1 - penalty * achieved^1.5).
+constexpr double kPruneMapPenalty = 0.30;
+/// Flexible dynamic-power floor (always-clocked control fabric fraction).
+constexpr double kFlexibleToggleFloor = 0.35;
+
 /// Channel-pruned width: nearest even count, floored at 4 (the paper's
 /// dataflow-aware pruning keeps PE-friendly multiples; even widths keep the
 /// folding heuristic's divisor search productive).
@@ -133,12 +138,7 @@ void DetectionLibraryConfig::validate() const {
     require(i == 0 || rates[i] > rates[i - 1],
             "detection library rates must be strictly ascending");
   }
-  require(target_base_fps > 0.0, "DetectionLibraryConfig.target_base_fps must be positive");
   require(base_map > 0.0 && base_map <= 1.0, "DetectionLibraryConfig.base_map must be in (0, 1]");
-  require(prune_map_penalty >= 0.0 && prune_map_penalty <= 1.0,
-          "DetectionLibraryConfig.prune_map_penalty must be in [0, 1]");
-  require(flexible_toggle_floor >= 0.0 && flexible_toggle_floor <= 1.0,
-          "DetectionLibraryConfig.flexible_toggle_floor must be in [0, 1]");
 }
 
 core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
@@ -155,7 +155,7 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
   // bounds just lower the fold counts, which is what perf's ceil-folded
   // cycle model computes.
   const hls::FoldingConfig folding =
-      hls::folding_for_target_fps(base_geom, config.target_base_fps, device.clock_hz);
+      hls::folding_for_target_fps(base_geom, kDetectionTargetBaseFps, device.clock_hz);
   hls::validate_folding(base_geom, folding);
 
   core::AcceleratorLibrary lib;
@@ -163,8 +163,9 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
   lib.dataset_name = "scene-density";
   lib.topology_hash = base_graph.topology_hash();
   lib.base_accuracy = config.base_map;
-  const core::LibraryPricer pricer(device, weight_bits, act_bits, config.resource_constants,
-                                   config.power_constants, config.flexible_toggle_floor);
+  const core::LibraryPricer pricer(device, weight_bits, act_bits,
+                                   fpga::default_resource_constants(),
+                                   fpga::default_power_constants(), kFlexibleToggleFloor);
 
   // Prunable conv volume of the base graph (for the achieved-rate readout):
   // every conv except the fixed-width 1x1 detection outputs.
@@ -193,7 +194,7 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
                                 static_cast<double>(base_prunable);
     v.accuracy = std::max(
         0.05, config.base_map *
-                  (1.0 - config.prune_map_penalty * std::pow(v.achieved_rate, 1.5)));
+                  (1.0 - kPruneMapPenalty * std::pow(v.achieved_rate, 1.5)));
     compiled.accuracy = v.accuracy;
     pricer.price_version(v, compiled, folding, folding,
                          padded_for_switch_cost(compiled, act_bits));

@@ -14,6 +14,12 @@ namespace adaflow::dse {
 
 namespace {
 
+/// Lattices of at most this many foldings are enumerated in full; larger
+/// ones are searched by beam + annealing.
+constexpr double kExhaustiveLimit = 100000.0;
+/// Initiation-interval sweep density of the beam search.
+constexpr std::size_t kMaxIiTargets = 96;
+
 /// Candidate-index assignment, one per MVTU layer.
 using Chosen = std::vector<std::int32_t>;
 
@@ -282,8 +288,8 @@ std::vector<DesignPoint> beam_for_target(const SearchSpace& space, std::int64_t 
 
 /// The sorted set of initiation intervals worth targeting: every distinct
 /// achievable per-layer cycle count, floored at the best II any folding can
-/// reach, subsampled to max_ii_targets.
-std::vector<std::int64_t> ii_targets(const SearchSpace& space, const ExplorerConfig& config) {
+/// reach, subsampled to kMaxIiTargets.
+std::vector<std::int64_t> ii_targets(const SearchSpace& space) {
   std::int64_t floor_ii = space.pool_ii_cycles;
   for (const LayerSpace& layer : space.layers) {
     floor_ii = std::max(floor_ii, layer.min_cycles);
@@ -298,12 +304,11 @@ std::vector<std::int64_t> ii_targets(const SearchSpace& space, const ExplorerCon
   }
   distinct.insert(floor_ii);
   std::vector<std::int64_t> targets(distinct.begin(), distinct.end());
-  const auto max_targets = static_cast<std::size_t>(std::max(2, config.max_ii_targets));
-  if (targets.size() > max_targets) {
+  if (targets.size() > kMaxIiTargets) {
     std::vector<std::int64_t> sampled;
-    sampled.reserve(max_targets);
-    for (std::size_t i = 0; i < max_targets; ++i) {
-      const std::size_t j = i * (targets.size() - 1) / (max_targets - 1);
+    sampled.reserve(kMaxIiTargets);
+    for (std::size_t i = 0; i < kMaxIiTargets; ++i) {
+      const std::size_t j = i * (targets.size() - 1) / (kMaxIiTargets - 1);
       sampled.push_back(targets[j]);
     }
     sampled.erase(std::unique(sampled.begin(), sampled.end()), sampled.end());
@@ -494,17 +499,18 @@ ExplorationResult explore_geometry(const hls::CompiledModel& geometry, int weigh
                                 : fpga::device_budget(device, config.budget_fraction);
   const SearchSpace space =
       build_search_space(geometry, weight_bits, act_bits, config.variant, result.budget,
-                         config.constraints, config.resource_constants, config.perf_constants);
+                         config.constraints, config.resource_constants,
+                         perf::default_perf_constants());
   require(!space.layers.empty(), "model has no MVTU layers to fold");
   result.space_size = space_size(space);
 
   std::vector<DesignPoint> pool;
-  if (result.space_size <= config.exhaustive_limit) {
+  if (result.space_size <= kExhaustiveLimit) {
     result.exhaustive = true;
     pool = enumerate_exhaustive(space, device.clock_hz, config.variant, result.budget, config,
                                 &result.evaluated);
   } else {
-    for (std::int64_t target : ii_targets(space, config)) {
+    for (std::int64_t target : ii_targets(space)) {
       std::vector<DesignPoint> points =
           beam_for_target(space, target, device.clock_hz, config.variant, result.budget, config,
                           &result.evaluated);

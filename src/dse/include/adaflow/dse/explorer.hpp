@@ -55,11 +55,8 @@ struct ExplorerConfig {
   int beam_width = 8;        ///< beam states kept per layer (>= 1)
   int anneal_iters = 2000;   ///< simulated-annealing refinement steps (0 = off)
   std::uint64_t seed = 7;    ///< annealer seed; same seed => same frontier
-  double exhaustive_limit = 100000.0;  ///< full-lattice cutoff (combo count)
-  int max_ii_targets = 96;   ///< initiation-interval sweep density
 
   fpga::ResourceModelConstants resource_constants = fpga::default_resource_constants();
-  perf::PerfModelConstants perf_constants = perf::default_perf_constants();
 };
 
 /// One fully-evaluated folding.

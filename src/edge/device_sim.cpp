@@ -11,6 +11,31 @@ namespace adaflow::edge {
 
 namespace {
 
+// Self-healing timings. Timeouts are relative to the nominal cost of the
+// guarded operation, so one rule covers both the ~145 ms Fixed
+// reconfiguration and the sub-ms Flexible switch.
+/// A switch is declared hung after this factor x its nominal time.
+constexpr double kSwitchTimeoutFactor = 3.0;
+constexpr double kMinSwitchTimeoutS = 0.02;
+/// A supervised load aborts at the first bad status readback, this fraction
+/// of the way into the transfer; the unhardened server has no supervision
+/// and always pays the full (possibly inflated) load time.
+constexpr double kFailureDetectFraction = 0.25;
+/// Bounded retries of a failed/hung switch before asking the policy for a
+/// fallback via on_switch_failed.
+constexpr int kMaxSwitchRetries = 2;
+/// The first retry waits this long; each further retry doubles it.
+constexpr double kRetryBackoffS = 0.05;
+/// An in-flight frame is declared stalled after this factor x its service time.
+constexpr double kWatchdogTimeoutFactor = 10.0;
+constexpr double kMinWatchdogTimeoutS = 0.05;
+/// Recovering from a stall re-loads the current mode's weights.
+constexpr double kRecoveryReloadS = 0.002;
+/// on_overload fires when the queue is this full.
+constexpr double kShedQueueFraction = 0.85;
+/// Incoming-FPS estimation window of the monitor.
+constexpr double kEstimateWindowS = 0.4;
+
 std::string describe_mode(const ServingMode& mode) {
   return "'" + mode.model_version + "' on '" + mode.accelerator + "'";
 }
@@ -215,7 +240,7 @@ void DeviceSim::start_next_frame() {
     return;
   }
   metrics_.faults.stalls_injected += 1;
-  if (!ft().enabled) {
+  if (!config_.fault_tolerance) {
     // No watchdog: the accelerator simply hangs until the frame unsticks.
     queue_.schedule_in(stall_s + service_s, [this, epoch] {
       if (epoch == service_epoch_) {
@@ -224,8 +249,7 @@ void DeviceSim::start_next_frame() {
     });
     return;
   }
-  const double deadline_s =
-      std::max(ft().min_watchdog_timeout_s, ft().watchdog_timeout_factor * service_s);
+  const double deadline_s = std::max(kMinWatchdogTimeoutS, kWatchdogTimeoutFactor * service_s);
   if (stall_s + service_s <= deadline_s) {
     // Slow but within the watchdog budget: the frame completes late.
     queue_.schedule_in(stall_s + service_s, [this, epoch] {
@@ -314,7 +338,7 @@ void DeviceSim::on_watchdog_fired() {
   }
   set_switching(true);  // the re-load blocks the accelerator like a switch
   const std::uint64_t epoch = service_epoch_;
-  queue_.schedule_in(ft().recovery_reload_s, [this, epoch] {
+  queue_.schedule_in(kRecoveryReloadS, [this, epoch] {
     if (epoch != service_epoch_) {
       return;  // a crash wiped the fabric mid-reload
     }
@@ -449,7 +473,7 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
   }
   const double actual_s = action.switch_time_s * outcome.time_factor;
   const std::uint64_t epoch = service_epoch_;
-  if (!ft().enabled) {
+  if (!config_.fault_tolerance) {
     // Unhardened baseline: the server waits the full (possibly inflated)
     // time; a failed load silently keeps the old mode while the policy is
     // told its target is live — the mis-selection the hardened path fixes.
@@ -471,7 +495,7 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
     return;
   }
   const double timeout_s =
-      std::max(ft().min_switch_timeout_s, ft().switch_timeout_factor * action.switch_time_s);
+      std::max(kMinSwitchTimeoutS, kSwitchTimeoutFactor * action.switch_time_s);
   if (actual_s > timeout_s) {
     // Hung load: the supervisor aborts it when the timeout budget expires.
     queue_.schedule_in(timeout_s, [this, epoch, action, attempt] {
@@ -488,8 +512,7 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
     // readback, a fraction of the way into the transfer — much earlier
     // than the full load time the unhardened server wastes.
     const double detect_s = std::min(
-        actual_s, std::max(ft().min_switch_timeout_s,
-                           ft().failure_detect_fraction * action.switch_time_s));
+        actual_s, std::max(kMinSwitchTimeoutS, kFailureDetectFraction * action.switch_time_s));
     queue_.schedule_in(detect_s, [this, epoch, action, attempt] {
       if (epoch != service_epoch_) {
         return;
@@ -516,13 +539,13 @@ void DeviceSim::attempt_switch(const SwitchAction& action, int attempt) {
 void DeviceSim::on_switch_attempt_failed(const SwitchAction& action, int attempt) {
   integrate_power();
   enter_degraded();
-  if (attempt < ft().max_switch_retries) {
+  if (attempt < kMaxSwitchRetries) {
     ++metrics_.faults.switch_retries;
     // An aborted load leaves the previous configuration serving (the same
     // abstraction the unhardened path uses), so the backoff interval is
     // not dead time: frames keep draining on the old mode.
     set_switching(false);
-    const double backoff_s = ft().retry_backoff_s * static_cast<double>(1 << attempt);
+    const double backoff_s = kRetryBackoffS * static_cast<double>(1 << attempt);
     const std::uint64_t epoch = service_epoch_;
     queue_.schedule_in(backoff_s, [this, epoch, action, attempt] {
       if (epoch != service_epoch_) {
@@ -629,11 +652,10 @@ std::int64_t DeviceSim::take_queued(std::int64_t max_frames, std::vector<std::in
 
 double DeviceSim::estimate_incoming_fps() {
   const double now = queue_.now();
-  while (!recent_arrivals_.empty() &&
-         recent_arrivals_.front() < now - config_.estimate_window_s) {
+  while (!recent_arrivals_.empty() && recent_arrivals_.front() < now - kEstimateWindowS) {
     recent_arrivals_.pop_front();
   }
-  const double window = std::min(now, config_.estimate_window_s);
+  const double window = std::min(now, kEstimateWindowS);
   if (window <= 0.0) {
     return 0.0;
   }
@@ -678,9 +700,9 @@ void DeviceSim::poll() {
   last_reported_fps_ = incoming_fps;
 
   std::optional<SwitchAction> action;
-  if (ft().enabled && !has_pending_switch_ &&
+  if (config_.fault_tolerance && !has_pending_switch_ &&
       static_cast<double>(queued_) >=
-          ft().shed_queue_fraction * static_cast<double>(config_.queue_capacity)) {
+          kShedQueueFraction * static_cast<double>(config_.queue_capacity)) {
     action = policy_.on_overload(queue_.now(), incoming_fps);
     if (action.has_value()) {
       ++metrics_.faults.overload_sheds;

@@ -194,7 +194,6 @@ class DeviceSim {
   }
 
  private:
-  const FaultToleranceConfig& ft() const { return config_.fault_tolerance; }
   double current_power() const;
   void integrate_power();
   void account_violation();

@@ -11,8 +11,8 @@
 /// The server optionally consults a faults::FaultInjector and defends itself
 /// with a self-healing layer: switch timeout + bounded exponential-backoff
 /// retry, policy-driven fallback (Fixed -> Flexible), a watchdog for stalled
-/// in-flight frames, and load shedding when the queue saturates. Disabling
-/// FaultToleranceConfig::enabled yields the unhardened baseline that the
+/// in-flight frames, and load shedding when the queue saturates. Turning off
+/// ServerConfig::fault_tolerance yields the unhardened baseline that the
 /// `faults` entry of bench_adaflow compares against.
 ///
 /// The per-device simulation core lives in device_sim.hpp (edge::DeviceSim);

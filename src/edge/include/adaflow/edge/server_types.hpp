@@ -17,38 +17,14 @@
 
 namespace adaflow::edge {
 
-/// Self-healing knobs. Timeouts are relative to the nominal cost of the
-/// guarded operation so one config works for both the ~145 ms Fixed
-/// reconfiguration and the sub-ms Flexible switch.
-struct FaultToleranceConfig {
-  bool enabled = true;
-  /// A switch is declared hung after factor x its nominal time.
-  double switch_timeout_factor = 3.0;
-  double min_switch_timeout_s = 0.02;
-  /// A supervised load aborts at the first bad status readback, a fraction
-  /// of the way into the transfer; the unhardened server has no supervision
-  /// and always pays the full (possibly inflated) load time.
-  double failure_detect_fraction = 0.25;
-  /// Bounded retries of a failed/hung switch before asking the policy for a
-  /// fallback via on_switch_failed.
-  int max_switch_retries = 2;
-  /// First retry waits this long; each further retry doubles it.
-  double retry_backoff_s = 0.05;
-  /// An in-flight frame is declared stalled after factor x its service time.
-  double watchdog_timeout_factor = 10.0;
-  double min_watchdog_timeout_s = 0.05;
-  /// Recovering from a stall re-loads the current mode's weights.
-  double recovery_reload_s = 0.002;
-  /// on_overload fires when the queue is this full.
-  double shed_queue_fraction = 0.85;
-};
-
 struct ServerConfig {
   std::int64_t queue_capacity = 72;
   double poll_interval_s = 0.1;      ///< monitor cadence
-  double estimate_window_s = 0.4;    ///< incoming-FPS estimation window
   double sample_interval_s = 0.5;    ///< time-series sampling cadence
-  FaultToleranceConfig fault_tolerance;
+  /// Self-healing: supervised switches with bounded retries and a policy
+  /// fallback, the stall watchdog and overload shedding (DeviceSim holds
+  /// their timings). Off is the unhardened baseline.
+  bool fault_tolerance = true;
 
   /// Throws ConfigError naming the field (prefixed by \p who) unless
   /// queue_capacity > 0 and both cadences are finite and > 0 — a zero poll

@@ -8,6 +8,14 @@
 
 namespace adaflow::fleet {
 
+namespace {
+
+/// Minimum gap between detection-triggered repair reloads per device, so a
+/// flapping detector cannot hammer the PR controller.
+constexpr double kIntegrityRepairCooldownS = 1.0;
+
+}  // namespace
+
 std::uint64_t device_seed(std::uint64_t fleet_seed, std::size_t index) {
   return fleet_seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1));
 }
@@ -52,7 +60,7 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   if (config_.integrity.enabled) {
     integrity_detectors_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      integrity_detectors_.emplace_back(config_.integrity.detector);
+      integrity_detectors_.emplace_back();
     }
     last_repair_s_.assign(n, -1e18);
   }
@@ -62,11 +70,6 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   metrics_.loss_series.interval_s = config_.sample_interval_s;
   metrics_.qoe_series.interval_s = config_.sample_interval_s;
   metrics_.backlog_series.interval_s = config_.sample_interval_s;
-  if (config_.coordinator.enabled && config_.coordinator.predictive) {
-    forecast::ForecastTrackerConfig fc = config_.coordinator.forecast;
-    fc.window_s = config_.coordinator.poll_interval_s;
-    coord_tracker_.emplace(fc);
-  }
 }
 
 FleetEngine::~FleetEngine() = default;
@@ -461,7 +464,7 @@ void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
   // fast config-register rewrite for the shared Flexible overlay. Cooldown
   // keeps a flapping detector from hammering the PR controller; a switch
   // already in flight (retry ladder, coordinator cycle) repairs on its own.
-  if (now - last_repair_s_[i] >= config_.integrity.repair_cooldown_s &&
+  if (now - last_repair_s_[i] >= kIntegrityRepairCooldownS &&
       !devices_[i]->switch_in_flight()) {
     const core::AcceleratorLibrary& lib = device_library(i);
     const edge::ServingMode& mode = devices_[i]->mode();
@@ -500,22 +503,11 @@ double FleetEngine::aggregate_fps() {
   return static_cast<double>(recent_arrivals_.size()) / window;
 }
 
-/// The rate the coordinator plans against: the measured aggregate, or —
-/// under predictive re-partitioning — the forecast-horizon rate floored at
-/// the measurement (a predicted fall never repartitions early; a predicted
-/// rise repartitions while the old rate still holds).
-double FleetEngine::planning_rate(double measured) const {
-  if (!coord_tracker_.has_value() || coord_tracker_->forecaster().observations() < 2) {
-    return measured;
-  }
-  return std::max(measured, coord_tracker_->current().rate);
-}
-
 void FleetEngine::maybe_start_repartition(double now) {
   if (now < config_.coordinator.warmup_s) {
     return;
   }
-  const double agg = planning_rate(aggregate_fps());
+  const double agg = aggregate_fps();
   if (agg <= 0.0) {
     return;
   }
@@ -573,11 +565,6 @@ void FleetEngine::maybe_start_repartition(double now) {
 
 void FleetEngine::coordinator_tick() {
   const double now = queue_.now();
-  if (coord_tracker_.has_value() && now >= config_.coordinator.warmup_s) {
-    // One observation per tick, regardless of the drain state machine, so
-    // the forecaster sees an unbroken fixed-cadence series.
-    coord_tracker_->observe(aggregate_fps());
-  }
   switch (coord_state_) {
     case CoordState::kIdle:
       maybe_start_repartition(now);
@@ -719,9 +706,6 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
   metrics_.processed -= metrics_.hedge_wasted;
   metrics_.qoe_accuracy_sum -= hedge_wasted_qoe_;
   metrics_.tail_latency_p95_s = sim::percentile(metrics_.backlog_series.values, 0.95);
-  if (coord_tracker_.has_value()) {
-    metrics_.forecast = coord_tracker_->stats();
-  }
   return std::move(metrics_);
 }
 

@@ -26,7 +26,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -193,7 +192,6 @@ class FleetEngine {
   /// optionally force-quarantines the device.
   void on_canary_result(std::size_t i, double now, double error);
   double aggregate_fps();
-  double planning_rate(double measured) const;
   void maybe_start_repartition(double now);
   void coordinator_tick();
 
@@ -262,7 +260,6 @@ class FleetEngine {
 
   // Coordinator state (see fleet.hpp for the drain-and-reconfigure design).
   std::deque<double> recent_arrivals_;
-  std::optional<forecast::ForecastTracker> coord_tracker_;
   enum class CoordState { kIdle, kDraining, kReconfiguring };
   CoordState coord_state_ = CoordState::kIdle;
   std::size_t coord_device_ = 0;

@@ -40,7 +40,6 @@
 #include "adaflow/edge/server_types.hpp"
 #include "adaflow/edge/workload.hpp"
 #include "adaflow/faults/fault_injector.hpp"
-#include "adaflow/forecast/tracker.hpp"
 #include "adaflow/fleet/health.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/integrity/manager.hpp"
@@ -97,14 +96,6 @@ struct FleetCoordinatorConfig {
   double drain_timeout_s = 1.0;
   double accuracy_threshold = 0.10;
   double fps_margin = 1.10;
-  /// Re-partition on the PREDICTED aggregate rate: every coordinator tick
-  /// past warmup feeds the measured aggregate FPS into a forecaster, and
-  /// targets are picked for the forecast `forecast.horizon_windows` ticks
-  /// ahead (floored at the measured rate, so a predicted fall never
-  /// repartitions early). The drain-and-reconfigure cycle then runs while
-  /// the old rate still holds instead of after the shift has landed.
-  bool predictive = false;
-  forecast::ForecastTrackerConfig forecast;
 };
 
 struct FleetConfig {
@@ -226,8 +217,8 @@ struct FleetMetrics {
   /// Summed over devices: faults that manifested and how devices reacted.
   sim::FaultStats faults;
 
-  /// Quality of the coordinator's aggregate-rate forecast (all-zero unless
-  /// the coordinator runs with `predictive` set).
+  /// Always zero: no fleet-level forecaster runs. Kept while both replay
+  /// hashers cover it (dropping it re-pins them).
   sim::ForecastStats forecast;
 
   /// Summed over devices: the silent-corruption ledger — config upsets that

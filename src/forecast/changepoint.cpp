@@ -5,6 +5,16 @@
 
 namespace adaflow::forecast {
 
+namespace {
+
+/// A changepoint needs the recent mean to leave the baseline by this many
+/// baseline stddevs...
+constexpr double kThresholdSigmas = 3.0;
+/// ...AND by this fraction of the baseline mean.
+constexpr double kMinRelativeJump = 0.2;
+
+}  // namespace
+
 void ChangepointConfig::validate() const {
   require(short_window >= 1, "changepoint short_window must be >= 1, got " +
                                  std::to_string(short_window));
@@ -12,13 +22,6 @@ void ChangepointConfig::validate() const {
           "changepoint long_window must leave a baseline of >= 2 observations "
           "(long_window >= short_window + 2), got long_window " +
               std::to_string(long_window) + " with short_window " + std::to_string(short_window));
-  require(std::isfinite(threshold_sigmas) && threshold_sigmas >= 0.0,
-          "changepoint threshold_sigmas must be >= 0, got " + std::to_string(threshold_sigmas));
-  require(std::isfinite(min_relative_jump) && min_relative_jump >= 0.0,
-          "changepoint min_relative_jump must be >= 0, got " +
-              std::to_string(min_relative_jump));
-  require(burst_window >= 1,
-          "changepoint burst_window must be >= 1, got " + std::to_string(burst_window));
   require(burst_changepoints >= 1, "changepoint burst_changepoints must be >= 1, got " +
                                        std::to_string(burst_changepoints));
 }
@@ -35,8 +38,7 @@ void ChangepointDetector::observe(double rate) {
     window_.pop_front();
   }
   // Expire changepoints that left the burst window.
-  while (!change_obs_.empty() &&
-         change_obs_.front() <= observations_ - config_.burst_window) {
+  while (!change_obs_.empty() && change_obs_.front() <= observations_ - kBurstWindow) {
     change_obs_.pop_front();
   }
 
@@ -65,8 +67,8 @@ void ChangepointDetector::observe(double rate) {
   recent_mean /= static_cast<double>(recent);
 
   const double diff = std::fabs(recent_mean - base_mean);
-  const bool sigma_hit = diff >= config_.threshold_sigmas * base_std;
-  const bool jump_hit = diff >= config_.min_relative_jump * std::fabs(base_mean);
+  const bool sigma_hit = diff >= kThresholdSigmas * base_std;
+  const bool jump_hit = diff >= kMinRelativeJump * std::fabs(base_mean);
   if (sigma_hit && jump_hit) {
     last_was_changepoint_ = true;
     ++total_changepoints_;
@@ -91,7 +93,7 @@ std::int64_t ChangepointDetector::stable_windows() const {
   if (!change_obs_.empty()) {
     return observations_ - change_obs_.back();
   }
-  return config_.burst_window;
+  return kBurstWindow;
 }
 
 void ChangepointDetector::reset() {

@@ -11,7 +11,7 @@
 /// window, so a level shift fires once, not continuously.
 ///
 /// A BURST REGIME is declared while changepoints arrive densely: at least
-/// `burst_changepoints` of them within the last `burst_window` observations.
+/// `burst_changepoints` of them within the last kBurstWindow observations.
 /// An isolated re-draw (paper Scenario 1: every 5 s) therefore never counts
 /// as a burst, while Scenario 2 (every 500 ms) does — which is exactly the
 /// distinction the proactive Runtime Manager needs to decide between the
@@ -30,13 +30,8 @@ namespace adaflow::forecast {
 struct ChangepointConfig {
   int short_window = 3;   ///< recent-mean window [observations]
   int long_window = 12;   ///< baseline + recent window [observations]
-  /// Recent mean must leave the baseline by this many baseline stddevs...
-  double threshold_sigmas = 3.0;
-  /// ...AND by this fraction of the baseline mean.
-  double min_relative_jump = 0.2;
   /// Burst regime: >= burst_changepoints changepoints within the last
-  /// burst_window observations.
-  int burst_window = 30;
+  /// ChangepointDetector::kBurstWindow observations.
   int burst_changepoints = 2;
 
   /// Throws ConfigError naming the offending field.
@@ -45,6 +40,9 @@ struct ChangepointConfig {
 
 class ChangepointDetector {
  public:
+  /// Observations a changepoint counts toward the burst regime.
+  static constexpr int kBurstWindow = 30;
+
   explicit ChangepointDetector(ChangepointConfig config = {});
 
   /// Absorbs one per-window rate observation.

@@ -23,7 +23,6 @@ namespace adaflow::forecast {
 
 struct ForecastTrackerConfig {
   ForecasterConfig forecaster;
-  ChangepointConfig changepoint;
   /// How many monitor windows ahead the tracked forecast looks.
   int horizon_windows = 3;
   /// Monitor-window length; only used to stamp the exported time series.

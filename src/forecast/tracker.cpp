@@ -7,7 +7,6 @@ namespace adaflow::forecast {
 
 void ForecastTrackerConfig::validate() const {
   forecaster.validate();
-  changepoint.validate();
   require(horizon_windows >= 1,
           "tracker horizon_windows must be >= 1, got " + std::to_string(horizon_windows));
   require(std::isfinite(window_s) && window_s > 0.0,
@@ -15,9 +14,7 @@ void ForecastTrackerConfig::validate() const {
 }
 
 ForecastTracker::ForecastTracker(ForecastTrackerConfig config)
-    : config_(config),
-      forecaster_(make_forecaster(config.forecaster)),
-      detector_(config.changepoint) {
+    : config_(config), forecaster_(make_forecaster(config.forecaster)) {
   config_.validate();
   actual_series_.interval_s = config_.window_s;
   forecast_series_.interval_s = config_.window_s;

@@ -7,8 +7,6 @@
 namespace adaflow::ingest {
 
 void BrownoutConfig::validate() const {
-  require(std::isfinite(poll_interval_s) && poll_interval_s > 0.0,
-          "brownout config: poll_interval_s must be positive");
   require(std::isfinite(tier1_fill) && tier1_fill > 0.0 && tier1_fill <= 1.0,
           "brownout config: tier1_fill must be in (0, 1]");
   require(std::isfinite(tier2_fill) && tier2_fill >= tier1_fill && tier2_fill <= 1.0,
@@ -23,8 +21,6 @@ void BrownoutConfig::validate() const {
           "brownout config: min_dwell_s must be >= 0");
   require(thin_keep_every >= 2, "brownout config: thin_keep_every must be >= 2");
   require(downgrade_steps >= 1, "brownout config: downgrade_steps must be >= 1");
-  require(std::isfinite(latency_window_s) && latency_window_s > 0.0,
-          "brownout config: latency_window_s must be positive");
 }
 
 BrownoutController::BrownoutController(const BrownoutConfig& config) : config_(config) {

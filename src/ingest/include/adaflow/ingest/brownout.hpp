@@ -43,7 +43,6 @@ enum class BrownoutMode {
 
 struct BrownoutConfig {
   BrownoutMode mode = BrownoutMode::kLadder;
-  double poll_interval_s = 0.1;  ///< signal sampling cadence (set by the pipeline)
   // Engage thresholds. A tier engages when EITHER signal crosses its line.
   double tier1_fill = 0.5;       ///< queue-fill fraction that engages thinning
   double tier2_fill = 0.85;      ///< fill that additionally engages downgrade
@@ -57,8 +56,6 @@ struct BrownoutConfig {
   int thin_keep_every = 2;
   /// Tier 2 moves devices this many library versions toward the fast end.
   int downgrade_steps = 1;
-  /// Window over which the e2e p99 signal is computed.
-  double latency_window_s = 1.0;
 
   /// Throws ConfigError naming the offending field.
   void validate() const;

@@ -42,12 +42,10 @@ namespace adaflow::ingest {
 struct DecodeConfig {
   double cost_s = 0.002;    ///< decode service time per frame
   int workers = 2;          ///< parallel decode slots (shared by all sessions)
-  double fail_p = 0.0005;   ///< baseline corrupt-frame probability
   std::int64_t session_queue_capacity = 32;  ///< bounded pre-decode queue per session
   /// Decode pauses while the fleet's ingress backlog is at or past this
   /// (explicit backpressure: frames wait upstream, in the session queues).
   std::int64_t backpressure_threshold = 64;
-  double retry_interval_s = 0.005;  ///< backpressure re-check cadence
 };
 
 struct IngestConfig {

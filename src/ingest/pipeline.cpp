@@ -19,6 +19,15 @@ constexpr std::uint64_t kNetworkSalt = 0x4e4554574fULL;  // "NETWO"
 constexpr std::uint64_t kDecodeSalt = 0x4445434f44ULL;   // "DECOD"
 constexpr std::uint64_t kIngestFaultSalt = 0x494e464cULL;
 
+/// Brownout signal sampling cadence.
+constexpr double kBrownoutPollS = 0.1;
+/// Window over which the brownout's e2e p99 signal is computed.
+constexpr double kLatencyWindowS = 1.0;
+/// Baseline corrupt-frame probability of a decode.
+constexpr double kDecodeFailP = 0.0005;
+/// Backpressure re-check cadence while decode waits on the fleet.
+constexpr double kDecodeRetryIntervalS = 0.005;
+
 /// The pipeline on one event queue. Lives on the stack of run_ingest().
 struct IngestSim {
   const IngestConfig& config;
@@ -118,7 +127,7 @@ struct IngestSim {
     if (retry_scheduled) {
       return;
     }
-    const double when = queue.now() + config.decode.retry_interval_s;
+    const double when = queue.now() + kDecodeRetryIntervalS;
     if (when > config.duration_s) {
       return;
     }
@@ -161,7 +170,7 @@ struct IngestSim {
   void finish_decode(const Frame& f) {
     --busy_workers;
     bool failed = injector != nullptr && injector->decode_fault(queue.now());
-    if (!failed && config.decode.fail_p > 0.0 && decode_rng.bernoulli(config.decode.fail_p)) {
+    if (!failed && decode_rng.bernoulli(kDecodeFailP)) {
       failed = true;
     }
     if (failed) {
@@ -222,7 +231,7 @@ struct IngestSim {
   }
 
   double recent_p99_s() {
-    const double cutoff = queue.now() - config.brownout.latency_window_s;
+    const double cutoff = queue.now() - kLatencyWindowS;
     while (!recent_latencies.empty() && recent_latencies.front().first < cutoff) {
       recent_latencies.pop_front();
     }
@@ -295,8 +304,7 @@ struct IngestSim {
       });
       sessions[i]->start();
     }
-    const double poll = config.brownout.poll_interval_s;
-    queue.every(poll, poll, config.duration_s, [this] { brownout_tick(); });
+    queue.every(kBrownoutPollS, kBrownoutPollS, config.duration_s, [this] { brownout_tick(); });
 
     queue.run_until(config.duration_s);
 
@@ -353,17 +361,11 @@ void IngestConfig::validate() const {
   if (decode.workers <= 0) {
     throw ConfigError("IngestConfig.decode.workers must be positive");
   }
-  if (!std::isfinite(decode.fail_p) || decode.fail_p < 0.0 || decode.fail_p > 1.0) {
-    throw ConfigError("IngestConfig.decode.fail_p must be in [0, 1]");
-  }
   if (decode.session_queue_capacity <= 0) {
     throw ConfigError("IngestConfig.decode.session_queue_capacity must be positive");
   }
   if (decode.backpressure_threshold <= 0) {
     throw ConfigError("IngestConfig.decode.backpressure_threshold must be positive");
-  }
-  if (!(decode.retry_interval_s > 0.0)) {
-    throw ConfigError("IngestConfig.decode.retry_interval_s must be positive");
   }
   brownout.validate();
   fleet.validate();

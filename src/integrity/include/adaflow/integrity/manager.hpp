@@ -51,13 +51,10 @@ struct FleetIntegrityConfig {
   /// Seconds between canary injections per device; 0 disables probing (and
   /// with it detection — enabled=true then only keeps the accounting live).
   double canary_interval_s = 0.5;
-  DriftDetectorConfig detector;
   /// On a detector trip, hand the device to the health layer's quarantine
   /// (drains its queue for re-dispatch and gates re-entry on probes).
   /// Requires FleetConfig::health.enabled.
   bool quarantine_on_detect = true;
-  /// Minimum gap between detection-triggered repair reloads per device.
-  double repair_cooldown_s = 1.0;
 
   /// Throws common::ConfigError naming the offending field.
   void validate() const;

@@ -31,7 +31,6 @@ class ServingPolicy;
 namespace adaflow::integrity {
 
 struct IntegrityRunConfig {
-  edge::ServerConfig server;
   /// canary.canary_interval_s = 0 disables probing (and detection).
   CanaryProberConfig canary;
   /// policy.scrub_period_s = 0 disables blind scrubbing. With both channels
@@ -42,8 +41,9 @@ struct IntegrityRunConfig {
   void validate() const;
 };
 
-/// Runs \p trace against \p inner (takes ownership; wrapped in an
-/// IntegrityManager over \p library) under \p schedule. The detection wiring:
+/// Runs \p trace on one device with a default edge::ServerConfig against
+/// \p inner (takes ownership; wrapped in an IntegrityManager over \p library)
+/// under \p schedule. The detection wiring:
 /// canary results feed the drift detector; a trip scores the verdict against
 /// device ground truth and requests a repair reload; scrub/repair reloads
 /// ride the supervised-switch path and clear the corruption on completion.

@@ -13,8 +13,6 @@ void IntegrityPolicyConfig::validate() const {
 
 void FleetIntegrityConfig::validate() const {
   require(canary_interval_s >= 0.0, "canary_interval_s must be >= 0 (0 disables probing)");
-  require(repair_cooldown_s >= 0.0, "repair_cooldown_s must be >= 0");
-  detector.validate();
 }
 
 IntegrityManager::IntegrityManager(std::unique_ptr<edge::ServingPolicy> inner,

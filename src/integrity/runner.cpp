@@ -25,7 +25,8 @@ edge::RunMetrics run_integrity(const edge::WorkloadTrace& trace,
   // same way the fleet layer decorrelates per-device seeds.
   faults::FaultInjector injector(schedule, seed ^ 0x9e3779b97f4a7c15ULL);
   IntegrityManager manager(std::move(inner), library, config.policy);
-  edge::SingleDeviceDriver driver(trace, manager, config.server, seed, &injector);
+  const edge::ServerConfig server;  // the driver and its device keep a reference
+  edge::SingleDeviceDriver driver(trace, manager, server, seed, &injector);
   edge::DeviceSim& device = driver.device();
   CanaryProber prober(driver.queue(), device, config.canary, [&](double now_s) {
     // Score the verdict against ground truth (detection vs false alarm),

@@ -17,10 +17,7 @@ struct TrainConfig {
   int epochs = 10;
   std::int64_t batch_size = 32;
   float lr = 0.01f;
-  float momentum = 0.9f;
-  float weight_decay = 1e-4f;
-  /// Multiply lr by this factor at each epoch listed in lr_decay_epochs.
-  float lr_decay = 0.1f;
+  /// The lr is multiplied by 0.1 at each epoch listed here.
   std::vector<int> lr_decay_epochs;
   /// Pad-crop-flip augmentation (the paper's "standard data augmentation").
   bool augment = true;

@@ -37,6 +37,12 @@ LabeledData LabeledData::subset(const std::vector<std::int64_t>& indices) const 
 
 namespace {
 
+// SGD settings of every training run.
+constexpr float kMomentum = 0.9f;
+constexpr float kWeightDecay = 1e-4f;
+/// lr multiplier at each epoch in TrainConfig::lr_decay_epochs.
+constexpr float kLrDecay = 0.1f;
+
 void require_positive_batch(std::int64_t batch_size, const char* what) {
   if (batch_size <= 0) {
     throw ConfigError(std::string(what) + " must be positive, got " +
@@ -91,7 +97,7 @@ Trainer::Trainer(TrainConfig config) : config_(std::move(config)) {
 
 std::vector<EpochStats> Trainer::fit(Model& model, const LabeledData& train) {
   Rng rng(config_.seed);
-  Sgd optimizer(SgdConfig{config_.lr, config_.momentum, config_.weight_decay});
+  Sgd optimizer(SgdConfig{config_.lr, kMomentum, kWeightDecay});
 
   const std::int64_t count = train.count();
   std::vector<std::int64_t> order(static_cast<std::size_t>(count));
@@ -101,7 +107,7 @@ std::vector<EpochStats> Trainer::fit(Model& model, const LabeledData& train) {
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     if (std::find(config_.lr_decay_epochs.begin(), config_.lr_decay_epochs.end(), epoch) !=
         config_.lr_decay_epochs.end()) {
-      optimizer.set_lr(optimizer.lr() * config_.lr_decay);
+      optimizer.set_lr(optimizer.lr() * kLrDecay);
     }
     rng.shuffle(order);
 

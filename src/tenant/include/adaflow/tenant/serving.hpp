@@ -25,7 +25,6 @@
 #include "adaflow/core/library.hpp"
 #include "adaflow/dse/rate_planner.hpp"
 #include "adaflow/fleet/fleet.hpp"
-#include "adaflow/forecast/tracker.hpp"
 #include "adaflow/sim/fields.hpp"
 #include "adaflow/tenant/coordinator.hpp"
 #include "adaflow/tenant/tenant.hpp"
@@ -49,28 +48,9 @@ struct MultiTenantConfig {
   double duration_s = 40.0;
   /// SLO/violation judgment cadence (one violation-second bucket per window).
   double sample_interval_s = 0.5;
-  double coordinator_interval_s = 0.5;
   double warmup_s = 1.0;  ///< no re-planning before the rate estimate fills
   double fps_margin = 1.10;
-  /// A version switch is only commanded on a device whose backlog is below
-  /// this (opportunistic switching keeps reconfig stalls off hot queues).
-  double switch_backlog_limit_s = 0.02;
-  /// Per-device spacing between commanded switches, in units of the
-  /// library's reconfiguration time (the paper's 10x switch-interval rule).
-  double switch_spacing_factor = 10.0;
-  /// Plan against max(measured, forecast) per tenant instead of measured.
-  bool predictive = true;
-  forecast::ForecastTrackerConfig forecast;
-  std::int64_t device_queue_capacity = 8;
-  /// Shared-FIFO depth (SchedulerPolicy::kFifo; WFQ classes use each
-  /// tenant's own ingress_capacity).
-  std::int64_t fifo_ingress_capacity = 192;
   fleet::HealthConfig health;  ///< dispatcher resilience; off by default
-  /// When set, each tenant additionally gets a data-rate-aware folding plan
-  /// for this model (dse::plan_folding_for_rate at its mean offered rate
-  /// over its device share) in TenantResult — the folding-level view of
-  /// rate-matching. Must outlive the run.
-  const nn::Model* folding_model = nullptr;
 
   /// Throws ConfigError naming the offending tenant/field.
   void validate() const;
@@ -92,8 +72,8 @@ struct TenantResult {
   double offered_rate_mean_fps = 0.0;
   std::size_t final_version = 0;       ///< version of the tenant's first device at t_end
   std::int64_t version_switches = 0;   ///< switches commanded on its devices
-  /// Rate-matched folding for folding_model (zeroed when unset): the
-  /// parallelism rate-matching needs vs the peak-provisioned folding.
+  /// Always zero: no run plans a rate-matched folding. Kept while both
+  /// replay hashers cover them (dropping them re-pins both).
   dse::RateFoldingPlan folding_plan;
   std::int64_t peak_parallelism = 0;
 };

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "adaflow/fleet/engine.hpp"
+#include "adaflow/forecast/tracker.hpp"
 #include "adaflow/sim/event_queue.hpp"
 #include "adaflow/tenant/scheduler.hpp"
 
@@ -17,6 +18,20 @@ namespace {
 /// Per-tenant arrival-stream salt: tenant t's Poisson draws are independent
 /// of every other tenant's and of the device fault streams.
 constexpr std::uint64_t kArrivalSalt = 0x54454e414e545331ULL;
+
+/// Tenant coordinator cadence: one rate measurement, forecast step and
+/// re-plan per tick.
+constexpr double kCoordinatorIntervalS = 0.5;
+/// A version switch is only commanded on a device whose backlog is below
+/// this (opportunistic switching keeps reconfig stalls off hot queues).
+constexpr double kSwitchBacklogLimitS = 0.02;
+/// Per-device spacing between commanded switches, in units of the library's
+/// reconfiguration time (the paper's 10x switch-interval rule).
+constexpr double kSwitchSpacingFactor = 10.0;
+constexpr std::int64_t kDeviceQueueCapacity = 8;
+/// Shared-FIFO depth (SchedulerPolicy::kFifo; WFQ classes use each tenant's
+/// own ingress_capacity).
+constexpr std::int64_t kFifoIngressCapacity = 192;
 
 std::uint64_t tenant_seed(std::uint64_t seed, std::size_t t) {
   return seed ^ kArrivalSalt ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(t + 1));
@@ -41,27 +56,13 @@ void MultiTenantConfig::validate() const {
   };
   positive(duration_s, "duration_s");
   positive(sample_interval_s, "sample_interval_s");
-  positive(coordinator_interval_s, "coordinator_interval_s");
   if (!(std::isfinite(warmup_s) && warmup_s >= 0.0)) {
     throw ConfigError("MultiTenantConfig.warmup_s must be >= 0");
   }
   if (!(std::isfinite(fps_margin) && fps_margin >= 1.0)) {
     throw ConfigError("MultiTenantConfig.fps_margin must be >= 1");
   }
-  if (!(std::isfinite(switch_backlog_limit_s) && switch_backlog_limit_s >= 0.0)) {
-    throw ConfigError("MultiTenantConfig.switch_backlog_limit_s must be >= 0");
-  }
-  if (!(std::isfinite(switch_spacing_factor) && switch_spacing_factor >= 0.0)) {
-    throw ConfigError("MultiTenantConfig.switch_spacing_factor must be >= 0");
-  }
-  if (device_queue_capacity < 1) {
-    throw ConfigError("MultiTenantConfig.device_queue_capacity must be >= 1");
-  }
-  if (fifo_ingress_capacity < 1) {
-    throw ConfigError("MultiTenantConfig.fifo_ingress_capacity must be >= 1");
-  }
   health.validate();
-  forecast.validate();
 }
 
 namespace {
@@ -82,7 +83,7 @@ struct TenantSim {
 
   struct TenantState {
     TokenBucket bucket;
-    std::optional<forecast::ForecastTracker> tracker;
+    forecast::ForecastTracker tracker;
     edge::PoissonArrivals arrivals;
     std::int64_t seq = 0;
     fleet::TenantUsage usage;
@@ -125,11 +126,11 @@ struct TenantSim {
         fleet::FleetDevice d = fleet::pinned_device("dev" + std::to_string(device),
                                                     *tenant_lib[t], plan.version[t]);
         d.coordinated = false;  // the tenant coordinator owns re-planning
-        d.server.queue_capacity = cfg.device_queue_capacity;
+        d.server.queue_capacity = kDeviceQueueCapacity;
         fleet_config.devices.push_back(std::move(d));
       }
     }
-    fleet_config.ingress_capacity = cfg.fifo_ingress_capacity;
+    fleet_config.ingress_capacity = kFifoIngressCapacity;
     fleet_config.sample_interval_s = cfg.sample_interval_s;
     fleet_config.health = cfg.health;
     // The engine's own single-class coordinator stays off.
@@ -145,18 +146,15 @@ struct TenantSim {
       engine->set_ingress_queue(*wfq);
     }
 
-    forecast::ForecastTrackerConfig fc = cfg.forecast;
-    fc.window_s = cfg.coordinator_interval_s;
+    forecast::ForecastTrackerConfig fc;
+    fc.window_s = kCoordinatorIntervalS;
     for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
       TenantState state{TokenBucket(cfg.tenants[t].admission),
-                        std::nullopt,
+                        forecast::ForecastTracker(fc),
                         edge::PoissonArrivals(cfg.tenants[t].trace, tenant_seed(seed, t),
                                               cfg.duration_s),
                         0, {}, 0, 0, 0, 0.0, {}, 0.0, 0, 0};
       state.usage.name = cfg.tenants[t].name;
-      if (cfg.predictive) {
-        state.tracker.emplace(fc);
-      }
       tenants.push_back(std::move(state));
     }
     last_switch_s.assign(static_cast<std::size_t>(cfg.devices), -1e18);
@@ -250,17 +248,14 @@ struct TenantSim {
   // --- tenant coordinator ---------------------------------------------------
 
   double predicted_rate(std::size_t t, double measured) {
-    TenantState& state = tenants[t];
-    if (!state.tracker.has_value()) {
-      return measured;
-    }
-    state.tracker->observe(measured);
-    if (state.tracker->forecaster().observations() < 2) {
+    forecast::ForecastTracker& tracker = tenants[t].tracker;
+    tracker.observe(measured);
+    if (tracker.forecaster().observations() < 2) {
       return measured;
     }
     // A predicted fall never de-provisions early; a predicted rise
     // re-provisions while the old rate still holds.
-    return std::max(measured, state.tracker->current().rate);
+    return std::max(measured, tracker.current().rate);
   }
 
   void coordinator_tick() {
@@ -270,7 +265,7 @@ struct TenantSim {
       TenantState& state = tenants[t];
       const double measured =
           static_cast<double>(state.usage.admitted - state.coord_admitted_snap) /
-          config.coordinator_interval_s;
+          kCoordinatorIntervalS;
       state.coord_admitted_snap = state.usage.admitted;
       inputs[t].predicted_rate_fps = predicted_rate(t, measured);
       inputs[t].accuracy_threshold = config.tenants[t].accuracy_threshold;
@@ -311,8 +306,8 @@ struct TenantSim {
       }
       // Opportunistic switching: never park a hot queue behind a reconfig,
       // and keep the paper's switch-interval spacing per device.
-      if (dev.backlog_seconds() > config.switch_backlog_limit_s ||
-          now - last_switch_s[i] < config.switch_spacing_factor * lib.reconfig_time_s) {
+      if (dev.backlog_seconds() > kSwitchBacklogLimitS ||
+          now - last_switch_s[i] < kSwitchSpacingFactor * lib.reconfig_time_s) {
         continue;
       }
       engine->command_device_switch(i, core::switch_to(lib, target, hls::AcceleratorVariant::kFixed,
@@ -336,8 +331,8 @@ struct TenantSim {
     const double sample = config.sample_interval_s;
     queue.every(sample, sample, config.duration_s + sim::kSampleEndSlack,
                 [this] { sample_window(); });
-    const double control = config.coordinator_interval_s;
-    queue.every(control, control, config.duration_s, [this] { coordinator_tick(); });
+    queue.every(kCoordinatorIntervalS, kCoordinatorIntervalS, config.duration_s,
+                [this] { coordinator_tick(); });
     queue.run_until(config.duration_s);
     finalize();
     return std::move(out);
@@ -345,7 +340,6 @@ struct TenantSim {
 
   void finalize() {
     out.fleet = engine->finalize(config.duration_s);
-    RateFoldingPlanCache folding = make_folding_cache();
     for (std::size_t t = 0; t < tenants.size(); ++t) {
       TenantState& state = tenants[t];
       TenantResult& r = out.tenants[t];
@@ -366,12 +360,9 @@ struct TenantSim {
       r.offered_rate_mean_fps =
           static_cast<double>(r.usage.offered) / config.duration_s;
       r.final_version = final_version_of(t);
-      fill_folding_plan(t, folding, r);
       out.worst_violation_s = std::max(out.worst_violation_s, r.usage.slo_violation_s);
       out.total_violation_s += r.usage.slo_violation_s;
-      if (state.tracker.has_value()) {
-        sim::merge(out.forecast, state.tracker->stats());
-      }
+      sim::merge(out.forecast, state.tracker.stats());
       out.fleet.tenants.push_back(r.usage);
     }
   }
@@ -383,35 +374,6 @@ struct TenantSim {
       }
     }
     return tenant_lib[t]->versions.size();
-  }
-
-  struct RateFoldingPlanCache {
-    bool enabled = false;
-    std::int64_t peak_parallelism = 0;
-  };
-
-  RateFoldingPlanCache make_folding_cache() const {
-    RateFoldingPlanCache cache;
-    if (config.folding_model != nullptr) {
-      cache.enabled = true;
-      cache.peak_parallelism =
-          dse::plan_peak_folding(*config.folding_model, dse::RatePlanConfig{}).parallelism;
-    }
-    return cache;
-  }
-
-  void fill_folding_plan(std::size_t t, const RateFoldingPlanCache& cache, TenantResult& r) {
-    if (!cache.enabled || r.offered_rate_mean_fps <= 0.0) {
-      return;
-    }
-    int devices_of_t = 0;
-    for (const std::size_t owner : router.assignment()) {
-      devices_of_t += owner == t ? 1 : 0;
-    }
-    r.folding_plan = dse::plan_folding_for_rate(*config.folding_model, r.offered_rate_mean_fps,
-                                                std::max(devices_of_t, 1),
-                                                dse::RatePlanConfig{});
-    r.peak_parallelism = cache.peak_parallelism;
   }
 };
 

@@ -242,7 +242,7 @@ TEST(RuntimeManager, RejectsZeroFpsLibrary) {
 
 TEST(RuntimeManager, WarmupSuppressesEarlyPolls) {
   AcceleratorLibrary lib = rule_library();
-  RuntimeManager rm(lib, config());  // default warmup_s = 0.5
+  RuntimeManager rm(lib, config());  // warmup: 0.5 s
   rm.initial_mode();
   // The monitor's estimate window is still filling: no action, however
   // dramatic the (unreliable) estimate looks.
@@ -254,7 +254,7 @@ TEST(RuntimeManager, WarmupSuppressesEarlyPolls) {
 
 TEST(RuntimeManager, DownswitchMarginStopsBoundaryFlapping) {
   AcceleratorLibrary lib = rule_library();
-  RuntimeManager rm(lib, config());  // default downswitch_margin = 1.2
+  RuntimeManager rm(lib, config());  // downswitch margin: 1.2
   rm.initial_mode();
   auto up = rm.on_poll(5.0, 650.0);  // needs p25 (700 FPS)
   ASSERT_TRUE(up.has_value());

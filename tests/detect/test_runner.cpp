@@ -32,8 +32,7 @@ TEST(RunDetection, PopulatesTheDetectionLedger) {
   core::RuntimeManagerConfig manager;
   manager.accuracy_threshold = 0.15;
   core::RuntimeManager policy(library(), manager);
-  const edge::RunMetrics m =
-      run_detection(test_scene(), policy, edge::ServerConfig{}, DetectionRunConfig{}, 42);
+  const edge::RunMetrics m = run_detection(test_scene(), policy, 42);
   EXPECT_GT(m.arrived, 0);
   EXPECT_GT(m.processed, 0);
   EXPECT_GT(m.detection.frames_scored, 0);
@@ -57,10 +56,8 @@ TEST(RunDetection, SameSeedReplaysBitIdentically) {
   manager.accuracy_threshold = 0.15;
   core::RuntimeManager a(library(), manager);
   core::RuntimeManager b(library(), manager);
-  const edge::RunMetrics x =
-      run_detection(test_scene(), a, edge::ServerConfig{}, DetectionRunConfig{}, 42);
-  const edge::RunMetrics y =
-      run_detection(test_scene(), b, edge::ServerConfig{}, DetectionRunConfig{}, 42);
+  const edge::RunMetrics x = run_detection(test_scene(), a, 42);
+  const edge::RunMetrics y = run_detection(test_scene(), b, 42);
   EXPECT_TRUE(sim::identical(x, y));
 }
 

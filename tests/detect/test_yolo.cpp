@@ -117,7 +117,7 @@ TEST(DetectionLibrary, CarriesTheUnprunedGraphHashAndAValidFolding) {
   EXPECT_NO_THROW(hls::validate_folding(base, lib.folding_flexible));
   // The shared folding hits the configured operating point on the unpruned
   // detector.
-  EXPECT_GE(lib.versions.front().fps_fixed, DetectionLibraryConfig{}.target_base_fps);
+  EXPECT_GE(lib.versions.front().fps_fixed, kDetectionTargetBaseFps);
 }
 
 TEST(DetectionLibrary, FunctionalAcceleratorRejectsBranchyStagesCleanly) {

@@ -226,7 +226,7 @@ TEST(Explorer, LayerBreakdownMarksTheBottleneck) {
   const hls::CompiledModel geometry = graph::lower_geometry(model);
   const SearchSpace space = build_search_space(
       geometry, 2, 2, config.variant, result.budget, config.constraints,
-      config.resource_constants, config.perf_constants);
+      config.resource_constants, perf::default_perf_constants());
   const std::vector<LayerReport> rows = layer_breakdown(space, result.best());
   ASSERT_EQ(rows.size(), space.layers.size());
   for (const LayerReport& r : rows) {

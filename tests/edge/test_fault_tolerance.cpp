@@ -76,7 +76,7 @@ TEST(FaultTolerance, HardenedServerSurvivesReconfigStorm) {
   const core::AcceleratorLibrary lib = small_library();
   const WorkloadConfig wl = scenario1_plus_2();
   ServerConfig server;
-  server.fault_tolerance.enabled = true;
+  server.fault_tolerance = true;
   WorkloadTrace trace(wl, 3);
   core::RuntimeManager policy(lib, core::RuntimeManagerConfig{});
   faults::FaultInjector injector(faults::reconfig_failure_storm(2.0, 18.0, 1.0, 4.0), 11);
@@ -96,7 +96,7 @@ TEST(FaultTolerance, HardenedBeatsUnhardenedUnderReconfigStorm) {
   const WorkloadConfig wl = scenario1_plus_2();
   auto run_with = [&](bool hardened) {
     ServerConfig server;
-    server.fault_tolerance.enabled = hardened;
+    server.fault_tolerance = hardened;
     WorkloadTrace trace(wl, 5);
     core::RuntimeManager policy(lib, core::RuntimeManagerConfig{});
     faults::FaultInjector injector(faults::reconfig_failure_storm(2.0, 24.0, 0.7, 2.0), 23);
@@ -134,7 +134,7 @@ TEST(FaultTolerance, UnhardenedServerHangsOnStalls) {
     WorkloadTrace trace(constant_workload(), 3);
     StaticPolicy policy(fixed_mode(550.0));
     ServerConfig server;
-    server.fault_tolerance.enabled = hardened;
+    server.fault_tolerance = hardened;
     faults::FaultInjector injector(schedule, 7);
     return run_simulation(trace, policy, server, 42, &injector);
   };

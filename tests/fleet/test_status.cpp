@@ -116,12 +116,14 @@ struct CheckedRun {
 
 /// Drives one FleetEngine over a Poisson arrival stream of \p trace with the
 /// checker wrapped around \p inner, and fails on any mismatch. \p tag_of
-/// names the n-th frame (anonymous when empty); \p ingress replaces the FIFO.
+/// names the n-th frame (anonymous when empty); \p ingress replaces the FIFO;
+/// \p setup schedules extra events once the engine has started.
 CheckedRun run_checked(const core::AcceleratorLibrary& lib, const FleetConfig& config,
                        RoutingPolicy& inner, const edge::WorkloadTrace& trace, double duration_s,
                        std::uint64_t seed,
                        const std::function<std::int64_t(std::int64_t)>& tag_of = {},
-                       IngressQueue* ingress = nullptr) {
+                       IngressQueue* ingress = nullptr,
+                       const std::function<void(sim::EventQueue&, FleetEngine&)>& setup = {}) {
   config.validate();
   sim::EventQueue queue;
   CheckingRouter router(inner);
@@ -131,6 +133,9 @@ CheckedRun run_checked(const core::AcceleratorLibrary& lib, const FleetConfig& c
     engine.set_ingress_queue(*ingress);
   }
   engine.start();
+  if (setup) {
+    setup(queue, engine);
+  }
   edge::PoissonArrivals arrivals(trace, seed, duration_s);
   std::int64_t n = 0;
   queue.chain([&] { return arrivals.next(); },
@@ -261,7 +266,7 @@ FleetConfig ladder_fleet(const core::AcceleratorLibrary& lib, bool fault_toleran
       schedule.faults.push_back(f);
     }
     d.fault_schedule = schedule;
-    d.server.fault_tolerance.enabled = fault_tolerance;
+    d.server.fault_tolerance = fault_tolerance;
   }
   return config;
 }
@@ -283,6 +288,77 @@ TEST(StatusConsistency, UnhardenedSwitchFailuresAtLightLoad) {
   const CheckedRun r = run_checked(lib, config, inner, bursty_trace(900.0, 12.0), 12.0, 22);
   EXPECT_GE(r.metrics.faults.switch_failures, 1);
   EXPECT_GE(r.metrics.model_switches, 2);
+}
+
+/// Two pinned devices at a light load; device 0 carries \p schedule. Ties
+/// route to device 0, and while it is busy or switching frames go to device
+/// 1, so device 0's queue is empty when its own episode ends: no frame write
+/// follows to refresh its status.
+FleetConfig idle_pair(const core::AcceleratorLibrary& lib, const faults::FaultSchedule& schedule,
+                      bool fault_tolerance) {
+  FleetConfig config;
+  for (int i = 0; i < 2; ++i) {
+    config.devices.push_back(pinned_device("dev" + std::to_string(i), lib, 0));
+    config.devices.back().server.fault_tolerance = fault_tolerance;
+  }
+  config.devices[0].fault_schedule = schedule;
+  return config;
+}
+
+/// Commands device 0 of \p engine to version 1 of \p lib at \p t_s.
+void command_at(sim::EventQueue& queue, FleetEngine& engine, const core::AcceleratorLibrary& lib,
+                double t_s) {
+  queue.schedule_at(t_s, [&engine, &lib] {
+    engine.command_device_switch(0, core::switch_to(lib, 1, hls::AcceleratorVariant::kFixed,
+                                                    hls::AcceleratorVariant::kFixed));
+  });
+}
+
+TEST(StatusConsistency, StallReloadEndsOnAnEmptyQueue) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  faults::FaultSchedule stalls;
+  stalls.faults.push_back(faults::FaultSpec{faults::FaultKind::kAcceleratorStall, 1.0, 3.0,
+                                            /*probability=*/1.0, /*magnitude=*/0.5});
+  LeastLoadedRouter inner;
+  const CheckedRun r = run_checked(lib, idle_pair(lib, stalls, /*fault_tolerance=*/true), inner,
+                                   flat_trace(40.0, 4.0), 4.0, 13);
+  EXPECT_GE(r.metrics.faults.stalls_recovered, 1);
+}
+
+TEST(StatusConsistency, CrashWhileASwitchWaitsForTheInFlightFrame) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  // A 1000x slowdown stretches device 0's frames to seconds: the switch
+  // commanded at t=1 waits for the frame in flight, and the crash at t=1.2
+  // abandons it.
+  faults::FaultSchedule schedule = faults::device_degrade_window(0.5, 3.0, 1000.0);
+  schedule.faults.push_back(faults::device_crash_window(1.2, 2.0).faults.front());
+  bool pending_before_crash = false;
+  bool resolved_by_crash = false;
+  LeastLoadedRouter inner;
+  run_checked(lib, idle_pair(lib, schedule, /*fault_tolerance=*/true), inner,
+              flat_trace(40.0, 4.0), 4.0, 17, {}, nullptr,
+              [&](sim::EventQueue& queue, FleetEngine& engine) {
+                command_at(queue, engine, lib, 1.0);
+                queue.schedule_at(1.1, [&] {
+                  const edge::DeviceSim& dev = engine.device(0);
+                  pending_before_crash = dev.processing() && dev.switch_in_flight();
+                });
+                queue.schedule_at(1.3, [&] {
+                  resolved_by_crash = !engine.device(0).switch_in_flight();
+                });
+              });
+  EXPECT_TRUE(pending_before_crash);
+  EXPECT_TRUE(resolved_by_crash);
+}
+
+TEST(StatusConsistency, UnhardenedFailedSwitchEndsOnAnEmptyQueue) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  LeastLoadedRouter inner;
+  const CheckedRun r = run_checked(
+      lib, idle_pair(lib, faults::reconfig_failure_storm(0.0, 4.0, 1.0), /*fault_tolerance=*/false),
+      inner, flat_trace(40.0, 4.0), 4.0, 19, {}, nullptr,
+      [&](sim::EventQueue& queue, FleetEngine& engine) { command_at(queue, engine, lib, 1.0); });
+  EXPECT_EQ(r.metrics.faults.switch_failures, 1);
 }
 
 TEST(StatusConsistency, TenantRouterWithWeightedFairIngress) {

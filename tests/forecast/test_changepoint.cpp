@@ -119,11 +119,11 @@ TEST(Changepoint, BurstClearsAfterQuietPeriod) {
   ASSERT_TRUE(d.burst());
   // A quiet stretch longer than the burst window expires every recorded
   // changepoint.
-  for (int i = 0; i < config.burst_window + 5; ++i) {
+  for (int i = 0; i < ChangepointDetector::kBurstWindow + 5; ++i) {
     d.observe(level + (i % 2));
   }
   EXPECT_FALSE(d.burst());
-  EXPECT_GE(d.stable_windows(), config.burst_window);
+  EXPECT_GE(d.stable_windows(), ChangepointDetector::kBurstWindow);
 }
 
 TEST(Changepoint, ResetClearsState) {

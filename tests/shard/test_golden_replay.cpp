@@ -491,8 +491,7 @@ TEST(GoldenReplay, RunDetectionFingerprintIsPinned) {
   core::RuntimeManager policy(lib, manager);
   const detect::SceneTrace scene =
       detect::rush_hour_scene(2.0, 9.0, 4.0, 3.0, 5.0, 16.0, 0.5, 0.05, 7);
-  const edge::RunMetrics m = detect::run_detection(scene, policy, edge::ServerConfig{},
-                                                   detect::DetectionRunConfig{}, 43);
+  const edge::RunMetrics m = detect::run_detection(scene, policy, 43);
   EXPECT_EQ(fingerprint(m), "eae4affba85c5265");
   EXPECT_GT(m.model_switches, 0);
   EXPECT_GT(m.detection.frames_scored, 0);
@@ -644,8 +643,7 @@ TEST(GoldenReplay, StaticFlexibleDetectionFingerprintIsPinned) {
   detect::StaticFlexiblePolicy policy(lib);
   const detect::SceneTrace scene =
       detect::rush_hour_scene(2.0, 9.0, 4.0, 3.0, 5.0, 16.0, 0.5, 0.05, 7);
-  const edge::RunMetrics m = detect::run_detection(scene, policy, edge::ServerConfig{},
-                                                   detect::DetectionRunConfig{}, 67);
+  const edge::RunMetrics m = detect::run_detection(scene, policy, 67);
   EXPECT_EQ(sim::fingerprint(m), "b569b5aae45915e2");
   EXPECT_EQ(fingerprint(m), "b569b5aae45915e2");
   EXPECT_GT(m.detection.frames_scored, 0);

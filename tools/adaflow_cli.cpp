@@ -9,9 +9,13 @@
 /// Datasets: cifar, gtsrb, mnist.
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "adaflow/common/argparse.hpp"
 #include "adaflow/common/logging.hpp"
@@ -43,6 +47,18 @@ using Args = std::vector<std::string>;
 
 /// printf's %lld takes long long; std::int64_t is long on LP64 hosts.
 long long ll(std::int64_t v) { return v; }
+
+/// A flag's default as text, taken from the config field the flag sets so
+/// the value is stated once: the shortest text that parses back to \p v.
+template <typename T>
+std::string default_of(T v) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else {
+    std::array<char, 32> buf{};
+    return std::string(buf.data(), std::to_chars(buf.data(), buf.data() + buf.size(), v).ptr);
+  }
+}
 
 std::uint64_t seed_option(const ArgParser& parser) {
   return static_cast<std::uint64_t>(parser.integer("seed"));
@@ -228,13 +244,15 @@ int cmd_library(ArgParser& parser, const Args& args) {
   parser.add_reals("rates", "comma list of pruning rates", "0,0.25,0.5,0.75",
                    Range::closed_open(0.0, 1.0));
   parser.add_option("device", "zcu104 | zcu102 | pynq-z1", "zcu104");
-  parser.add_int("epochs", "base training epochs", "8", Range::at_least(0));
-  parser.add_int("retrain-epochs", "per-version retraining epochs", "3", Range::at_least(0));
+  core::LibraryConfig config;
+  parser.add_int("epochs", "base training epochs", default_of(config.base_epochs),
+                 Range::at_least(0));
+  parser.add_int("retrain-epochs", "per-version retraining epochs",
+                 default_of(config.retrain_epochs), Range::at_least(0));
   parser.add_option("out", "output library file", "library.tsv");
   parser.add_flag("fc-neurons", "also prune hidden fully-connected neurons");
   parser.parse(args);
 
-  core::LibraryConfig config;
   config.rates = parser.reals("rates");
   config.base_epochs = parser.integer<int>("epochs");
   config.retrain_epochs = parser.integer<int>("retrain-epochs");
@@ -262,7 +280,9 @@ int cmd_simulate(ArgParser& parser, const Args& args) {
   parser.add_choice("scenario", "1 | 2 | 1+2", "1+2", {"1", "2", "1+2"});
   parser.add_int("runs", "repetitions", "20", Range::at_least(1));
   parser.add_choice("policy", "adaflow | finn | reconf", "adaflow", {"adaflow", "finn", "reconf"});
-  parser.add_real("threshold", "accuracy threshold (fraction)", "0.10", Range::closed(0.0, 1.0));
+  core::RuntimeManagerConfig rmc;
+  parser.add_real("threshold", "accuracy threshold (fraction)",
+                  default_of(rmc.accuracy_threshold), Range::closed(0.0, 1.0));
   parser.parse(args);
 
   const core::AcceleratorLibrary lib = core::load_library(parser.option("library"));
@@ -270,7 +290,6 @@ int cmd_simulate(ArgParser& parser, const Args& args) {
   const edge::WorkloadConfig workload = scenario == "1"   ? edge::scenario1()
                                         : scenario == "2" ? edge::scenario2()
                                                           : edge::scenario1_plus_2();
-  core::RuntimeManagerConfig rmc;
   rmc.accuracy_threshold = parser.real("threshold");
   const std::string& policy = parser.option("policy");
   const core::PolicyKind kind = core::policy_kind_from_name(policy);
@@ -304,15 +323,17 @@ int cmd_fleet(ArgParser& parser, const Args& args) {
                     "none", {"none", "crash", "hang", "degrade"});
   parser.add_real("chaos-start", "chaos window start [s]", "5", Range::at_least(0.0));
   parser.add_real("chaos-duration", "chaos window length [s]", "5", Range::above(0.0));
-  parser.add_real("suspect-timeout", "no-progress time before a device is suspect [s]", "1",
-                  Range::above(0.0));
-  parser.add_real("quarantine-timeout", "suspect time before quarantine [s]", "1",
-                  Range::above(0.0));
-  parser.add_real("probe-interval", "spacing of half-open recovery probes [s]", "1",
-                  Range::above(0.0));
-  parser.add_real("probe-timeout", "probe completion deadline [s]", "1", Range::above(0.0));
-  parser.add_real("hedge-budget", "re-dispatch frames queued longer than this [s]; 0 = off", "0",
-                  Range::at_least(0.0));
+  const fleet::HealthConfig health;
+  parser.add_real("suspect-timeout", "no-progress time before a device is suspect [s]",
+                  default_of(health.suspect_timeout_s), Range::above(0.0));
+  parser.add_real("quarantine-timeout", "suspect time before quarantine [s]",
+                  default_of(health.quarantine_timeout_s), Range::above(0.0));
+  parser.add_real("probe-interval", "spacing of half-open recovery probes [s]",
+                  default_of(health.probe_interval_s), Range::above(0.0));
+  parser.add_real("probe-timeout", "probe completion deadline [s]",
+                  default_of(health.probe_timeout_s), Range::above(0.0));
+  parser.add_real("hedge-budget", "re-dispatch frames queued longer than this [s]; 0 = off",
+                  default_of(health.hedge_budget_s), Range::at_least(0.0));
   parser.parse(args);
 
   const core::AcceleratorLibrary lib = library_option(parser);
@@ -378,18 +399,19 @@ int cmd_shard(ArgParser& parser, const Args& args) {
   add_library_option(parser);
   parser.add_int("devices", "number of devices (1..4096)", "16", Range::closed(1, 4096));
   parser.add_int("shards", "number of shards (1..devices)", "4", Range::at_least(1));
-  parser.add_int("threads", "worker threads; 0 = keep the process default", "0",
-                 Range::at_least(0));
-  parser.add_real("window", "conservative sync window [s]", "0.25", Range::above(0.0));
-  parser.add_int("max-hops", "overflow handoff hop budget; 0 disables forwarding", "2",
-                 Range::at_least(0));
+  shard::ShardConfig shard_config;
+  parser.add_int("threads", "worker threads; 0 = keep the process default",
+                 default_of(shard_config.threads), Range::at_least(0));
+  parser.add_real("window", "conservative sync window [s]", default_of(shard_config.window_s),
+                  Range::above(0.0));
+  parser.add_int("max-hops", "overflow handoff hop budget; 0 disables forwarding",
+                 default_of(shard_config.max_hops), Range::at_least(0));
   add_router_option(parser);
   add_trace_options(parser, "aggregate arrival rate (empty = 70% of fleet capacity)", "10");
   parser.parse(args);
 
   const core::AcceleratorLibrary lib = library_option(parser);
   const int devices = parser.integer<int>("devices");
-  shard::ShardConfig shard_config;
   shard_config.shards = parser.integer<int>("shards");
   require(shard_config.shards <= devices,
           "--shards must be in [1, --devices], got '" + parser.option("shards") + "'");
@@ -420,26 +442,32 @@ int cmd_shard(ArgParser& parser, const Args& args) {
 
 int cmd_ingest(ArgParser& parser, const Args& args) {
   add_library_option(parser);
-  parser.add_int("cameras", "number of camera sessions (1..64)", "4", Range::closed(1, 64));
+  ingest::IngestConfig config;
+  parser.add_int("cameras", "number of camera sessions (1..64)", default_of(config.cameras),
+                 Range::closed(1, 64));
   parser.add_int("devices", "number of fleet devices (1..64)", "2", Range::closed(1, 64));
-  parser.add_real("fps", "capture rate per camera [frames/s]", "30", Range::above(0.0));
-  parser.add_real("duration", "simulated time [s]", "30", Range::above(0.0));
+  parser.add_real("fps", "capture rate per camera [frames/s]", default_of(config.camera.fps),
+                  Range::above(0.0));
+  parser.add_real("duration", "simulated time [s]", default_of(config.duration_s),
+                  Range::above(0.0));
   parser.add_int("seed", "rng seed", "42");
   parser.add_real("churn", "session drop rate [1/s]; 0 = sessions never drop", "0.05",
                   Range::at_least(0.0));
-  parser.add_real("loss", "i.i.d. network loss probability [0, 1)", "0.01",
-                  Range::closed_open(0.0, 1.0));
-  parser.add_real("jitter-ms", "one-way network jitter sigma [ms]", "10", Range::at_least(0.0));
+  parser.add_real("loss", "i.i.d. network loss probability [0, 1)",
+                  default_of(config.network.loss_p), Range::closed_open(0.0, 1.0));
+  parser.add_real("jitter-ms", "one-way network jitter sigma [ms]",
+                  default_of(config.network.jitter_s * 1e3), Range::at_least(0.0));
   parser.add_choice("brownout", "off | ladder | drop-all", "ladder", {"off", "ladder", "drop-all"});
-  parser.add_real("decode-ms", "decode cost per frame [ms]", "2", Range::at_least(0.0));
-  parser.add_int("decode-workers", "parallel decode slots", "2", Range::at_least(1));
+  parser.add_real("decode-ms", "decode cost per frame [ms]", default_of(config.decode.cost_s * 1e3),
+                  Range::at_least(0.0));
+  parser.add_int("decode-workers", "parallel decode slots", default_of(config.decode.workers),
+                 Range::at_least(1));
   add_router_option(parser);
   parser.parse(args);
 
   const core::AcceleratorLibrary lib = library_option(parser);
   const double churn = parser.real("churn");
   const std::string& brownout = parser.option("brownout");
-  ingest::IngestConfig config;
   config.cameras = parser.integer<int>("cameras");
   config.duration_s = parser.real("duration");
   config.camera.fps = parser.real("fps");
@@ -498,9 +526,13 @@ int cmd_forecast(ArgParser& parser, const Args& args) {
   parser.add_option("trace",
                     "scenario1 | scenario2 | 1+2 | diurnal | flash-crowd | path to a t,rate CSV",
                     "diurnal");
-  parser.add_option("forecaster", "naive | ewma | holt-winters", "holt-winters");
-  parser.add_int("horizon", "forecast horizon in windows (>= 1)", "3", Range::at_least(1));
-  parser.add_real("window", "observation window [s]", "0.5", Range::above(0.0));
+  forecast::ForecastTrackerConfig config;
+  parser.add_option("forecaster", "naive | ewma | holt-winters",
+                    forecast::forecaster_kind_name(config.forecaster.kind));
+  parser.add_int("horizon", "forecast horizon in windows (>= 1)",
+                 default_of(config.horizon_windows), Range::at_least(1));
+  parser.add_real("window", "observation window [s]", default_of(config.window_s),
+                  Range::above(0.0));
   parser.add_real("duration", "trace duration [s] (generated traces)", "120", Range::above(0.0));
   parser.add_int("seed", "rng seed for the trace's jitter", "7");
   parser.add_int("tail", "forecast-vs-actual rows to print (0 = none)", "8", Range::at_least(0));
@@ -542,7 +574,6 @@ int cmd_forecast(ArgParser& parser, const Args& args) {
   }();
   require_windows(trace.duration());
 
-  forecast::ForecastTrackerConfig config;
   config.forecaster.kind = kind;
   config.horizon_windows = parser.integer<int>("horizon");
   config.window_s = window;
@@ -580,20 +611,22 @@ int cmd_tune(ArgParser& parser, const Args& args) {
   parser.add_option("model", "cnv-w2a2 | cnv-w1a2 | tfc-w1a2", "cnv-w2a2");
   add_dataset_option(parser, "cifar | gtsrb | mnist (sets the class count)");
   parser.add_option("device", "zcu104 | zcu102 | pynq-z1", "zcu104");
-  parser.add_choice("objective", "max-fps | min-resources | balanced", "max-fps",
-                    dse::objective_names());
-  parser.add_real("budget", "device resource fraction in (0, 1]", "0.7",
+  dse::ExplorerConfig ec;
+  parser.add_choice("objective", "max-fps | min-resources | balanced",
+                    dse::objective_name(ec.objective), dse::objective_names());
+  parser.add_real("budget", "device resource fraction in (0, 1]", default_of(ec.budget_fraction),
                   Range::open_closed(0.0, 1.0));
-  parser.add_real("target-fps", "required throughput (min-resources objective)", "0",
-                  Range::at_least(0.0));
-  parser.add_int("beam", "beam width for large folding lattices (>= 1)", "8", Range::at_least(1));
-  parser.add_int("anneal", "simulated-annealing refinement iterations", "2000",
-                 Range::at_least(0));
-  parser.add_int("seed", "search seed (same seed => bit-identical frontier)", "7");
+  parser.add_real("target-fps", "required throughput (min-resources objective)",
+                  default_of(ec.target_fps), Range::at_least(0.0));
+  parser.add_int("beam", "beam width for large folding lattices (>= 1)",
+                 default_of(ec.beam_width), Range::at_least(1));
+  parser.add_int("anneal", "simulated-annealing refinement iterations",
+                 default_of(ec.anneal_iters), Range::at_least(0));
+  parser.add_int("seed", "search seed (same seed => bit-identical frontier)",
+                 default_of(ec.seed));
   parser.add_flag("flexible", "tune the Flexible (runtime-pruned) accelerator variant");
   parser.parse(args);
 
-  dse::ExplorerConfig ec;
   ec.objective = dse::objective_by_name(parser.option("objective"));
   ec.budget_fraction = parser.real("budget");
   ec.target_fps = parser.real("target-fps");
@@ -640,7 +673,7 @@ int cmd_tune(ArgParser& parser, const Args& args) {
 
   const dse::SearchSpace space =
       dse::build_search_space(geometry, wb, ab, ec.variant, result.budget, ec.constraints,
-                              ec.resource_constants, ec.perf_constants);
+                              ec.resource_constants, perf::default_perf_constants());
   TextTable breakdown({"layer", "PE", "SIMD", "cycles", "LUT", "BRAM18", "bottleneck"});
   for (const dse::LayerReport& r : dse::layer_breakdown(space, result.best())) {
     breakdown.add_row({r.name, std::to_string(r.pe), std::to_string(r.simd),
@@ -655,8 +688,9 @@ int cmd_tenant(ArgParser& parser, const Args& args) {
   add_library_option(parser);
   parser.add_int("tenants", "number of tenants (2..8); traffic shapes cycle "
                  "steady / diurnal / flash-crowd", "3", Range::closed(2, 8));
-  parser.add_int("devices", "number of fleet devices (>= tenants, <= 64)", "8",
-                 Range::closed(1, 64));
+  tenant::MultiTenantConfig config;
+  parser.add_int("devices", "number of fleet devices (>= tenants, <= 64)",
+                 default_of(config.devices), Range::closed(1, 64));
   parser.add_real("duration", "simulated time [s]", "30", Range::above(0.0));
   parser.add_real("rate", "steady-tenant offered rate [frames/s]; the diurnal "
                   "and flash shapes scale from it", "800", Range::above(0.0));
@@ -668,7 +702,6 @@ int cmd_tenant(ArgParser& parser, const Args& args) {
 
   const core::AcceleratorLibrary lib = library_option(parser);
   const std::int64_t tenants = parser.integer("tenants");
-  tenant::MultiTenantConfig config;
   config.devices = parser.integer<int>("devices");
   require(config.devices >= tenants,
           "--devices must be in [tenants, 64], got '" + parser.option("devices") + "'");
@@ -788,9 +821,7 @@ int cmd_detect(ArgParser& parser, const Args& args) {
           ? std::make_unique<detect::StaticFlexiblePolicy>(lib)
           : core::make_serving_policy(core::policy_kind_from_name(policy_name), lib, rmc);
 
-  const edge::RunMetrics m = detect::run_detection(scene, *policy, edge::ServerConfig{},
-                                                   detect::DetectionRunConfig{},
-                                                   seed_option(parser));
+  const edge::RunMetrics m = detect::run_detection(scene, *policy, seed_option(parser));
   std::printf("policy=%s duration=%.0fs density=%.1f..%.1f\n", policy_name.c_str(), duration,
               base_density, peak_density);
   std::printf("detection QoE  %s\n", format_percent(m.qoe(), 2).c_str());
@@ -823,16 +854,17 @@ int cmd_integrity(ArgParser& parser, const Args& args) {
   parser.add_real("cross-section",
                   "Flexible-overlay exposure relative to a Fixed bitstream [0, 1]", "0.25",
                   Range::closed(0.0, 1.0));
-  parser.add_real("canary-interval", "seconds between canary probes; 0 = no detection", "0.5",
-                  Range::at_least(0.0));
-  parser.add_real("scrub-period", "blind scrub reload period [s]; 0 = no scrubbing", "0",
-                  Range::at_least(0.0));
-  parser.add_real("detect-threshold", "drift-detector trip threshold (> 0)", "0.10",
-                  Range::above(0.0));
-  parser.add_real("epsilon", "drift-detector per-sample error allowance (>= 0)", "0.02",
-                  Range::at_least(0.0));
-  parser.add_real("repair-cooldown", "minimum gap between integrity reloads [s]", "1",
-                  Range::at_least(0.0));
+  integrity::IntegrityRunConfig config;
+  parser.add_real("canary-interval", "seconds between canary probes; 0 = no detection",
+                  default_of(config.canary.canary_interval_s), Range::at_least(0.0));
+  parser.add_real("scrub-period", "blind scrub reload period [s]; 0 = no scrubbing",
+                  default_of(config.policy.scrub_period_s), Range::at_least(0.0));
+  parser.add_real("detect-threshold", "drift-detector trip threshold (> 0)",
+                  default_of(config.canary.detector.threshold), Range::above(0.0));
+  parser.add_real("epsilon", "drift-detector per-sample error allowance (>= 0)",
+                  default_of(config.canary.detector.epsilon), Range::at_least(0.0));
+  parser.add_real("repair-cooldown", "minimum gap between integrity reloads [s]",
+                  default_of(config.policy.repair_cooldown_s), Range::at_least(0.0));
   parser.parse(args);
 
   const core::AcceleratorLibrary lib = library_option(parser);
@@ -840,8 +872,10 @@ int cmd_integrity(ArgParser& parser, const Args& args) {
   const core::PolicyKind kind = core::policy_kind_from_name(parser.option("policy"));
   const double duration = parser.real("duration");
   const double upset_rate = parser.real("upset-rate");
+  // The fault injector draws every upset of the run up front: bound the count.
+  require(upset_rate * duration <= 1e6, "--upset-rate must be <= 1e6 / --duration, got '" +
+                                            parser.option("upset-rate") + "'");
   const auto [rate, trace] = capacity_trace(parser, lib.versions.front().fps_fixed);
-  integrity::IntegrityRunConfig config;
   config.canary.canary_interval_s = parser.real("canary-interval");
   config.canary.detector.threshold = parser.real("detect-threshold");
   config.canary.detector.epsilon = parser.real("epsilon");

@@ -4,7 +4,9 @@
 # (ADAFLOW_SANITIZE=ON), and the concurrency-bearing suites under
 # ThreadSanitizer (ADAFLOW_TSAN=ON). Tier 1 includes the bench group, which
 # gates every simulation family against the committed baselines in
-# bench/baselines/.
+# bench/baselines/. After tier 1 the perfbench program (perfbench/, its own
+# CMake project over src/) is built in build-perfbench/, so an src/ API
+# change that breaks the benchmark fails here.
 #
 # Usage: tools/check.sh [jobs] [group...]
 #
@@ -39,6 +41,12 @@ echo "== tier 1: release build (-Werror) =="
 cmake -B "$root/build" -S "$root" -DADAFLOW_WERROR=ON
 cmake --build "$root/build" -j "$jobs"
 
+build_perfbench() {
+  echo "== perfbench build (build-perfbench/) =="
+  cmake -B "$root/build-perfbench" -S "$root/perfbench"
+  cmake --build "$root/build-perfbench" -j "$jobs" --target perfbench
+}
+
 if [[ $# -gt 0 ]]; then
   for group in "$@"; do
     if [[ "$group" == golden ]]; then
@@ -49,12 +57,14 @@ if [[ $# -gt 0 ]]; then
       ctest --test-dir "$root/build" -L "$group" --output-on-failure -j "$jobs"
     fi
   done
+  build_perfbench
   echo "== named groups passed =="
   exit 0
 fi
 
 echo "== tier 1: full test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+build_perfbench
 
 echo "== tier 2: ASan+UBSan unit tests (incl. Parallel.NestedCallRunsInline* and the shard group's FieldTables tests) =="
 cmake -B "$root/build-asan" -S "$root" -DADAFLOW_SANITIZE=ON \
