@@ -11,7 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -299,6 +301,28 @@ void BM_EventQueueScheduleAtDepth(benchmark::State& state) {
 // 50 is the standing depth perfbench's traced fleet_adapt run records per
 // shard queue.
 BENCHMARK(BM_EventQueueScheduleAtDepth)->Arg(50)->Arg(64)->Arg(1024);
+
+// One arrival of a chain (sim::EventQueue::chain) over the same 50 standing
+// events: the arrival stream's per-frame cost, to set beside
+// BM_EventQueueScheduleAtDepth/50, which pays a schedule_at and a pop for it.
+void BM_EventQueueChain(benchmark::State& state) {
+  constexpr int kDepth = 50;
+  constexpr double kGapS = 0.001;
+  sim::EventQueue q;
+  int fired = 0;
+  // Far past any horizon the loop reaches, so the depth never changes.
+  for (int i = 0; i < kDepth; ++i) {
+    q.schedule_at(1e12 + static_cast<double>(i), [&fired] { ++fired; });
+  }
+  std::int64_t arrivals = 0;
+  q.chain([&q] { return std::optional<double>(q.now() + kGapS); }, [&arrivals] { ++arrivals; });
+  for (auto _ : state) {
+    q.run_until(q.now() + kGapS);  // fires exactly the one arrival
+  }
+  benchmark::DoNotOptimize(arrivals);
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueChain);
 
 // One frame offered to a 16-device least-loaded fleet at \p load times its
 // service rate, plus the simulated time until the next arrival.

@@ -37,8 +37,9 @@ namespace adaflow::edge {
 
 class DeviceSim {
  public:
-  /// \p queue outlives the device; \p policy and \p config are borrowed for
-  /// the device's lifetime. \p injector may be null (fault-free device).
+  /// \p queue outlives the device; \p policy is borrowed for the device's
+  /// lifetime and \p config copied. \p injector may be null (fault-free
+  /// device).
   DeviceSim(sim::EventQueue& queue, ServingPolicy& policy, const ServerConfig& config,
             faults::FaultInjector* injector = nullptr, std::string name = "device");
 
@@ -252,7 +253,7 @@ class DeviceSim {
 
   sim::EventQueue& queue_;
   ServingPolicy& policy_;
-  const ServerConfig& config_;
+  const ServerConfig config_;  ///< a copy: a caller may pass a temporary
   faults::FaultInjector* injector_;
   std::string name_;
 

@@ -52,8 +52,8 @@ namespace adaflow::edge {
 /// prober), so their events follow the driver's in the queue.
 class SingleDeviceDriver {
  public:
-  /// Throws ConfigError on an invalid \p config. \p trace, \p policy,
-  /// \p config and \p injector (may be null: fault-free run) must outlive
+  /// Throws ConfigError on an invalid \p config, which is copied. \p trace,
+  /// \p policy and \p injector (may be null: fault-free run) must outlive
   /// the driver.
   SingleDeviceDriver(const WorkloadTrace& trace, ServingPolicy& policy,
                      const ServerConfig& config, std::uint64_t seed,
@@ -72,7 +72,7 @@ class SingleDeviceDriver {
 
  private:
   const WorkloadTrace& trace_;
-  const ServerConfig& config_;
+  const ServerConfig config_;  ///< a copy: a caller may pass a temporary
   sim::EventQueue queue_;
   DeviceSim device_;
   PoissonArrivals arrivals_;

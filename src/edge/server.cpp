@@ -27,13 +27,13 @@ SingleDeviceDriver::SingleDeviceDriver(const WorkloadTrace& trace, ServingPolicy
                                        const ServerConfig& config, std::uint64_t seed,
                                        faults::FaultInjector* injector)
     : trace_(trace), config_(config),
-      device_(queue_, policy, config, injector, "server"),
+      device_(queue_, policy, config_, injector, "server"),
       arrivals_(trace, seed, trace.duration(),
                 injector == nullptr ? PoissonArrivals::RateFactor{}
                                     : [injector](double t) {
                                         return injector->arrival_rate_factor(t);
                                       }) {
-  config.validate();
+  config_.validate();
 }
 
 void SingleDeviceDriver::start() {

@@ -31,6 +31,8 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
   injectors_.reserve(n);
   devices_.reserve(n);
   statuses_.reserve(n);
+  // Sized first: the status hook's first refresh reads the rotation state.
+  accepting_.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
     const FleetDevice& d = config_.devices[i];
     policies_.push_back(d.make_policy());
@@ -47,14 +49,12 @@ FleetEngine::FleetEngine(sim::EventQueue& queue, const core::AcceleratorLibrary&
     // From here on the device's status hook keeps statuses_[i] current.
     statuses_.emplace_back();
     statuses_.back().capacity = devices_.back()->queue_capacity();
-    devices_with_room_ += has_room(i) ? 1 : 0;
     devices_.back()->set_on_status([this, i] { refresh_status(i); });
     refresh_status(i);
     if (d.configure) {
       d.configure(*devices_.back(), i);
     }
   }
-  accepting_.assign(n, 1);
   probe_wanted_.assign(n, 0);
   queued_since_.resize(n);
   if (config_.integrity.enabled) {
@@ -101,22 +101,29 @@ void FleetEngine::command_device_switch(std::size_t i, const edge::SwitchAction&
 bool FleetEngine::excluded(std::size_t i) const { return monitor_.out_of_rotation(i); }
 
 /// The device's status hook: copies every router-visible field into
-/// statuses_[i] and keeps devices_with_room_ in step with its headroom.
+/// statuses_[i], then its eligibility.
 void FleetEngine::refresh_status(std::size_t i) {
   const edge::DeviceSim& dev = *devices_[i];
   DeviceStatus& s = statuses_[i];
-  devices_with_room_ -= s.queued < s.capacity ? 1 : 0;
   s.queued = dev.queued();
   s.busy = dev.processing();
   s.switching = dev.switch_in_flight();
   s.fps = dev.mode().fps;
   s.accuracy = dev.mode().accuracy;
   s.backlog_s = dev.backlog_seconds();
-  devices_with_room_ += s.queued < s.capacity ? 1 : 0;
+  refresh_eligible(i);
 }
 
-bool FleetEngine::has_room(std::size_t i) const {
-  return statuses_[i].queued < statuses_[i].capacity;
+void FleetEngine::refresh_eligible(std::size_t i) {
+  DeviceStatus& s = statuses_[i];
+  const bool eligible = s.queued < s.capacity && in_rotation(i);
+  eligible_count_ += (eligible ? 1 : 0) - (s.eligible ? 1 : 0);
+  s.eligible = eligible;
+}
+
+void FleetEngine::set_accepting(std::size_t i, bool on) {
+  accepting_[i] = on ? 1 : 0;
+  refresh_eligible(i);
 }
 
 /// Routes one frame to a device if any is eligible. Returns false (and
@@ -124,32 +131,30 @@ bool FleetEngine::has_room(std::size_t i) const {
 /// \p exclude additionally bars one device (hedging must not hand a frame
 /// back to the queue it was just pulled from).
 bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
-  // A full fleet (how each drain_ingress ends under load) costs one compare;
-  // otherwise only the engine-side eligibility is computed here — the
-  // devices' own fields are already current in statuses_.
-  if (devices_with_room_ == 0) {
+  // Eligibility is already current in statuses_, so a fleet with no room
+  // (how each drain_ingress ends under load) costs one compare. The
+  // excluded device is hidden from the router for this one call only.
+  const bool hide = exclude != kNoExclude && statuses_[exclude].eligible;
+  if (eligible_count_ == (hide ? 1 : 0)) {
     return false;
   }
-  bool any_eligible = false;
-  for (std::size_t i = 0; i < statuses_.size(); ++i) {
-    const bool eligible = has_room(i) && in_rotation(i) && i != exclude;
-    statuses_[i].eligible = eligible;
-    any_eligible = any_eligible || eligible;
-  }
-  if (!any_eligible) {
-    return false;
+  if (hide) {
+    statuses_[exclude].eligible = false;
   }
   const std::size_t idx = router_.route_tagged(queue_.now(), tag, statuses_);
+  if (hide) {
+    statuses_[exclude].eligible = true;
+  }
   if (idx == RoutingPolicy::kDecline) {
     return false;  // class-based router keeps this frame at ingress
   }
-  if (idx >= devices_.size() || !statuses_[idx].eligible) {
+  if (idx >= devices_.size() || idx == exclude || !statuses_[idx].eligible) {
     throw ConfigError("router '" + router_.name() + "' returned an ineligible device");
   }
   // Timestamp first: offer_frame may start service synchronously and fire
   // the headroom callback, which pops this very entry. That callback can
-  // also re-enter try_dispatch and overwrite statuses_ (as does the status
-  // hook), so nothing below reads it.
+  // also re-enter try_dispatch, and the status hook rewrites statuses_, so
+  // nothing below reads it.
   queued_since_[idx].push_back(QueuedFrame{queue_.now(), tag});
   if (!devices_[idx]->offer_frame(/*count_loss=*/false, tag)) {
     throw ConfigError("eligible device '" + devices_[idx]->name() + "' rejected a frame");
@@ -319,12 +324,7 @@ void FleetEngine::quarantine_drain(std::size_t i) {
 
 /// Any device other than \p i that could take a hedged frame right now.
 bool FleetEngine::any_other_eligible(std::size_t i) const {
-  for (std::size_t j = 0; j < devices_.size(); ++j) {
-    if (j != i && in_rotation(j) && has_room(j)) {
-      return true;
-    }
-  }
-  return false;
+  return eligible_count_ > (statuses_[i].eligible ? 1 : 0);
 }
 
 /// Duplicate hedging: every frame stuck past the budget keeps its queue
@@ -378,12 +378,13 @@ void FleetEngine::health_tick() {
         dev.switch_in_flight() || (coord_state_ != CoordState::kIdle && coord_device_ == i);
     obs.nominal_fps = dev.mode().fps;
     const HealthAction action = monitor_.observe(i, now, obs);
+    refresh_eligible(i);  // the monitor may have moved the device in or out of rotation
     if (action.quarantine) {
       ++metrics_.quarantines;
       if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
         // The device the coordinator was cycling just got quarantined:
         // abort the cycle; the monitor owns the exclusion from here.
-        accepting_[i] = 1;
+        set_accepting(i, true);
         coord_state_ = CoordState::kIdle;
         last_repartition_end_s_ = now;
       }
@@ -481,9 +482,10 @@ void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
   // quarantine/drain/probe/rejoin machinery crashes use; the reload just
   // issued doubles as the cure the rejoin probes will verify.
   if (config_.integrity.quarantine_on_detect && monitor_.force_quarantine(i, now)) {
+    refresh_eligible(i);
     ++metrics_.quarantines;
     if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
-      accepting_[i] = 1;
+      set_accepting(i, true);
       coord_state_ = CoordState::kIdle;
       last_repartition_end_s_ = now;
     }
@@ -548,7 +550,7 @@ void FleetEngine::maybe_start_repartition(double now) {
     }
     // Take this device out of rotation; the router spreads its share over
     // the rest of the fleet while the queue drains.
-    accepting_[i] = 0;
+    set_accepting(i, false);
     coord_device_ = i;
     coord_target_ = target;
     drain_started_s_ = now;
@@ -574,7 +576,7 @@ void FleetEngine::coordinator_tick() {
       if (excluded(coord_device_)) {
         // Quarantined mid-drain (health_tick may run between coordinator
         // ticks): abort the cycle, the monitor owns the device now.
-        accepting_[coord_device_] = 1;
+        set_accepting(coord_device_, true);
         coord_state_ = CoordState::kIdle;
         last_repartition_end_s_ = now;
         break;
@@ -601,7 +603,7 @@ void FleetEngine::coordinator_tick() {
       if (device_library(coord_device_).find(dev.mode().model_version) == coord_target_) {
         ++metrics_.repartitions;
       }
-      accepting_[coord_device_] = 1;
+      set_accepting(coord_device_, true);
       last_repartition_end_s_ = now;
       coord_state_ = CoordState::kIdle;
       drain_ingress();

@@ -164,7 +164,13 @@ class FleetEngine {
 
   bool excluded(std::size_t i) const;
   void refresh_status(std::size_t i);
-  bool has_room(std::size_t i) const;
+  /// Recomputes statuses_[i].eligible (queue headroom and in_rotation(i))
+  /// and keeps eligible_count_ in step. Called after every write to what it
+  /// reads: the status hook, set_accepting, and each HealthMonitor state
+  /// change (observe, force_quarantine).
+  void refresh_eligible(std::size_t i);
+  /// The one writer of accepting_[i] (coordinator drain and rejoin).
+  void set_accepting(std::size_t i, bool on);
   bool try_dispatch(std::int64_t tag, std::size_t exclude = kNoExclude);
   bool try_probe_dispatch(std::int64_t tag);
   /// Sets probe_wanted_[i] and keeps probes_wanted_ in step with it.
@@ -204,7 +210,8 @@ class FleetEngine {
   std::vector<std::unique_ptr<edge::ServingPolicy>> policies_;
   std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;  ///< null = fault-free
   std::vector<std::unique_ptr<edge::DeviceSim>> devices_;
-  /// Cleared while the coordinator drains/reconfigures a device.
+  /// Cleared while the coordinator drains/reconfigures a device. Written
+  /// only through set_accepting, which refreshes the device's eligibility.
   std::vector<char> accepting_;
 
   HealthMonitor monitor_;
@@ -212,14 +219,15 @@ class FleetEngine {
   /// and how many of them there are (0 skips the per-frame probe scan).
   std::vector<char> probe_wanted_;
   std::int64_t probes_wanted_ = 0;
-  /// The router's input, one per device. Every field but `eligible` is
-  /// push-maintained: each device's status hook (DeviceSim::set_on_status)
-  /// refreshes its entry after every change, so try_dispatch reads no device.
-  /// `eligible` is engine-side state, computed per dispatch.
+  /// The router's input, one per device, push-maintained: each device's
+  /// status hook (DeviceSim::set_on_status) refreshes its entry after every
+  /// change, and refresh_eligible keeps `eligible` equal to
+  /// `queued < capacity && in_rotation(i)`, so try_dispatch reads no device
+  /// and scans nothing.
   std::vector<DeviceStatus> statuses_;
-  /// Devices whose queue has a free slot, kept by refresh_status: 0 means
-  /// every device is full and try_dispatch returns at once.
-  std::int64_t devices_with_room_ = 0;
+  /// Devices marked eligible in statuses_: 0 means none can take a frame and
+  /// try_dispatch returns at once.
+  std::int64_t eligible_count_ = 0;
 
   /// Integrity layer (sized to the fleet only when config.integrity.enabled):
   /// one drift detector per device fed from that device's canary stream, and

@@ -73,7 +73,16 @@ void EventQueue::run_until(double t_end) {
     msg << "run_until needs t_end >= now() = " << now_ << ", got " << t_end;
     throw ConfigError(msg.str());
   }
-  while (!heap_.empty() && heap_.front().when <= t_end) {
+  for (;;) {
+    const bool heap_due = !heap_.empty() && heap_.front().when <= t_end;
+    if (next_lane_ != kNoLane && lanes_[next_lane_].when <= t_end &&
+        (!heap_due || before(lanes_[next_lane_], heap_.front()))) {
+      fire_lane(next_lane_);
+      continue;
+    }
+    if (!heap_due) {
+      break;
+    }
     const Key top = heap_.front();
     pop_top();
     // Move the callback out and free its slot before running it: the
@@ -85,6 +94,48 @@ void EventQueue::run_until(double t_end) {
     fn();
   }
   now_ = t_end;
+}
+
+void EventQueue::place_lane(double when, void* step, LaneFn run) {
+  require(when >= now_, "cannot schedule into the past");
+  const Lane lane{when, next_sequence_++, step, run};
+  std::size_t k = 0;
+  while (k < lanes_.size() && lanes_[k].step != nullptr) {
+    ++k;
+  }
+  if (k == lanes_.size()) {
+    lanes_.push_back(lane);
+  } else {
+    lanes_[k] = lane;
+  }
+  ++live_lanes_;
+  if (next_lane_ == kNoLane || before(lane, lanes_[next_lane_])) {
+    next_lane_ = k;
+  }
+}
+
+void EventQueue::fire_lane(std::size_t k) {
+  // Copy the lane out and retire it before the step runs: the step may
+  // start another chain, which can take this lane or grow lanes_, and a step
+  // that throws leaves its chain ended.
+  const Lane lane = lanes_[k];
+  lanes_[k].step = nullptr;
+  --live_lanes_;
+  find_next_lane();
+  now_ = lane.when;
+  if (const std::optional<double> next = lane.run(lane.step)) {
+    place_lane(*next, lane.step, lane.run);
+  }
+}
+
+void EventQueue::find_next_lane() {
+  next_lane_ = kNoLane;
+  for (std::size_t k = 0; k < lanes_.size(); ++k) {
+    if (lanes_[k].step != nullptr &&
+        (next_lane_ == kNoLane || before(lanes_[k], lanes_[next_lane_]))) {
+      next_lane_ = k;
+    }
+  }
 }
 
 }  // namespace adaflow::sim

@@ -1,6 +1,7 @@
 #include "adaflow/edge/server.hpp"
 
 #include "adaflow/common/error.hpp"
+#include "adaflow/sim/fields.hpp"
 
 #include <gtest/gtest.h>
 
@@ -265,6 +266,42 @@ void expect_rejected(const ServerConfig& config, const std::string& field) {
     EXPECT_NE(std::string(e.what()).find("ServerConfig." + field), std::string::npos)
         << e.what();
   }
+}
+
+/// A config with non-default values, so a run that read a dead copy of it
+/// would not match a run from a named one.
+ServerConfig small_config() {
+  ServerConfig c;
+  c.queue_capacity = 8;
+  c.poll_interval_s = 0.2;
+  c.sample_interval_s = 0.25;
+  return c;
+}
+
+TEST(ServerConfigCopy, ADriverBuiltFromATemporaryRunsAsFromANamedConfig) {
+  WorkloadTrace trace(constant_workload(4.0), 5);
+  StaticPolicy named_policy(mode(450.0));
+  const ServerConfig named = small_config();
+  const RunMetrics expected = run_simulation(trace, named_policy, named, 11);
+  StaticPolicy policy(mode(450.0));
+  // The temporary dies at the end of this statement; the driver and its
+  // device must have kept copies (ASan reports a stack use after scope if
+  // either still refers to it).
+  SingleDeviceDriver driver(trace, policy, small_config(), 11);
+  EXPECT_EQ(driver.device().queue_capacity(), 8);
+  driver.start();
+  const RunMetrics m = driver.finish();
+  EXPECT_GT(m.lost, 0);  // the 8-frame queue overflows
+  EXPECT_TRUE(sim::identical(m, expected));
+}
+
+TEST(ServerConfigCopy, ADeviceBuiltFromATemporaryKeepsItsCapacity) {
+  sim::EventQueue queue;
+  StaticPolicy policy(mode(450.0));
+  DeviceSim device(queue, policy, small_config());
+  device.start();
+  EXPECT_EQ(device.queue_capacity(), 8);
+  EXPECT_EQ(device.free_slots(), 8);
 }
 
 TEST(ServerConfigValidate, EachBadValueThrowsNamingTheField) {

@@ -1,14 +1,19 @@
 /// The dispatcher's router input is push-maintained: each DeviceSim notifies
 /// its FleetEngine after every write to a router-visible field, and the
 /// engine keeps its DeviceStatus vector current from those notifications
-/// instead of re-reading every device per dispatch. These tests wrap the real
-/// router in a checker that, on every routing call, compares each status
-/// with a fresh read of engine.device(i) and the `eligible` flag with the
-/// engine's rotation and headroom state — over scenarios that write each
-/// router-visible field: health quarantine and probes, duplicate hedging
-/// under degrade, crash/hang/stall faults, coordinator repartitions,
-/// integrity reloads, Runtime Manager switches with their retry/fallback
-/// ladders (hardened and not) and the tenant router.
+/// instead of re-reading every device per dispatch; `eligible` is pushed too,
+/// on every change of a device's headroom, of the coordinator's drain state
+/// and of its health state. These tests wrap the real router in a checker
+/// that, on every routing call, compares each status with a fresh read of
+/// engine.device(i) and each `eligible` flag with `has room &&
+/// engine.in_rotation(i)` — over scenarios that write each router-visible
+/// field and each input of `eligible`: health quarantine, probes and
+/// rejoins, coordinator drains (also cut short by a quarantine), duplicate
+/// and pull hedging under degrade, crash/hang/stall faults, integrity reloads
+/// and quarantines, Runtime Manager switches with their retry/fallback
+/// ladders (hardened and not) and the tenant router. Only a hedge hides an
+/// open device from the router (the one it pulls the frame from), so a run
+/// without hedging must show the router no barred device at all.
 
 #include "adaflow/fleet/engine.hpp"
 
@@ -52,6 +57,8 @@ class CheckingRouter final : public RoutingPolicy {
 
   std::int64_t calls = 0;
   std::int64_t declines = 0;
+  /// Calls where one open device read ineligible (a hedge's exclude).
+  std::int64_t barred_calls = 0;
   std::int64_t mismatches = 0;
   std::string first_mismatch;
 
@@ -71,6 +78,7 @@ class CheckingRouter final : public RoutingPolicy {
       return;
     }
     int barred = 0;
+    int eligible = 0;
     for (std::size_t i = 0; i < devices.size(); ++i) {
       const DeviceStatus& s = devices[i];
       const edge::DeviceSim& dev = engine_->device(i);
@@ -93,15 +101,21 @@ class CheckingRouter final : public RoutingPolicy {
       if (s.backlog_s != dev.backlog_seconds()) {
         mismatch(now_s, i, "backlog_s");
       }
-      const bool open = engine_->in_rotation(i) && dev.free_slots() > 0;
+      const bool has_room = dev.queued() < dev.queue_capacity();
+      const bool open = has_room && engine_->in_rotation(i);
       if (s.eligible && !open) {
         mismatch(now_s, i, "eligible but drained, out of rotation or full");
       }
       barred += (open && !s.eligible) ? 1 : 0;
+      eligible += s.eligible ? 1 : 0;
     }
-    // Only the one device a hedge or drain excludes may be open yet barred.
+    // Only the one device a hedge excludes may be open yet barred.
     if (barred > 1) {
       mismatch(now_s, 0, std::to_string(barred) + " open devices marked ineligible");
+    }
+    barred_calls += barred;
+    if (eligible == 0) {
+      mismatch(now_s, 0, "routed with no eligible device");
     }
   }
 
@@ -112,6 +126,7 @@ class CheckingRouter final : public RoutingPolicy {
 struct CheckedRun {
   FleetMetrics metrics;
   std::int64_t declines = 0;
+  std::int64_t barred_calls = 0;
 };
 
 /// Drives one FleetEngine over a Poisson arrival stream of \p trace with the
@@ -141,8 +156,11 @@ CheckedRun run_checked(const core::AcceleratorLibrary& lib, const FleetConfig& c
   queue.chain([&] { return arrivals.next(); },
               [&] { engine.offer_frame(tag_of ? tag_of(n++) : edge::DeviceSim::kNoTag); });
   queue.run_until(duration_s);
-  CheckedRun out{engine.finalize(duration_s), router.declines};
+  CheckedRun out{engine.finalize(duration_s), router.declines, router.barred_calls};
   EXPECT_EQ(router.mismatches, 0) << "first: " << router.first_mismatch;
+  if (config.health.hedge_budget_s == 0.0) {
+    EXPECT_EQ(out.barred_calls, 0) << "an open device was hidden from the router without a hedge";
+  }
   EXPECT_GT(router.calls, 0);
   EXPECT_TRUE(conserves_flow(out.metrics));
   return out;
@@ -224,6 +242,7 @@ TEST(StatusConsistency, DuplicateHedgingUnderDegrade) {
   LeastLoadedRouter inner;
   const CheckedRun r = run_checked(lib, config, inner, flat_trace(1500.0, 10.0), 10.0, 7);
   EXPECT_GE(r.metrics.hedged, 1);
+  EXPECT_GE(r.barred_calls, 1);
 }
 
 TEST(StatusConsistency, HangStallsAndPullHedges) {
@@ -235,6 +254,49 @@ TEST(StatusConsistency, HangStallsAndPullHedges) {
   const CheckedRun r = run_checked(lib, config, inner, flat_trace(1500.0, 10.0), 10.0, 11);
   EXPECT_GE(r.metrics.hedged, 1);
   EXPECT_GE(r.metrics.faults.stalls_injected, 1);
+  EXPECT_GE(r.barred_calls, 1);
+}
+
+TEST(StatusConsistency, SwallowedProbesAreReclaimed) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  // A hung device takes its probe frames and never serves them: each probe
+  // times out and the dispatcher pulls the frame back, excluding the device.
+  FleetConfig config = pinned_fleet(lib, faults::device_hang_window(2.0, 8.0));
+  config.health = fast_health();
+  LeastLoadedRouter inner;
+  const CheckedRun r = run_checked(lib, config, inner, flat_trace(1500.0, 12.0), 12.0, 43);
+  EXPECT_GE(r.metrics.quarantines, 1);
+  EXPECT_GE(r.metrics.rejoins, 1);
+  EXPECT_GE(r.metrics.redispatched, 1);
+}
+
+TEST(StatusConsistency, CoordinatorDrainsBesideACrashAndPullHedges) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  FleetConfig config = pinned_fleet(lib, faults::device_crash_window(3.0, 4.0));
+  config.devices[2].fault_schedule = faults::device_degrade_window(1.0, 10.0, 4.0, 0.2);
+  config.health = fast_health(/*hedge_budget_s=*/0.03);
+  LeastLoadedRouter inner;
+  const CheckedRun r = run_checked(lib, config, inner, bursty_trace(1600.0, 12.0), 12.0, 31);
+  EXPECT_GE(r.metrics.quarantines, 1);
+  EXPECT_GE(r.metrics.rejoins, 1);
+  EXPECT_GE(r.metrics.repartitions, 1);
+  EXPECT_GE(r.metrics.hedged, 1);
+  EXPECT_GE(r.barred_calls, 1);
+}
+
+TEST(StatusConsistency, IntegrityQuarantinesBesideCoordinatorCycles) {
+  const core::AcceleratorLibrary lib = core::synthetic_library();
+  FleetConfig config = pinned_fleet(lib, faults::config_upset_storm(2.0, 10.0, 1.0));
+  config.health = fast_health();
+  config.integrity.enabled = true;
+  config.integrity.canary_interval_s = 0.25;
+  config.integrity.quarantine_on_detect = true;
+  AccuracyAwareRouter inner;
+  const CheckedRun r = run_checked(lib, config, inner, bursty_trace(1600.0, 12.0), 12.0, 37);
+  EXPECT_GE(r.metrics.quarantines, 1);
+  EXPECT_GE(r.metrics.rejoins, 1);
+  EXPECT_GE(r.metrics.repartitions, 1);
+  EXPECT_GE(r.metrics.integrity.repairs, 1);
 }
 
 TEST(StatusConsistency, ManagedDevicesWithIntegrityReloads) {

@@ -145,27 +145,75 @@ std::vector<double> child_delays(int id) {
   return out;
 }
 
+/// Chains for the oracle, each a pure function of its number \p c (in the
+/// order chains start): its delays, on the quarter-second grid with many
+/// zeros, and its length, so some chains end within a run and others
+/// outlive it.
+constexpr int kMaxChains = 40;
+
+std::uint64_t chain_hash(int c, int k) {
+  std::uint64_t h = (static_cast<std::uint64_t>(c) << 20 | static_cast<std::uint64_t>(k)) *
+                    0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 31);
+}
+
+/// The delay before firing \p k of chain \p c, drawn after firing k - 1
+/// (or when the chain starts); nullopt ends the chain.
+std::optional<double> chain_delay(int c, int k) {
+  constexpr double kDelays[] = {0.0, 0.0, 0.25, 0.5, 0.75};
+  const int length = 1 + static_cast<int>(chain_hash(c, 0xfffff) % 24);
+  if (k >= length) {
+    return std::nullopt;
+  }
+  return kDelays[chain_hash(c, k) % 5];
+}
+
+/// Every fourth chain's step throws at its third firing, after its body ran.
+bool chain_throws(int c, int k) { return c % 4 == 3 && k == 2; }
+
+/// Whether the firing with \p id starts a new chain once its children are
+/// scheduled (from inside the firing callback).
+bool starts_chain(int id, int started) { return started < kMaxChains && id % 11 == 4; }
+
+struct StepFailed {};
+
 /// The reference: a std::priority_queue on (when, seq), the textbook stable
-/// discrete-event queue.
+/// discrete-event queue. A chain's next firing is an ordinary entry whose
+/// sequence is drawn after the firing's body ran.
 class ModelQueue {
  public:
+  explicit ModelQueue(bool chains = false) : chains_(chains) {}
+
   double now() const { return now_; }
   std::size_t pending() const { return heap_.size(); }
   const std::vector<int>& fired() const { return fired_; }
 
-  void schedule_at(double when, int id) { heap_.push(Entry{when, seq_++, id}); }
+  void schedule_at(double when, int id) { heap_.push(Entry{when, seq_++, id, -1, 0}); }
 
-  void run_until(double t_end) {
+  void start_chain() {
+    const int c = chains_started_++;
+    draw(c, 0);
+  }
+
+  /// False when a chain's step threw: the queue under test throws out of
+  /// run_until there, with the clock at that firing.
+  bool run_until(double t_end) {
     while (!heap_.empty() && heap_.top().when <= t_end) {
       const Entry e = heap_.top();
       heap_.pop();
       now_ = e.when;
-      fired_.push_back(e.id);
-      for (const double delay : child_delays(e.id)) {
-        schedule_at(now_ + delay, next_id_++);
+      if (e.chain < 0) {
+        fire(e.id);
+        continue;
       }
+      fire(next_id_++);
+      if (chain_throws(e.chain, e.k)) {
+        return false;
+      }
+      draw(e.chain, e.k + 1);
     }
     now_ = t_end;
+    return true;
   }
 
   int take_id() { return next_id_++; }
@@ -175,12 +223,33 @@ class ModelQueue {
     double when;
     std::uint64_t seq;
     int id;
+    int chain;  ///< -1 for a plain event
+    int k;      ///< which firing of the chain
   };
+
+  void fire(int id) {
+    fired_.push_back(id);
+    for (const double delay : child_delays(id)) {
+      schedule_at(now_ + delay, next_id_++);
+    }
+    if (chains_ && starts_chain(id, chains_started_)) {
+      start_chain();
+    }
+  }
+
+  void draw(int c, int k) {
+    if (const std::optional<double> delay = chain_delay(c, k)) {
+      heap_.push(Entry{now_ + *delay, seq_++, -1, c, k});
+    }
+  }
+
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
+  bool chains_;
+  int chains_started_ = 0;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
   int next_id_ = 0;
@@ -188,23 +257,63 @@ class ModelQueue {
   std::vector<int> fired_;
 };
 
-/// The queue under test, driven through the same event tree.
+/// The queue under test, driven through the same event tree, its chains
+/// declared with EventQueue::chain.
 class RealHarness {
  public:
+  explicit RealHarness(bool chains = false) : chains_(chains) {}
+
   EventQueue queue;
   std::vector<int> fired;
+  int chains_from_callbacks = 0;  ///< chains started inside a firing
+  int chains_ended = 0;           ///< chains whose next time was nullopt
+  int throws = 0;
 
   EventFn event(int id) {
-    return [this, id] {
-      fired.push_back(id);
-      for (const double delay : child_delays(id)) {
-        queue.schedule_in(delay, event(next_id_++));
-      }
-    };
+    return [this, id] { fire(id); };
   }
   int take_id() { return next_id_++; }
 
+  void start_chain() {
+    const int c = chains_started_++;
+    queue.chain(
+        [this, c, k = 0]() mutable -> std::optional<double> {
+          const std::optional<double> delay = chain_delay(c, k++);
+          chains_ended += delay ? 0 : 1;
+          return delay ? std::optional(queue.now() + *delay) : std::nullopt;
+        },
+        [this, c, k = 0]() mutable {
+          fire(next_id_++);
+          if (chain_throws(c, k++)) {
+            throw StepFailed{};
+          }
+        });
+  }
+
+  bool run_until(double t_end) {
+    try {
+      queue.run_until(t_end);
+      return true;
+    } catch (const StepFailed&) {
+      ++throws;
+      return false;
+    }
+  }
+
  private:
+  void fire(int id) {
+    fired.push_back(id);
+    for (const double delay : child_delays(id)) {
+      queue.schedule_in(delay, event(next_id_++));
+    }
+    if (chains_ && starts_chain(id, chains_started_)) {
+      ++chains_from_callbacks;
+      start_chain();
+    }
+  }
+
+  bool chains_;
+  int chains_started_ = 0;
   int next_id_ = 0;
 };
 
@@ -244,6 +353,60 @@ TEST(EventQueueOracle, RandomInterleavingsMatchThePriorityQueueModel) {
     EXPECT_EQ(real.queue.pending(), 0u);
     EXPECT_GT(real.fired.size(), 600u) << "seed " << seed << ": the tree barely grew";
   }
+}
+
+TEST(EventQueueOracle, ChainsInterleaveWithEventsAsTheModelDrawsThem) {
+  int chains_from_callbacks = 0;
+  int chains_ended = 0;
+  int throws = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    RealHarness real(/*chains=*/true);
+    ModelQueue model(/*chains=*/true);
+    for (int step = 0; step < 600; ++step) {
+      const int op = static_cast<int>(rng() % 5);
+      const double offset = 0.25 * static_cast<double>(rng() % 9);
+      bool real_ran = true;
+      bool model_ran = true;
+      if (op == 0) {
+        const double when = real.queue.now() + offset;
+        real.queue.schedule_at(when, real.event(real.take_id()));
+        model.schedule_at(when, model.take_id());
+      } else if (op == 1) {
+        real.start_chain();
+        model.start_chain();
+      } else {
+        // As in the event-only oracle: whole tie groups, stops between two
+        // groups, and zero steps. A throwing chain step cuts a run short.
+        const double step_s = op == 2 ? offset : 0.125 * static_cast<double>(rng() % 5);
+        const double t_end = real.queue.now() + step_s;
+        real_ran = real.run_until(t_end);
+        model_ran = model.run_until(t_end);
+      }
+      ASSERT_EQ(real_ran, model_ran) << "seed " << seed << " step " << step;
+      ASSERT_EQ(real.fired, model.fired()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(real.queue.pending(), model.pending()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(real.queue.now(), model.now()) << "seed " << seed << " step " << step;
+    }
+    // Drain: each run_until that a throwing step cuts short is resumed, and
+    // the thrown chain never fires again.
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+      const double t_end = real.queue.now() + 1e6;
+      const bool real_ran = real.run_until(t_end);
+      ASSERT_EQ(real_ran, model.run_until(t_end)) << "seed " << seed;
+      if (real_ran) {
+        break;
+      }
+    }
+    EXPECT_EQ(real.fired, model.fired()) << "seed " << seed;
+    EXPECT_EQ(real.queue.pending(), 0u) << "seed " << seed;
+    chains_from_callbacks += real.chains_from_callbacks;
+    chains_ended += real.chains_ended;
+    throws += real.throws;
+  }
+  EXPECT_GT(chains_from_callbacks, 0);
+  EXPECT_GT(chains_ended, 0);
+  EXPECT_GT(throws, 0);
 }
 
 /// A callable that counts its copies: the queue must move callbacks from
@@ -368,6 +531,25 @@ TEST(EventQueueChain, StopsOnNulloptAndDrawsEachTimeAfterTheBodyRan) {
       "draw@" + std::to_string(1.0), "fire@" + std::to_string(2.5),
       "draw@" + std::to_string(2.5)};
   EXPECT_EQ(log, expected);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueChain, AThrowingStepEndsItsChain) {
+  EventQueue q;
+  int fired = 0;
+  q.chain([&q] { return std::optional<double>(q.now() + 1.0); },
+          [&] {
+            if (++fired == 2) {
+              throw StepFailed{};
+            }
+          });
+  q.schedule_at(5.0, [] {});
+  EXPECT_THROW(q.run_until(10.0), StepFailed);
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  EXPECT_EQ(q.pending(), 1u);  // the plain event; the chain is gone
+  q.run_until(10.0);
+  EXPECT_EQ(fired, 2);
   EXPECT_EQ(q.pending(), 0u);
 }
 

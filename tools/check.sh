@@ -6,7 +6,9 @@
 # gates every simulation family against the committed baselines in
 # bench/baselines/. After tier 1 the perfbench program (perfbench/, its own
 # CMake project over src/) is built in build-perfbench/, so an src/ API
-# change that breaks the benchmark fails here.
+# change that breaks the benchmark fails here, and its fleet_adapt workload
+# runs for one second: any failed operation (a replay, conservation or
+# fingerprint check) fails the gate.
 #
 # Usage: tools/check.sh [jobs] [group...]
 #
@@ -45,6 +47,17 @@ build_perfbench() {
   echo "== perfbench build (build-perfbench/) =="
   cmake -B "$root/build-perfbench" -S "$root/perfbench"
   cmake --build "$root/build-perfbench" -j "$jobs" --target perfbench
+  echo "== perfbench fleet_adapt smoke run (1 s) =="
+  local out result
+  out="$(mktemp -d)"
+  result="$("$root/build-perfbench/perfbench" --workload fleet_adapt --seed 1 --seconds 1 \
+    --trace 0 --out-dir "$out" | tail -n 1)"
+  rm -rf "$out"
+  echo "$result"
+  if [[ "$result" != *'"failed": 0,'* ]]; then
+    echo "check.sh: perfbench fleet_adapt reported failed operations" >&2
+    exit 1
+  fi
 }
 
 if [[ $# -gt 0 ]]; then
