@@ -19,6 +19,7 @@
 
 #include "adaflow/core/library.hpp"
 #include "adaflow/edge/server.hpp"
+#include "adaflow/edge/workload.hpp"
 #include "adaflow/fleet/engine.hpp"
 #include "adaflow/fleet/routing.hpp"
 #include "adaflow/graph/builders.hpp"
@@ -324,41 +325,44 @@ void BM_EventQueueChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChain);
 
-// One frame offered to a 16-device least-loaded fleet at \p load times its
-// service rate, plus the simulated time until the next arrival.
-void fleet_engine_offer_frame(benchmark::State& state, double load) {
+// The arrival path perfbench's fleet_adapt runs, at one shard's scale: a
+// Poisson arrival chain (sim::EventQueue::chain over edge::PoissonArrivals)
+// drained by run_until into a FleetEngine of 16 AdaFlow-managed devices
+// with health monitoring on, ~700 FPS per device redrawn +-70% every
+// 0.5 s. One iteration is one 2-simulated-second run (engine setup
+// included, about 22k arrivals); items are arrivals, so the time per item
+// is the host cost of one frame's life: arrival, dispatch, service,
+// completion and its share of the cadences.
+void BM_FleetEngineArrivalChain(benchmark::State& state) {
+  constexpr int kDevices = 16;
+  constexpr double kHorizonS = 2.0;
   const core::AcceleratorLibrary lib = core::synthetic_library();
+  edge::WorkloadConfig wc;
+  wc.devices = kDevices;
+  wc.fps_per_device = 700.0;
+  wc.phases = {edge::WorkloadPhase{0.7, 0.5, kHorizonS}};
+  const edge::WorkloadTrace trace(wc, 3);
   fleet::FleetConfig config;
-  config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, 16);
-  fleet::LeastLoadedRouter router;
-  sim::EventQueue q;
-  fleet::FleetEngine engine(q, lib, config, router, 1, 1e9);
-  engine.start();
-  double capacity_fps = 0.0;
-  for (std::size_t i = 0; i < engine.device_count(); ++i) {
-    capacity_fps += engine.device(i).mode().fps;
-  }
-  const double gap_s = 1.0 / (load * capacity_fps);
+  config.devices = fleet::homogeneous_devices(lib, core::RuntimeManagerConfig{}, kDevices);
+  config.health.enabled = true;
+  std::int64_t arrivals = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.offer_frame());
-    q.run_until(q.now() + gap_s);
+    sim::EventQueue q;
+    fleet::LeastLoadedRouter router;
+    fleet::FleetEngine engine(q, lib, config, router, 1, kHorizonS);
+    engine.start();
+    edge::PoissonArrivals source(trace, 7, kHorizonS);
+    q.chain([&source] { return source.next(); },
+            [&engine, &arrivals] {
+              engine.offer_frame();
+              ++arrivals;
+            });
+    q.run_until(kHorizonS);
+    benchmark::DoNotOptimize(engine.metrics().dispatched);
   }
-  state.SetItemsProcessed(state.iterations());
-  benchmark::DoNotOptimize(engine.metrics().dispatched);
+  state.SetItemsProcessed(arrivals);
 }
-
-// At twice the service rate the ingress stays full, so each completion's
-// drain_ingress dispatches one waiting frame and ends in a failed dispatch:
-// the dispatcher's per-frame path under load.
-void BM_FleetEngineOfferFrame(benchmark::State& state) { fleet_engine_offer_frame(state, 2.0); }
-BENCHMARK(BM_FleetEngineOfferFrame);
-
-// At half the service rate every device has headroom: each arrival routes
-// at once over a fully eligible fleet.
-void BM_FleetEngineOfferFrameLightLoad(benchmark::State& state) {
-  fleet_engine_offer_frame(state, 0.5);
-}
-BENCHMARK(BM_FleetEngineOfferFrameLightLoad);
+BENCHMARK(BM_FleetEngineArrivalChain)->Unit(benchmark::kMillisecond);
 
 void BM_LatencyHistogramRecord(benchmark::State& state) {
   sim::LatencyHistogram h;

@@ -46,7 +46,7 @@ namespace {
 forecast::ForecastTracker track_trace(const edge::WorkloadTrace& trace,
                                       forecast::ForecasterKind kind, double window_s) {
   forecast::ForecastTrackerConfig config;
-  config.forecaster.kind = kind;
+  config.forecaster = kind;
   config.window_s = window_s;
   forecast::ForecastTracker tracker(config);
   for (double t = window_s; t <= trace.duration() + 1e-9; t += window_s) {

@@ -37,12 +37,6 @@ namespace adaflow::core {
 struct ProactiveConfig {
   RuntimeManagerConfig manager;
   forecast::ForecastTrackerConfig forecast;
-  /// Pre-arm Fixed once the detector has seen this many changepoint-free
-  /// observations (ignored while a burst regime is active).
-  int stable_pin_windows = 15;
-
-  /// Throws ConfigError naming the offending field.
-  void validate() const;
 };
 
 class ProactiveRuntimeManager final : public edge::ServingPolicy {
@@ -66,7 +60,6 @@ class ProactiveRuntimeManager final : public edge::ServingPolicy {
   const RuntimeManager& inner() const { return inner_; }
 
  private:
-  ProactiveConfig config_;
   RuntimeManager inner_;
   forecast::ForecastTracker tracker_;
 };

@@ -30,15 +30,12 @@ struct RuntimeManagerConfig {
   /// Fixed-Pruning allowed only when the last model switch is older than
   /// factor * reconfig_time (paper: 10x).
   double switch_interval_factor = 10.0;
-  /// Hysteresis: ignore incoming-FPS changes smaller than this fraction.
-  double fps_hysteresis = 0.10;
-  /// Headroom applied to the incoming-FPS estimate when matching models.
-  double fps_margin = 1.10;
-  /// After a reconfiguration fails for good, avoid Fixed-Pruning (i.e. force
-  /// the Flexible safety net) for this long — a flaky PR controller must not
-  /// be handed another bitstream immediately.
-  double reconfig_failure_hold_s = 5.0;
 };
+
+/// Headroom applied to the incoming-FPS estimate when matching models — by
+/// the Runtime Manager, its oracle and reconfiguration baselines, the fleet
+/// coordinator and the tenant partition planner alike.
+inline constexpr double kFpsMargin = 1.10;
 
 /// The AdaFlow Runtime Manager, exposed as an edge serving policy.
 class RuntimeManager final : public edge::ServingPolicy {

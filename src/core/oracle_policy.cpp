@@ -21,7 +21,7 @@ double OraclePolicy::time_to_next_change(double now_s) const {
 edge::ServingMode OraclePolicy::initial_mode() {
   // The oracle deploys the ideal version for the true initial rate directly.
   current_version_ = select_library_version(library_, trace_.rate_at(0.0),
-                                            config_.accuracy_threshold, config_.fps_margin,
+                                            config_.accuracy_threshold, kFpsMargin,
                                             /*use_flexible_fps=*/false);
   current_variant_ = hls::AcceleratorVariant::kFixed;
   return serving_mode(library_, current_version_, current_variant_);
@@ -30,7 +30,7 @@ edge::ServingMode OraclePolicy::initial_mode() {
 std::optional<edge::SwitchAction> OraclePolicy::on_poll(double now_s, double /*estimate*/) {
   const double true_rate = trace_.rate_at(now_s);
   const std::size_t target =
-      select_library_version(library_, true_rate, config_.accuracy_threshold, config_.fps_margin,
+      select_library_version(library_, true_rate, config_.accuracy_threshold, kFpsMargin,
                              current_variant_ == hls::AcceleratorVariant::kFlexible);
   if (target == current_version_) {
     return std::nullopt;

@@ -2,21 +2,19 @@
 
 #include <algorithm>
 
-#include "adaflow/common/error.hpp"
-
 namespace adaflow::core {
 
-void ProactiveConfig::validate() const {
-  forecast.validate();
-  require(stable_pin_windows >= 1, "proactive stable_pin_windows must be >= 1, got " +
-                                       std::to_string(stable_pin_windows));
-}
+namespace {
+
+/// Pre-arm Fixed once the detector has seen this many changepoint-free
+/// observations (ignored while a burst regime is active).
+constexpr std::int64_t kStablePinWindows = 15;
+
+}  // namespace
 
 ProactiveRuntimeManager::ProactiveRuntimeManager(const AcceleratorLibrary& library,
                                                  ProactiveConfig config)
-    : config_(config), inner_(library, config.manager), tracker_(config.forecast) {
-  config_.validate();
-}
+    : inner_(library, config.manager), tracker_(config.forecast) {}
 
 edge::ServingMode ProactiveRuntimeManager::initial_mode() {
   tracker_.reset();
@@ -45,7 +43,7 @@ std::optional<edge::SwitchAction> ProactiveRuntimeManager::on_poll(double now_s,
   if (tracker_.burst()) {
     // Dense changepoints: no reconfiguration must land mid-burst.
     inner_.set_variant_pin(hls::AcceleratorVariant::kFlexible);
-  } else if (tracker_.stable_windows() >= config_.stable_pin_windows) {
+  } else if (tracker_.stable_windows() >= kStablePinWindows) {
     // Predicted-stable regime: pre-arm the high-throughput Fixed accelerator
     // without waiting out the time-since-last-switch rule.
     inner_.set_variant_pin(hls::AcceleratorVariant::kFixed);

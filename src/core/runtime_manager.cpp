@@ -17,6 +17,12 @@ constexpr double kMinActionGapS = 0.4;
 /// Extra headroom required before moving to a SLOWER (more accurate)
 /// model; asymmetric hysteresis that stops boundary flapping.
 constexpr double kDownswitchMargin = 1.2;
+/// Hysteresis: ignore incoming-FPS changes smaller than this fraction.
+constexpr double kFpsHysteresis = 0.10;
+/// After a reconfiguration fails for good, avoid Fixed-Pruning (i.e. force
+/// the Flexible safety net) for this long — a flaky PR controller must not
+/// be handed another bitstream immediately.
+constexpr double kReconfigFailureHoldS = 5.0;
 
 }  // namespace
 
@@ -69,7 +75,6 @@ RuntimeManager::RuntimeManager(const AcceleratorLibrary& library, RuntimeManager
     : library_(library), config_(config) {
   require(config_.accuracy_threshold >= 0.0, "negative accuracy threshold");
   require(config_.switch_interval_factor >= 0.0, "negative switch interval factor");
-  require(config_.reconfig_failure_hold_s >= 0.0, "negative reconfig failure hold");
   // Fail fast on broken library rows — a zero-FPS mode discovered mid-run
   // would otherwise surface as an inexplicable simulation error.
   require(!library_.versions.empty(), "empty library");
@@ -97,14 +102,14 @@ edge::ServingMode RuntimeManager::initial_mode() {
 
 std::size_t RuntimeManager::select_version(double incoming_fps) const {
   return select_library_version(library_, incoming_fps, config_.accuracy_threshold,
-                                config_.fps_margin,
+                                kFpsMargin,
                                 current_variant_ == hls::AcceleratorVariant::kFlexible);
 }
 
 hls::AcceleratorVariant RuntimeManager::select_variant(double now_s) const {
   // A recently failed reconfiguration pins the choice to the Flexible safety
   // net: the PR controller gets a cool-off before another bitstream load.
-  if (now_s - last_switch_failure_s_ < config_.reconfig_failure_hold_s) {
+  if (now_s - last_switch_failure_s_ < kReconfigFailureHoldS) {
     return hls::AcceleratorVariant::kFlexible;
   }
   if (variant_pin_.has_value()) {
@@ -132,7 +137,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
   // estimate jitter is filtered out.
   if (!threshold_dirty_ && last_acted_fps_ > 0.0) {
     const double rel = std::fabs(incoming_fps - last_acted_fps_) / last_acted_fps_;
-    if (rel < config_.fps_hysteresis) {
+    if (rel < kFpsHysteresis) {
       return std::nullopt;
     }
   }
@@ -153,7 +158,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
                              ? cur.fps_flexible
                              : cur.fps_fixed;
   const bool current_adequate =
-      cur_fps >= incoming_fps * config_.fps_margin &&
+      cur_fps >= incoming_fps * kFpsMargin &&
       cur.accuracy >= library_.base_accuracy - config_.accuracy_threshold;
   if (current_adequate && tgt.accuracy <= cur.accuracy + 0.005) {
     return std::nullopt;
@@ -161,7 +166,7 @@ std::optional<edge::SwitchAction> RuntimeManager::on_poll(double now_s, double i
   // Asymmetric hysteresis: moving to a slower-but-more-accurate model needs
   // extra headroom, or boundary noise flip-flops between adjacent versions.
   if (current_adequate && tgt.fps_fixed < cur.fps_fixed &&
-      tgt.fps_fixed < incoming_fps * config_.fps_margin * kDownswitchMargin) {
+      tgt.fps_fixed < incoming_fps * kFpsMargin * kDownswitchMargin) {
     return std::nullopt;
   }
 
@@ -271,12 +276,12 @@ std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
   }
   if (last_acted_fps_ > 0.0) {
     const double rel = std::fabs(incoming_fps - last_acted_fps_) / last_acted_fps_;
-    if (rel < config_.fps_hysteresis) {
+    if (rel < kFpsHysteresis) {
       return std::nullopt;
     }
   }
   const std::size_t target = select_library_version(
-      library_, incoming_fps, config_.accuracy_threshold, config_.fps_margin,
+      library_, incoming_fps, config_.accuracy_threshold, kFpsMargin,
       /*use_flexible_fps=*/false);
   last_acted_fps_ = incoming_fps;
   if (target == current_version_) {
@@ -284,7 +289,7 @@ std::optional<edge::SwitchAction> ReconfPruningPolicy::on_poll(double now_s,
   }
   const ModelVersion& cur = library_.versions.at(current_version_);
   const bool current_adequate =
-      cur.fps_fixed >= incoming_fps * config_.fps_margin &&
+      cur.fps_fixed >= incoming_fps * kFpsMargin &&
       cur.accuracy >= library_.base_accuracy - config_.accuracy_threshold;
   if (current_adequate &&
       library_.versions.at(target).accuracy <= cur.accuracy + 0.005) {

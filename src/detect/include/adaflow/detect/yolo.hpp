@@ -66,7 +66,6 @@ inline constexpr double kDetectionTargetBaseFps = 900.0;
 /// Geometry-only library sweep configuration.
 struct DetectionLibraryConfig {
   std::vector<double> rates = {0.0, 0.15, 0.30, 0.45, 0.60};
-  double base_map = 0.82;          ///< mAP proxy of the unpruned detector
 
   /// Throws ConfigError naming the offending field.
   void validate() const;

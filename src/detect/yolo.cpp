@@ -35,7 +35,9 @@ YoloTopology yolo_tiny() { return YoloTopology{}; }
 
 namespace {
 
-/// mAP proxy of a pruned version: base_map * (1 - penalty * achieved^1.5).
+/// mAP proxy of the unpruned detector.
+constexpr double kBaseMap = 0.82;
+/// mAP proxy of a pruned version: kBaseMap * (1 - penalty * achieved^1.5).
 constexpr double kPruneMapPenalty = 0.30;
 /// Flexible dynamic-power floor (always-clocked control fabric fraction).
 constexpr double kFlexibleToggleFloor = 0.35;
@@ -138,7 +140,6 @@ void DetectionLibraryConfig::validate() const {
     require(i == 0 || rates[i] > rates[i - 1],
             "detection library rates must be strictly ascending");
   }
-  require(base_map > 0.0 && base_map <= 1.0, "DetectionLibraryConfig.base_map must be in (0, 1]");
 }
 
 core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
@@ -162,7 +163,7 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
   lib.model_name = topology.name;
   lib.dataset_name = "scene-density";
   lib.topology_hash = base_graph.topology_hash();
-  lib.base_accuracy = config.base_map;
+  lib.base_accuracy = kBaseMap;
   const core::LibraryPricer pricer(device, weight_bits, act_bits,
                                    fpga::default_resource_constants(),
                                    fpga::default_power_constants(), kFlexibleToggleFloor);
@@ -193,7 +194,7 @@ core::AcceleratorLibrary detection_library(const fpga::FpgaDevice& device,
     v.achieved_rate = 1.0 - static_cast<double>(prunable_sum(pruned)) /
                                 static_cast<double>(base_prunable);
     v.accuracy = std::max(
-        0.05, config.base_map *
+        0.05, kBaseMap *
                   (1.0 - kPruneMapPenalty * std::pow(v.achieved_rate, 1.5)));
     compiled.accuracy = v.accuracy;
     pricer.price_version(v, compiled, folding, folding,

@@ -289,12 +289,4 @@ bool FaultInjector::decode_fault(double now_s) {
 
 int FaultInjector::injected(FaultKind kind) const { return injected_[static_cast<int>(kind)]; }
 
-int FaultInjector::injected_total() const {
-  int total = 0;
-  for (int count : injected_) {
-    total += count;
-  }
-  return total;
-}
-
 }  // namespace adaflow::faults

@@ -207,9 +207,8 @@ class FaultInjector {
     return upset_events_;
   }
 
-  /// Number of manifested faults of one kind / in total so far.
+  /// Number of manifested faults of one kind so far.
   int injected(FaultKind kind) const;
-  int injected_total() const;
 
  private:
   bool draw(const FaultSpec& spec);

@@ -13,6 +13,9 @@ namespace {
 /// Minimum gap between detection-triggered repair reloads per device, so a
 /// flapping detector cannot hammer the PR controller.
 constexpr double kIntegrityRepairCooldownS = 1.0;
+/// The coordinator ignores aggregate-FPS shifts smaller than this fraction
+/// of the rate it last converged at.
+constexpr double kFpsHysteresis = 0.15;
 
 }  // namespace
 
@@ -155,7 +158,7 @@ bool FleetEngine::try_dispatch(std::int64_t tag, std::size_t exclude) {
   // the headroom callback, which pops this very entry. That callback can
   // also re-enter try_dispatch, and the status hook rewrites statuses_, so
   // nothing below reads it.
-  queued_since_[idx].push_back(QueuedFrame{queue_.now(), tag});
+  queued_since_[idx].push_back(queue_.now());
   if (!devices_[idx]->offer_frame(/*count_loss=*/false, tag)) {
     throw ConfigError("eligible device '" + devices_[idx]->name() + "' rejected a frame");
   }
@@ -181,7 +184,7 @@ bool FleetEngine::try_probe_dispatch(std::int64_t tag) {
     if (probe_wanted_[i] == 0 || devices_[i]->free_slots() <= 0) {
       continue;
     }
-    queued_since_[i].push_back(QueuedFrame{queue_.now(), tag});
+    queued_since_[i].push_back(queue_.now());
     const bool taken = devices_[i]->offer_frame(/*count_loss=*/false, tag);
     if (!taken) {
       queued_since_[i].pop_back();
@@ -226,15 +229,6 @@ void FleetEngine::on_device_headroom(std::size_t i) {
 }
 
 FleetEngine::Admit FleetEngine::offer_frame(std::int64_t tag) {
-  if (config_.health.hedge_budget_s > 0.0 && config_.health.hedge_duplicate) {
-    require(tag >= 0 || tag == edge::DeviceSim::kNoTag,
-            "hedge_duplicate reserves negative frame tags for the engine");
-    if (tag == edge::DeviceSim::kNoTag) {
-      // Anonymous frames get engine-internal tags (< -1) so a duplicated
-      // copy can be deduped at completion; user hooks never see them.
-      tag = next_internal_tag_--;
-    }
-  }
   ++metrics_.arrived;
   if (config_.coordinator.enabled) {
     recent_arrivals_.push_back(queue_.now());
@@ -255,41 +249,12 @@ FleetEngine::Admit FleetEngine::offer_frame(std::int64_t tag) {
 // --- frame outcome funnel ---------------------------------------------------
 
 void FleetEngine::frame_done(std::int64_t tag, double accuracy) {
-  const auto it = hedge_copies_.find(tag);
-  if (it != hedge_copies_.end()) {
-    HedgeEntry& entry = it->second;
-    const bool winner = !entry.delivered;
-    entry.delivered = true;
-    if (--entry.copies == 0) {
-      hedge_copies_.erase(it);
-    }
-    if (!winner) {
-      // The race was already won: this completion must not count toward
-      // delivered frames, QoE, or latency. finalize() subtracts it from the
-      // device-side sums.
-      ++metrics_.hedge_wasted;
-      hedge_wasted_qoe_ += accuracy;
-      return;
-    }
-  }
   if (tag >= 0 && on_frame_done_) {
     on_frame_done_(tag, accuracy);
   }
 }
 
 void FleetEngine::frame_lost(std::int64_t tag) {
-  const auto it = hedge_copies_.find(tag);
-  if (it != hedge_copies_.end()) {
-    HedgeEntry& entry = it->second;
-    const bool delivered = entry.delivered;
-    const bool last = --entry.copies == 0;
-    if (last) {
-      hedge_copies_.erase(it);
-    }
-    if (delivered || !last) {
-      return;  // the other copy already delivered, or still might
-    }
-  }
   if (tag >= 0 && on_frame_lost_) {
     on_frame_lost_(tag);
   }
@@ -309,58 +274,35 @@ void FleetEngine::redispatch_or_park(std::int64_t tag, std::size_t exclude) {
   frame_lost(tag);
 }
 
-/// Pulls every waiting frame off a newly-quarantined device and routes it
-/// through the rest of the fleet. Frames that find no headroom wait at
-/// ingress; they count as re-dispatched, not lost — only overflowing the
-/// ingress queue itself loses them (genuine ingress_lost).
-void FleetEngine::quarantine_drain(std::size_t i) {
+/// Device \p i just entered quarantine: counts it, aborts a coordinator
+/// cycle on it, pulls every waiting frame off it and routes them through the
+/// rest of the fleet, and makes the coordinator re-balance the survivors.
+/// Pulled frames that find no headroom wait at ingress; they count as
+/// re-dispatched, not lost — only overflowing the ingress queue itself loses
+/// them (genuine ingress_lost).
+void FleetEngine::quarantine(std::size_t i, double now) {
+  ++metrics_.quarantines;
+  if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
+    // The device the coordinator was cycling just got quarantined: abort
+    // the cycle; the monitor owns the exclusion from here.
+    set_accepting(i, true);
+    coord_state_ = CoordState::kIdle;
+    last_repartition_end_s_ = now;
+  }
   std::vector<std::int64_t> tags;
   const std::int64_t pulled = devices_[i]->take_queued(devices_[i]->queued(), &tags);
   queued_since_[i].clear();
   for (std::int64_t k = 0; k < pulled; ++k) {
     redispatch_or_park(tags[static_cast<std::size_t>(k)], i);
   }
+  // The fleet shrank: force the coordinator to re-balance the survivors
+  // instead of sitting in its hysteresis band.
+  last_converged_fps_ = -1.0;
 }
 
 /// Any device other than \p i that could take a hedged frame right now.
 bool FleetEngine::any_other_eligible(std::size_t i) const {
   return eligible_count_ > (statuses_[i].eligible ? 1 : 0);
-}
-
-/// Duplicate hedging: every frame stuck past the budget keeps its queue
-/// position and a duplicate copy is dispatched to another eligible device
-/// (at most one duplicate per frame — the hedge_copies_ entry marks it).
-/// Whichever copy completes first wins; frame_done/frame_lost resolve the
-/// race so exactly one outcome reaches the caller.
-void FleetEngine::hedge_duplicates(double now) {
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (excluded(i)) {
-      continue;
-    }
-    // Index loop with per-step re-check: dispatching the duplicate can start
-    // service synchronously, fire a headroom event, and reshape any
-    // queued_since_ deque under us.
-    for (std::size_t k = 0; k < queued_since_[i].size(); ++k) {
-      const QueuedFrame q = queued_since_[i][k];
-      if (now - q.since < config_.health.hedge_budget_s) {
-        break;  // front = oldest; everything behind is younger
-      }
-      if (q.tag == edge::DeviceSim::kNoTag || hedge_copies_.count(q.tag) != 0) {
-        continue;  // anonymous (untracked) or already duplicated
-      }
-      if (!any_other_eligible(i)) {
-        return;  // nowhere to put a duplicate; try again next tick
-      }
-      if (!try_dispatch(q.tag, i)) {
-        return;  // class-based router declined every peer; retry next tick
-      }
-      // Completion is always a scheduled event, so registering the race
-      // right after the synchronous dispatch cannot miss the winner.
-      hedge_copies_.emplace(q.tag, HedgeEntry{});
-      ++metrics_.redispatched;
-      ++metrics_.hedged;
-    }
-  }
 }
 
 void FleetEngine::health_tick() {
@@ -380,18 +322,7 @@ void FleetEngine::health_tick() {
     const HealthAction action = monitor_.observe(i, now, obs);
     refresh_eligible(i);  // the monitor may have moved the device in or out of rotation
     if (action.quarantine) {
-      ++metrics_.quarantines;
-      if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
-        // The device the coordinator was cycling just got quarantined:
-        // abort the cycle; the monitor owns the exclusion from here.
-        set_accepting(i, true);
-        coord_state_ = CoordState::kIdle;
-        last_repartition_end_s_ = now;
-      }
-      quarantine_drain(i);
-      // The fleet shrank: force the coordinator to re-balance the
-      // survivors instead of sitting in its hysteresis band.
-      last_converged_fps_ = -1.0;
+      quarantine(i, now);
     }
     if (action.want_probe) {
       set_probe_wanted(i, true);
@@ -420,26 +351,22 @@ void FleetEngine::health_tick() {
   // back and re-routed — but only when somewhere better exists right now
   // (hedging into a full fleet would just forfeit the frame's position).
   if (config_.health.hedge_budget_s > 0.0) {
-    if (config_.health.hedge_duplicate) {
-      hedge_duplicates(now);
-    } else {
-      for (std::size_t i = 0; i < devices_.size(); ++i) {
-        if (excluded(i)) {
-          continue;  // quarantine drain already emptied it
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+      if (excluded(i)) {
+        continue;  // quarantine drain already emptied it
+      }
+      while (!queued_since_[i].empty() &&
+             now - queued_since_[i].front() >= config_.health.hedge_budget_s &&
+             any_other_eligible(i)) {
+        std::vector<std::int64_t> tags;
+        if (devices_[i]->take_queued(1, &tags) == 0) {
+          break;
         }
-        while (!queued_since_[i].empty() &&
-               now - queued_since_[i].front().since >= config_.health.hedge_budget_s &&
-               any_other_eligible(i)) {
-          std::vector<std::int64_t> tags;
-          if (devices_[i]->take_queued(1, &tags) == 0) {
-            break;
-          }
-          queued_since_[i].pop_front();
-          ++metrics_.redispatched;
-          ++metrics_.hedged;
-          const bool placed = try_dispatch(tags.front(), i);
-          require(placed, "hedge re-dispatch failed despite an eligible device");
-        }
+        queued_since_[i].pop_front();
+        ++metrics_.redispatched;
+        ++metrics_.hedged;
+        const bool placed = try_dispatch(tags.front(), i);
+        require(placed, "hedge re-dispatch failed despite an eligible device");
       }
     }
   }
@@ -478,19 +405,13 @@ void FleetEngine::on_canary_result(std::size_t i, double now, double error) {
       command_device_switch(i, action);
     }
   }
-  // Confirmed-corrupt devices leave the routing set through the SAME
-  // quarantine/drain/probe/rejoin machinery crashes use; the reload just
-  // issued doubles as the cure the rejoin probes will verify.
-  if (config_.integrity.quarantine_on_detect && monitor_.force_quarantine(i, now)) {
+  // With the health monitor on, confirmed-corrupt devices leave the routing
+  // set through the SAME quarantine/drain/probe/rejoin machinery crashes
+  // use; the reload just issued doubles as the cure the rejoin probes will
+  // verify. Without it, the reload is the whole repair.
+  if (config_.health.enabled && monitor_.force_quarantine(i, now)) {
     refresh_eligible(i);
-    ++metrics_.quarantines;
-    if (coord_state_ != CoordState::kIdle && coord_device_ == i) {
-      set_accepting(i, true);
-      coord_state_ = CoordState::kIdle;
-      last_repartition_end_s_ = now;
-    }
-    quarantine_drain(i);
-    last_converged_fps_ = -1.0;
+    quarantine(i, now);
   }
 }
 
@@ -515,7 +436,7 @@ void FleetEngine::maybe_start_repartition(double now) {
   }
   if (last_converged_fps_ > 0.0 &&
       std::abs(agg - last_converged_fps_) <
-          config_.coordinator.fps_hysteresis * last_converged_fps_) {
+          kFpsHysteresis * last_converged_fps_) {
     return;
   }
   // Quarantined devices are not capacity: the survivors' share grows and
@@ -536,7 +457,7 @@ void FleetEngine::maybe_start_repartition(double now) {
     const core::AcceleratorLibrary& lib = device_library(i);
     const std::size_t target =
         core::select_library_version(lib, share, config_.coordinator.accuracy_threshold,
-                                     config_.coordinator.fps_margin, /*use_flexible_fps=*/false);
+                                     core::kFpsMargin, /*use_flexible_fps=*/false);
     const std::size_t current = lib.find(devices_[i]->mode().model_version);
     if (current == lib.versions.size() || target == current) {
       continue;
@@ -648,7 +569,6 @@ void FleetEngine::start() {
       qoe_total += dev->metrics().qoe_accuracy_sum;
       worst_backlog_s = std::max(worst_backlog_s, dev->backlog_seconds());
     }
-    qoe_total -= hedge_wasted_qoe_;  // discarded duplicate completions
     const std::int64_t d_arrived = metrics_.arrived - snap_arrived_;
     const std::int64_t d_lost = lost_total - snap_lost_;
     const double d_qoe = qoe_total - snap_qoe_;
@@ -703,10 +623,6 @@ FleetMetrics FleetEngine::finalize(double duration_s) {
     result.metrics = std::move(m);
     metrics_.devices.push_back(std::move(result));
   }
-  // Duplicate-hedge losers were counted by their devices; delivered frames
-  // and QoE must count each frame once.
-  metrics_.processed -= metrics_.hedge_wasted;
-  metrics_.qoe_accuracy_sum -= hedge_wasted_qoe_;
   metrics_.tail_latency_p95_s = sim::percentile(metrics_.backlog_series.values, 0.95);
   return std::move(metrics_);
 }

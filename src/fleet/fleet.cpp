@@ -53,20 +53,12 @@ void FleetConfig::validate() const {
     if (coordinator.switch_interval_factor < 0.0) {
       throw ConfigError("FleetCoordinatorConfig.switch_interval_factor must be >= 0");
     }
-    if (coordinator.fps_hysteresis < 0.0) {
-      throw ConfigError("FleetCoordinatorConfig.fps_hysteresis must be >= 0");
-    }
   }
   if (health.enabled) {
     health.validate();
   }
   if (integrity.enabled) {
     integrity.validate();
-    if (integrity.quarantine_on_detect && !health.enabled) {
-      throw ConfigError(
-          "FleetIntegrityConfig.quarantine_on_detect requires health.enabled (the "
-          "quarantine/probe/rejoin machinery lives in the health monitor)");
-    }
   }
 }
 

@@ -7,6 +7,17 @@
 
 namespace adaflow::fleet {
 
+namespace {
+
+/// Completion rate below (mode FPS / this factor) while continuously busy
+/// marks the device suspect — the degraded-service detector. A factor of 3
+/// tolerates scheduling noise but catches strong latency multipliers.
+constexpr double kDegradeRateFactor = 3.0;
+/// Window over which the completion rate is measured.
+constexpr double kRateWindowS = 2.0;
+
+}  // namespace
+
 const char* health_state_name(HealthState state) {
   switch (state) {
     case HealthState::kHealthy:
@@ -32,18 +43,11 @@ void HealthConfig::validate() const {
   positive(quarantine_timeout_s, "quarantine_timeout_s");
   positive(probe_interval_s, "probe_interval_s");
   positive(probe_timeout_s, "probe_timeout_s");
-  positive(rate_window_s, "rate_window_s");
   if (rejoin_probes < 1) {
     throw ConfigError("HealthConfig.rejoin_probes must be >= 1");
   }
-  if (!(std::isfinite(degrade_rate_factor) && degrade_rate_factor >= 1.0)) {
-    throw ConfigError("HealthConfig.degrade_rate_factor must be >= 1");
-  }
   if (!(std::isfinite(hedge_budget_s) && hedge_budget_s >= 0.0)) {
     throw ConfigError("HealthConfig.hedge_budget_s must be >= 0 (0 disables hedging)");
-  }
-  if (hedge_duplicate && hedge_budget_s <= 0.0) {
-    throw ConfigError("HealthConfig.hedge_duplicate requires hedge_budget_s > 0");
   }
 }
 
@@ -62,16 +66,16 @@ bool HealthMonitor::rate_too_slow(DeviceHealth& d, double now, const Observation
     return false;
   }
   d.rate_history.emplace_back(now, obs.processed);
-  while (d.rate_history.size() > 1 && d.rate_history.front().first < now - config_.rate_window_s) {
+  while (d.rate_history.size() > 1 && d.rate_history.front().first < now - kRateWindowS) {
     d.rate_history.pop_front();
   }
   const double span = now - d.rate_history.front().first;
-  if (span < config_.rate_window_s * 0.5) {
+  if (span < kRateWindowS * 0.5) {
     return false;  // not enough busy history to judge
   }
   const double rate =
       static_cast<double>(obs.processed - d.rate_history.front().second) / span;
-  return rate < obs.nominal_fps / config_.degrade_rate_factor;
+  return rate < obs.nominal_fps / kDegradeRateFactor;
 }
 
 HealthAction HealthMonitor::observe(std::size_t i, double now, const Observation& obs) {

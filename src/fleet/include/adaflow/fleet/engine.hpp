@@ -26,7 +26,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "adaflow/edge/device_sim.hpp"
@@ -177,25 +176,24 @@ class FleetEngine {
   void set_probe_wanted(std::size_t i, bool wanted);
   void drain_ingress();
   void on_device_headroom(std::size_t i);
-  /// Central frame-outcome funnel: dedupes duplicate-hedge copies, then
-  /// forwards caller tags to the user hooks. Every completion/loss path
-  /// (device hooks, re-park sheds) reports through here.
+  /// Central frame-outcome funnel: forwards caller tags to the user hooks.
+  /// Every completion/loss path (device hooks, re-park sheds) reports
+  /// through here.
   void frame_done(std::int64_t tag, double accuracy);
   void frame_lost(std::int64_t tag);
-  /// Dispatches duplicate copies of frames stuck past the hedge budget
-  /// (hedge_duplicate mode; health_tick calls it each tick).
-  void hedge_duplicates(double now);
   /// A re-dispatched frame (quarantine drain, probe reclaim, hedge) looks
   /// for a new home: device first, then ingress, else it is shed — and a
   /// shed tagged frame fires the lost hook (its owner must hear of it).
   void redispatch_or_park(std::int64_t tag, std::size_t exclude);
-  void quarantine_drain(std::size_t i);
+  /// Acts on device \p i entering quarantine (a health_tick escalation or
+  /// an integrity detection): drain, coordinator abort, re-balance.
+  void quarantine(std::size_t i, double now);
   bool any_other_eligible(std::size_t i) const;
   void health_tick();
   /// A canary completed on device \p i with \p error against the golden
   /// answer: feeds that device's drift detector, and on a trip scores the
   /// verdict, issues the detection-triggered reload (cooldown-gated), and
-  /// optionally force-quarantines the device.
+  /// force-quarantines the device when the health monitor is on.
   void on_canary_result(std::size_t i, double now, double error);
   double aggregate_fps();
   void maybe_start_repartition(double now);
@@ -235,14 +233,9 @@ class FleetEngine {
   /// slow reload is not re-issued on every canary while corruption clears).
   std::vector<integrity::DriftDetector> integrity_detectors_;
   std::vector<double> last_repair_s_;
-  /// One entry per frame waiting in a device's queue (front = oldest):
-  /// dispatch timestamp + tag. Kept in lock-step with DeviceSim::queued();
-  /// the tag lets duplicate hedging name a stuck frame without pulling it.
-  struct QueuedFrame {
-    double since = 0.0;
-    std::int64_t tag = edge::DeviceSim::kNoTag;
-  };
-  std::vector<std::deque<QueuedFrame>> queued_since_;
+  /// One dispatch timestamp per frame waiting in a device's queue (front =
+  /// oldest), kept in lock-step with DeviceSim::queued().
+  std::vector<std::deque<double>> queued_since_;
 
   FleetMetrics metrics_;
   /// The frames waiting at ingress, in the queue's scheduling order.
@@ -253,18 +246,6 @@ class FleetEngine {
 
   std::function<void(std::int64_t, double)> on_frame_done_;
   std::function<void(std::int64_t)> on_frame_lost_;
-
-  /// Duplicate-hedge bookkeeping (hedge_duplicate mode): one entry per frame
-  /// with two live copies in flight. First completion wins; the loser is
-  /// discarded as hedge_wasted. Anonymous frames get internal tags (< -1,
-  /// from next_internal_tag_) at admission so their copies dedupe too.
-  struct HedgeEntry {
-    int copies = 2;
-    bool delivered = false;
-  };
-  std::unordered_map<std::int64_t, HedgeEntry> hedge_copies_;
-  std::int64_t next_internal_tag_ = -2;
-  double hedge_wasted_qoe_ = 0.0;  ///< accuracy sum of discarded duplicates
 
   // Coordinator state (see fleet.hpp for the drain-and-reconfigure design).
   std::deque<double> recent_arrivals_;

@@ -85,8 +85,6 @@ struct FleetCoordinatorConfig {
   double poll_interval_s = 0.5;
   double estimate_window_s = 1.0;  ///< aggregate ingress-rate window
   double warmup_s = 1.0;           ///< no repartitions before the estimate fills
-  /// Ignore aggregate-FPS shifts smaller than this fraction.
-  double fps_hysteresis = 0.15;
   /// Consecutive repartitions are spaced by factor x the device's
   /// reconfiguration time — the paper's switch-interval rule applied
   /// cluster-wide (at most one device is ever out of rotation).
@@ -95,7 +93,6 @@ struct FleetCoordinatorConfig {
   /// after this long (frames then wait through the switch).
   double drain_timeout_s = 1.0;
   double accuracy_threshold = 0.10;
-  double fps_margin = 1.10;
 };
 
 struct FleetConfig {
@@ -111,8 +108,8 @@ struct FleetConfig {
   /// recovery, and hedged re-dispatch. Off by default (PR 2 behaviour).
   HealthConfig health;
   /// Silent-corruption detection: per-device canary probing + drift
-  /// detectors, detection-triggered reload, and optional quarantine of
-  /// confirmed-corrupt devices. Off by default.
+  /// detectors and detection-triggered reload; a confirmed-corrupt device is
+  /// also quarantined when the health monitor is on. Off by default.
   integrity::FleetIntegrityConfig integrity;
 
   /// Throws ConfigError naming the offending device/field.
@@ -190,10 +187,6 @@ struct FleetMetrics {
   ///   arrived + redispatched == dispatched + ingress_lost + ingress_backlog.
   std::int64_t redispatched = 0;
   std::int64_t hedged = 0;  ///< subset of redispatched: queue-wait hedges
-  /// Duplicate-hedge completions that lost the race and were discarded
-  /// (hedge_duplicate mode only). finalize() already subtracts them from
-  /// processed and qoe_accuracy_sum, so delivered-frame counts stay honest.
-  std::int64_t hedge_wasted = 0;
   std::int64_t quarantines = 0;  ///< circuit-breaker trips, fleet-wide
   std::int64_t rejoins = 0;      ///< probed recoveries, fleet-wide
   std::int64_t processed = 0;
@@ -216,10 +209,6 @@ struct FleetMetrics {
 
   /// Summed over devices: faults that manifested and how devices reacted.
   sim::FaultStats faults;
-
-  /// Always zero: no fleet-level forecaster runs. Kept while both replay
-  /// hashers cover it (dropping it re-pins them).
-  sim::ForecastStats forecast;
 
   /// Summed over devices: the silent-corruption ledger — config upsets that
   /// landed, wrong frames served while corrupt, canary traffic and its
@@ -271,7 +260,7 @@ constexpr auto field_table(std::type_identity<FleetMetrics>) {
       sim::sum("arrived", &S::arrived), sim::sum("dispatched", &S::dispatched),
       sim::sum("ingress_lost", &S::ingress_lost), sim::sum("ingress_backlog", &S::ingress_backlog),
       sim::sum("redispatched", &S::redispatched), sim::sum("hedged", &S::hedged),
-      sim::sum("hedge_wasted", &S::hedge_wasted), sim::sum("quarantines", &S::quarantines),
+      sim::sum("quarantines", &S::quarantines),
       sim::sum("rejoins", &S::rejoins), sim::sum("processed", &S::processed),
       sim::sum("device_lost", &S::device_lost), sim::sum("qoe_accuracy_sum", &S::qoe_accuracy_sum),
       sim::sum("energy_j", &S::energy_j),
@@ -284,7 +273,7 @@ constexpr auto field_table(std::type_identity<FleetMetrics>) {
       sim::weighted_series("loss_series", &S::loss_series),
       sim::weighted_series("qoe_series", &S::qoe_series),
       sim::max_series("backlog_series", &S::backlog_series),
-      sim::sum("faults", &S::faults), sim::sum("forecast", &S::forecast),
+      sim::sum("faults", &S::faults),
       sim::sum("integrity", &S::integrity), sim::sum("detection", &S::detection),
       sim::histogram("e2e_latency", &S::e2e_latency),
       sim::concat("devices", &S::devices), sim::concat("tenants", &S::tenants),

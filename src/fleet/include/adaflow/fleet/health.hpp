@@ -38,24 +38,10 @@ struct HealthConfig {
   double probe_timeout_s = 1.0;
   /// Consecutive successful probes required before the device rejoins.
   int rejoin_probes = 2;
-  /// Completion rate below (mode FPS / this factor) while continuously busy
-  /// marks the device suspect — the degraded-service detector. A factor of 3
-  /// tolerates scheduling noise but catches strong latency multipliers.
-  double degrade_rate_factor = 3.0;
-  /// Window over which the completion rate is measured.
-  double rate_window_s = 2.0;
   /// When > 0: an ingress-dispatched frame still waiting in a device queue
   /// after this long is hedged — pulled back and re-routed to another
   /// eligible device. 0 disables hedging.
   double hedge_budget_s = 0.0;
-  /// Hedge by duplication instead of migration: the slow copy stays queued
-  /// and a duplicate is dispatched to another eligible device; the first
-  /// completion wins and the loser's completion is discarded (it counts as
-  /// hedge_wasted, never toward delivered frames, QoE, or latency). Off by
-  /// default — migration hedging is the PR 5 behaviour. With duplication on,
-  /// caller-assigned frame tags must be >= 0 (the engine reserves negative
-  /// tags to dedupe anonymous traffic).
-  bool hedge_duplicate = false;
 
   /// Throws ConfigError naming the offending field.
   void validate() const;

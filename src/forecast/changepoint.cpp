@@ -15,26 +15,11 @@ constexpr double kMinRelativeJump = 0.2;
 
 }  // namespace
 
-void ChangepointConfig::validate() const {
-  require(short_window >= 1, "changepoint short_window must be >= 1, got " +
-                                 std::to_string(short_window));
-  require(long_window >= short_window + 2,
-          "changepoint long_window must leave a baseline of >= 2 observations "
-          "(long_window >= short_window + 2), got long_window " +
-              std::to_string(long_window) + " with short_window " + std::to_string(short_window));
-  require(burst_changepoints >= 1, "changepoint burst_changepoints must be >= 1, got " +
-                                       std::to_string(burst_changepoints));
-}
-
-ChangepointDetector::ChangepointDetector(ChangepointConfig config) : config_(config) {
-  config_.validate();
-}
-
 void ChangepointDetector::observe(double rate) {
   ++observations_;
   last_was_changepoint_ = false;
   window_.push_back(rate);
-  if (window_.size() > static_cast<std::size_t>(config_.long_window)) {
+  if (window_.size() > static_cast<std::size_t>(kLongWindow)) {
     window_.pop_front();
   }
   // Expire changepoints that left the burst window.
@@ -42,7 +27,7 @@ void ChangepointDetector::observe(double rate) {
     change_obs_.pop_front();
   }
 
-  const std::size_t recent = static_cast<std::size_t>(config_.short_window);
+  const std::size_t recent = static_cast<std::size_t>(kShortWindow);
   if (window_.size() < recent + 2) {
     return;  // baseline too small to test against
   }
@@ -81,7 +66,7 @@ void ChangepointDetector::observe(double rate) {
 }
 
 bool ChangepointDetector::burst() const {
-  return static_cast<int>(change_obs_.size()) >= config_.burst_changepoints;
+  return static_cast<int>(change_obs_.size()) >= kBurstChangepoints;
 }
 
 std::int64_t ChangepointDetector::stable_windows() const {

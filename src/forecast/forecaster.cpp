@@ -30,26 +30,24 @@ ForecasterKind forecaster_kind_from_name(const std::string& name) {
   throw NotFoundError("unknown forecaster '" + name + "' (naive, ewma, holt-winters)");
 }
 
-void ForecasterConfig::validate() const {
-  require(std::isfinite(alpha) && alpha > 0.0 && alpha <= 1.0,
-          "forecaster alpha must be in (0, 1], got " + std::to_string(alpha));
-  require(std::isfinite(beta) && beta > 0.0 && beta <= 1.0,
-          "forecaster beta must be in (0, 1], got " + std::to_string(beta));
-  require(std::isfinite(error_alpha) && error_alpha > 0.0 && error_alpha <= 1.0,
-          "forecaster error_alpha must be in (0, 1], got " + std::to_string(error_alpha));
-  require(std::isfinite(interval_factor) && interval_factor >= 0.0,
-          "forecaster interval_factor must be >= 0, got " + std::to_string(interval_factor));
-}
-
 namespace {
+
+/// Level smoothing weight (ewma, holt-winters).
+constexpr double kAlpha = 0.35;
+/// Trend smoothing weight (holt-winters only).
+constexpr double kBeta = 0.15;
+/// Smoothing weight of the one-step absolute-error EWMA that sizes the
+/// prediction interval.
+constexpr double kErrorAlpha = 0.3;
+/// Half-width of the prediction interval in mean-absolute-error units
+/// (2.5 x MAE approximates a ~95% interval for near-normal errors).
+constexpr double kIntervalFactor = 2.5;
 
 /// Shared error-EWMA + interval construction: every model tracks its own
 /// one-step absolute error the same way, so intervals are comparable across
 /// models.
 class ErrorTrackedForecaster : public Forecaster {
  public:
-  explicit ErrorTrackedForecaster(const ForecasterConfig& config) : config_(config) {}
-
   std::int64_t observations() const override { return count_; }
 
  protected:
@@ -60,7 +58,7 @@ class ErrorTrackedForecaster : public Forecaster {
   void track_error(double rate) {
     if (count_ > 0) {
       const double err = std::fabs(rate - one_step_point());
-      mae_ = count_ == 1 ? err : config_.error_alpha * err + (1.0 - config_.error_alpha) * mae_;
+      mae_ = count_ == 1 ? err : kErrorAlpha * err + (1.0 - kErrorAlpha) * mae_;
     }
     ++count_;
   }
@@ -70,7 +68,7 @@ class ErrorTrackedForecaster : public Forecaster {
     Forecast f;
     f.rate = std::max(0.0, point);
     const double half =
-        config_.interval_factor * mae_ * std::sqrt(static_cast<double>(horizon_windows));
+        kIntervalFactor * mae_ * std::sqrt(static_cast<double>(horizon_windows));
     f.lower = std::max(0.0, f.rate - half);
     f.upper = f.rate + half;
     return f;
@@ -81,14 +79,12 @@ class ErrorTrackedForecaster : public Forecaster {
     count_ = 0;
   }
 
-  ForecasterConfig config_;
   double mae_ = 0.0;  ///< EWMA of the one-step absolute error
   std::int64_t count_ = 0;
 };
 
 class NaiveForecaster final : public ErrorTrackedForecaster {
  public:
-  using ErrorTrackedForecaster::ErrorTrackedForecaster;
   const char* name() const override { return "naive"; }
 
   void observe(double rate) override {
@@ -112,12 +108,11 @@ class NaiveForecaster final : public ErrorTrackedForecaster {
 
 class EwmaForecaster final : public ErrorTrackedForecaster {
  public:
-  using ErrorTrackedForecaster::ErrorTrackedForecaster;
   const char* name() const override { return "ewma"; }
 
   void observe(double rate) override {
     track_error(rate);
-    level_ = count_ == 1 ? rate : config_.alpha * rate + (1.0 - config_.alpha) * level_;
+    level_ = count_ == 1 ? rate : kAlpha * rate + (1.0 - kAlpha) * level_;
   }
 
   Forecast forecast(int horizon_windows) const override {
@@ -136,7 +131,6 @@ class EwmaForecaster final : public ErrorTrackedForecaster {
 
 class HoltWintersForecaster final : public ErrorTrackedForecaster {
  public:
-  using ErrorTrackedForecaster::ErrorTrackedForecaster;
   const char* name() const override { return "holt-winters"; }
 
   void observe(double rate) override {
@@ -147,8 +141,8 @@ class HoltWintersForecaster final : public ErrorTrackedForecaster {
       return;
     }
     const double prev_level = level_;
-    level_ = config_.alpha * rate + (1.0 - config_.alpha) * (prev_level + trend_);
-    trend_ = config_.beta * (level_ - prev_level) + (1.0 - config_.beta) * trend_;
+    level_ = kAlpha * rate + (1.0 - kAlpha) * (prev_level + trend_);
+    trend_ = kBeta * (level_ - prev_level) + (1.0 - kBeta) * trend_;
   }
 
   Forecast forecast(int horizon_windows) const override {
@@ -171,15 +165,14 @@ class HoltWintersForecaster final : public ErrorTrackedForecaster {
 
 }  // namespace
 
-std::unique_ptr<Forecaster> make_forecaster(const ForecasterConfig& config) {
-  config.validate();
-  switch (config.kind) {
+std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind) {
+  switch (kind) {
     case ForecasterKind::kNaive:
-      return std::make_unique<NaiveForecaster>(config);
+      return std::make_unique<NaiveForecaster>();
     case ForecasterKind::kEwma:
-      return std::make_unique<EwmaForecaster>(config);
+      return std::make_unique<EwmaForecaster>();
     case ForecasterKind::kHoltWinters:
-      return std::make_unique<HoltWintersForecaster>(config);
+      return std::make_unique<HoltWintersForecaster>();
   }
   throw ConfigError("unhandled ForecasterKind");
 }

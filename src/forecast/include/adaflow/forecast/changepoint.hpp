@@ -11,7 +11,7 @@
 /// window, so a level shift fires once, not continuously.
 ///
 /// A BURST REGIME is declared while changepoints arrive densely: at least
-/// `burst_changepoints` of them within the last kBurstWindow observations.
+/// kBurstChangepoints of them within the last kBurstWindow observations.
 /// An isolated re-draw (paper Scenario 1: every 5 s) therefore never counts
 /// as a burst, while Scenario 2 (every 500 ms) does — which is exactly the
 /// distinction the proactive Runtime Manager needs to decide between the
@@ -23,27 +23,19 @@
 #include <cstdint>
 #include <deque>
 
-#include "adaflow/common/error.hpp"
-
 namespace adaflow::forecast {
-
-struct ChangepointConfig {
-  int short_window = 3;   ///< recent-mean window [observations]
-  int long_window = 12;   ///< baseline + recent window [observations]
-  /// Burst regime: >= burst_changepoints changepoints within the last
-  /// ChangepointDetector::kBurstWindow observations.
-  int burst_changepoints = 2;
-
-  /// Throws ConfigError naming the offending field.
-  void validate() const;
-};
 
 class ChangepointDetector {
  public:
+  /// Recent-mean window [observations].
+  static constexpr int kShortWindow = 3;
+  /// Baseline + recent window [observations].
+  static constexpr int kLongWindow = 12;
   /// Observations a changepoint counts toward the burst regime.
   static constexpr int kBurstWindow = 30;
-
-  explicit ChangepointDetector(ChangepointConfig config = {});
+  /// Burst regime: at least this many changepoints within the last
+  /// kBurstWindow observations.
+  static constexpr int kBurstChangepoints = 2;
 
   /// Absorbs one per-window rate observation.
   void observe(double rate);
@@ -64,8 +56,7 @@ class ChangepointDetector {
   void reset();
 
  private:
-  ChangepointConfig config_;
-  std::deque<double> window_;             ///< last <= long_window rates
+  std::deque<double> window_;             ///< last <= kLongWindow rates
   std::deque<std::int64_t> change_obs_;   ///< observation indices of changepoints
   std::int64_t observations_ = 0;
   std::int64_t total_changepoints_ = 0;

@@ -44,23 +44,6 @@ const char* forecaster_kind_name(ForecasterKind kind);
 /// NotFoundError naming the valid spellings otherwise.
 ForecasterKind forecaster_kind_from_name(const std::string& name);
 
-struct ForecasterConfig {
-  ForecasterKind kind = ForecasterKind::kHoltWinters;
-  /// Level smoothing weight in (0, 1] (ewma, holt-winters).
-  double alpha = 0.35;
-  /// Trend smoothing weight in (0, 1] (holt-winters only).
-  double beta = 0.15;
-  /// Smoothing weight of the one-step absolute-error EWMA that sizes the
-  /// prediction interval.
-  double error_alpha = 0.3;
-  /// Half-width of the prediction interval in mean-absolute-error units
-  /// (2.5 x MAE approximates a ~95% interval for near-normal errors).
-  double interval_factor = 2.5;
-
-  /// Throws ConfigError naming the offending field.
-  void validate() const;
-};
-
 /// Online forecaster fed one per-window arrival rate at a time.
 class Forecaster {
  public:
@@ -76,7 +59,7 @@ class Forecaster {
   virtual void reset() = 0;
 };
 
-/// Builds the forecaster \p config describes (validates first).
-std::unique_ptr<Forecaster> make_forecaster(const ForecasterConfig& config);
+/// Builds a forecaster of \p kind.
+std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind);
 
 }  // namespace adaflow::forecast

@@ -22,7 +22,7 @@
 namespace adaflow::forecast {
 
 struct ForecastTrackerConfig {
-  ForecasterConfig forecaster;
+  ForecasterKind forecaster = ForecasterKind::kHoltWinters;
   /// How many monitor windows ahead the tracked forecast looks.
   int horizon_windows = 3;
   /// Monitor-window length; only used to stamp the exported time series.

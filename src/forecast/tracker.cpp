@@ -6,7 +6,6 @@
 namespace adaflow::forecast {
 
 void ForecastTrackerConfig::validate() const {
-  forecaster.validate();
   require(horizon_windows >= 1,
           "tracker horizon_windows must be >= 1, got " + std::to_string(horizon_windows));
   require(std::isfinite(window_s) && window_s > 0.0,

@@ -6,11 +6,16 @@
 
 namespace adaflow::ingest {
 
+namespace {
+
+/// Queue-fill fraction that engages thinning (tier 1).
+constexpr double kTier1Fill = 0.5;
+/// Queue-fill fraction that additionally engages downgrade (tier 2).
+constexpr double kTier2Fill = 0.85;
+
+}  // namespace
+
 void BrownoutConfig::validate() const {
-  require(std::isfinite(tier1_fill) && tier1_fill > 0.0 && tier1_fill <= 1.0,
-          "brownout config: tier1_fill must be in (0, 1]");
-  require(std::isfinite(tier2_fill) && tier2_fill >= tier1_fill && tier2_fill <= 1.0,
-          "brownout config: tier2_fill must be in [tier1_fill, 1]");
   require(std::isfinite(tier1_latency_s) && tier1_latency_s > 0.0,
           "brownout config: tier1_latency_s must be positive");
   require(std::isfinite(tier2_latency_s) && tier2_latency_s >= tier1_latency_s,
@@ -19,7 +24,6 @@ void BrownoutConfig::validate() const {
           "brownout config: release_fraction must be in (0, 1)");
   require(std::isfinite(min_dwell_s) && min_dwell_s >= 0.0,
           "brownout config: min_dwell_s must be >= 0");
-  require(thin_keep_every >= 2, "brownout config: thin_keep_every must be >= 2");
   require(downgrade_steps >= 1, "brownout config: downgrade_steps must be >= 1");
 }
 
@@ -33,25 +37,25 @@ int BrownoutController::desired_tier(double fill, double latency_s) const {
       return 0;
     case BrownoutMode::kDropAll:
       // Binary admission control on the tier-1 thresholds.
-      return (fill >= config_.tier1_fill || latency_s >= config_.tier1_latency_s) ? 1 : 0;
+      return (fill >= kTier1Fill || latency_s >= config_.tier1_latency_s) ? 1 : 0;
     case BrownoutMode::kLadder:
       break;
   }
   int tier = 0;
-  if (fill >= config_.tier1_fill || latency_s >= config_.tier1_latency_s) {
+  if (fill >= kTier1Fill || latency_s >= config_.tier1_latency_s) {
     tier = 1;
   }
-  if (fill >= config_.tier2_fill || latency_s >= config_.tier2_latency_s) {
+  if (fill >= kTier2Fill || latency_s >= config_.tier2_latency_s) {
     tier = 2;
   }
   return tier;
 }
 
 bool BrownoutController::below_release(double fill, double latency_s, int tier) const {
-  double fill_engage = config_.tier1_fill;
+  double fill_engage = kTier1Fill;
   double latency_engage = config_.tier1_latency_s;
   if (config_.mode == BrownoutMode::kLadder && tier >= 2) {
-    fill_engage = config_.tier2_fill;
+    fill_engage = kTier2Fill;
     latency_engage = config_.tier2_latency_s;
   }
   // BOTH signals must clear the release line; releasing on one while the

@@ -43,17 +43,14 @@ enum class BrownoutMode {
 
 struct BrownoutConfig {
   BrownoutMode mode = BrownoutMode::kLadder;
-  // Engage thresholds. A tier engages when EITHER signal crosses its line.
-  double tier1_fill = 0.5;       ///< queue-fill fraction that engages thinning
-  double tier2_fill = 0.85;      ///< fill that additionally engages downgrade
+  // Engage thresholds. A tier engages when EITHER signal crosses its line:
+  // the queue-fill fraction (0.5 for tier 1, 0.85 for tier 2) or the e2e p99.
   double tier1_latency_s = 0.3;  ///< e2e p99 that engages thinning
   double tier2_latency_s = 0.6;  ///< e2e p99 that additionally engages downgrade
   /// Release when both signals fall below release_fraction x the engage
   /// threshold of the CURRENT tier (strictly below 1 for real hysteresis).
   double release_fraction = 0.6;
   double min_dwell_s = 1.0;      ///< minimum time between tier changes
-  /// Tier 1 keeps every keep_every-th frame of each session (2 = halve).
-  int thin_keep_every = 2;
   /// Tier 2 moves devices this many library versions toward the fast end.
   int downgrade_steps = 1;
 

@@ -27,11 +27,8 @@ struct NetworkConfig {
   double base_delay_s = 0.02;   ///< fixed propagation delay
   double jitter_s = 0.01;       ///< extra uniform [0, jitter_s) per frame
   double loss_p = 0.01;         ///< i.i.d. loss in the good state
-  double burst_loss_p = 0.5;    ///< loss while the link is in its bad state
   double p_good_to_bad = 0.005; ///< per-frame transition into the burst state
-  double p_bad_to_good = 0.2;   ///< per-frame recovery out of it
   double duplicate_p = 0.002;   ///< a second copy is delivered late
-  double duplicate_extra_delay_s = 0.03;
 };
 
 struct NetworkStats {

@@ -30,12 +30,9 @@ namespace adaflow::ingest {
 
 struct CameraSessionConfig {
   double fps = 30.0;              ///< capture cadence while connected
-  double connect_delay_s = 0.2;   ///< handshake time per (re)connect
   /// Mean connected time before the session drops (exponential); <= 0 means
   /// the session never drops on its own.
   double mean_uptime_s = 30.0;
-  double reconnect_backoff_s = 0.5;      ///< first retry delay
-  double reconnect_backoff_max_s = 8.0;  ///< cap for the doubling backoff
   double reconnect_success_p = 0.7;      ///< per-attempt success probability
 };
 

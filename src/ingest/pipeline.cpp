@@ -27,6 +27,14 @@ constexpr double kLatencyWindowS = 1.0;
 constexpr double kDecodeFailP = 0.0005;
 /// Backpressure re-check cadence while decode waits on the fleet.
 constexpr double kDecodeRetryIntervalS = 0.005;
+/// Bounded pre-decode queue per session.
+constexpr std::int64_t kSessionQueueCapacity = 32;
+/// Decode pauses while the fleet's ingress backlog is at or past this
+/// (explicit backpressure: frames wait upstream, in the session queues).
+constexpr std::int64_t kBackpressureThreshold = 64;
+/// Brownout tier 1 keeps every kThinKeepEvery-th frame of each session
+/// (2 = halve).
+constexpr std::int64_t kThinKeepEvery = 2;
 
 /// The pipeline on one event queue. Lives on the stack of run_ingest().
 struct IngestSim {
@@ -105,12 +113,11 @@ struct IngestSim {
     }
     // Deterministic per-session thinning: keeping fixed residues (not random
     // drops) preserves an even temporal spacing of the surviving frames.
-    if (d.thin && seq % static_cast<std::int64_t>(config.brownout.thin_keep_every) != 0) {
+    if (d.thin && seq % kThinKeepEvery != 0) {
       ++metrics.thinned;
       return;
     }
-    if (static_cast<std::int64_t>(session_queues[i].size()) >=
-        config.decode.session_queue_capacity) {
+    if (static_cast<std::int64_t>(session_queues[i].size()) >= kSessionQueueCapacity) {
       // Bounded queue: the arriving frame is dropped (the stale filter has
       // already guaranteed everything waiting is fresher-ordered than it).
       ++metrics.queue_drops;
@@ -140,7 +147,7 @@ struct IngestSim {
 
   void try_start_decodes() {
     while (busy_workers < config.decode.workers) {
-      if (engine.ingress_backlog() >= config.decode.backpressure_threshold) {
+      if (engine.ingress_backlog() >= kBackpressureThreshold) {
         // Explicit backpressure: the dispatcher is saturated, so decoding
         // more frames would only move the backlog downstream. Wait upstream.
         schedule_backpressure_retry();
@@ -216,7 +223,7 @@ struct IngestSim {
     double fill = 0.0;
     for (const auto& q : session_queues) {
       fill = std::max(fill, static_cast<double>(q.size()) /
-                                static_cast<double>(config.decode.session_queue_capacity));
+                                static_cast<double>(kSessionQueueCapacity));
     }
     if (config.fleet.ingress_capacity > 0) {
       fill = std::max(fill, static_cast<double>(engine.ingress_backlog()) /
@@ -360,12 +367,6 @@ void IngestConfig::validate() const {
   }
   if (decode.workers <= 0) {
     throw ConfigError("IngestConfig.decode.workers must be positive");
-  }
-  if (decode.session_queue_capacity <= 0) {
-    throw ConfigError("IngestConfig.decode.session_queue_capacity must be positive");
-  }
-  if (decode.backpressure_threshold <= 0) {
-    throw ConfigError("IngestConfig.decode.backpressure_threshold must be positive");
   }
   brownout.validate();
   fleet.validate();

@@ -7,6 +7,16 @@
 
 namespace adaflow::ingest {
 
+namespace {
+
+/// Handshake time per (re)connect.
+constexpr double kConnectDelayS = 0.2;
+/// First reconnect retry delay, doubled per failed attempt up to the cap.
+constexpr double kReconnectBackoffS = 0.5;
+constexpr double kReconnectBackoffMaxS = 8.0;
+
+}  // namespace
+
 const char* session_state_name(SessionState state) {
   switch (state) {
     case SessionState::kConnecting:
@@ -25,14 +35,8 @@ CameraSession::CameraSession(sim::EventQueue& queue, const CameraSessionConfig& 
       name_(std::move(name)) {
   require(std::isfinite(config_.fps) && config_.fps > 0.0,
           "camera session '" + name_ + "': fps must be positive");
-  require(std::isfinite(config_.connect_delay_s) && config_.connect_delay_s >= 0.0,
-          "camera session '" + name_ + "': connect_delay_s must be >= 0");
   require(std::isfinite(config_.mean_uptime_s),
           "camera session '" + name_ + "': mean_uptime_s must be finite");
-  require(std::isfinite(config_.reconnect_backoff_s) && config_.reconnect_backoff_s > 0.0,
-          "camera session '" + name_ + "': reconnect_backoff_s must be positive");
-  require(config_.reconnect_backoff_max_s >= config_.reconnect_backoff_s,
-          "camera session '" + name_ + "': reconnect_backoff_max_s must be >= backoff base");
   require(config_.reconnect_success_p > 0.0 && config_.reconnect_success_p <= 1.0,
           "camera session '" + name_ + "': reconnect_success_p must be in (0, 1]");
   require(horizon_s_ > 0.0, "camera session '" + name_ + "': horizon_s must be positive");
@@ -42,7 +46,7 @@ void CameraSession::start() { begin_connect(); }
 
 void CameraSession::begin_connect() {
   state_ = SessionState::kConnecting;
-  const double when = queue_.now() + config_.connect_delay_s;
+  const double when = queue_.now() + kConnectDelayS;
   if (when <= horizon_s_) {
     queue_.schedule_at(when, [this] { on_connected(); });
   }
@@ -100,9 +104,9 @@ void CameraSession::schedule_reconnect() {
   // de-synchronizes cameras that dropped together (a rack-level outage must
   // not produce a thundering-herd reconnect).
   const double uncapped =
-      config_.reconnect_backoff_s * std::pow(2.0, static_cast<double>(backoff_attempt_));
+      kReconnectBackoffS * std::pow(2.0, static_cast<double>(backoff_attempt_));
   const double delay =
-      std::min(uncapped, config_.reconnect_backoff_max_s) * rng_.uniform(0.8, 1.2);
+      std::min(uncapped, kReconnectBackoffMaxS) * rng_.uniform(0.8, 1.2);
   const double when = queue_.now() + delay;
   if (when > horizon_s_) {
     return;  // the run ends before the next attempt

@@ -44,17 +44,14 @@ struct IntegrityPolicyConfig {
 
 /// Fleet-level integrity configuration (consumed by fleet::FleetConfig):
 /// per-device canary probing + drift detection, detection-triggered repair
-/// reloads, and hand-off of confirmed-corrupt devices to the fleet's
-/// quarantine/drain/re-dispatch machinery.
+/// reloads, and — when FleetConfig::health is on — hand-off of
+/// confirmed-corrupt devices to the fleet's quarantine/drain/re-dispatch
+/// machinery.
 struct FleetIntegrityConfig {
   bool enabled = false;
   /// Seconds between canary injections per device; 0 disables probing (and
   /// with it detection — enabled=true then only keeps the accounting live).
   double canary_interval_s = 0.5;
-  /// On a detector trip, hand the device to the health layer's quarantine
-  /// (drains its queue for re-dispatch and gates re-entry on probes).
-  /// Requires FleetConfig::health.enabled.
-  bool quarantine_on_detect = true;
 
   /// Throws common::ConfigError naming the offending field.
   void validate() const;

@@ -51,7 +51,7 @@ std::vector<int> split_devices(const std::vector<double>& demands, int total) {
 
 PartitionPlan plan_partition(const std::vector<TenantPlanInput>& tenants,
                              const core::AcceleratorLibrary& fleet_library, int total_devices,
-                             PartitionPolicy policy, double fps_margin) {
+                             PartitionPolicy policy) {
   require(!tenants.empty(), "plan_partition needs at least one tenant");
   PartitionPlan plan;
   std::vector<double> demands(tenants.size(), 0.0);
@@ -75,7 +75,8 @@ PartitionPlan plan_partition(const std::vector<TenantPlanInput>& tenants,
         policy == PartitionPolicy::kPeakFps ? lib.versions.back().fps_fixed * 1e6
                                             : plan.per_device_fps[t];
     plan.version[t] = core::select_library_version(lib, demand, tenants[t].accuracy_threshold,
-                                                   fps_margin, /*use_flexible_fps=*/false);
+                                                   core::kFpsMargin,
+                                                   /*use_flexible_fps=*/false);
   }
   return plan;
 }

@@ -54,7 +54,7 @@ std::vector<int> split_devices(const std::vector<double>& demands, int total);
 /// Full plan for \p tenants over \p total_devices (see PartitionPolicy).
 PartitionPlan plan_partition(const std::vector<TenantPlanInput>& tenants,
                              const core::AcceleratorLibrary& fleet_library, int total_devices,
-                             PartitionPolicy policy, double fps_margin);
+                             PartitionPolicy policy);
 
 /// Minimal-churn device reassignment: keeps every device whose owner still
 /// has budget in place, then hands surplus devices (highest index first) to

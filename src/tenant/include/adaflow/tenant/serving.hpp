@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "adaflow/core/library.hpp"
-#include "adaflow/dse/rate_planner.hpp"
 #include "adaflow/fleet/fleet.hpp"
 #include "adaflow/sim/fields.hpp"
 #include "adaflow/tenant/coordinator.hpp"
@@ -49,7 +48,6 @@ struct MultiTenantConfig {
   /// SLO/violation judgment cadence (one violation-second bucket per window).
   double sample_interval_s = 0.5;
   double warmup_s = 1.0;  ///< no re-planning before the rate estimate fills
-  double fps_margin = 1.10;
   fleet::HealthConfig health;  ///< dispatcher resilience; off by default
 
   /// Throws ConfigError naming the offending tenant/field.
@@ -72,10 +70,6 @@ struct TenantResult {
   double offered_rate_mean_fps = 0.0;
   std::size_t final_version = 0;       ///< version of the tenant's first device at t_end
   std::int64_t version_switches = 0;   ///< switches commanded on its devices
-  /// Always zero: no run plans a rate-matched folding. Kept while both
-  /// replay hashers cover them (dropping them re-pins both).
-  dse::RateFoldingPlan folding_plan;
-  std::int64_t peak_parallelism = 0;
 };
 
 struct MultiTenantMetrics {
@@ -88,8 +82,8 @@ struct MultiTenantMetrics {
   sim::ForecastStats forecast;        ///< pooled per-tenant tracker quality
 };
 
-// Field tables (sim/fields.hpp). A tenant's percentiles, accuracy means and
-// plan are derived once per run and never combine (kFirst).
+// Field tables (sim/fields.hpp). A tenant's percentiles and accuracy means
+// are derived once per run and never combine (kFirst).
 
 constexpr auto field_table(std::type_identity<TenantResult>) {
   using S = TenantResult;
@@ -105,8 +99,6 @@ constexpr auto field_table(std::type_identity<TenantResult>) {
       sim::first("offered_rate_mean_fps", &S::offered_rate_mean_fps),
       sim::first("final_version", &S::final_version),
       sim::sum("version_switches", &S::version_switches),
-      sim::first("folding_plan", &S::folding_plan),
-      sim::first("peak_parallelism", &S::peak_parallelism),
   };
 }
 
@@ -128,32 +120,3 @@ MultiTenantMetrics run_tenants(const MultiTenantConfig& config,
                                const core::AcceleratorLibrary& library, std::uint64_t seed);
 
 }  // namespace adaflow::tenant
-
-// The folding plan a TenantResult carries is a dse/hls value; its tables sit
-// here, with their only metrics user, in the namespaces lookup finds them in.
-namespace adaflow::hls {
-
-constexpr auto field_table(std::type_identity<LayerFolding>) {
-  return std::tuple{
-      sim::first("pe", &LayerFolding::pe), sim::first("simd", &LayerFolding::simd),
-  };
-}
-
-constexpr auto field_table(std::type_identity<FoldingConfig>) {
-  return std::tuple{sim::first("layers", &FoldingConfig::layers)};
-}
-
-}  // namespace adaflow::hls
-
-namespace adaflow::dse {
-
-constexpr auto field_table(std::type_identity<RateFoldingPlan>) {
-  using S = RateFoldingPlan;
-  return std::tuple{
-      sim::first("offered_fps", &S::offered_fps), sim::first("target_fps", &S::target_fps),
-      sim::first("folding", &S::folding), sim::first("sustained_fps", &S::sustained_fps),
-      sim::first("meets_target", &S::meets_target), sim::first("parallelism", &S::parallelism),
-  };
-}
-
-}  // namespace adaflow::dse

@@ -59,9 +59,6 @@ void MultiTenantConfig::validate() const {
   if (!(std::isfinite(warmup_s) && warmup_s >= 0.0)) {
     throw ConfigError("MultiTenantConfig.warmup_s must be >= 0");
   }
-  if (!(std::isfinite(fps_margin) && fps_margin >= 1.0)) {
-    throw ConfigError("MultiTenantConfig.fps_margin must be >= 1");
-  }
   health.validate();
 }
 
@@ -118,7 +115,7 @@ struct TenantSim {
     // Initial partition from the traces' t=0 rates (the only signal before
     // any traffic); kPeakFps ignores the rates and splits evenly.
     const PartitionPlan plan = plan_partition(plan_inputs_at_start(), lib, cfg.devices,
-                                              cfg.partition, cfg.fps_margin);
+                                              cfg.partition);
     std::size_t device = 0;
     for (std::size_t t = 0; t < cfg.tenants.size(); ++t) {
       for (int k = 0; k < plan.device_count[t]; ++k, ++device) {
@@ -273,7 +270,7 @@ struct TenantSim {
     }
     if (config.partition == PartitionPolicy::kRateAware && now >= config.warmup_s) {
       apply_plan(now, plan_partition(inputs, library, config.devices,
-                                     PartitionPolicy::kRateAware, config.fps_margin));
+                                     PartitionPolicy::kRateAware));
     }
     // Frames a hard partition declined earlier get another look whenever the
     // plan (or simply time) moved.

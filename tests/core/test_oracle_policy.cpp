@@ -40,9 +40,7 @@ AcceleratorLibrary oracle_library() {
 TEST(Oracle, InitialModeMatchesTrueInitialRate) {
   AcceleratorLibrary lib = oracle_library();
   edge::WorkloadTrace trace(edge::scenario1(), 3);
-  RuntimeManagerConfig rmc;
-  rmc.fps_margin = 1.0;
-  OraclePolicy oracle(lib, rmc, trace);
+  OraclePolicy oracle(lib, RuntimeManagerConfig{}, trace);
   edge::ServingMode mode = oracle.initial_mode();
   // The mode must actually serve the true initial rate (or be the fastest).
   EXPECT_GE(mode.fps, std::min(trace.rate_at(0.0), 2000.0 * 0.9));

@@ -47,8 +47,6 @@ RuntimeManagerConfig config() {
   RuntimeManagerConfig c;
   c.accuracy_threshold = 0.10;
   c.switch_interval_factor = 10.0;
-  c.fps_hysteresis = 0.05;
-  c.fps_margin = 1.0;
   return c;
 }
 
@@ -137,7 +135,7 @@ TEST(RuntimeManager, HysteresisFiltersSmallChanges) {
   auto a = rm.on_poll(5.0, 900.0);
   ASSERT_TRUE(a.has_value());
   rm.on_switch_applied(5.1, a->target);
-  // 2% jitter in the estimate: no action.
+  // 2% jitter in the estimate, inside the 10% hysteresis band: no action.
   EXPECT_FALSE(rm.on_poll(5.3, 918.0).has_value());
 }
 
@@ -155,8 +153,9 @@ TEST(RuntimeManager, SticksWithAdequateModeForTinyAccuracyWins) {
   lib.base_accuracy = 0.861;
   RuntimeManager rm(lib, config());
   rm.initial_mode();
-  auto a = rm.on_poll(5.0, 650.0);  // needs p25
+  auto a = rm.on_poll(5.0, 620.0);  // needs p25: 620 x 1.1 margin = 682 FPS
   ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->target.model_version, "M@p25");
   rm.on_switch_applied(5.1, a->target);
   // Demand drops; p0 is only 0.001 more accurate -> stay on p25.
   EXPECT_FALSE(rm.on_poll(10.0, 300.0).has_value());
@@ -256,13 +255,14 @@ TEST(RuntimeManager, DownswitchMarginStopsBoundaryFlapping) {
   AcceleratorLibrary lib = rule_library();
   RuntimeManager rm(lib, config());  // downswitch margin: 1.2
   rm.initial_mode();
-  auto up = rm.on_poll(5.0, 650.0);  // needs p25 (700 FPS)
+  auto up = rm.on_poll(5.0, 620.0);  // needs p25 (700 FPS >= 620 x 1.1)
   ASSERT_TRUE(up.has_value());
   EXPECT_EQ(up->target.model_version, "M@p25");
   rm.on_switch_applied(5.1, up->target);
-  // Demand hovers just under the p0 boundary: p0 (500 FPS) would match 480
-  // but not with the 1.2x down-switch headroom -> stay on p25, no flapping.
-  EXPECT_FALSE(rm.on_poll(10.0, 480.0).has_value());
+  // Demand hovers just under the p0 boundary: p0 (500 FPS) would match 440
+  // (440 x 1.1 = 484) but not with the 1.2x down-switch headroom (580.8) ->
+  // stay on p25, no flapping.
+  EXPECT_FALSE(rm.on_poll(10.0, 440.0).has_value());
   // A real collapse clears the margin and switches back to the accurate model.
   auto down = rm.on_poll(20.0, 300.0);
   ASSERT_TRUE(down.has_value());
@@ -317,9 +317,7 @@ TEST(RuntimeManager, FailedFastSwitchJustRollsBack) {
 
 TEST(RuntimeManager, ReconfigFailureHoldsVariantOnFlexible) {
   AcceleratorLibrary lib = rule_library();
-  RuntimeManagerConfig c = config();
-  c.reconfig_failure_hold_s = 5.0;
-  RuntimeManager rm(lib, c);
+  RuntimeManager rm(lib, config());  // failure hold: 5 s
   rm.initial_mode();
   auto action = rm.on_poll(5.0, 900.0);
   ASSERT_TRUE(action.has_value());

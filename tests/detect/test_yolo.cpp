@@ -81,9 +81,6 @@ TEST(DetectionLibraryConfig, ValidateRejectsBadSweeps) {
   config = DetectionLibraryConfig{};
   config.rates = {0.0, 0.3, 0.3};  // strictly ascending
   EXPECT_THROW(config.validate(), ConfigError);
-  config = DetectionLibraryConfig{};
-  config.base_map = 1.4;
-  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 TEST(DetectionLibrary, LaddersFpsUpAndAccuracyDown) {

@@ -9,6 +9,15 @@
 namespace adaflow::faults {
 namespace {
 
+/// Manifested faults of every kind.
+int injected_total(const FaultInjector& inj) {
+  int total = 0;
+  for (int k = 0; k < kFaultKindCount; ++k) {
+    total += inj.injected(static_cast<FaultKind>(k));
+  }
+  return total;
+}
+
 FaultSchedule single(FaultKind kind, double start, double end, double p, double magnitude) {
   FaultSchedule s;
   s.faults.push_back(FaultSpec{kind, start, end, p, magnitude});
@@ -41,7 +50,7 @@ TEST(FaultInjector, FaultsOnlyFireInsideTheWindow) {
 TEST(FaultInjector, FastSwitchesAreImmuneToReconfigFaults) {
   FaultInjector inj(single(FaultKind::kReconfigFailure, 0.0, 10.0, 1.0, 1.0), 7);
   EXPECT_FALSE(inj.on_switch_attempt(5.0, /*is_reconfiguration=*/false).fail);
-  EXPECT_EQ(inj.injected_total(), 0);
+  EXPECT_EQ(injected_total(inj), 0);
 }
 
 TEST(FaultInjector, SlowdownScalesSwitchTime) {
@@ -54,7 +63,7 @@ TEST(FaultInjector, ZeroProbabilityNeverFires) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(inj.stall_seconds(5.0), 0.0);
   }
-  EXPECT_EQ(inj.injected_total(), 0);
+  EXPECT_EQ(injected_total(inj), 0);
 }
 
 TEST(FaultInjector, StallReturnsMagnitudeSeconds) {
@@ -93,7 +102,7 @@ TEST(FaultInjector, SameSeedSameDecisionSequence) {
     EXPECT_DOUBLE_EQ(pa.noise_factor, pb.noise_factor);
     EXPECT_DOUBLE_EQ(a.stall_seconds(t), b.stall_seconds(t));
   }
-  EXPECT_EQ(a.injected_total(), b.injected_total());
+  EXPECT_EQ(injected_total(a), injected_total(b));
 }
 
 TEST(FaultInjector, DifferentSeedsDiverge) {
@@ -130,14 +139,14 @@ TEST(FaultInjector, DeviceWindowsAreDrawnOnceAtConstruction) {
   EXPECT_EQ(windows[1].kind, FaultKind::kDeviceHang);
   EXPECT_EQ(inj.injected(FaultKind::kDeviceCrash), 1);
   EXPECT_EQ(inj.injected(FaultKind::kDeviceHang), 1);
-  EXPECT_EQ(inj.injected_total(), 2);
+  EXPECT_EQ(injected_total(inj), 2);
 }
 
 TEST(FaultInjector, ZeroProbabilityDeviceWindowNeverManifests) {
   FaultSchedule s = single(FaultKind::kDeviceCrash, 2.0, 5.0, 0.0, 1.0);
   FaultInjector inj(s, 7);
   EXPECT_TRUE(inj.device_fault_windows().empty());
-  EXPECT_EQ(inj.injected_total(), 0);
+  EXPECT_EQ(injected_total(inj), 0);
 }
 
 TEST(FaultInjector, DegradeWindowCarriesLatencyAndAccuracyFields) {

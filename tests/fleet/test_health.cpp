@@ -18,8 +18,6 @@ HealthConfig fast_config() {
   c.probe_interval_s = 0.5;
   c.probe_timeout_s = 0.5;
   c.rejoin_probes = 2;
-  c.degrade_rate_factor = 3.0;
-  c.rate_window_s = 1.0;
   return c;
 }
 
@@ -50,9 +48,7 @@ TEST(HealthConfig, ValidationNamesTheOffendingField) {
       {[](HealthConfig& c) { c.quarantine_timeout_s = -0.5; }, "quarantine_timeout_s"},
       {[](HealthConfig& c) { c.probe_interval_s = 0.0; }, "probe_interval_s"},
       {[](HealthConfig& c) { c.probe_timeout_s = -2.0; }, "probe_timeout_s"},
-      {[](HealthConfig& c) { c.rate_window_s = 0.0; }, "rate_window_s"},
       {[](HealthConfig& c) { c.rejoin_probes = 0; }, "rejoin_probes"},
-      {[](HealthConfig& c) { c.degrade_rate_factor = 0.5; }, "degrade_rate_factor"},
       {[](HealthConfig& c) { c.hedge_budget_s = -0.1; }, "hedge_budget_s"},
   };
   for (const auto& c : cases) {

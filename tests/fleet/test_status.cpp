@@ -8,8 +8,8 @@
 /// engine.device(i) and each `eligible` flag with `has room &&
 /// engine.in_rotation(i)` — over scenarios that write each router-visible
 /// field and each input of `eligible`: health quarantine, probes and
-/// rejoins, coordinator drains (also cut short by a quarantine), duplicate
-/// and pull hedging under degrade, crash/hang/stall faults, integrity reloads
+/// rejoins, coordinator drains (also cut short by a quarantine), pull
+/// hedging under degrade, crash/hang/stall faults, integrity reloads
 /// and quarantines, Runtime Manager switches with their retry/fallback
 /// ladders (hardened and not) and the tenant router. Only a hedge hides an
 /// open device from the router (the one it pulls the frame from), so a run
@@ -182,7 +182,7 @@ edge::WorkloadTrace bursty_trace(double rate, double duration_s) {
   return edge::WorkloadTrace(c, 7);
 }
 
-HealthConfig fast_health(double hedge_budget_s = 0.0, bool duplicate = false) {
+HealthConfig fast_health(double hedge_budget_s = 0.0) {
   HealthConfig h;
   h.enabled = true;
   h.tick_interval_s = 0.25;
@@ -192,7 +192,6 @@ HealthConfig fast_health(double hedge_budget_s = 0.0, bool duplicate = false) {
   h.probe_timeout_s = 0.75;
   h.rejoin_probes = 2;
   h.hedge_budget_s = hedge_budget_s;
-  h.hedge_duplicate = duplicate;
   return h;
 }
 
@@ -232,17 +231,6 @@ TEST(StatusConsistency, CoordinatorRepartitionsUnderBurstyLoad) {
   const CheckedRun r = run_checked(lib, config, inner, bursty_trace(1600.0, 12.0), 12.0, 5);
   EXPECT_GE(r.metrics.repartitions, 1);
   EXPECT_GE(r.metrics.reconfigurations, 1);
-}
-
-TEST(StatusConsistency, DuplicateHedgingUnderDegrade) {
-  const core::AcceleratorLibrary lib = core::synthetic_library();
-  FleetConfig config =
-      pinned_fleet(lib, faults::device_degrade_window(1.0, 9.0, /*latency_factor=*/6.0, 0.2));
-  config.health = fast_health(/*hedge_budget_s=*/0.02, /*duplicate=*/true);
-  LeastLoadedRouter inner;
-  const CheckedRun r = run_checked(lib, config, inner, flat_trace(1500.0, 10.0), 10.0, 7);
-  EXPECT_GE(r.metrics.hedged, 1);
-  EXPECT_GE(r.barred_calls, 1);
 }
 
 TEST(StatusConsistency, HangStallsAndPullHedges) {
@@ -290,7 +278,6 @@ TEST(StatusConsistency, IntegrityQuarantinesBesideCoordinatorCycles) {
   config.health = fast_health();
   config.integrity.enabled = true;
   config.integrity.canary_interval_s = 0.25;
-  config.integrity.quarantine_on_detect = true;
   AccuracyAwareRouter inner;
   const CheckedRun r = run_checked(lib, config, inner, bursty_trace(1600.0, 12.0), 12.0, 37);
   EXPECT_GE(r.metrics.quarantines, 1);
@@ -307,7 +294,6 @@ TEST(StatusConsistency, ManagedDevicesWithIntegrityReloads) {
   config.health.enabled = true;
   config.integrity.enabled = true;
   config.integrity.canary_interval_s = 0.25;
-  config.integrity.quarantine_on_detect = true;
   LeastLoadedRouter inner;
   const CheckedRun r = run_checked(lib, config, inner, bursty_trace(1200.0, 16.0), 16.0, 99);
   EXPECT_GE(r.metrics.integrity.repairs, 1);

@@ -17,21 +17,8 @@ void feed_level(ChangepointDetector& d, double level, int n, Rng& rng) {
   }
 }
 
-TEST(Changepoint, ConfigValidation) {
-  ChangepointConfig c;
-  EXPECT_NO_THROW(c.validate());
-  c.short_window = 0;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ChangepointConfig{};
-  c.long_window = c.short_window + 1;  // baseline would be a single sample
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ChangepointConfig{};
-  c.burst_changepoints = 0;
-  EXPECT_THROW(c.validate(), ConfigError);
-}
-
 TEST(Changepoint, StableBeforeAnyChangepoint) {
-  ChangepointDetector d{ChangepointConfig{}};
+  ChangepointDetector d;
   Rng rng(3);
   feed_level(d, 500.0, 50, rng);
   EXPECT_EQ(d.total_changepoints(), 0);
@@ -43,7 +30,7 @@ TEST(Changepoint, SingleStepFiresExactlyOnce) {
   // Noiseless level shift: one changepoint at the step, then silence — the
   // baseline restarts from the post-shift regime instead of re-firing on
   // every later observation.
-  ChangepointDetector d{ChangepointConfig{}};
+  ChangepointDetector d;
   for (int i = 0; i < 20; ++i) {
     d.observe(100.0 + (i % 2));  // tiny wiggle so the baseline std is nonzero
   }
@@ -57,9 +44,8 @@ TEST(Changepoint, SingleStepFiresExactlyOnce) {
 TEST(Changepoint, SeededStepTracesAlwaysDetected) {
   // Hit rate over seeded noisy step traces: a 3x jump against 5% noise must
   // be caught on every seed, within a few observations of the step.
-  const ChangepointConfig config;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    ChangepointDetector d{config};
+    ChangepointDetector d;
     Rng rng(seed);
     feed_level(d, 100.0, 30, rng);
     const std::int64_t before = d.total_changepoints();
@@ -71,7 +57,7 @@ TEST(Changepoint, SeededStepTracesAlwaysDetected) {
       }
     }
     ASSERT_GE(latency, 1) << "step missed for seed " << seed;
-    EXPECT_LE(latency, config.short_window + 2) << "slow detection for seed " << seed;
+    EXPECT_LE(latency, ChangepointDetector::kShortWindow + 2) << "slow detection for seed " << seed;
   }
 }
 
@@ -80,7 +66,7 @@ TEST(Changepoint, NoFalseAlarmsOnSteadyNoise) {
   // required 20% of the baseline level, so a steady trace must stay silent
   // on every seed.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    ChangepointDetector d{ChangepointConfig{}};
+    ChangepointDetector d;
     Rng rng(seed);
     feed_level(d, 600.0, 300, rng);
     EXPECT_EQ(d.total_changepoints(), 0) << "false alarm for seed " << seed;
@@ -88,11 +74,11 @@ TEST(Changepoint, NoFalseAlarmsOnSteadyNoise) {
 }
 
 TEST(Changepoint, DenseShiftsRaiseBurst) {
-  ChangepointDetector d{ChangepointConfig{}};
+  ChangepointDetector d;
   // Alternate between two well-separated levels every few observations:
   // changepoints arrive densely, so the burst flag must raise and the
   // stable-window count must stay small. Blocks are long enough (6 >
-  // short_window + 2) for the detector to re-arm after each trigger's
+  // kShortWindow + 2) for the detector to re-arm after each trigger's
   // window restart.
   double level = 100.0;
   for (int block = 0; block < 8; ++block) {
@@ -107,8 +93,7 @@ TEST(Changepoint, DenseShiftsRaiseBurst) {
 }
 
 TEST(Changepoint, BurstClearsAfterQuietPeriod) {
-  ChangepointConfig config;
-  ChangepointDetector d{config};
+  ChangepointDetector d;
   double level = 100.0;
   for (int block = 0; block < 8; ++block) {
     for (int i = 0; i < 4; ++i) {
@@ -127,7 +112,7 @@ TEST(Changepoint, BurstClearsAfterQuietPeriod) {
 }
 
 TEST(Changepoint, ResetClearsState) {
-  ChangepointDetector d{ChangepointConfig{}};
+  ChangepointDetector d;
   for (int i = 0; i < 20; ++i) {
     d.observe(100.0 + (i % 2));
   }
@@ -143,8 +128,8 @@ TEST(Changepoint, ResetClearsState) {
 }
 
 TEST(Changepoint, DeterministicReplay) {
-  ChangepointDetector a{ChangepointConfig{}};
-  ChangepointDetector b{ChangepointConfig{}};
+  ChangepointDetector a;
+  ChangepointDetector b;
   Rng ra(11);
   Rng rb(11);
   for (int i = 0; i < 200; ++i) {

@@ -10,17 +10,6 @@
 namespace adaflow::forecast {
 namespace {
 
-ForecasterConfig config_for(ForecasterKind kind, double alpha = 0.5, double beta = 0.5,
-                            double error_alpha = 0.5, double interval_factor = 2.0) {
-  ForecasterConfig c;
-  c.kind = kind;
-  c.alpha = alpha;
-  c.beta = beta;
-  c.error_alpha = error_alpha;
-  c.interval_factor = interval_factor;
-  return c;
-}
-
 TEST(Forecaster, NamesRoundTrip) {
   for (ForecasterKind kind : {ForecasterKind::kNaive, ForecasterKind::kEwma,
                               ForecasterKind::kHoltWinters}) {
@@ -30,24 +19,8 @@ TEST(Forecaster, NamesRoundTrip) {
   EXPECT_THROW(forecaster_kind_from_name("arima"), NotFoundError);
 }
 
-TEST(Forecaster, ConfigValidation) {
-  ForecasterConfig c;
-  EXPECT_NO_THROW(c.validate());
-  c.alpha = 0.0;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ForecasterConfig{};
-  c.beta = 1.5;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ForecasterConfig{};
-  c.error_alpha = -0.1;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ForecasterConfig{};
-  c.interval_factor = -1.0;
-  EXPECT_THROW(c.validate(), ConfigError);
-}
-
 TEST(Forecaster, NaiveCarriesLastValueForward) {
-  auto f = make_forecaster(config_for(ForecasterKind::kNaive));
+  auto f = make_forecaster(ForecasterKind::kNaive);
   EXPECT_DOUBLE_EQ(f->forecast(1).rate, 0.0);  // no observations yet
   f->observe(100.0);
   f->observe(250.0);
@@ -57,50 +30,50 @@ TEST(Forecaster, NaiveCarriesLastValueForward) {
 }
 
 TEST(Forecaster, EwmaGoldenSequence) {
-  // alpha = 0.5: level after 100, 200, 300 is 100 -> 150 -> 225.
-  auto f = make_forecaster(config_for(ForecasterKind::kEwma));
+  // alpha = 0.35: level after 100, 200, 300 is 100 -> 135 -> 192.75.
+  auto f = make_forecaster(ForecasterKind::kEwma);
   f->observe(100.0);
   EXPECT_DOUBLE_EQ(f->forecast(1).rate, 100.0);
   f->observe(200.0);
-  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 150.0);
+  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 135.0);
   f->observe(300.0);
-  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 225.0);
+  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 192.75);
 }
 
 TEST(Forecaster, EwmaIntervalFromErrorEwma) {
   // One-step errors: |200-100| = 100 (first error, taken as-is), then
-  // |300-150| = 150, smoothed with error_alpha 0.5 -> MAE 125. With
-  // interval_factor 2 and horizon 1 the half-width is 250.
-  auto f = make_forecaster(config_for(ForecasterKind::kEwma));
+  // |300-135| = 165, smoothed with error weight 0.3 -> MAE 119.5. At 2.5
+  // MAE units and horizon 1 the half-width is 298.75.
+  auto f = make_forecaster(ForecasterKind::kEwma);
   f->observe(100.0);
   f->observe(200.0);
   f->observe(300.0);
   const Forecast fc = f->forecast(1);
-  EXPECT_DOUBLE_EQ(fc.rate, 225.0);
-  EXPECT_DOUBLE_EQ(fc.upper, 225.0 + 250.0);
-  EXPECT_DOUBLE_EQ(fc.lower, 0.0);  // 225 - 250 clamps at zero
+  EXPECT_DOUBLE_EQ(fc.rate, 192.75);
+  EXPECT_DOUBLE_EQ(fc.upper, 192.75 + 298.75);
+  EXPECT_DOUBLE_EQ(fc.lower, 0.0);  // 192.75 - 298.75 clamps at zero
   // Horizon widens the interval by sqrt(h).
   const Forecast fc4 = f->forecast(4);
-  EXPECT_DOUBLE_EQ(fc4.upper, 225.0 + 500.0);
+  EXPECT_DOUBLE_EQ(fc4.upper, 192.75 + 597.5);
 }
 
 TEST(Forecaster, HoltWintersGoldenSequence) {
-  // alpha = beta = 0.5 on 100, 200, 300:
+  // alpha = 0.35, beta = 0.15 on 100, 200, 300:
   //   obs 1: L = 100, T = 0
-  //   obs 2: L = 0.5*200 + 0.5*(100+0) = 150,   T = 0.5*50 + 0 = 25
-  //   obs 3: L = 0.5*300 + 0.5*(150+25) = 237.5, T = 0.5*87.5 + 0.5*25 = 56.25
-  auto f = make_forecaster(config_for(ForecasterKind::kHoltWinters));
+  //   obs 2: L = 0.35*200 + 0.65*(100+0) = 135, T = 0.15*35 + 0 = 5.25
+  //   obs 3: L = 0.35*300 + 0.65*(135+5.25) = 196.1625,
+  //          T = 0.15*61.1625 + 0.85*5.25 = 13.636875
+  auto f = make_forecaster(ForecasterKind::kHoltWinters);
   f->observe(100.0);
   f->observe(200.0);
   f->observe(300.0);
-  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 237.5 + 56.25);
-  EXPECT_DOUBLE_EQ(f->forecast(2).rate, 237.5 + 2.0 * 56.25);
+  EXPECT_DOUBLE_EQ(f->forecast(1).rate, 196.1625 + 13.636875);
+  EXPECT_DOUBLE_EQ(f->forecast(2).rate, 196.1625 + 2.0 * 13.636875);
 }
 
 TEST(Forecaster, HoltWintersLocksOntoLinearRamp) {
-  ForecasterConfig c = config_for(ForecasterKind::kHoltWinters, 0.35, 0.15);
-  auto hw = make_forecaster(c);
-  auto naive = make_forecaster(config_for(ForecasterKind::kNaive));
+  auto hw = make_forecaster(ForecasterKind::kHoltWinters);
+  auto naive = make_forecaster(ForecasterKind::kNaive);
   double last = 0.0;
   for (int i = 1; i <= 200; ++i) {
     last = 100.0 + 10.0 * i;
@@ -114,7 +87,7 @@ TEST(Forecaster, HoltWintersLocksOntoLinearRamp) {
 }
 
 TEST(Forecaster, RateAndLowerNeverNegative) {
-  auto f = make_forecaster(config_for(ForecasterKind::kHoltWinters));
+  auto f = make_forecaster(ForecasterKind::kHoltWinters);
   for (int i = 0; i < 20; ++i) {
     f->observe(std::max(0.0, 100.0 - 20.0 * i));  // steep fall to zero
   }
@@ -125,7 +98,7 @@ TEST(Forecaster, RateAndLowerNeverNegative) {
 }
 
 TEST(Forecaster, RejectsNonPositiveHorizon) {
-  auto f = make_forecaster(config_for(ForecasterKind::kEwma));
+  auto f = make_forecaster(ForecasterKind::kEwma);
   f->observe(100.0);
   EXPECT_THROW(f->forecast(0), ConfigError);
   EXPECT_THROW(f->forecast(-3), ConfigError);
@@ -134,7 +107,7 @@ TEST(Forecaster, RejectsNonPositiveHorizon) {
 TEST(Forecaster, ResetClearsState) {
   for (ForecasterKind kind : {ForecasterKind::kNaive, ForecasterKind::kEwma,
                               ForecasterKind::kHoltWinters}) {
-    auto f = make_forecaster(config_for(kind));
+    auto f = make_forecaster(kind);
     f->observe(100.0);
     f->observe(900.0);
     f->reset();
@@ -145,8 +118,8 @@ TEST(Forecaster, ResetClearsState) {
 }
 
 TEST(Forecaster, DeterministicReplay) {
-  auto a = make_forecaster(config_for(ForecasterKind::kHoltWinters, 0.35, 0.15, 0.3, 2.5));
-  auto b = make_forecaster(config_for(ForecasterKind::kHoltWinters, 0.35, 0.15, 0.3, 2.5));
+  auto a = make_forecaster(ForecasterKind::kHoltWinters);
+  auto b = make_forecaster(ForecasterKind::kHoltWinters);
   for (int i = 0; i < 100; ++i) {
     const double rate = 500.0 + 200.0 * std::sin(0.3 * i) + (i % 7) * 11.0;
     a->observe(rate);

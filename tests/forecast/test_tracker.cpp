@@ -12,7 +12,7 @@ namespace {
 
 ForecastTrackerConfig naive_config(int horizon) {
   ForecastTrackerConfig c;
-  c.forecaster.kind = ForecasterKind::kNaive;
+  c.forecaster = ForecasterKind::kNaive;
   c.horizon_windows = horizon;
   return c;
 }
@@ -24,9 +24,6 @@ TEST(Tracker, ConfigValidation) {
   EXPECT_THROW(c.validate(), ConfigError);
   c = ForecastTrackerConfig{};
   c.window_s = 0.0;
-  EXPECT_THROW(c.validate(), ConfigError);
-  c = ForecastTrackerConfig{};
-  c.forecaster.alpha = 2.0;
   EXPECT_THROW(ForecastTracker{c}, ConfigError);
 }
 
@@ -85,7 +82,7 @@ TEST(Tracker, MapeDenominatorFloorsAtOne) {
 
 TEST(Tracker, CurrentForecastMatchesForecaster) {
   ForecastTrackerConfig c;
-  c.forecaster.kind = ForecasterKind::kHoltWinters;
+  c.forecaster = ForecasterKind::kHoltWinters;
   c.horizon_windows = 3;
   ForecastTracker tracker(c);
   for (int i = 1; i <= 10; ++i) {

@@ -10,8 +10,6 @@ namespace {
 BrownoutConfig ladder_config() {
   BrownoutConfig c;
   c.mode = BrownoutMode::kLadder;
-  c.tier1_fill = 0.5;
-  c.tier2_fill = 0.85;
   c.tier1_latency_s = 0.3;
   c.tier2_latency_s = 0.6;
   c.release_fraction = 0.5;
@@ -21,13 +19,10 @@ BrownoutConfig ladder_config() {
 
 TEST(Brownout, ValidateRejectsBadConfig) {
   BrownoutConfig bad = ladder_config();
-  bad.thin_keep_every = 1;  // would keep every frame: thinning that thins nothing
-  EXPECT_THROW(BrownoutController{bad}, ConfigError);
-  bad = ladder_config();
   bad.release_fraction = 1.0;  // no hysteresis gap
   EXPECT_THROW(BrownoutController{bad}, ConfigError);
   bad = ladder_config();
-  bad.tier2_fill = bad.tier1_fill / 2.0;  // tiers out of order
+  bad.tier2_latency_s = bad.tier1_latency_s / 2.0;  // tiers out of order
   EXPECT_THROW(BrownoutController{bad}, ConfigError);
 }
 

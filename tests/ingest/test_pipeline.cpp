@@ -65,9 +65,6 @@ TEST(IngestPipeline, RejectsInvalidConfig) {
   bad = small_config(lib);
   bad.decode.workers = 0;
   EXPECT_THROW(bad.validate(), ConfigError);
-  bad = small_config(lib);
-  bad.decode.session_queue_capacity = 0;
-  EXPECT_THROW(bad.validate(), ConfigError);
 }
 
 TEST(IngestPipeline, HealthyRunConservesFlowAndDeliversMostFrames) {
@@ -121,13 +118,14 @@ TEST(IngestPipeline, DropAllModeShedsAtAdmission) {
 }
 
 TEST(IngestPipeline, BackpressureHoldsFramesUpstreamInsteadOfSheddingAtTheFleet) {
-  // A near-zero backpressure threshold forces decode to pause the moment the
-  // fleet ingress has any backlog: overflow then happens in the bounded
-  // session queues (a counted, deliberate drop) and never as a fleet-side
-  // shed of an already-decoded frame.
+  // Decode pauses once the fleet ingress holds 64 frames, half its default
+  // capacity of 128, so under a 2x overload with no brownout the ingress
+  // never fills: overflow happens in the bounded session queues (a counted,
+  // deliberate drop) and never as a fleet-side shed of an already-decoded
+  // frame.
   const core::AcceleratorLibrary lib = core::synthetic_library();
-  IngestConfig config = overload_config(lib, BrownoutMode::kOff);
-  config.decode.backpressure_threshold = 1;
+  const IngestConfig config = overload_config(lib, BrownoutMode::kOff);
+  ASSERT_EQ(config.fleet.ingress_capacity, 128);
   const IngestMetrics m = run(config, lib, 42);
   EXPECT_EQ(m.conservation_error(), 0);
   EXPECT_EQ(m.fleet_shed, 0);

@@ -40,14 +40,33 @@ FleetConfig integrity_fleet(const core::AcceleratorLibrary& lib, std::size_t n) 
   return config;
 }
 
-TEST(FleetIntegrity, QuarantineOnDetectRequiresTheHealthMonitor) {
+TEST(FleetIntegrity, DetectionQuarantinesOnlyWhenHealthIsOn) {
+  // The same upset storm on device 1, with and without the health monitor.
   const core::AcceleratorLibrary lib = core::synthetic_library();
-  FleetConfig config;
-  config.devices = homogeneous_devices(lib, core::RuntimeManagerConfig{}, 2);
-  config.integrity.enabled = true;
-  config.integrity.quarantine_on_detect = true;  // but health stays disabled
-  edge::WorkloadTrace trace(bursty_workload(500.0, 5.0), 3);
-  EXPECT_THROW(shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42), ConfigError);
+  FleetConfig config = integrity_fleet(lib, 3);
+  config.devices[1].fault_schedule = faults::config_upset_storm(2.0, 14.0, 1.0);
+  edge::WorkloadTrace trace(bursty_workload(1200.0, 16.0), 7);
+  auto run = [&] {
+    return shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 99).fleet;
+  };
+
+  // Health off: the corrupt device is detected and reloaded, but it never
+  // leaves rotation, and no frame is pulled back for re-dispatch.
+  config.health.enabled = false;
+  const FleetMetrics off = run();
+  EXPECT_GE(off.integrity.detections, 1);
+  EXPECT_GE(off.integrity.repairs, 1);
+  EXPECT_EQ(off.quarantines, 0);
+  EXPECT_EQ(off.devices[1].quarantines, 0);
+  EXPECT_EQ(off.redispatched, 0);
+  expect_conservation(off);
+
+  // Health on: the same storm quarantines the device.
+  config.health.enabled = true;
+  const FleetMetrics on = run();
+  EXPECT_GE(on.integrity.detections, 1);
+  EXPECT_GE(on.devices[1].quarantines, 1);
+  expect_conservation(on);
 }
 
 TEST(FleetIntegrity, CleanFleetPaysTheCanaryTaxWithoutAlarms) {

@@ -13,6 +13,11 @@
 // every serving mode and switch price moved into core::serving_mode and
 // core::switch_to; they carry both hashers. The ingest pin was recorded before
 // every cadence and arrival chain moved onto sim::EventQueue::every / chain.
+// The fleet, shard, tenant and ingest pins were re-recorded once, when
+// always-zero members left FleetMetrics and TenantResult (both hashers
+// dropped them) and the ingest run lost its decode backpressure override
+// because that threshold became a constant (64). Each new pin equals the one
+// the previous code gives with those two edits alone.
 //
 // `fingerprint` below is the test-side reference hasher: FNV-1a over every
 // counter, every double (bitwise), every series, histogram, switch list,
@@ -158,8 +163,8 @@ class Fnv {
   }
   void fleet(const fleet::FleetMetrics& m) {
     for (const std::int64_t v : {m.arrived, m.dispatched, m.ingress_lost, m.ingress_backlog,
-                                 m.redispatched, m.hedged, m.hedge_wasted, m.quarantines,
-                                 m.rejoins, m.processed, m.device_lost}) {
+                                 m.redispatched, m.hedged, m.quarantines, m.rejoins,
+                                 m.processed, m.device_lost}) {
       i64(v);
     }
     f64(m.qoe_accuracy_sum);
@@ -174,7 +179,6 @@ class Fnv {
       series(*s);
     }
     faults(m.faults);
-    forecast(m.forecast);
     integrity(m.integrity);
     detection(m.detection);
     histogram(m.e2e_latency);
@@ -198,17 +202,12 @@ class Fnv {
     for (const tenant::TenantResult& t : m.tenants) {
       usage(t.usage);
       for (const double v : {t.latency_p50_s, t.latency_p95_s, t.latency_p99_s, t.mean_accuracy,
-                             t.accuracy_floor, t.in_budget_accuracy, t.offered_rate_mean_fps,
-                             t.folding_plan.offered_fps, t.folding_plan.target_fps,
-                             t.folding_plan.sustained_fps}) {
+                             t.accuracy_floor, t.in_budget_accuracy, t.offered_rate_mean_fps}) {
         f64(v);
       }
       i64(t.in_budget_delivered);
       u64(t.final_version);
       i64(t.version_switches);
-      u64(t.folding_plan.meets_target ? 1 : 0);
-      i64(t.folding_plan.parallelism);
-      i64(t.peak_parallelism);
     }
     f64(m.worst_violation_s);
     f64(m.total_violation_s);
@@ -318,8 +317,8 @@ shard::ShardedMetrics run_golden_sharded(int shards) {
 
 TEST(GoldenReplay, ShardedOneShardFingerprintIsPinned) {
   const shard::ShardedMetrics m = run_golden_sharded(1);
-  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "9253fbe859f66e63");
-  EXPECT_EQ(fingerprint(m.fleet), "72faf9d0440c1327");
+  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "42c32f6d21f12b03");
+  EXPECT_EQ(fingerprint(m.fleet), "5179765259b0e047");
   // The pin is only worth something if the run exercises the hot path's
   // branches: mode switches, a full ingress, and the fault layer.
   EXPECT_GT(m.fleet.model_switches, 0);
@@ -329,8 +328,8 @@ TEST(GoldenReplay, ShardedOneShardFingerprintIsPinned) {
 
 TEST(GoldenReplay, ShardedFourShardsFingerprintIsPinned) {
   const shard::ShardedMetrics m = run_golden_sharded(4);
-  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "46ec9e8edfbbdb89");
-  EXPECT_EQ(fingerprint(m.fleet), "5429f2e4c19bca85");
+  EXPECT_EQ(shard::metrics_fingerprint(m.fleet), "a041654b9db491e9");
+  EXPECT_EQ(fingerprint(m.fleet), "be2755a8385f0ca5");
   EXPECT_GT(m.stats.handoffs, 0);
 }
 
@@ -341,8 +340,8 @@ TEST(GoldenReplay, RunFleetWithCoordinatorFingerprintIsPinned) {
   const edge::WorkloadTrace trace = golden_trace(16, 5);
   const fleet::FleetMetrics m =
       shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 23).fleet;
-  EXPECT_EQ(shard::metrics_fingerprint(m), "3c5ee223c01a668f");
-  EXPECT_EQ(fingerprint(m), "37e4ca1594fd9e5b");
+  EXPECT_EQ(shard::metrics_fingerprint(m), "0ad2f161b9c5632f");
+  EXPECT_EQ(fingerprint(m), "abe1e983bcc36dfb");
   EXPECT_GT(m.reconfigurations, 0);
 }
 
@@ -377,8 +376,8 @@ TEST(GoldenReplay, HedgedFleetUnderDegradeFingerprintIsPinned) {
   const edge::WorkloadTrace trace(wc, 17);
   const fleet::FleetMetrics m =
       shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
-  EXPECT_EQ(shard::metrics_fingerprint(m), "567b504b3689908c");
-  EXPECT_EQ(fingerprint(m), "be96999134a524c6");
+  EXPECT_EQ(shard::metrics_fingerprint(m), "3fbe690268edd6ac");
+  EXPECT_EQ(fingerprint(m), "44025565908bb6e6");
   EXPECT_GT(m.hedged, 0);
   EXPECT_EQ(m.faults.degrade_windows, 1);
 }
@@ -400,8 +399,8 @@ TEST(GoldenReplay, UpsetStormFleetFingerprintIsPinned) {
   const edge::WorkloadTrace trace(wc, 7);
   const fleet::FleetMetrics m =
       shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 99).fleet;
-  EXPECT_EQ(shard::metrics_fingerprint(m), "b0a16639dc829018");
-  EXPECT_EQ(fingerprint(m), "0cf8e5431dff9a7c");
+  EXPECT_EQ(shard::metrics_fingerprint(m), "f43f599f8c2ac5f8");
+  EXPECT_EQ(fingerprint(m), "bb7fc99215e2659c");
   EXPECT_GE(m.integrity.detections, 1);
   EXPECT_GE(m.quarantines, 1);
 }
@@ -425,8 +424,8 @@ TEST(GoldenReplay, DetectionFleetFingerprintIsPinned) {
   const edge::WorkloadTrace trace = detect::workload_from_scene(scene, 400.0, 240.0);
   const fleet::FleetMetrics m =
       shard::run_sharded_fleet(trace, lib, config, {}, "least-loaded", 42).fleet;
-  EXPECT_EQ(shard::metrics_fingerprint(m), "8ba2c912b20383dd");
-  EXPECT_EQ(fingerprint(m), "38106b82b9debae1");
+  EXPECT_EQ(shard::metrics_fingerprint(m), "f4a30fcd2e01c7fd");
+  EXPECT_EQ(fingerprint(m), "f373a026c6196b01");
   EXPECT_GT(m.detection.frames_scored, 0);
 }
 
@@ -514,7 +513,7 @@ TEST(GoldenReplay, RunTenantsFingerprintIsPinned) {
   b.trace = edge::WorkloadTrace({0.0, 0.4, 1.2, 2.8, 3.8}, {0.0, 250.0, 0.0, 250.0, 0.0}, 5.0);
   config.tenants = {a, b};
   const tenant::MultiTenantMetrics m = tenant::run_tenants(config, lib, 37);
-  EXPECT_EQ(fingerprint(m), "4fd4b8ab6cd9ded1");
+  EXPECT_EQ(fingerprint(m), "0d58b909ee723811");
   EXPECT_GT(m.version_switches, 0);
   EXPECT_GT(m.tenants[0].usage.offered, 0);
   EXPECT_GT(m.tenants[1].usage.offered, 0);
@@ -537,7 +536,6 @@ ingest::IngestConfig golden_ingest(const core::AcceleratorLibrary& lib) {
   config.network.loss_p = 0.005;
   config.decode.cost_s = 0.0005;
   config.decode.workers = 4;
-  config.decode.backpressure_threshold = 2;
   config.brownout.mode = ingest::BrownoutMode::kLadder;
   config.brownout.downgrade_steps = 2;
   config.brownout.tier1_latency_s = 0.06;
@@ -564,8 +562,8 @@ TEST(GoldenReplay, RunIngestFingerprintIsPinned) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   const ingest::IngestConfig config = golden_ingest(lib);
   const ingest::IngestMetrics m = run_golden_ingest(config, lib);
-  EXPECT_EQ(sim::fingerprint(m), "ed5030c523804c43");
-  EXPECT_EQ(fingerprint(m), "df663f4070b816a3");
+  EXPECT_EQ(sim::fingerprint(m), "c58efdb8e3dc223c");
+  EXPECT_EQ(fingerprint(m), "3a06df0549fffb0c");
   EXPECT_EQ(m.conservation_error(), 0);
   EXPECT_GT(m.brownout.tier2_engagements, 0);
   EXPECT_GT(m.brownout.time_tier2_s, 0.0);
@@ -580,11 +578,17 @@ TEST(GoldenReplay, RunIngestFingerprintIsPinned) {
   }
   EXPECT_GT(disconnects, 0);
   EXPECT_GT(reconnects, 0);
-  // Decode backpressure fires: the same run with a threshold the fleet's
-  // ingress can never reach starts its decodes differently.
+  // Decode backpressure fires: decode pauses at 64 waiting frames, so the
+  // 128-frame fleet ingress never overflows. With an ingress too small for
+  // the backlog ever to reach 64, nothing pauses decode, and decoded frames
+  // are shed at the fleet instead.
+  ASSERT_EQ(config.fleet.ingress_capacity, 128);
+  EXPECT_EQ(m.fleet_shed, 0);
   ingest::IngestConfig no_backpressure = config;
-  no_backpressure.decode.backpressure_threshold = config.fleet.ingress_capacity + 1;
-  EXPECT_NE(run_golden_ingest(no_backpressure, lib).decode_started, m.decode_started);
+  no_backpressure.fleet.ingress_capacity = 63;
+  const ingest::IngestMetrics unpaused = run_golden_ingest(no_backpressure, lib);
+  EXPECT_GT(unpaused.fleet_shed, 0);
+  EXPECT_NE(unpaused.decode_started, m.decode_started);
 }
 
 bool any_switch(const edge::RunMetrics& m, bool reconfiguration) {

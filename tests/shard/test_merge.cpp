@@ -156,7 +156,7 @@ void populate(V& v, std::int64_t& k, std::int64_t scale) {
 template <class S>
 S populated(std::int64_t scale) {
   S s;
-  std::int64_t k = 2;  // above every default member value (LayerFolding's 1s)
+  std::int64_t k = 2;  // above every default member value
   populate(s, k, scale);
   return s;
 }
@@ -247,8 +247,7 @@ using TabledStructs =
                      tenant::TenantResult, tenant::MultiTenantMetrics, ingest::BrownoutStats,
                      ingest::CameraSessionStats, ingest::NetworkStats,
                      ingest::StaleFilter::Stats, ingest::IngestSessionResult,
-                     ingest::IngestMetrics, dse::RateFoldingPlan, hls::FoldingConfig,
-                     hls::LayerFolding>;
+                     ingest::IngestMetrics>;
 TYPED_TEST_SUITE(FieldTables, TabledStructs);
 
 TYPED_TEST(FieldTables, TableListsEveryMember) {

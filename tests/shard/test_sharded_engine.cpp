@@ -68,7 +68,7 @@ TEST(ShardedEngine, EveryShardRunsTheFleetWideLayers) {
   config.devices[1].fault_schedule = faults::config_upset_storm(1.0, 10.0, 0.8);
   config.integrity.enabled = true;
   config.integrity.canary_interval_s = 0.25;
-  config.integrity.quarantine_on_detect = false;  // keep health out of it
+  // Health stays off, so a detection reloads the device without quarantine.
   edge::WorkloadTrace trace(bursty_workload(1300.0, 12.0), 19);
 
   ShardConfig shard_cfg;

@@ -56,7 +56,7 @@ TEST(PlanPartition, PeakFpsPicksFastestVersionWithinThreshold) {
   const core::AcceleratorLibrary lib = core::synthetic_library();
   const PartitionPlan plan = plan_partition(two_tenants(100.0, 5000.0, /*threshold0=*/0.03,
                                                         /*threshold1=*/0.12),
-                                            lib, 4, PartitionPolicy::kPeakFps, 1.10);
+                                            lib, 4, PartitionPolicy::kPeakFps);
   // Demand-blind equal shares, fastest version the threshold allows —
   // regardless of either tenant's actual rate.
   EXPECT_EQ(plan.device_count, (std::vector<int>{2, 2}));
@@ -70,7 +70,7 @@ TEST(PlanPartition, RateAwareBuysAccuracyWhereRateLeavesSlack) {
   // one device: the most accurate version serves it. Tenant 1 offers 600 FPS
   // per device: version 1 (725 FPS) covers that at margin 1.1.
   const PartitionPlan plan =
-      plan_partition(two_tenants(200.0, 1800.0), lib, 4, PartitionPolicy::kRateAware, 1.10);
+      plan_partition(two_tenants(200.0, 1800.0), lib, 4, PartitionPolicy::kRateAware);
   EXPECT_EQ(plan.device_count, (std::vector<int>{1, 3}));
   EXPECT_EQ(plan.version[0], 0u) << "200 FPS on one device: most accurate version";
   EXPECT_EQ(plan.version[1], 1u) << "600 FPS per device fits version 1 at margin 1.1";
@@ -81,7 +81,7 @@ TEST(PlanPartition, RateAwareRespectsTheAccuracyThreshold) {
   // 3000 FPS on one device exceeds every version; the fastest version inside
   // the 0.07 threshold (floor 0.83 -> versions 0-2) must win, never v3.
   std::vector<TenantPlanInput> tenants = two_tenants(3000.0, 100.0, 0.07, 0.07);
-  const PartitionPlan plan = plan_partition(tenants, lib, 2, PartitionPolicy::kRateAware, 1.10);
+  const PartitionPlan plan = plan_partition(tenants, lib, 2, PartitionPolicy::kRateAware);
   EXPECT_EQ(plan.version[0], 2u);
 }
 

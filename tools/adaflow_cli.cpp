@@ -528,7 +528,7 @@ int cmd_forecast(ArgParser& parser, const Args& args) {
                     "diurnal");
   forecast::ForecastTrackerConfig config;
   parser.add_option("forecaster", "naive | ewma | holt-winters",
-                    forecast::forecaster_kind_name(config.forecaster.kind));
+                    forecast::forecaster_kind_name(config.forecaster));
   parser.add_int("horizon", "forecast horizon in windows (>= 1)",
                  default_of(config.horizon_windows), Range::at_least(1));
   parser.add_real("window", "observation window [s]", default_of(config.window_s),
@@ -574,7 +574,7 @@ int cmd_forecast(ArgParser& parser, const Args& args) {
   }();
   require_windows(trace.duration());
 
-  config.forecaster.kind = kind;
+  config.forecaster = kind;
   config.horizon_windows = parser.integer<int>("horizon");
   config.window_s = window;
   forecast::ForecastTracker tracker(config);

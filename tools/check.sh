@@ -8,11 +8,14 @@
 # CMake project over src/) is built in build-perfbench/, so an src/ API
 # change that breaks the benchmark fails here, and its fleet_adapt workload
 # runs for one second: any failed operation (a replay, conservation or
-# fingerprint check) fails the gate.
+# fingerprint check) fails the gate. The full run ends with the
+# unused-function scan (tools/unused_symbols.sh): a src/ function that no
+# shipped program links fails it unless tools/unused_symbols.allow names it.
 #
 # Usage: tools/check.sh [jobs] [group...]
 #
-# With no group, runs tiers 1-3; every test runs once in tier 1. Naming one
+# With no group, runs tiers 1-3 and the unused-function scan; every test
+# runs once in tier 1. Naming one
 # or more groups instead builds tier 1 and runs only those groups, for
 # iterating on one layer: nn (GEMM/conv/BatchNorm/MaxPool oracles, Trainer +
 # golden pin), sim (event-queue oracle + statistics), fleet, chaos, forecast,
@@ -108,5 +111,8 @@ cmake --build "$root/build-tsan" -j "$jobs" --target adaflow_unit_tests \
 ctest --test-dir "$root/build-tsan" -L 'shard|fleet' --output-on-failure -j "$jobs"
 ctest --test-dir "$root/build-tsan" -L unit -R '^Parallel\.' --output-on-failure -j "$jobs"
 ctest --test-dir "$root/build-tsan" -L nn -R '^(Conv2dOracle\.|GemmOracle\.NTBatch|MaxPool2dOracle\.)' --output-on-failure -j "$jobs"
+
+echo "== unused-function scan (build-scan/, build-scan-perfbench/) =="
+"$root/tools/unused_symbols.sh" "$jobs"
 
 echo "== all checks passed =="
